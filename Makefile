@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race race-core bench bench-agent bench-ingest bench-restore bench-compare bench-compare-ingest bench-compare-restore figures figures-quick vet cover lint wire-lock wire-lock-check fuzz-short chaos ci clean
+.PHONY: all build test race race-core bench bench-smoke bench-check figures figures-quick vet cover lint wire-lock wire-lock-check fuzz-short chaos ci clean
 
 all: build test
 
 # What CI runs (.github/workflows/ci.yml).
-ci: build vet lint wire-lock-check test race fuzz-short chaos
+ci: build vet lint wire-lock-check test race fuzz-short chaos bench-smoke
 
 # Race-detect the resilience-critical packages only (quick local loop;
 # CI races the whole module).
@@ -85,47 +85,16 @@ chaos:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One-iteration smoke of the end-to-end agent pipeline benchmark (also in
-# CI): catches bit-rot in the bench harness without paying for a real
-# measurement run.
-bench-agent:
-	$(GO) test -run '^$$' -bench '^BenchmarkAgentProcessStream$$' -benchtime=1x -cpu 1,4,8 ./internal/agent
+# The end-to-end benchmark (bench/, its own module, hence GOWORK=off) at
+# 1/100 scale: every workload, the correctness oracle, and the metric
+# names against BENCHMARK.json. Also in CI.
+bench-smoke:
+	GOWORK=off $(GO) -C bench test .
 
-# One-iteration smoke of the shared-scheduler multi-stream benchmark
-# (also in CI): all three fan-outs, single GOMAXPROCS point.
-bench-ingest:
-	$(GO) test -run '^$$' -bench '^BenchmarkAgentConcurrentStreams$$' -benchtime=1x -cpu 1 ./internal/agent
-
-# One-iteration smoke of the container restore benchmarks (also in CI):
-# container pipeline vs serial chunk-by-chunk baseline over a
-# latency-shaped link.
-bench-restore:
-	$(GO) test -run '^$$' -bench '^BenchmarkCloudRestore(Serial)?$$' -benchtime=1x -cpu 4 ./internal/cloudstore
-
-# Measure the agent pipeline and print a benchstat-style old/new/delta
-# table against BENCH_agent.json. `go run ./tools/benchcompare -update`
-# re-records the baseline. MAX_REGRESS gates the run: beyond that
-# percent of MB/s lost or allocs/op gained, the target exits non-zero.
-MAX_REGRESS ?= 10
-bench-compare:
-	$(GO) run ./tools/benchcompare -max-regress $(MAX_REGRESS)
-
-# Measure container vs serial restore throughput and compare against
-# BENCH_restore.json (same -update and -max-regress conventions as
-# bench-compare).
-# Same comparison for the multi-stream ingest benchmark against
-# BENCH_ingest.json (same -update flow as bench-compare).
-# Single GOMAXPROCS point: on the 1-physical-core CI container the
-# -cpu 4/8 rows only oversubscribe that core and swing ±30% run to run,
-# which would make the regression gate pure noise.
-bench-compare-ingest:
-	$(GO) run ./tools/benchcompare -bench BenchmarkAgentConcurrentStreams \
-		-baseline BENCH_ingest.json -cpu 1 -benchtime 5x -max-regress $(MAX_REGRESS)
-
-bench-compare-restore:
-	$(GO) run ./tools/benchcompare -bench 'BenchmarkCloudRestore|BenchmarkCloudRestoreSerial' \
-		-pkg ./internal/cloudstore -cpu 1,4 -baseline BENCH_restore.json \
-		-max-regress $(MAX_REGRESS)
+# Two full benchmark runs that must agree with each other within
+# BENCHMARK.json's bounds; see bench/README.md.
+bench-check:
+	bash bench/run.sh -repeat 2 -check
 
 # Regenerate every figure of the paper's evaluation at full size.
 figures:

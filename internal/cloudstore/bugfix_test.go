@@ -8,7 +8,9 @@ package cloudstore
 //   - handlePutManifest / the raw-upload manifest path used to update
 //     the in-memory catalog before the durable disk write, advertising
 //     manifests a restart would not have;
-//   - the server accepted empty / "." / ".." manifest names.
+//   - the server accepted empty / "." / ".." manifest names;
+//   - a chunk the disk refused was reported as a duplicate, so the
+//     upload RPC succeeded for a chunk the cloud did not hold.
 
 import (
 	"context"
@@ -123,9 +125,11 @@ func TestServerRejectsInvalidManifestNames(t *testing.T) {
 // breakManifestDir replaces the store's manifests directory with a plain
 // file so every subsequent durable manifest write fails (works even as
 // root, where permission bits would not).
-func breakManifestDir(t *testing.T, dir string) {
+func breakManifestDir(t *testing.T, dir string) { breakStoreDir(t, dir, "manifests") }
+
+func breakStoreDir(t *testing.T, dir, sub string) {
 	t.Helper()
-	mdir := filepath.Join(dir, "manifests")
+	mdir := filepath.Join(dir, sub)
 	if err := os.RemoveAll(mdir); err != nil {
 		t.Fatal(err)
 	}
@@ -143,9 +147,7 @@ func TestPutManifestDurableFirst(t *testing.T) {
 	ctx := context.Background()
 
 	c := mkChunk("manifest body chunk")
-	if _, err := cl.Upload(ctx, c); err != nil {
-		t.Fatal(err)
-	}
+	upload1(t, cl, c)
 	breakManifestDir(t, dir)
 
 	if err := cl.PutManifest(ctx, "phantom", []chunk.ID{c.ID}); err == nil {
@@ -176,5 +178,83 @@ func TestUploadRawManifestDurableFirst(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Manifests != 0 {
 		t.Fatalf("Manifests = %d, want 0", st.Manifests)
+	}
+}
+
+// TestUploadFailsWhenContainerLogFails breaks the containers directory
+// and asserts the upload RPCs fail instead of acknowledging chunks the
+// store does not hold: nothing may reach the index or the counters, and
+// chunks acknowledged before the failure stay readable.
+func TestUploadFailsWhenContainerLogFails(t *testing.T) {
+	dir := t.TempDir()
+	cl, srv := startCloud(t, Config{Dir: dir})
+	ctx := context.Background()
+
+	kept := mkChunk("acknowledged before the disk broke")
+	upload1(t, cl, kept)
+	srv.FlushContainers()
+	before := srv.Stats()
+	breakStoreDir(t, dir, "containers")
+
+	lost := mkChunk("never durable")
+	if n, err := cl.BatchUpload(ctx, []chunk.Chunk{lost}); err == nil {
+		t.Fatalf("BatchUpload with a broken disk acknowledged %d chunks", n)
+	}
+	if _, err := cl.UploadRaw(ctx, "raw", []byte("raw stream the disk cannot take")); err == nil {
+		t.Fatal("UploadRaw succeeded with a broken disk")
+	}
+	has, err := cl.BatchHas(ctx, []chunk.ID{lost.ID, kept.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if has[0] || !has[1] {
+		t.Fatalf("BatchHas = %v, want the refused chunk absent and the acknowledged one present", has)
+	}
+	after := srv.Stats()
+	if after.UniqueChunks != before.UniqueChunks || after.UniqueBytes != before.UniqueBytes || after.Manifests != 0 {
+		t.Fatalf("stats moved on failed uploads: %+v -> %+v", before, after)
+	}
+}
+
+// syncFailLog is an in-memory container log whose sync can be made to
+// fail: the records are appended but never become durable.
+type syncFailLog struct {
+	*memLog
+	err error
+}
+
+func (l *syncFailLog) sync() error { return l.err }
+
+// TestSyncFailurePublishesNothing drives the store through the log seam:
+// when the sync covering a batch fails, no chunk of the batch is indexed,
+// the error reaches the caller, the writer stays stopped, and chunks
+// acknowledged earlier are still served.
+func TestSyncFailurePublishesNothing(t *testing.T) {
+	log := &syncFailLog{memLog: newMemLog()}
+	cs := newContainerStore(log, 1<<20, 0, DefaultSparseRefLimit)
+	kept, lost, later := mkChunk("kept"), mkChunk("lost"), mkChunk("later")
+	if n, err := cs.put([]chunk.Chunk{kept}); n != 1 || err != nil {
+		t.Fatalf("put = %d, %v", n, err)
+	}
+
+	log.err = errors.New("fsync: input/output error")
+	if n, err := cs.put([]chunk.Chunk{kept, lost}); n != 0 || !errors.Is(err, log.err) {
+		t.Fatalf("put over a failing sync = %d, %v; want 0 and the sync error", n, err)
+	}
+	if has := cs.has([]chunk.ID{kept.ID, lost.ID}); has[0] != 1 || has[1] != 0 {
+		t.Fatalf("index after failed sync = %v, want only the acknowledged chunk", has)
+	}
+	var st Stats
+	cs.addStats(&st)
+	if st.UniqueChunks != 1 || st.UniqueBytes != int64(len(kept.Data)) {
+		t.Fatalf("counters after failed sync = %+v", st)
+	}
+
+	log.err = nil
+	if _, err := cs.put([]chunk.Chunk{later}); err == nil {
+		t.Fatal("writer accepted an upload after its log failed")
+	}
+	if got, err := cs.readChunk(kept.ID); err != nil || string(got) != "kept" {
+		t.Fatalf("acknowledged chunk after the failure = %q, %v", got, err)
 	}
 }

@@ -19,8 +19,8 @@ import (
 // failure series are pre-resolved per client so the hot path records
 // without a registry lookup.
 var clientMethods = []string{
-	methodUpload, methodBatchUpload, methodBatchHas, methodUploadRaw,
-	methodGetChunk, methodGetChunks, methodGetRecipe, methodGetContainer,
+	methodBatchUpload, methodBatchHas, methodUploadRaw,
+	methodGetChunks, methodGetRecipe, methodGetContainer,
 	methodPutManifest, methodGetManifest, methodStats,
 }
 
@@ -167,15 +167,6 @@ func (c *Client) call(ctx context.Context, method string, body []byte) ([]byte, 
 	return resp, err
 }
 
-// Upload stores one chunk, returning whether the cloud had not seen it.
-func (c *Client) Upload(ctx context.Context, ck chunk.Chunk) (fresh bool, err error) {
-	resp, err := c.call(ctx, methodUpload, encodeChunkFrame(ck))
-	if err != nil {
-		return false, err
-	}
-	return len(resp) == 1 && resp[0] == 1, nil
-}
-
 // BatchUpload stores many chunks in one RPC and returns how many were new.
 func (c *Client) BatchUpload(ctx context.Context, chunks []chunk.Chunk) (stored int, err error) {
 	resp, err := c.call(ctx, methodBatchUpload, encodeChunkList(chunks))
@@ -220,18 +211,6 @@ func (c *Client) UploadRaw(ctx context.Context, name string, data []byte) (store
 		return 0, fmt.Errorf("%w: malformed raw upload response", ErrProto)
 	}
 	return int(binary.BigEndian.Uint32(resp)), nil
-}
-
-// GetChunk fetches one chunk's payload.
-func (c *Client) GetChunk(ctx context.Context, id chunk.ID) ([]byte, error) {
-	resp, err := c.call(ctx, methodGetChunk, id[:])
-	if err != nil {
-		if isRemoteNotFound(err) {
-			return nil, ErrNotFound
-		}
-		return nil, err
-	}
-	return resp, nil
 }
 
 // PutManifest records the chunk sequence of a named file.

@@ -5,17 +5,17 @@
 // Three client roles use it (paper Sec. V-A):
 //
 //   - EF-dedup agents upload only the chunks their D2-ring identified as
-//     unique (Upload / BatchUpload);
+//     unique (BatchUpload);
 //   - Cloud-assisted agents keep no edge index: they probe the cloud's
 //     global index (BatchHas) and upload misses;
 //   - Cloud-only agents ship raw data (UploadRaw); the cloud chunks and
 //     deduplicates server-side.
 //
 // Manifests map a file name to its chunk sequence so any stored stream
-// can be restored and verified end to end. On the read side, fresh
-// chunks are packed in upload order into locality-preserving containers
-// (container.go); restores fetch whole containers through a read-ahead
-// cache instead of one RPC per chunk.
+// can be restored and verified end to end. Fresh chunks are packed in
+// upload order into locality-preserving containers (container.go), the
+// only place a payload is kept; restores fetch whole containers through
+// a read-ahead cache instead of one RPC per chunk.
 package cloudstore
 
 import (
@@ -32,11 +32,9 @@ import (
 
 // RPC method names served by the cloud store.
 const (
-	methodUpload       = "cloud.upload"
 	methodBatchUpload  = "cloud.batchupload"
 	methodBatchHas     = "cloud.batchhas"
 	methodUploadRaw    = "cloud.uploadraw"
-	methodGetChunk     = "cloud.getchunk"
 	methodGetChunks    = "cloud.getchunks"
 	methodGetRecipe    = "cloud.getrecipe"
 	methodGetContainer = "cloud.getcontainer"
@@ -89,12 +87,11 @@ type Server struct {
 	chunker chunk.Chunker
 
 	mu        sync.RWMutex
-	chunks    map[chunk.ID][]byte // in-memory payloads (nil values when disk-backed)
 	manifests map[string][]chunk.ID
 	disk      *DiskStore // nil for the in-memory store
-	stats     Stats
+	stats     Stats      // LogicalBytes, RawUploads, Manifests; containers owns the rest
 
-	containers *containerStore
+	containers *containerStore // the chunk index and every payload
 
 	rpc      *transport.Server
 	listener net.Listener
@@ -105,19 +102,17 @@ type Config struct {
 	// Chunker is used to split raw (cloud-only) uploads. Defaults to an
 	// 8 KiB fixed chunker, matching the edge agents.
 	Chunker chunk.Chunker
-	// Dir, when set, persists chunks, containers and manifests under
-	// this directory (content-addressed files with atomic writes); the
-	// server rebuilds its index from disk on startup. Empty keeps
-	// everything in memory.
+	// Dir, when set, persists containers and manifests under this
+	// directory; the server rebuilds its index from them on startup.
+	// Empty keeps everything in memory.
 	Dir string
 	// ContainerBytes is the target sealed-container size. Defaults to
 	// DefaultContainerBytes (4 MiB).
 	ContainerBytes int
 	// DupFraction caps selective-duplication bytes at this fraction of
-	// the unique bytes packed into containers. Zero disables
-	// duplication entirely; the default is applied only when the field
-	// is negative-or-unset via DefaultConfig semantics — pass
-	// DefaultDupFraction explicitly to opt in.
+	// the unique bytes packed into containers. Zero disables duplication
+	// and a negative value counts as zero; efdedup-cloud's -dup-fraction
+	// flag defaults to DefaultDupFraction.
 	DupFraction float64
 	// SparseRefLimit marks a container as fragmenting for a manifest
 	// that references it for at most this many chunks. Defaults to
@@ -137,65 +132,17 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		chunker:   c,
-		chunks:    make(map[chunk.ID][]byte),
 		manifests: make(map[string][]chunk.ID),
 		rpc:       transport.NewServer(),
 	}
-	startID := uint64(1)
-	if cfg.Dir != "" {
-		disk, err := NewDiskStore(cfg.Dir)
-		if err != nil {
-			return nil, err
-		}
-		s.disk = disk
-		// Rebuild the index and counters from what is already on disk:
-		// staged flat chunk files plus every chunk packed into a sealed
-		// container.
-		index, err := disk.LoadIndex()
-		if err != nil {
-			return nil, fmt.Errorf("cloudstore: rebuild index: %w", err)
-		}
-		loc, packedSizes, dupBytes, nextID, err := disk.LoadContainers()
-		if err != nil {
-			return nil, fmt.Errorf("cloudstore: rebuild containers: %w", err)
-		}
-		startID = nextID
-		var packedUnique int64
-		for id, size := range packedSizes {
-			packedUnique += size
-			if _, ok := index[id]; !ok {
-				index[id] = size
-			}
-		}
-		for id, size := range index {
-			s.chunks[id] = nil // presence marker; payload stays on disk
-			s.stats.UniqueChunks++
-			s.stats.UniqueBytes += size
-		}
-		s.stats.ContainersSealed = int64(startID - 1)
-		s.stats.DuplicatedBytes = dupBytes
-		s.containers = newContainerStore(disk, cfg.ContainerBytes, cfg.DupFraction, cfg.SparseRefLimit, startID)
-		s.containers.restoreLocators(loc, packedUnique, dupBytes)
-		names, err := disk.ManifestNames()
-		if err != nil {
-			return nil, fmt.Errorf("cloudstore: list manifests: %w", err)
-		}
-		for _, name := range names {
-			ids, err := disk.GetManifest(name)
-			if err != nil {
-				return nil, err
-			}
-			s.manifests[name] = ids
-			s.stats.Manifests++
-		}
-	} else {
-		s.containers = newContainerStore(nil, cfg.ContainerBytes, cfg.DupFraction, cfg.SparseRefLimit, startID)
+	if cfg.Dir == "" {
+		s.containers = newContainerStore(newMemLog(), cfg.ContainerBytes, cfg.DupFraction, cfg.SparseRefLimit)
+	} else if err := s.openDir(cfg); err != nil {
+		return nil, err
 	}
-	s.handle(methodUpload, s.handleUpload)
 	s.handle(methodBatchUpload, s.handleBatchUpload)
 	s.handle(methodBatchHas, s.handleBatchHas)
 	s.handle(methodUploadRaw, s.handleUploadRaw)
-	s.handle(methodGetChunk, s.handleGetChunk)
 	s.handle(methodGetChunks, s.handleGetChunks)
 	s.handle(methodGetRecipe, s.handleGetRecipe)
 	s.handle(methodGetContainer, s.handleGetContainer)
@@ -213,6 +160,34 @@ func NewServer(cfg Config) (*Server, error) {
 		return float64(s.Stats().Manifests)
 	})
 	return s, nil
+}
+
+// openDir makes the store disk-backed: one scan of the containers under
+// cfg.Dir rebuilds the chunk index and its counters, and the manifests
+// directory refills the catalog.
+func (s *Server) openDir(cfg Config) error {
+	disk, err := NewDiskStore(cfg.Dir)
+	if err != nil {
+		return err
+	}
+	s.disk = disk
+	s.containers = newContainerStore(disk, cfg.ContainerBytes, cfg.DupFraction, cfg.SparseRefLimit)
+	if s.containers.openID, err = disk.load(s.containers.replay); err != nil {
+		return fmt.Errorf("cloudstore: rebuild index: %w", err)
+	}
+	names, err := disk.ManifestNames()
+	if err != nil {
+		return fmt.Errorf("cloudstore: list manifests: %w", err)
+	}
+	for _, name := range names {
+		ids, err := disk.GetManifest(name)
+		if err != nil {
+			return err
+		}
+		s.manifests[name] = ids
+		s.stats.Manifests++
+	}
+	return nil
 }
 
 // handle registers a handler wrapped with serve-latency and failure
@@ -258,11 +233,6 @@ func (s *Server) Close() error {
 // calls it on shutdown).
 func (s *Server) FlushContainers() {
 	s.containers.flush()
-	sealed, dup := s.containers.statsSnapshot()
-	s.mu.Lock()
-	s.stats.ContainersSealed = sealed
-	s.stats.DuplicatedBytes = dup
-	s.mu.Unlock()
 }
 
 // Stats returns a snapshot of the store's counters.
@@ -270,7 +240,7 @@ func (s *Server) Stats() Stats {
 	s.mu.RLock()
 	st := s.stats
 	s.mu.RUnlock()
-	st.ContainersSealed, st.DuplicatedBytes = s.containers.statsSnapshot()
+	s.containers.addStats(&st)
 	return st
 }
 
@@ -285,57 +255,15 @@ func validManifestName(name string) error {
 	return nil
 }
 
-// storeChunk inserts data under its ID, returning whether it was new.
-// Durability order: the staged flat file first (the acknowledgement
-// hinges on it), then the in-memory index, then the locality container
-// (whose sealing supersedes the flat file).
-func (s *Server) storeChunk(id chunk.ID, data []byte) bool {
+// countLogical adds the payload bytes a client asked the cloud to store.
+func (s *Server) countLogical(chunks []chunk.Chunk) {
+	var n int64
+	for _, ck := range chunks {
+		n += int64(len(ck.Data))
+	}
 	s.mu.Lock()
-	s.stats.LogicalBytes += int64(len(data))
-	if _, ok := s.chunks[id]; ok {
-		s.mu.Unlock()
-		return false
-	}
-	if s.disk != nil {
-		if err := s.disk.PutChunk(id, data); err != nil {
-			// Persistence failure: do not record the chunk as stored.
-			s.mu.Unlock()
-			return false
-		}
-		s.chunks[id] = nil
-	} else {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		s.chunks[id] = cp
-	}
-	s.stats.UniqueChunks++
-	s.stats.UniqueBytes += int64(len(data))
+	s.stats.LogicalBytes += n
 	s.mu.Unlock()
-	s.containers.append(id, data, false)
-	return true
-}
-
-// chunkData reads one chunk payload from wherever its current copy
-// lives: the in-memory map, the staged flat file, or a sealed container.
-func (s *Server) chunkData(id chunk.ID) ([]byte, error) {
-	s.mu.RLock()
-	data, ok := s.chunks[id]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, ErrNotFound
-	}
-	if data != nil || s.disk == nil {
-		if data == nil {
-			return nil, fmt.Errorf("%w: chunk %s lost from memory store", ErrCorrupt, id)
-		}
-		return data, nil
-	}
-	payload, err := s.disk.GetChunk(id)
-	if errors.Is(err, ErrNotFound) {
-		// The flat file was superseded by a sealed container copy.
-		return s.containers.readChunk(id)
-	}
-	return payload, err
 }
 
 // repackSparse applies bounded selective duplication after a manifest is
@@ -360,11 +288,11 @@ func (s *Server) repackSparse(ids []chunk.ID) {
 		if !ok || !sparse[loc.Container] {
 			continue
 		}
-		data, err := s.chunkData(id)
+		data, err := s.containers.readChunk(id)
 		if err != nil {
 			continue // unreadable copies are a restore-time problem, not a packing one
 		}
-		if !s.containers.append(id, data, true) {
+		if !s.containers.repack(id, data) {
 			return // duplication budget exhausted
 		}
 		repacked[id] = true
@@ -373,38 +301,24 @@ func (s *Server) repackSparse(ids []chunk.ID) {
 
 // --- handlers ----------------------------------------------------------
 
-// upload body: 32-byte ID | payload. Verifies content addressing.
-func (s *Server) handleUpload(body []byte) ([]byte, error) {
-	id, data, err := decodeChunkFrame(body)
-	if err != nil {
-		return nil, err
-	}
-	if chunk.Sum(data) != id {
-		return nil, fmt.Errorf("%w: chunk content does not match its ID", ErrCorrupt)
-	}
-	fresh := s.storeChunk(id, data)
-	if fresh {
-		return []byte{1}, nil
-	}
-	return []byte{0}, nil
-}
-
-// batch upload body: u32 count | (32-byte ID | u32 len | payload)*.
+// batch upload body: u32 count | (32-byte ID | u32 len | payload)*;
+// response: u32 chunks that were new. Verifies content addressing.
 func (s *Server) handleBatchUpload(body []byte) ([]byte, error) {
 	chunks, err := decodeChunkList(body)
 	if err != nil {
 		return nil, err
 	}
-	stored := uint32(0)
 	for i, ck := range chunks {
 		if chunk.Sum(ck.Data) != ck.ID {
 			return nil, fmt.Errorf("%w: batch record %d content mismatch", ErrCorrupt, i)
 		}
-		if s.storeChunk(ck.ID, ck.Data) {
-			stored++
-		}
 	}
-	return binary.BigEndian.AppendUint32(nil, stored), nil
+	s.countLogical(chunks)
+	stored, err := s.containers.put(chunks)
+	if err != nil {
+		return nil, err
+	}
+	return binary.BigEndian.AppendUint32(nil, uint32(stored)), nil
 }
 
 // batchhas body: u32 count | (32-byte ID)*; response: one byte per ID.
@@ -413,15 +327,7 @@ func (s *Server) handleBatchHas(body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, len(ids))
-	s.mu.RLock()
-	for i, id := range ids {
-		if _, ok := s.chunks[id]; ok {
-			out[i] = 1
-		}
-	}
-	s.mu.RUnlock()
-	return out, nil
+	return s.containers.has(ids), nil
 }
 
 // uploadraw body: u16 name length | name | payload. The server chunks and
@@ -437,17 +343,18 @@ func (s *Server) handleUploadRaw(body []byte) ([]byte, error) {
 		}
 	}
 
-	var ids []chunk.ID
-	stored := uint32(0)
 	chunks, err := chunk.SplitBytes(s.chunker, payload)
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range chunks {
-		if s.storeChunk(c.ID, c.Data) {
-			stored++
-		}
-		ids = append(ids, c.ID)
+	s.countLogical(chunks)
+	stored, err := s.containers.put(chunks)
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]chunk.ID, len(chunks))
+	for i, c := range chunks {
+		ids[i] = c.ID
 	}
 	// Durable-first: the manifest must hit disk before the in-memory
 	// catalog advertises it, or a failed write leaves the server claiming
@@ -472,16 +379,7 @@ func (s *Server) handleUploadRaw(body []byte) ([]byte, error) {
 		s.stats.RawUploads++
 		s.mu.Unlock()
 	}
-	return binary.BigEndian.AppendUint32(nil, stored), nil
-}
-
-func (s *Server) handleGetChunk(body []byte) ([]byte, error) {
-	if len(body) != chunk.IDSize {
-		return nil, fmt.Errorf("%w: bad chunk ID length", ErrProto)
-	}
-	var id chunk.ID
-	copy(id[:], body)
-	return s.chunkData(id)
+	return binary.BigEndian.AppendUint32(nil, uint32(stored)), nil
 }
 
 // getchunks body: u32 count | (32-byte ID)*; response: (u32 len |
@@ -494,7 +392,7 @@ func (s *Server) handleGetChunks(body []byte) ([]byte, error) {
 	}
 	payloads := make([][]byte, 0, len(ids))
 	for _, id := range ids {
-		data, err := s.chunkData(id)
+		data, err := s.containers.readChunk(id)
 		if err != nil {
 			return nil, fmt.Errorf("chunk %s: %w", id, err)
 		}

@@ -39,22 +39,23 @@ func mkChunk(data string) chunk.Chunk {
 	return chunk.Chunk{ID: chunk.Sum(b), Data: b}
 }
 
+// upload1 stores one chunk and reports whether the cloud had not seen it.
+func upload1(t *testing.T, cl *Client, ck chunk.Chunk) bool {
+	t.Helper()
+	stored, err := cl.BatchUpload(context.Background(), []chunk.Chunk{ck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stored == 1
+}
+
 func TestUploadDeduplicates(t *testing.T) {
 	cl, srv := startCloud(t, Config{})
-	ctx := context.Background()
 
-	fresh, err := cl.Upload(ctx, mkChunk("hello"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fresh {
+	if !upload1(t, cl, mkChunk("hello")) {
 		t.Fatal("first upload reported duplicate")
 	}
-	fresh, err = cl.Upload(ctx, mkChunk("hello"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh {
+	if upload1(t, cl, mkChunk("hello")) {
 		t.Fatal("duplicate upload reported fresh")
 	}
 	st := srv.Stats()
@@ -73,7 +74,7 @@ func TestUploadRejectsCorruptChunk(t *testing.T) {
 	cl, _ := startCloud(t, Config{})
 	bad := mkChunk("data")
 	bad.Data = []byte("DATA") // ID no longer matches
-	if _, err := cl.Upload(context.Background(), bad); err == nil {
+	if _, err := cl.BatchUpload(context.Background(), []chunk.Chunk{bad}); err == nil {
 		t.Fatal("corrupt chunk accepted")
 	}
 }
@@ -177,8 +178,8 @@ func TestManifestRoundTrip(t *testing.T) {
 func TestGetMissing(t *testing.T) {
 	cl, _ := startCloud(t, Config{})
 	ctx := context.Background()
-	if _, err := cl.GetChunk(ctx, chunk.Sum([]byte("nope"))); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("GetChunk(missing) = %v, want ErrNotFound", err)
+	if _, err := cl.GetChunks(ctx, []chunk.ID{chunk.Sum([]byte("nope"))}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("GetChunks(missing) = %v, want ErrNotFound", err)
 	}
 	if _, err := cl.GetManifest(ctx, "nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("GetManifest(missing) = %v, want ErrNotFound", err)
@@ -188,9 +189,7 @@ func TestGetMissing(t *testing.T) {
 func TestFetchStats(t *testing.T) {
 	cl, _ := startCloud(t, Config{})
 	ctx := context.Background()
-	if _, err := cl.Upload(ctx, mkChunk("x")); err != nil {
-		t.Fatal(err)
-	}
+	upload1(t, cl, mkChunk("x"))
 	st, err := cl.FetchStats(ctx)
 	if err != nil {
 		t.Fatal(err)

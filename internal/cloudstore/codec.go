@@ -15,24 +15,6 @@ import (
 	"efdedup/internal/chunk"
 )
 
-// encodeChunkFrame builds an upload body: 32-byte ID | payload.
-func encodeChunkFrame(ck chunk.Chunk) []byte {
-	body := make([]byte, 0, chunk.IDSize+len(ck.Data))
-	body = append(body, ck.ID[:]...)
-	body = append(body, ck.Data...)
-	return body
-}
-
-// decodeChunkFrame splits an upload body into ID and payload.
-func decodeChunkFrame(body []byte) (chunk.ID, []byte, error) {
-	var id chunk.ID
-	if len(body) < chunk.IDSize {
-		return id, nil, fmt.Errorf("%w: chunk frame of %d bytes lacks an ID", ErrProto, len(body))
-	}
-	copy(id[:], body)
-	return id, body[chunk.IDSize:], nil
-}
-
 // encodeChunkList builds a batch upload body:
 // u32 count | (32-byte ID | u32 len | payload)*.
 func encodeChunkList(chunks []chunk.Chunk) []byte {

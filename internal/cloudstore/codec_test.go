@@ -13,20 +13,6 @@ func codecChunk(data string) chunk.Chunk {
 	return chunk.Chunk{ID: chunk.Sum([]byte(data)), Data: []byte(data)}
 }
 
-func TestChunkFrameRoundTrip(t *testing.T) {
-	ck := codecChunk("frame payload")
-	id, data, err := decodeChunkFrame(encodeChunkFrame(ck))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if id != ck.ID || !bytes.Equal(data, ck.Data) {
-		t.Fatal("round trip mutated the chunk")
-	}
-	if _, _, err := decodeChunkFrame(make([]byte, chunk.IDSize-1)); !errors.Is(err, ErrProto) {
-		t.Fatalf("short frame not rejected: %v", err)
-	}
-}
-
 func TestChunkListRoundTrip(t *testing.T) {
 	in := []chunk.Chunk{codecChunk("a"), codecChunk("bb"), {ID: chunk.Sum(nil)}}
 	out, err := decodeChunkList(encodeChunkList(in))

@@ -1,45 +1,52 @@
 package cloudstore
 
-// Locality-preserving chunk containers — the read side of the store.
+// Locality-preserving chunk containers — the store itself.
 //
-// The flat content-addressed chunk files that PutChunk writes are ideal
-// for deduplicated *writes* (idempotent, crash-atomic) but terrible for
-// *restores*: a stream's chunks end up as thousands of small files, and
-// the old restore path paid one RPC and one disk read per chunk. Per the
-// container-store designs surveyed in the fragmentation literature
-// (partial repetition / container capping), chunks are additionally
-// packed — in upload order, which is stream order — into fixed-target
-// containers. A restore then fetches whole containers (one RPC, one
-// sequential read each) and the number of containers a stream touches
-// becomes the fragmentation measure.
+// A chunk payload lives in exactly one kind of place: a record of a
+// container. Fresh chunks are appended — in upload order, which is
+// stream order — to the one open container; when it reaches its target
+// size it seals and a new one starts. A restore fetches whole sealed
+// containers (one RPC, one sequential read each), so the number of
+// containers a stream touches is the fragmentation measure, as in the
+// container-store designs of the fragmentation literature (partial
+// repetition / container capping).
 //
-// Container format (file "<root>/containers/<%016x>.cont", or an
-// in-memory byte slice for Dir-less servers):
+// Container format (file "<root>/containers/<%016x>.cont" once sealed,
+// "<root>/containers/open.cont" while open, or byte slices for Dir-less
+// servers):
 //
 //	8 bytes  magic "EFCONT1\n"
 //	repeated 32-byte chunk ID | u32 payload length | u32 crc32(payload) | payload
 //
 // Records are CRC-framed so a torn or bit-flipped container is detected
 // at parse time, and every payload is still content-addressed by its
-// chunk ID, so readers can verify end to end. Container files are
-// installed with the same write-temp → fsync → rename → dir-fsync
-// protocol as kvstore snapshots.
+// chunk ID, so readers verify end to end.
 //
-// Durability protocol: a chunk is acknowledged once its flat chunk file
-// is durable (storeChunk). The open container is memory only; when it
-// seals, the container file is installed durably and the flat files of
-// the chunks it packed are deleted — they were the staging copies. A
-// crash at any point leaves every chunk in at least one of the two
-// places, and startup rebuilds the index from both.
+// Durability protocol: the open container is the write-ahead log. An
+// upload appends its fresh records, syncs the open container once, and
+// only then enters the chunks in the index and replies, so a chunk the
+// index advertises — to its uploader or to anyone's BatchHas — is
+// durable. Sealing is fsync → rename → directory fsync, so a sealed
+// container is never torn: damage to one is data loss (ErrCorrupt),
+// while a torn tail of the open container is a crash artifact holding
+// only unacknowledged records and is cut off at startup. The first
+// append, sync or seal failure stops the writer (as a failed fsync stops
+// the kvstore WAL): the file's state is unknown, so uploads fail until a
+// restart has recovered the durable prefix; reads keep working.
+//
+// One index maps every chunk to its newest copy. A chunk in the open
+// container is served from there but reported to restore clients as
+// "container 0" (fetch via cloud.getchunks) until its container seals.
 //
 // Bounded selective duplication: when a manifest's chunks are spread
 // thinly over old containers (a later backup referencing a handful of
 // mutated blocks per old stream), restoring it would touch many
 // containers for a few chunks each. repack copies such sparsely
-// referenced hot chunks into the current open container — deliberately
-// storing them twice — and points the locator at the new, denser copy.
-// The duplicated bytes are capped at DupFraction of the unique bytes
-// packed, so dedup ratio degrades by a bounded, configured amount.
+// referenced hot chunks into the open container — deliberately storing
+// them twice — and when that container seals the index moves to the
+// new, denser copy. The duplicated bytes are capped at DupFraction of
+// the unique bytes stored, so dedup ratio degrades by a bounded,
+// configured amount.
 
 import (
 	"bytes"
@@ -71,8 +78,8 @@ var containerMagic = []byte("EFCONT1\n")
 // containerRecordHeader is the per-record framing overhead.
 const containerRecordHeader = chunk.IDSize + 8
 
-// Locator addresses one chunk copy inside a sealed container: the
-// container ID plus the payload's byte range within the container.
+// Locator addresses one chunk copy inside a container: the container ID
+// plus the payload's byte range within the container.
 type Locator struct {
 	Container uint64
 	Offset    uint32
@@ -90,18 +97,19 @@ func appendContainerRecord(buf []byte, id chunk.ID, data []byte) ([]byte, uint32
 	return buf, off
 }
 
-// parseContainer walks a container's records in order, verifying the
-// frame CRCs, and hands each payload (a sub-slice of data) to fn. Any
-// framing or CRC damage is ErrCorrupt: containers are installed
-// atomically, so damage is real, not a crash artifact.
-func parseContainer(data []byte, fn func(id chunk.ID, off uint32, payload []byte) error) error {
+// scanContainer walks a container's records in order, verifying the
+// frame CRCs, and hands each payload (a sub-slice of data) to fn. It
+// returns how many leading bytes are intact — the magic plus every
+// record before the first damaged one — and ErrCorrupt for the damage.
+func scanContainer(data []byte, fn func(id chunk.ID, off uint32, payload []byte) error) (int, error) {
 	if len(data) < len(containerMagic) || !bytes.Equal(data[:len(containerMagic)], containerMagic) {
-		return fmt.Errorf("%w: container missing magic", ErrCorrupt)
+		return 0, fmt.Errorf("%w: container missing magic", ErrCorrupt)
 	}
 	off := len(containerMagic)
 	for off < len(data) {
+		rec := off
 		if len(data)-off < containerRecordHeader {
-			return fmt.Errorf("%w: truncated container record header at offset %d", ErrCorrupt, off)
+			return rec, fmt.Errorf("%w: truncated container record header at offset %d", ErrCorrupt, off)
 		}
 		var id chunk.ID
 		copy(id[:], data[off:])
@@ -109,40 +117,115 @@ func parseContainer(data []byte, fn func(id chunk.ID, off uint32, payload []byte
 		crc := binary.BigEndian.Uint32(data[off+chunk.IDSize+4:])
 		off += containerRecordHeader
 		if uint64(len(data)-off) < uint64(n) {
-			return fmt.Errorf("%w: truncated container payload for chunk %s", ErrCorrupt, id)
+			return rec, fmt.Errorf("%w: truncated container payload for chunk %s", ErrCorrupt, id)
 		}
 		payload := data[off : off+int(n)]
 		if crc32.ChecksumIEEE(payload) != crc {
-			return fmt.Errorf("%w: container record crc mismatch for chunk %s", ErrCorrupt, id)
+			return rec, fmt.Errorf("%w: container record crc mismatch for chunk %s", ErrCorrupt, id)
 		}
 		if err := fn(id, uint32(off), payload); err != nil {
-			return err
+			return rec, err
 		}
 		off += int(n)
 	}
+	return off, nil
+}
+
+// parseContainer is scanContainer for sealed containers, where any
+// framing or CRC damage is real: they are installed atomically.
+func parseContainer(data []byte, fn func(id chunk.ID, off uint32, payload []byte) error) error {
+	_, err := scanContainer(data, fn)
+	return err
+}
+
+// containerLog is where container bytes live: byte slices (memLog) or
+// files (DiskStore). It is all that differs between an in-memory and a
+// disk-backed store. Container 0 names the open container. Callers
+// serialize writers against each other and against readers.
+type containerLog interface {
+	// append frames one chunk at the end of the open container and
+	// returns its payload's offset. The record may be lost in a crash
+	// until sync returns.
+	append(id chunk.ID, data []byte) (uint32, error)
+	// sync makes every appended record durable.
+	sync() error
+	// readAt returns n bytes at off of a container. Slices returned for
+	// synced records stay valid across later appends and seals.
+	readAt(container uint64, off int64, n int) ([]byte, error)
+	// sealedBytes returns the whole content of a container that seal
+	// installed.
+	sealedBytes(container uint64) ([]byte, error)
+	// seal durably installs the open container as sealed container id;
+	// the next append starts a new open container.
+	seal(id uint64) error
+}
+
+// memLog keeps containers as byte slices. The open container is only
+// ever appended to — never rewritten in place, and left to its readers
+// once sealed — so payload sub-slices handed out stay valid.
+type memLog struct {
+	open   []byte
+	sealed map[uint64][]byte
+}
+
+func newMemLog() *memLog { return &memLog{sealed: make(map[uint64][]byte)} }
+
+func (m *memLog) append(id chunk.ID, data []byte) (uint32, error) {
+	if len(m.open) == 0 {
+		m.open = append(m.open, containerMagic...)
+	}
+	var off uint32
+	m.open, off = appendContainerRecord(m.open, id, data)
+	return off, nil
+}
+
+func (m *memLog) sync() error { return nil }
+
+func (m *memLog) readAt(container uint64, off int64, n int) ([]byte, error) {
+	data := m.open
+	if container != 0 {
+		data = m.sealed[container]
+	}
+	if int64(len(data)) < off+int64(n) {
+		return nil, fmt.Errorf("%w: container %d lost", ErrCorrupt, container)
+	}
+	return data[off : off+int64(n)], nil
+}
+
+func (m *memLog) sealedBytes(container uint64) ([]byte, error) {
+	return m.sealed[container], nil
+}
+
+func (m *memLog) seal(id uint64) error {
+	m.sealed[id] = m.open
+	m.open = nil
 	return nil
 }
 
-// containerStore is the append-side container writer plus the locator
-// index. It packs incoming fresh chunks into an open in-memory
-// container, seals containers at targetBytes (durably via the DiskStore
-// when one is configured, as retained byte slices otherwise), and maps
-// every packed chunk to its newest sealed copy.
+// dupCopy is a repacked chunk copy waiting in the open container.
+type dupCopy struct {
+	id  chunk.ID
+	loc Locator
+}
+
+// containerStore is the chunk store: the index of every stored chunk
+// plus the writer that packs chunks into the open container and seals
+// containers at targetBytes.
 type containerStore struct {
-	disk           *DiskStore // nil keeps sealed containers in memory
-	targetBytes    int
+	log            containerLog
+	targetBytes    int64
 	dupFraction    float64
 	sparseRefLimit int
 
-	mu        sync.Mutex
-	openID    uint64 // ID the open container will seal as
-	open      []byte // encoded records (starts with magic)
-	openFresh []chunk.ID
-	loc       map[chunk.ID]Locator // sealed copies only
-	sealed    map[uint64][]byte    // memory mode: sealed container bytes
+	mu        sync.RWMutex
+	loc       map[chunk.ID]Locator // newest durable copy of every stored chunk
+	openID    uint64               // ID the open container will seal as
+	openBytes int64                // record bytes in the open container
+	openDups  []dupCopy            // supersede loc when the open container seals
+	logErr    error                // first log failure; sticky
 
-	uniqueBytes int64 // first-copy payload bytes packed
-	dupBytes    int64 // duplicated payload bytes packed
+	uniqueBytes int64 // first-copy payload bytes stored
+	dupBytes    int64 // duplicated payload bytes stored
 
 	sealedTotal  *metrics.Counter
 	sealFailures *metrics.Counter
@@ -150,9 +233,8 @@ type containerStore struct {
 	repackBytes  *metrics.Counter
 }
 
-// newContainerStore builds the writer. startID is one past the highest
-// container recovered from disk (1 for a fresh store).
-func newContainerStore(disk *DiskStore, targetBytes int, dupFraction float64, sparseRefLimit int, startID uint64) *containerStore {
+// newContainerStore builds an empty store over log.
+func newContainerStore(log containerLog, targetBytes int, dupFraction float64, sparseRefLimit int) *containerStore {
 	if targetBytes <= 0 {
 		targetBytes = DefaultContainerBytes
 	}
@@ -163,61 +245,125 @@ func newContainerStore(disk *DiskStore, targetBytes int, dupFraction float64, sp
 		sparseRefLimit = DefaultSparseRefLimit
 	}
 	reg := metrics.Default()
-	cs := &containerStore{
-		disk:           disk,
-		targetBytes:    targetBytes,
+	return &containerStore{
+		log:            log,
+		targetBytes:    int64(targetBytes),
 		dupFraction:    dupFraction,
 		sparseRefLimit: sparseRefLimit,
-		openID:         startID,
-		open:           append([]byte(nil), containerMagic...),
+		openID:         1,
 		loc:            make(map[chunk.ID]Locator),
 		sealedTotal:    reg.Counter("cloud_server_containers_sealed_total"),
 		sealFailures:   reg.Counter("cloud_server_container_seal_failures_total"),
 		repackChunks:   reg.Counter("cloud_server_repacked_chunks_total"),
 		repackBytes:    reg.Counter("cloud_server_repacked_bytes_total"),
 	}
-	if disk == nil {
-		cs.sealed = make(map[uint64][]byte)
-	}
-	return cs
 }
 
-// restoreLocators installs locators recovered from a disk scan.
-func (cs *containerStore) restoreLocators(loc map[chunk.ID]Locator, uniqueBytes, dupBytes int64) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	for id, l := range loc {
+// replay indexes one record found at startup; records arrive in
+// container order, the open container last. The first copy of a chunk is
+// the stored one; any later copy is a repack and supersedes it under the
+// writer's rule — once its container is sealed.
+func (cs *containerStore) replay(l Locator, id chunk.ID, open bool) {
+	_, known := cs.loc[id]
+	switch {
+	case !known:
+		cs.uniqueBytes += int64(l.Length)
+		cs.loc[id] = l
+	case open:
+		cs.dupBytes += int64(l.Length)
+		cs.openDups = append(cs.openDups, dupCopy{id, l})
+	default:
+		cs.dupBytes += int64(l.Length)
 		cs.loc[id] = l
 	}
-	cs.uniqueBytes += uniqueBytes
-	cs.dupBytes += dupBytes
+	if open {
+		cs.openBytes += containerRecordHeader + int64(l.Length)
+	}
 }
 
-// append packs one chunk into the open container, sealing it when the
-// target size is reached. dup marks a selective-duplication copy, which
-// is admitted only while the duplication budget has room; the return
-// value reports whether the chunk was packed. Seal failures are absorbed
-// (the chunk stays readable from its staged flat file) and surfaced via
-// cloud_server_container_seal_failures_total.
-func (cs *containerStore) append(id chunk.ID, data []byte, dup bool) bool {
+// put stores the chunks the index lacks and returns how many those
+// were. Their records are appended — sealing containers as they fill —
+// and synced, one fsync per call on disk, before the index advertises
+// any of them; on failure none is advertised and the error is the
+// caller's to report.
+func (cs *containerStore) put(chunks []chunk.Chunk) (int, error) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if dup {
-		if float64(cs.dupBytes+int64(len(data))) > cs.dupFraction*float64(cs.uniqueBytes) {
-			return false
+	var fresh map[chunk.ID]Locator
+	for i, ck := range chunks {
+		if cs.logErr != nil {
+			break // stopped earlier, or a seal in this loop failed
 		}
-		cs.dupBytes += int64(len(data))
-		cs.repackChunks.Inc()
-		cs.repackBytes.Add(int64(len(data)))
-	} else {
-		cs.uniqueBytes += int64(len(data))
-		cs.openFresh = append(cs.openFresh, id)
+		if _, ok := cs.loc[ck.ID]; ok {
+			continue
+		}
+		if _, ok := fresh[ck.ID]; ok {
+			continue
+		}
+		off, err := cs.log.append(ck.ID, ck.Data)
+		if err != nil {
+			return 0, cs.fail(err)
+		}
+		if fresh == nil {
+			fresh = make(map[chunk.ID]Locator, len(chunks)-i)
+		}
+		fresh[ck.ID] = Locator{Container: cs.openID, Offset: off, Length: uint32(len(ck.Data))}
+		cs.recordAppended(len(ck.Data))
 	}
-	cs.open, _ = appendContainerRecord(cs.open, id, data)
-	if len(cs.open)-len(containerMagic) >= cs.targetBytes {
+	if cs.logErr != nil {
+		return 0, cs.logErr
+	}
+	if len(fresh) > 0 {
+		if err := cs.log.sync(); err != nil {
+			return 0, cs.fail(err)
+		}
+	}
+	for id, l := range fresh {
+		cs.loc[id] = l
+		cs.uniqueBytes += int64(l.Length)
+	}
+	return len(fresh), nil
+}
+
+// repack appends a selective-duplication copy of a stored chunk to the
+// open container if the duplication budget has room, and reports
+// whether it did. The copy needs no sync of its own: it is indexed only
+// when its container seals.
+func (cs *containerStore) repack(id chunk.ID, data []byte) bool {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if cs.logErr != nil || float64(cs.dupBytes+int64(len(data))) > cs.dupFraction*float64(cs.uniqueBytes) {
+		return false
+	}
+	off, err := cs.log.append(id, data)
+	if err != nil {
+		cs.fail(err)
+		return false
+	}
+	cs.dupBytes += int64(len(data))
+	cs.repackChunks.Inc()
+	cs.repackBytes.Add(int64(len(data)))
+	cs.openDups = append(cs.openDups, dupCopy{id, Locator{Container: cs.openID, Offset: off, Length: uint32(len(data))}})
+	cs.recordAppended(len(data))
+	return true
+}
+
+// fail stops the writer at its first log failure and returns the error
+// every later upload gets.
+func (cs *containerStore) fail(err error) error {
+	if cs.logErr == nil {
+		cs.logErr = fmt.Errorf("cloudstore: container log: %w", err)
+	}
+	return cs.logErr
+}
+
+// recordAppended accounts one record of n payload bytes in the open
+// container and seals the container once it reaches the target size.
+func (cs *containerStore) recordAppended(n int) {
+	cs.openBytes += containerRecordHeader + int64(n)
+	if cs.openBytes >= cs.targetBytes {
 		cs.sealLocked()
 	}
-	return true
 }
 
 // flush seals the open container regardless of fill level.
@@ -227,104 +373,89 @@ func (cs *containerStore) flush() {
 	cs.sealLocked()
 }
 
-// sealLocked installs the open container and registers its locators.
-// On a disk-install failure the open container is discarded: its fresh
-// chunks remain durable (and readable) as staged flat files, so nothing
-// is lost — only read locality for those chunks.
+// sealLocked seals the open container, if it holds anything, and moves
+// the index to the repacked copies it carries: every record of a sealed
+// container supersedes older copies. A store whose log has failed is
+// left as it is for the next startup to recover.
 func (cs *containerStore) sealLocked() {
-	if len(cs.open) <= len(containerMagic) {
+	if cs.openBytes == 0 || cs.logErr != nil {
 		return
 	}
-	id := cs.openID
-	data := cs.open
-	fresh := cs.openFresh
-	cs.openID++
-	cs.open = append([]byte(nil), containerMagic...)
-	cs.openFresh = nil
-	if cs.disk != nil {
-		if err := cs.disk.PutContainer(id, data); err != nil {
-			cs.sealFailures.Inc()
-			return
-		}
-	} else {
-		cs.sealed[id] = data
-	}
-	// The container is durable; every record in it supersedes older
-	// copies (repacks point restores at the denser, newer container).
-	if err := parseContainer(data, func(cid chunk.ID, off uint32, payload []byte) error {
-		cs.loc[cid] = Locator{Container: id, Offset: off, Length: uint32(len(payload))}
-		return nil
-	}); err != nil {
-		// Only possible if the buffer this function just encoded is
-		// corrupt in memory. Register nothing: the fresh chunks stay
-		// readable from their staged flat files.
+	if err := cs.log.seal(cs.openID); err != nil {
 		cs.sealFailures.Inc()
+		cs.fail(fmt.Errorf("seal container %d: %w", cs.openID, err))
 		return
 	}
+	for _, d := range cs.openDups {
+		cs.loc[d.id] = d.loc
+	}
+	cs.openDups = cs.openDups[:0]
+	cs.openID++
+	cs.openBytes = 0
 	cs.sealedTotal.Inc()
-	if cs.disk != nil {
-		// The staged flat files of the packed fresh chunks were only
-		// ever the write-ahead copies; drop them now that the container
-		// holds the data. Best effort: a crash in this loop leaves
-		// harmless duplicates that the next startup tolerates.
-		for _, cid := range fresh {
-			cs.disk.RemoveChunk(cid)
+}
+
+// addStats fills in the counters the container store owns.
+func (cs *containerStore) addStats(st *Stats) {
+	cs.mu.RLock()
+	defer cs.mu.RUnlock()
+	st.UniqueChunks = int64(len(cs.loc))
+	st.UniqueBytes = cs.uniqueBytes
+	st.ContainersSealed = int64(cs.openID - 1)
+	st.DuplicatedBytes = cs.dupBytes
+}
+
+// has reports, per ID, whether the chunk is stored.
+func (cs *containerStore) has(ids []chunk.ID) []byte {
+	out := make([]byte, len(ids))
+	cs.mu.RLock()
+	defer cs.mu.RUnlock()
+	for i, id := range ids {
+		if _, ok := cs.loc[id]; ok {
+			out[i] = 1
 		}
 	}
+	return out
 }
 
-// statsSnapshot returns the sealed-container count (IDs consumed so
-// far) and duplicated payload bytes under the store's lock.
-func (cs *containerStore) statsSnapshot() (sealed, dupBytes int64) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return int64(cs.openID - 1), cs.dupBytes
-}
-
-// locate returns the sealed-copy locator of a chunk, if any.
+// locate returns the chunk's locator if its newest copy is in a sealed
+// container — the only kind a restore client can fetch whole.
 func (cs *containerStore) locate(id chunk.ID) (Locator, bool) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	l, ok := cs.loc[id]
-	return l, ok
+	cs.mu.RLock()
+	defer cs.mu.RUnlock()
+	if l, ok := cs.loc[id]; ok && l.Container != cs.openID {
+		return l, true
+	}
+	return Locator{}, false
 }
 
 // containerBytes returns a sealed container's raw bytes.
 func (cs *containerStore) containerBytes(id uint64) ([]byte, error) {
-	if cs.disk != nil {
-		return cs.disk.GetContainer(id)
-	}
-	cs.mu.Lock()
-	data, ok := cs.sealed[id]
-	cs.mu.Unlock()
-	if !ok {
+	cs.mu.RLock()
+	defer cs.mu.RUnlock()
+	if id == 0 || id >= cs.openID {
 		return nil, fmt.Errorf("%w: container %d", ErrNotFound, id)
 	}
-	return data, nil
+	return cs.log.sealedBytes(id)
 }
 
-// readChunk serves one chunk payload from its sealed container copy,
-// verifying the content address.
+// readChunk serves one chunk payload from its container, verifying the
+// content address.
 func (cs *containerStore) readChunk(id chunk.ID) ([]byte, error) {
-	loc, ok := cs.locate(id)
+	cs.mu.RLock()
+	loc, ok := cs.loc[id]
 	if !ok {
+		cs.mu.RUnlock()
 		return nil, ErrNotFound
 	}
-	var payload []byte
-	if cs.disk != nil {
-		data, err := cs.disk.ReadContainerRange(loc.Container, int64(loc.Offset), int(loc.Length))
-		if err != nil {
-			return nil, err
-		}
-		payload = data
-	} else {
-		cs.mu.Lock()
-		data, ok := cs.sealed[loc.Container]
-		cs.mu.Unlock()
-		if !ok || uint64(len(data)) < uint64(loc.Offset)+uint64(loc.Length) {
-			return nil, fmt.Errorf("%w: container %d lost", ErrCorrupt, loc.Container)
-		}
-		payload = data[loc.Offset : loc.Offset+loc.Length]
+	from := loc.Container
+	if from == cs.openID {
+		from = 0
+	}
+	payload, err := cs.log.readAt(from, int64(loc.Offset), int(loc.Length))
+	cs.mu.RUnlock()
+	if err != nil {
+		return nil, err
 	}
 	if chunk.Sum(payload) != id {
 		return nil, fmt.Errorf("%w: chunk %s corrupt in container %d", ErrCorrupt, id, loc.Container)
@@ -336,8 +467,8 @@ func (cs *containerStore) readChunk(id chunk.ID) ([]byte, error) {
 // sealed containers the manifest references at or below the sparse
 // limit — the containers whose chunks fragment a restore of this stream.
 func (cs *containerStore) sparseContainers(ids []chunk.ID) map[uint64]bool {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
+	cs.mu.RLock()
+	defer cs.mu.RUnlock()
 	refs := make(map[uint64]int)
 	seen := make(map[chunk.ID]bool, len(ids))
 	for _, id := range ids {
@@ -345,7 +476,7 @@ func (cs *containerStore) sparseContainers(ids []chunk.ID) map[uint64]bool {
 			continue
 		}
 		seen[id] = true
-		if l, ok := cs.loc[id]; ok {
+		if l, ok := cs.loc[id]; ok && l.Container != cs.openID {
 			refs[l.Container]++
 		}
 	}

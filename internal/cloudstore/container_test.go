@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"efdedup/internal/chunk"
@@ -69,11 +70,28 @@ func flipByte(b []byte, i int) []byte {
 	return out
 }
 
-// TestContainerSealSupersedesStagedChunks verifies the two-layer
-// durability protocol on disk: before a seal the chunk lives as a staged
-// flat file; after a seal the flat file is gone and reads come from the
-// container.
-func TestContainerSealSupersedesStagedChunks(t *testing.T) {
+// storeChunks puts payloads straight into the container store, the way
+// an upload handler does after verifying them.
+func storeChunks(t *testing.T, srv *Server, ids []chunk.ID, payloads [][]byte) {
+	t.Helper()
+	chunks := make([]chunk.Chunk, len(ids))
+	for i := range ids {
+		chunks[i] = chunk.Chunk{ID: ids[i], Data: payloads[i]}
+	}
+	stored, err := srv.containers.put(chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored != len(chunks) {
+		t.Fatalf("stored %d of %d fresh chunks", stored, len(chunks))
+	}
+}
+
+// TestOpenContainerIsTheOnlyCopy verifies the one-copy protocol on
+// disk: a chunk is readable from the open container as soon as its
+// upload returns and has no sealed locator yet; after a seal it has one,
+// and the directory never holds anything but containers and manifests.
+func TestOpenContainerIsTheOnlyCopy(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := NewServer(Config{Dir: dir, ContainerBytes: 2048})
 	if err != nil {
@@ -87,33 +105,52 @@ func TestContainerSealSupersedesStagedChunks(t *testing.T) {
 		id, data := mkPayload(int64(100+i), 700) // 3 chunks per 2 KiB container
 		ids = append(ids, id)
 		payloads = append(payloads, data)
-		if !srv.storeChunk(id, data) {
-			t.Fatalf("chunk %d not stored", i)
+	}
+	storeChunks(t, srv, ids, payloads)
+
+	// 8 chunks at 3 per container: two sealed, two chunks still open.
+	if _, ok := srv.containers.locate(ids[7]); ok {
+		t.Fatal("chunk in the open container reported a sealed locator")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "containers", "open.cont")); err != nil {
+		t.Fatalf("no open container file: %v", err)
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, id := range ids {
+			got, err := srv.containers.readChunk(id)
+			if err != nil {
+				t.Fatalf("chunk %d unreadable %s: %v", i, when, err)
+			}
+			if !bytes.Equal(got, payloads[i]) {
+				t.Fatalf("chunk %d payload differs %s", i, when)
+			}
 		}
 	}
+	check("before the flush")
 	srv.FlushContainers()
+	check("after the flush")
 
 	for i, id := range ids {
-		if srv.disk.HasChunk(id) {
-			t.Errorf("chunk %d still staged after seal", i)
-		}
 		loc, ok := srv.containers.locate(id)
-		if !ok {
-			t.Fatalf("chunk %d has no locator after seal", i)
-		}
-		if loc.Container == 0 {
-			t.Fatalf("chunk %d locator names container 0", i)
-		}
-		got, err := srv.chunkData(id)
-		if err != nil {
-			t.Fatalf("chunk %d unreadable after seal: %v", i, err)
-		}
-		if !bytes.Equal(got, payloads[i]) {
-			t.Fatalf("chunk %d payload differs after seal", i)
+		if !ok || loc.Container == 0 {
+			t.Fatalf("chunk %d has no sealed locator after the flush (%+v)", i, loc)
 		}
 	}
-	if st := srv.Stats(); st.ContainersSealed < 2 {
-		t.Fatalf("ContainersSealed = %d, want >= 2", st.ContainersSealed)
+	if st := srv.Stats(); st.ContainersSealed != 3 {
+		t.Fatalf("ContainersSealed = %d, want 3", st.ContainersSealed)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "containers" && e.Name() != "manifests" {
+			t.Errorf("unexpected %q in the store directory", e.Name())
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "containers", "open.cont")); !os.IsNotExist(err) {
+		t.Fatalf("open container file left after the flush: %v", err)
 	}
 }
 
@@ -132,8 +169,8 @@ func TestLoadContainersRecovery(t *testing.T) {
 		id, data := mkPayload(int64(200+i), 700)
 		ids = append(ids, id)
 		payloads = append(payloads, data)
-		srv.storeChunk(id, data)
 	}
+	storeChunks(t, srv, ids, payloads)
 	srv.FlushContainers()
 	sealedBefore := srv.Stats().ContainersSealed
 	if err := srv.Close(); err != nil {
@@ -146,7 +183,7 @@ func TestLoadContainersRecovery(t *testing.T) {
 	}
 	defer srv2.Close()
 	for i, id := range ids {
-		got, err := srv2.chunkData(id)
+		got, err := srv2.containers.readChunk(id)
 		if err != nil {
 			t.Fatalf("chunk %d unreadable after restart: %v", i, err)
 		}
@@ -159,7 +196,7 @@ func TestLoadContainersRecovery(t *testing.T) {
 	}
 	// New containers must not collide with recovered ones.
 	id, data := mkPayload(999, 1500)
-	srv2.storeChunk(id, data)
+	storeChunks(t, srv2, []chunk.ID{id}, [][]byte{data})
 	srv2.FlushContainers()
 	loc, ok := srv2.containers.locate(id)
 	if !ok {
@@ -171,24 +208,26 @@ func TestLoadContainersRecovery(t *testing.T) {
 }
 
 func TestSelectiveDuplicationBudget(t *testing.T) {
-	cs := newContainerStore(nil, 1<<20, 0.10, DefaultSparseRefLimit, 1)
-	id, data := mkPayload(1, 1000)
-	if !cs.append(id, data, false) {
-		t.Fatal("unique append rejected")
+	cs := newContainerStore(newMemLog(), 1<<20, 0.10, DefaultSparseRefLimit)
+	put := func(id chunk.ID, data []byte) {
+		t.Helper()
+		if n, err := cs.put([]chunk.Chunk{{ID: id, Data: data}}); n != 1 || err != nil {
+			t.Fatalf("unique put stored %d chunks, err %v", n, err)
+		}
 	}
+	id, data := mkPayload(1, 1000)
+	put(id, data)
 	// Budget is 10% of 1000 unique bytes = 100; a 1000-byte dup copy
 	// must be refused, a small one admitted.
-	if cs.append(id, data, true) {
+	if cs.repack(id, data) {
 		t.Fatal("over-budget duplicate admitted")
 	}
 	small, smallData := mkPayload(2, 80)
-	if !cs.append(small, smallData, false) {
-		t.Fatal("second unique append rejected")
-	}
-	if !cs.append(small, smallData, true) {
+	put(small, smallData)
+	if !cs.repack(small, smallData) {
 		t.Fatal("within-budget duplicate refused (budget 108, copy 80)")
 	}
-	if cs.append(small, smallData, true) {
+	if cs.repack(small, smallData) {
 		t.Fatal("budget spent but another duplicate admitted")
 	}
 }
@@ -303,30 +342,143 @@ func TestRestoreNamesCorruptContainer(t *testing.T) {
 	}
 }
 
-// TestRestoreNamesCorruptStagedChunk corrupts an unsealed chunk's staged
-// flat file; the fallback fetch path must surface ErrCorrupt.
-func TestRestoreNamesCorruptStagedChunk(t *testing.T) {
+// TestRestoreDetectsCorruptOpenContainer flips a payload byte of an
+// unsealed chunk in the open container file; the fallback fetch path
+// verifies the content address and must surface ErrCorrupt.
+func TestRestoreDetectsCorruptOpenContainer(t *testing.T) {
 	dir := t.TempDir()
-	cl, srv := startCloud(t, Config{Dir: dir})
+	cl, _ := startCloud(t, Config{Dir: dir})
 	ctx := context.Background()
 
 	c := mkChunk("soon to be damaged on disk")
-	if _, err := cl.Upload(ctx, c); err != nil {
-		t.Fatal(err)
-	}
+	upload1(t, cl, c)
 	if err := cl.PutManifest(ctx, "fragile", []chunk.ID{c.ID}); err != nil {
 		t.Fatal(err)
 	}
-	path := srv.disk.chunkPath(c.ID)
+	path := filepath.Join(dir, "containers", "open.cont")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[0] ^= 0xFF
+	raw[len(raw)-1] ^= 0xFF
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Restore(ctx, "fragile"); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("restore over corrupt staged chunk = %v, want ErrCorrupt", err)
+		t.Fatalf("restore over corrupt open container = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestOpenContainerPayloadsStayValid holds payload slices served from
+// the in-memory open container while further uploads grow its buffer
+// and seal it: the slices alias the container and must not change.
+func TestOpenContainerPayloadsStayValid(t *testing.T) {
+	cl, srv := startCloud(t, Config{ContainerBytes: 64 << 10})
+	ctx := context.Background()
+
+	first := make([]chunk.Chunk, 4)
+	held := make([][]byte, len(first))
+	for i := range first {
+		id, data := mkPayload(int64(700+i), 1000)
+		first[i] = chunk.Chunk{ID: id, Data: data}
+	}
+	if _, err := cl.BatchUpload(ctx, first); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range first {
+		p, err := srv.containers.readChunk(c.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[i] = p
+	}
+	// 100 KB more: the 64 KiB container's buffer is regrown several
+	// times, seals, and a second one starts.
+	uploadStream(t, cl, "filler", 71, 100_000)
+	if srv.Stats().ContainersSealed == 0 {
+		t.Fatal("setup: the container never sealed")
+	}
+	ids := make([]chunk.ID, len(first))
+	for i, c := range first {
+		ids[i] = c.ID
+		if !bytes.Equal(held[i], c.Data) {
+			t.Fatalf("payload %d changed under a held slice", i)
+		}
+	}
+	got, err := cl.GetChunks(ctx, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range first {
+		if !bytes.Equal(got[i], first[i].Data) {
+			t.Fatalf("GetChunks payload %d differs after the seal", i)
+		}
+	}
+}
+
+// TestConcurrentUploadsAndReads has several clients upload overlapping
+// chunk sets while others probe, fetch and restore, on both kinds of
+// container log (run under -race): every distinct chunk is stored once.
+func TestConcurrentUploadsAndReads(t *testing.T) {
+	for _, mode := range []string{"memory", "disk"} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := Config{ContainerBytes: 8 << 10}
+			if mode == "disk" {
+				cfg.Dir = t.TempDir()
+			}
+			cl, srv := startCloud(t, cfg)
+			ctx := context.Background()
+
+			const distinct = 60
+			all := make([]chunk.Chunk, distinct)
+			ids := make([]chunk.ID, distinct)
+			for i := range all {
+				id, data := mkPayload(int64(800+i), 500)
+				all[i], ids[i] = chunk.Chunk{ID: id, Data: data}, id
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for off := 0; off < distinct; off += 10 {
+						start := (off + 10*w) % distinct // each worker walks the same batches from its own offset
+						if _, err := cl.BatchUpload(ctx, all[start:start+10]); err != nil {
+							t.Error(err)
+							return
+						}
+						has, err := cl.BatchHas(ctx, ids[start:start+10])
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						got, err := cl.GetChunks(ctx, ids[start:start+10])
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						for i := range got {
+							if !has[i] || !bytes.Equal(got[i], all[start+i].Data) {
+								t.Errorf("chunk %d: has=%v, payload intact=%v", start+i, has[i], bytes.Equal(got[i], all[start+i].Data))
+							}
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if err := cl.PutManifest(ctx, "all", ids); err != nil {
+				t.Fatal(err)
+			}
+			got, err := cl.Restore(ctx, "all")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, flatten(all)) {
+				t.Fatal("restore of concurrently uploaded chunks differs")
+			}
+			if st := srv.Stats(); st.UniqueChunks != distinct || st.UniqueBytes != distinct*500 {
+				t.Fatalf("stats = %+v, want %d chunks stored once", st, distinct)
+			}
+		})
 	}
 }

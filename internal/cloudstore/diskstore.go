@@ -1,7 +1,7 @@
 package cloudstore
 
 import (
-	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,30 +12,42 @@ import (
 	"efdedup/internal/chunk"
 )
 
-// DiskStore persists chunks, containers and manifests under a directory,
-// making the central store durable across restarts:
+// DiskStore keeps containers and manifests under a directory, making the
+// central store durable across restarts:
 //
-//	<root>/chunks/ab/abcdef....chunk   (content-addressed staging files,
-//	                                    fan-out by the first ID byte)
+//	<root>/containers/open.cont        (the open container: the append log)
 //	<root>/containers/<%016x>.cont     (sealed locality containers)
 //	<root>/manifests/<escaped name>    (sequence of 32-byte chunk IDs)
 //
-// Writes go through a temp file + fsync + rename + parent-dir fsync, so
-// a crash never leaves a half-written object visible and a completed
-// write survives power loss. The Server uses it when Config.Dir is set;
-// payloads stay on disk and only the index (which IDs exist, and where
-// their container copies live) is held in memory.
+// It is the file implementation of containerLog. Records are appended to
+// open.cont with one write and one fsync per upload; sealing renames the
+// synced file to its container ID and fsyncs the directory, so a sealed
+// container is complete or absent. Manifests go through a temp file +
+// fsync + rename + parent-dir fsync. The Server uses it when Config.Dir
+// is set; payloads stay on disk and only the index (which IDs exist and
+// where their newest copy lives) is held in memory.
 type DiskStore struct {
 	root string
-	mu   sync.Mutex // serializes manifest writes; chunk/container writes are idempotent
+	mu   sync.Mutex // serializes manifest writes
+
+	// The open container, guarded by the containerStore's lock.
+	open *os.File // nil until the first write after a seal
+	size int64    // bytes of open.cont written so far
+	buf  []byte   // framed records not yet written
 }
 
-// NewDiskStore creates (if needed) the directory layout under root.
+// NewDiskStore creates (if needed) the directory layout under root. A
+// root written by the old two-copy layout (staged chunks/ files that
+// startup no longer reads) is refused rather than silently opened
+// without those chunks.
 func NewDiskStore(root string) (*DiskStore, error) {
 	if root == "" {
 		return nil, fmt.Errorf("%w: empty disk store root", ErrConfig)
 	}
-	for _, dir := range []string{root, filepath.Join(root, "chunks"), filepath.Join(root, "containers"), filepath.Join(root, "manifests")} {
+	if staged, _ := filepath.Glob(filepath.Join(root, "chunks", "*", "*.chunk")); len(staged) > 0 {
+		return nil, fmt.Errorf("%w: %s holds %d staged chunk files of the old layout", ErrConfig, root, len(staged))
+	}
+	for _, dir := range []string{root, filepath.Join(root, "containers"), filepath.Join(root, "manifests")} {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("cloudstore: create %s: %w", dir, err)
 		}
@@ -43,15 +55,14 @@ func NewDiskStore(root string) (*DiskStore, error) {
 	return &DiskStore{root: root}, nil
 }
 
-// chunkPath returns the fan-out path of a chunk ID.
-func (d *DiskStore) chunkPath(id chunk.ID) string {
-	hexID := id.String()
-	return filepath.Join(d.root, "chunks", hexID[:2], hexID+".chunk")
-}
-
-// containerPath returns the path of a sealed container.
+// containerPath returns the path of a sealed container, or of the open
+// one for container 0.
 func (d *DiskStore) containerPath(id uint64) string {
-	return filepath.Join(d.root, "containers", fmt.Sprintf("%016x.cont", id))
+	name := "open.cont"
+	if id != 0 {
+		name = fmt.Sprintf("%016x.cont", id)
+	}
+	return filepath.Join(d.root, "containers", name)
 }
 
 // Manifest names are percent-escaped into single filesystem names. The
@@ -76,13 +87,10 @@ func (d *DiskStore) manifestPath(name string) string {
 
 // writeAtomic writes data to path via a temp file, fsync, rename and
 // parent-directory fsync, so a crash leaves either no file or a complete
-// durable one — never a truncated chunk the dedup index already points
-// at, and never a rename the directory forgot.
+// durable one — never a truncated manifest, and never a rename the
+// directory forgot.
 func writeAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return err
@@ -127,51 +135,62 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// PutChunk stores one chunk; storing an existing chunk is a cheap no-op.
-func (d *DiskStore) PutChunk(id chunk.ID, data []byte) error {
-	path := d.chunkPath(id)
-	if _, err := os.Stat(path); err == nil {
+// append frames one chunk into the write buffer; sync writes it out.
+func (d *DiskStore) append(id chunk.ID, data []byte) (uint32, error) {
+	if d.size == 0 && len(d.buf) == 0 {
+		d.buf = append(d.buf, containerMagic...)
+	}
+	var off uint32
+	d.buf, off = appendContainerRecord(d.buf, id, data)
+	return uint32(d.size) + off, nil
+}
+
+// write hands the buffered records to open.cont, creating it (and making
+// its directory entry durable) on the first write after a seal.
+func (d *DiskStore) write() error {
+	if len(d.buf) == 0 {
 		return nil
 	}
-	return writeAtomic(path, data)
-}
-
-// GetChunk reads one chunk's staged flat file, verifying its content
-// address. Chunks already packed into a container have no flat file; the
-// Server falls through to the container copy.
-func (d *DiskStore) GetChunk(id chunk.ID) ([]byte, error) {
-	data, err := os.ReadFile(d.chunkPath(id))
-	if os.IsNotExist(err) {
-		return nil, ErrNotFound
+	if d.open == nil {
+		f, err := os.OpenFile(d.containerPath(0), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		if err != nil {
+			return err
+		}
+		d.open = f
+		if err := syncDir(filepath.Dir(f.Name())); err != nil {
+			return err
+		}
 	}
-	if err != nil {
-		return nil, err
+	n, err := d.open.Write(d.buf)
+	d.size += int64(n)
+	d.buf = d.buf[:0]
+	return err
+}
+
+func (d *DiskStore) sync() error {
+	if err := d.write(); err != nil || d.open == nil {
+		return err // nil: nothing appended since the last seal
 	}
-	if chunk.Sum(data) != id {
-		return nil, fmt.Errorf("%w: chunk %s corrupt on disk", ErrCorrupt, id)
+	return d.open.Sync()
+}
+
+// seal installs open.cont as a sealed container: fsync, rename, fsync
+// the directory.
+func (d *DiskStore) seal(id uint64) error {
+	if err := d.sync(); err != nil {
+		return err
 	}
-	return data, nil
+	if err := d.open.Close(); err != nil {
+		return err
+	}
+	d.open, d.size = nil, 0
+	if err := os.Rename(d.containerPath(0), d.containerPath(id)); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(d.containerPath(id)))
 }
 
-// HasChunk reports whether a chunk's staged flat file exists on disk.
-func (d *DiskStore) HasChunk(id chunk.ID) bool {
-	_, err := os.Stat(d.chunkPath(id))
-	return err == nil
-}
-
-// RemoveChunk deletes a chunk's staged flat file (called after the chunk
-// was durably sealed into a container). Best effort by design.
-func (d *DiskStore) RemoveChunk(id chunk.ID) {
-	_ = os.Remove(d.chunkPath(id))
-}
-
-// PutContainer durably installs one sealed container.
-func (d *DiskStore) PutContainer(id uint64, data []byte) error {
-	return writeAtomic(d.containerPath(id), data)
-}
-
-// GetContainer reads a sealed container's raw bytes.
-func (d *DiskStore) GetContainer(id uint64) ([]byte, error) {
+func (d *DiskStore) sealedBytes(id uint64) ([]byte, error) {
 	data, err := os.ReadFile(d.containerPath(id))
 	if os.IsNotExist(err) {
 		return nil, fmt.Errorf("%w: container %d", ErrNotFound, id)
@@ -179,9 +198,9 @@ func (d *DiskStore) GetContainer(id uint64) ([]byte, error) {
 	return data, err
 }
 
-// ReadContainerRange reads one payload range out of a sealed container
-// (a single chunk served without loading the whole container).
-func (d *DiskStore) ReadContainerRange(id uint64, off int64, n int) ([]byte, error) {
+// readAt reads one payload range out of a container (a single chunk
+// served without loading the whole container).
+func (d *DiskStore) readAt(id uint64, off int64, n int) ([]byte, error) {
 	f, err := os.Open(d.containerPath(id))
 	if os.IsNotExist(err) {
 		return nil, fmt.Errorf("%w: container %d", ErrNotFound, id)
@@ -202,13 +221,9 @@ func (d *DiskStore) ReadContainerRange(id uint64, off int64, n int) ([]byte, err
 
 // PutManifest stores a file's chunk sequence.
 func (d *DiskStore) PutManifest(name string, ids []chunk.ID) error {
-	buf := make([]byte, 0, len(ids)*chunk.IDSize)
-	for _, id := range ids {
-		buf = append(buf, id[:]...)
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return writeAtomic(d.manifestPath(name), buf)
+	return writeAtomic(d.manifestPath(name), encodeManifestIDs(ids))
 }
 
 // GetManifest reads a file's chunk sequence.
@@ -220,96 +235,77 @@ func (d *DiskStore) GetManifest(name string) ([]chunk.ID, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data)%chunk.IDSize != 0 {
-		return nil, fmt.Errorf("%w: manifest %q corrupt on disk", ErrCorrupt, name)
-	}
-	ids := make([]chunk.ID, len(data)/chunk.IDSize)
-	for i := range ids {
-		copy(ids[i][:], data[i*chunk.IDSize:])
+	ids, err := decodeManifestIDs(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w: manifest %q on disk: %v", ErrCorrupt, name, err)
 	}
 	return ids, nil
 }
 
-// LoadIndex walks the chunk directory and returns every staged chunk ID
-// with its size — used by the Server to rebuild its in-memory index and
-// statistics on restart. Chunks that were packed into containers before
-// the shutdown are recovered by LoadContainers instead.
-func (d *DiskStore) LoadIndex() (map[chunk.ID]int64, error) {
-	out := make(map[chunk.ID]int64)
-	chunksDir := filepath.Join(d.root, "chunks")
-	err := filepath.WalkDir(chunksDir, func(path string, entry os.DirEntry, err error) error {
-		if err != nil || entry.IsDir() {
-			return err
-		}
-		base := filepath.Base(path)
-		if !strings.HasSuffix(base, ".chunk") {
-			return nil
-		}
-		hexID := strings.TrimSuffix(base, ".chunk")
-		raw, err := hex.DecodeString(hexID)
-		if err != nil || len(raw) != chunk.IDSize {
-			return nil // foreign file; ignore
-		}
-		info, err := entry.Info()
-		if err != nil {
-			return err
-		}
-		var id chunk.ID
-		copy(id[:], raw)
-		out[id] = info.Size()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// LoadContainers scans the sealed containers and rebuilds the locator
-// index: every packed chunk with its size and newest copy (the highest
-// container ID wins, matching the writer's supersede rule), the
-// duplicated-byte total, and the next container ID to seal as. A corrupt
-// container fails the load loudly — containers are installed atomically,
-// so damage is data loss, not a crash artifact.
-func (d *DiskStore) LoadContainers() (loc map[chunk.ID]Locator, sizes map[chunk.ID]int64, dupBytes int64, nextID uint64, err error) {
-	loc = make(map[chunk.ID]Locator)
-	sizes = make(map[chunk.ID]int64)
-	nextID = 1
+// load scans the sealed containers in ID order and then the open one,
+// handing every record's locator to fn, and returns the ID the open
+// container will seal as. A corrupt sealed container fails the load
+// loudly — they are installed atomically, so damage is data loss, not a
+// crash artifact.
+func (d *DiskStore) load(fn func(l Locator, id chunk.ID, open bool)) (openID uint64, err error) {
+	openID = 1
 	entries, err := os.ReadDir(filepath.Join(d.root, "containers"))
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return 0, err
 	}
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".cont") || strings.HasPrefix(e.Name(), ".tmp-") {
-			continue
-		}
 		var id uint64
-		if _, err := fmt.Sscanf(e.Name(), "%016x.cont", &id); err != nil {
-			continue // foreign file; ignore
+		if _, err := fmt.Sscanf(e.Name(), "%016x.cont", &id); err != nil || e.Name() != filepath.Base(d.containerPath(id)) {
+			continue // open.cont or a foreign file
 		}
-		data, err := os.ReadFile(filepath.Join(d.root, "containers", e.Name()))
+		data, err := os.ReadFile(d.containerPath(id))
 		if err != nil {
-			return nil, nil, 0, 0, err
+			return 0, err
 		}
-		perr := parseContainer(data, func(cid chunk.ID, off uint32, payload []byte) error {
-			if _, dup := sizes[cid]; dup {
-				dupBytes += int64(len(payload))
-			} else {
-				sizes[cid] = int64(len(payload))
-			}
-			if prev, ok := loc[cid]; !ok || id >= prev.Container {
-				loc[cid] = Locator{Container: id, Offset: off, Length: uint32(len(payload))}
-			}
+		err = parseContainer(data, func(cid chunk.ID, off uint32, payload []byte) error {
+			fn(Locator{Container: id, Offset: off, Length: uint32(len(payload))}, cid, false)
 			return nil
 		})
-		if perr != nil {
-			return nil, nil, 0, 0, fmt.Errorf("cloudstore: load container %d: %w", id, perr)
+		if err != nil {
+			return 0, fmt.Errorf("cloudstore: load container %d: %w", id, err)
 		}
-		if id >= nextID {
-			nextID = id + 1
-		}
+		openID = id + 1
 	}
-	return loc, sizes, dupBytes, nextID, nil
+	return openID, d.loadOpen(func(cid chunk.ID, off uint32, payload []byte) error {
+		fn(Locator{Container: openID, Offset: off, Length: uint32(len(payload))}, cid, true)
+		return nil
+	})
+}
+
+// loadOpen replays open.cont into fn and reopens it for appending. The
+// scan stops at the first truncated or CRC-failing record and the file
+// is cut there — the rule the kvstore WAL replays by: the tail a crash
+// tore was never synced, so never acknowledged.
+func (d *DiskStore) loadOpen(fn func(id chunk.ID, off uint32, payload []byte) error) error {
+	f, err := os.OpenFile(d.containerPath(0), os.O_RDWR|os.O_APPEND, 0)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	d.open = f
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return err
+	}
+	valid, err := scanContainer(data, fn)
+	if err != nil && !errors.Is(err, ErrCorrupt) {
+		return err
+	}
+	d.size = int64(valid)
+	if valid == len(data) {
+		return nil
+	}
+	if err := f.Truncate(d.size); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // ManifestNames lists stored manifest names.

@@ -3,66 +3,15 @@ package cloudstore
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"efdedup/internal/chunk"
 	"efdedup/internal/transport"
 )
-
-func TestDiskStoreChunkRoundTrip(t *testing.T) {
-	d, err := NewDiskStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, data := mkPayload(1, 5000)
-	if d.HasChunk(id) {
-		t.Fatal("chunk present before put")
-	}
-	if err := d.PutChunk(id, data); err != nil {
-		t.Fatal(err)
-	}
-	if !d.HasChunk(id) {
-		t.Fatal("chunk missing after put")
-	}
-	got, err := d.GetChunk(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("chunk corrupted")
-	}
-	// Idempotent put.
-	if err := d.PutChunk(id, data); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDiskStoreDetectsOnDiskCorruption(t *testing.T) {
-	root := t.TempDir()
-	d, err := NewDiskStore(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, data := mkPayload(2, 100)
-	if err := d.PutChunk(id, data); err != nil {
-		t.Fatal(err)
-	}
-	// Flip a byte on disk.
-	path := d.chunkPath(id)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[0] ^= 0xFF
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.GetChunk(id); err == nil {
-		t.Fatal("corrupt chunk read back without error")
-	}
-}
 
 func TestDiskStoreManifests(t *testing.T) {
 	d, err := NewDiskStore(t.TempDir())
@@ -91,40 +40,6 @@ func TestDiskStoreManifests(t *testing.T) {
 	}
 	if _, err := d.GetManifest("missing"); err != ErrNotFound {
 		t.Fatalf("GetManifest(missing) = %v", err)
-	}
-}
-
-func TestDiskStoreLoadIndex(t *testing.T) {
-	root := t.TempDir()
-	d, err := NewDiskStore(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want int64
-	for i := 0; i < 5; i++ {
-		id, data := mkPayload(int64(10+i), 100+i)
-		if err := d.PutChunk(id, data); err != nil {
-			t.Fatal(err)
-		}
-		want += int64(len(data))
-	}
-	// A stray file must be ignored, not break the walk.
-	if err := os.WriteFile(filepath.Join(root, "chunks", "README"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := d.LoadIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != 5 {
-		t.Fatalf("LoadIndex found %d chunks, want 5", len(idx))
-	}
-	var got int64
-	for _, size := range idx {
-		got += size
-	}
-	if got != want {
-		t.Fatalf("LoadIndex total %d bytes, want %d", got, want)
 	}
 }
 
@@ -202,5 +117,191 @@ func TestServerDiskPersistenceAcrossRestart(t *testing.T) {
 func TestNewDiskStoreValidation(t *testing.T) {
 	if _, err := NewDiskStore(""); err == nil {
 		t.Fatal("empty root accepted")
+	}
+}
+
+// serveDir starts a disk-backed cloud on dir without registering a
+// Close, so a test can end it with crash instead.
+func serveDir(t *testing.T, cfg Config) (*Client, *Server) {
+	t.Helper()
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := transport.NewMemNetwork()
+	l, err := nw.Listen("cloud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Serve(l)
+	cl, err := Dial(context.Background(), nw, "cloud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl, srv
+}
+
+// crash ends a server the way a killed process does: no flush, no seal,
+// whatever was acknowledged is on disk and nothing else is promised.
+func crash(srv *Server) { srv.rpc.Close() }
+
+// TestCrashWithoutCloseKeepsAcknowledgedChunks kills a disk-backed
+// server with acknowledged chunks still in the open container. The
+// restarted server must hold every one of them, report the same
+// counters, restore the manifest byte-identically (through the fallback
+// path for the unsealed tail), and seal under a fresh container ID.
+func TestCrashWithoutCloseKeepsAcknowledgedChunks(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, ContainerBytes: 16 << 10}
+	cl, srv := serveDir(t, cfg)
+	data := uploadStream(t, cl, "acked", 31, 100_000) // 25 chunks: 6 sealed containers + an open tail
+	before := srv.Stats()
+	if before.ContainersSealed == 0 {
+		t.Fatal("setup: nothing sealed")
+	}
+	crash(srv)
+
+	cl2, srv2 := serveDir(t, cfg)
+	defer srv2.Close()
+	if after := srv2.Stats(); after.UniqueChunks != before.UniqueChunks || after.UniqueBytes != before.UniqueBytes ||
+		after.ContainersSealed != before.ContainersSealed || after.Manifests != before.Manifests {
+		t.Fatalf("stats after crash = %+v, want %+v", after, before)
+	}
+	ctx := context.Background()
+	ids, err := cl2.GetManifest(ctx, "acked")
+	if err != nil {
+		t.Fatal(err)
+	}
+	has, err := cl2.BatchHas(ctx, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ok := range has {
+		if !ok {
+			t.Fatalf("acknowledged chunk %d lost in the crash", i)
+		}
+	}
+	var buf bytes.Buffer
+	st, err := cl2.RestoreTo(ctx, "acked", &buf, RestoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), data) {
+		t.Fatal("restore after crash differs")
+	}
+	if st.FallbackChunks == 0 {
+		t.Fatal("setup: no chunk was left in the open container")
+	}
+
+	// The recovered open container keeps filling and seals as the next ID.
+	uploadStream(t, cl2, "later", 32, 8_000)
+	srv2.FlushContainers()
+	if got := srv2.Stats().ContainersSealed; got != before.ContainersSealed+1 {
+		t.Fatalf("ContainersSealed = %d, want %d", got, before.ContainersSealed+1)
+	}
+	buf.Reset()
+	if st, err = cl2.RestoreTo(ctx, "acked", &buf, RestoreOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), data) || st.FallbackChunks != 0 {
+		t.Fatalf("restore after the seal: identical=%v fallback=%d", bytes.Equal(buf.Bytes(), data), st.FallbackChunks)
+	}
+}
+
+// TestOpenContainerTornTailIsCutAtStartup appends what a crash mid-write
+// leaves behind — half a record, or garbage — to the open container. The
+// restarted server cuts the file back to the acknowledged prefix, serves
+// everything in it, and appends cleanly after it.
+func TestOpenContainerTornTailIsCutAtStartup(t *testing.T) {
+	id, payload := mkPayload(77, 900)
+	record, _ := appendContainerRecord(nil, id, payload)
+	tails := map[string][]byte{
+		"half a record": record[:len(record)/2],
+		"torn header":   record[:10],
+		"garbage":       bytes.Repeat([]byte{0xA5}, 300),
+		"crc mismatch":  flipByte(record, len(record)-1),
+	}
+	for name, tail := range tails {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{Dir: dir}
+			cl, srv := serveDir(t, cfg)
+			data := uploadStream(t, cl, "acked", 41, 20_000)
+			crash(srv)
+
+			open := filepath.Join(dir, "containers", "open.cont")
+			good, err := os.ReadFile(open)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(open, append(good[:len(good):len(good)], tail...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			cl2, srv2 := serveDir(t, cfg)
+			if fi, err := os.Stat(open); err != nil || fi.Size() != int64(len(good)) {
+				t.Fatalf("open container not cut back to %d bytes: %v, %v", len(good), fi, err)
+			}
+			if got := srv2.Stats().UniqueChunks; got != 5 {
+				t.Fatalf("UniqueChunks = %d, want the 5 acknowledged", got)
+			}
+			more := uploadStream(t, cl2, "later", 42, 10_000)
+			crash(srv2)
+
+			cl3, srv3 := serveDir(t, cfg)
+			defer srv3.Close()
+			for name, want := range map[string][]byte{"acked": data, "later": more} {
+				got, err := cl3.Restore(context.Background(), name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("restore %s differs", name)
+				}
+			}
+		})
+	}
+}
+
+// TestOldLayoutDirIsRefused: a directory with staged flat chunk files
+// was written by the two-copy layout; opening it would silently drop
+// those chunks, so it is a configuration error.
+func TestOldLayoutDirIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	id, data := mkPayload(5, 100)
+	fan := filepath.Join(dir, "chunks", id.String()[:2])
+	if err := os.MkdirAll(fan, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(fan, id.String()+".chunk"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewServer(Config{Dir: dir}); !errors.Is(err, ErrConfig) {
+		t.Fatalf("NewServer on an old-layout dir = %v, want ErrConfig", err)
+	}
+}
+
+// TestStartupRefusesCorruptSealedContainer: a sealed container is
+// installed atomically, so unlike the open one's tail its damage is
+// data loss and must stop the server with ErrCorrupt naming it.
+func TestStartupRefusesCorruptSealedContainer(t *testing.T) {
+	dir := t.TempDir()
+	cl, srv := serveDir(t, Config{Dir: dir})
+	uploadStream(t, cl, "sealed", 51, 20_000)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "containers", "0000000000000001.cont")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, flipByte(raw, len(raw)/2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewServer(Config{Dir: dir})
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "container 1") {
+		t.Fatalf("NewServer over a damaged sealed container = %v, want ErrCorrupt naming container 1", err)
 	}
 }

@@ -23,11 +23,9 @@ func FuzzHandlers(f *testing.F) {
 		}
 		defer srv.Close()
 		handlers := []func([]byte) ([]byte, error){
-			srv.handleUpload,
 			srv.handleBatchUpload,
 			srv.handleBatchHas,
 			srv.handleUploadRaw,
-			srv.handleGetChunk,
 			srv.handleGetChunks,
 			srv.handleGetRecipe,
 			srv.handleGetContainer,
@@ -47,7 +45,6 @@ func FuzzHandlers(f *testing.F) {
 func FuzzCloudCodecs(f *testing.F) {
 	ck := chunk.Chunk{ID: chunk.Sum([]byte("seed")), Data: []byte("seed")}
 	f.Add([]byte{})
-	f.Add(encodeChunkFrame(ck))
 	f.Add(encodeChunkList([]chunk.Chunk{ck}))
 	f.Add(encodeIDList([]chunk.ID{ck.ID}))
 	if blob, err := encodeNamedBlob("name", []byte("payload")); err == nil {
@@ -65,9 +62,7 @@ func FuzzCloudCodecs(f *testing.F) {
 				t.Fatalf("%s returned unclassified error: %v", what, err)
 			}
 		}
-		_, _, err := decodeChunkFrame(data)
-		check("decodeChunkFrame", err)
-		_, err = decodeChunkList(data)
+		_, err := decodeChunkList(data)
 		check("decodeChunkList", err)
 		_, err = decodeIDList(data)
 		check("decodeIDList", err)

@@ -2,9 +2,9 @@ package cloudstore
 
 // Client-side container restore pipeline.
 //
-// The old restore path issued one cloud.getchunk RPC per chunk and
-// buffered the whole file; restoring a 1 GiB VM image meant ~128k
-// serial round trips and 1 GiB of memory. The container path instead:
+// Fetching a file one chunk per RPC and buffering it whole would cost a
+// 1 GiB VM image ~128k serial round trips and 1 GiB of memory. The
+// container path instead:
 //
 //  1. fetches the manifest's *recipe* (chunk IDs + container locators),
 //  2. groups consecutive recipe entries into runs — chunks that live in

@@ -18,11 +18,11 @@
 //
 // A success-acking return (its final result is a literal nil error)
 // reached while some path is dirty reports at the offending mutation.
-// Durable calls are wal.Append / disk.Put* / writeAtomic, directly or
-// one call level down (pass.Summaries resolves the callee body, so
-// `n.applyPut(...)` style helpers contribute their mutations and
-// `storeChunk` style helpers their durable-then-mutate sequences at
-// the call site). Mutations are writes to receiver-rooted fields,
+// Durable calls are wal.Append / disk.Put* / containerLog.sync /
+// writeAtomic, directly or one call level down (pass.Summaries
+// resolves the callee body, so `n.applyPut(...)` style helpers
+// contribute their mutations and `containerStore.put` style helpers
+// their durable-then-mutate sequences at the call site). Mutations are writes to receiver-rooted fields,
 // map entries and slices inside a mutex-held region — unlocked writes
 // are a different analyzer's problem.
 //
@@ -46,7 +46,7 @@ import (
 // Analyzer is the durafirst pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "durafirst",
-	Doc:  "in kvstore/cloudstore handlers, mutex-guarded receiver mutations must be preceded by the durable call (wal.Append/disk.Put*/writeAtomic) on every success-acking path",
+	Doc:  "in kvstore/cloudstore handlers, mutex-guarded receiver mutations must be preceded by the durable call (wal.Append/disk.Put*/containerLog.sync/writeAtomic) on every success-acking path",
 	Run:  run,
 }
 
@@ -195,7 +195,7 @@ func nodeEvents(pass *analysis.Pass, n ast.Node, recv types.Object, locked []int
 			}
 			// One level of callees: replay the callee's own events at
 			// the call site (applyPut-style mutation helpers,
-			// storeChunk-style durable-then-mutate helpers).
+			// put-style durable-then-mutate helpers).
 			for _, ev := range calleeEvents(pass, x, calleeCache) {
 				out = append(out, event{pos: x.Pos(), durable: ev.durable})
 			}
@@ -325,7 +325,8 @@ func isFacility(info *types.Info, e ast.Expr, recv types.Object) bool {
 }
 
 // isDurableCall matches the durable sinks: (*WAL).Append, any
-// (*DiskStore).Put*, and the writeAtomic helper.
+// (*DiskStore).Put*, the cloud container log's sync, and the writeAtomic
+// helper.
 func isDurableCall(info *types.Info, call *ast.CallExpr) bool {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -345,6 +346,8 @@ func isDurableCall(info *types.Info, call *ast.CallExpr) bool {
 			return name == "Append"
 		case "DiskStore":
 			return strings.HasPrefix(name, "Put")
+		case "containerLog":
+			return name == "sync"
 		}
 	}
 	return false

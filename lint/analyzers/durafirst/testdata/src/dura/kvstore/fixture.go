@@ -10,8 +10,14 @@ import (
 
 var errRejected = errors.New("rejected")
 
-// WAL and DiskStore mirror the real durability facilities by name —
-// the analyzer matches (*WAL).Append and (*DiskStore).Put*.
+// WAL, DiskStore and containerLog mirror the real durability facilities
+// by name — the analyzer matches (*WAL).Append, (*DiskStore).Put* and
+// containerLog.sync.
+type containerLog interface {
+	append(rec []byte) error
+	sync() error
+}
+
 type WAL struct{}
 
 func (w *WAL) Append(rec []byte) error { return nil }
@@ -26,6 +32,7 @@ type Node struct {
 	mu      sync.Mutex
 	wal     *WAL
 	disk    *DiskStore
+	log     containerLog
 	table   map[string][]byte
 	puts    int
 	scratch []byte
@@ -49,6 +56,21 @@ func (n *Node) handleDirty(k string, v []byte) ([]byte, error) {
 	n.table[k] = v // want `mutated before the durable write`
 	n.mu.Unlock()
 	if err := n.wal.Append(v); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// The container-log shape of the same bug: appended and indexed, but
+// the sync that makes the record durable comes after.
+func (n *Node) handleIndexBeforeSync(k string, v []byte) ([]byte, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if err := n.log.append(v); err != nil {
+		return nil, err
+	}
+	n.table[k] = v // want `mutated before the durable write`
+	if err := n.log.sync(); err != nil {
 		return nil, err
 	}
 	return v, nil
@@ -101,6 +123,20 @@ func (n *Node) handleClean(k string, v []byte) ([]byte, error) {
 	n.table[k] = v
 	n.puts++
 	n.mu.Unlock()
+	return v, nil
+}
+
+// Append, sync, and only then index: the container-log order.
+func (n *Node) handleSyncThenIndex(k string, v []byte) ([]byte, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if err := n.log.append(v); err != nil {
+		return nil, err
+	}
+	if err := n.log.sync(); err != nil {
+		return nil, err
+	}
+	n.table[k] = v
 	return v, nil
 }
 
