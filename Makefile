@@ -59,8 +59,8 @@ wire-lock-check:
 		     exit 1; }
 	@rm -f .wire.lock.tmp
 
-# Short coverage-guided fuzz pass over the chunker, WAL-replay and wire
-# codec invariants (the seed corpora alone run in every `make test`),
+# Short coverage-guided fuzz pass over the chunker, WAL-replay, wire
+# codec and cloud handler invariants (the seed corpora alone run in every `make test`),
 # plus a one-iteration bench smoke so bit-rot in the chunk benchmarks
 # surfaces here, not in the nightly full bench.
 fuzz-short:
@@ -72,6 +72,7 @@ fuzz-short:
 	$(GO) test ./internal/kvstore -fuzz 'FuzzKVCodecs$$' -fuzztime 10s
 	$(GO) test ./internal/kvstore -fuzz 'FuzzRepairCodecs$$' -fuzztime 10s
 	$(GO) test ./internal/cloudstore -fuzz 'FuzzCloudCodecs$$' -fuzztime 10s
+	$(GO) test ./internal/cloudstore -fuzz 'FuzzHandlers$$' -fuzztime 10s
 	$(GO) test ./internal/gossip -fuzz 'FuzzGossipTable$$' -fuzztime 10s
 	$(GO) test -bench=. -benchtime=1x ./internal/chunk
 

@@ -1,8 +1,9 @@
 // Command efdedup-restore downloads a stream previously deduplicated into
 // the central cloud store, reassembling it from its manifest and verifying
-// every chunk's content address. The restore streams container-at-a-time
-// through a read-ahead cache — memory use is bounded by the cache, not the
-// file — and the output file is written atomically (temp file + rename),
+// every chunk's content address. The restore reads the records it needs
+// out of each container, one request per container, through a read-ahead
+// cache — memory use is bounded by the cache, not the file — and the
+// output file is written atomically (temp file + rename),
 // so an interrupted restore never leaves a half-written file at -out.
 //
 // Usage:
@@ -72,8 +73,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	log.Printf("restored %s: %d bytes in %d chunks, %d containers touched (cache %d hit / %d miss, %d fallback chunks), all chunks verified",
-		*name, st.Bytes, st.Chunks, st.ContainersTouched, st.CacheHits, st.CacheMisses, st.FallbackChunks)
+	log.Printf("restored %s: %d bytes in %d chunks, %d containers touched (cache %d hit / %d miss, %d fallback chunks), %d bytes fetched (%.2fx restored), all chunks verified",
+		*name, st.Bytes, st.Chunks, st.ContainersTouched, st.CacheHits, st.CacheMisses, st.FallbackChunks,
+		st.FetchedBytes, float64(st.FetchedBytes)/float64(max(st.Bytes, 1)))
 	return nil
 }
 

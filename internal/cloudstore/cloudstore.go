@@ -14,8 +14,9 @@
 // Manifests map a file name to its chunk sequence so any stored stream
 // can be restored and verified end to end. Fresh chunks are packed in
 // upload order into locality-preserving containers (container.go), the
-// only place a payload is kept; restores fetch whole containers through
-// a read-ahead cache instead of one RPC per chunk.
+// only place a payload is kept; a restore reads the records it needs out
+// of each container with one RPC, through a read-ahead cache, instead of
+// one RPC per chunk.
 package cloudstore
 
 import (
@@ -411,22 +412,19 @@ func (s *Server) handleGetRecipe(body []byte) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	entries := make([]RecipeEntry, len(ids))
-	for i, id := range ids {
-		entries[i].ID = id
-		entries[i].Loc, _ = s.containers.locate(id) // zero value = fallback
-	}
-	return encodeRecipe(entries), nil
+	return encodeRecipe(s.containers.locateAll(ids)), nil
 }
 
-// getcontainer body: u64 container ID; response: the container's raw
-// CRC-framed bytes. One RPC returns every chunk the container packs —
-// the batched unit of the restore path.
+// getcontainer body: u64 container ID | (u32 offset | u32 length)*;
+// response: those byte ranges of the sealed container, concatenated in
+// request order — the records one restore needs from it, in one RPC — or
+// the container's raw CRC-framed bytes for no ranges.
 func (s *Server) handleGetContainer(body []byte) ([]byte, error) {
-	if len(body) != 8 {
-		return nil, fmt.Errorf("%w: bad container ID length", ErrProto)
+	id, extents, err := decodeContainerRequest(body)
+	if err != nil {
+		return nil, err
 	}
-	return s.containers.containerBytes(binary.BigEndian.Uint64(body))
+	return s.containers.readSealed(id, extents)
 }
 
 // putmanifest body: u16 name length | name | (32-byte ID)*.

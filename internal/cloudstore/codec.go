@@ -174,6 +174,36 @@ func decodeRecipe(body []byte) ([]RecipeEntry, error) {
 	return out, nil
 }
 
+// encodeContainerRequest builds a getcontainer request:
+// u64 container | (u32 off | u32 len)*. No extents asks for the whole
+// container.
+func encodeContainerRequest(id uint64, extents []Extent) []byte {
+	body := make([]byte, 0, 8+8*len(extents))
+	body = binary.BigEndian.AppendUint64(body, id)
+	for _, e := range extents {
+		body = binary.BigEndian.AppendUint32(body, e.Off)
+		body = binary.BigEndian.AppendUint32(body, e.Len)
+	}
+	return body
+}
+
+// decodeContainerRequest parses a getcontainer request. It checks the
+// framing only; the store checks the extents against the container.
+func decodeContainerRequest(body []byte) (uint64, []Extent, error) {
+	if len(body) < 8 || (len(body)-8)%8 != 0 {
+		return 0, nil, fmt.Errorf("%w: container request of %d bytes", ErrProto, len(body))
+	}
+	id := binary.BigEndian.Uint64(body)
+	src := body[8:]
+	extents := make([]Extent, len(src)/8)
+	for i := range extents {
+		extents[i].Off = binary.BigEndian.Uint32(src)
+		extents[i].Len = binary.BigEndian.Uint32(src[4:])
+		src = src[8:]
+	}
+	return id, extents, nil
+}
+
 // encodeChunkData builds a getchunks response: (u32 len | payload)* in
 // request order. The count travels in the request, not the response.
 func encodeChunkData(payloads [][]byte) []byte {

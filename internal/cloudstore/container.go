@@ -5,11 +5,13 @@ package cloudstore
 // A chunk payload lives in exactly one kind of place: a record of a
 // container. Fresh chunks are appended — in upload order, which is
 // stream order — to the one open container; when it reaches its target
-// size it seals and a new one starts. A restore fetches whole sealed
-// containers (one RPC, one sequential read each), so the number of
-// containers a stream touches is the fragmentation measure, as in the
+// size it seals and a new one starts. A restore reads, from each sealed
+// container its stream touches, the byte extents of the records it needs
+// (one RPC and one file open per container), so the number of containers
+// a stream touches is the fragmentation measure, as in the
 // container-store designs of the fragmentation literature (partial
-// repetition / container capping).
+// repetition / container capping) — counted in round trips, not in
+// bytes.
 //
 // Container format (file "<root>/containers/<%016x>.cont" once sealed,
 // "<root>/containers/open.cont" while open, or byte slices for Dir-less
@@ -51,6 +53,7 @@ package cloudstore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -86,6 +89,29 @@ type Locator struct {
 	Length    uint32
 }
 
+// Extent is a byte range of a container.
+type Extent struct {
+	Off uint32
+	Len uint32
+}
+
+// errPastEnd is a log read that ends past its container: bad input if a
+// client chose the range, damage if the index did.
+var errPastEnd = errors.New("range ends past the container")
+
+// extentBytes returns how many bytes the extents name in a container of
+// the given size.
+func extentBytes(extents []Extent, size int64) (int, error) {
+	n := 0
+	for _, e := range extents {
+		if int64(e.Off)+int64(e.Len) > size {
+			return 0, errPastEnd
+		}
+		n += int(e.Len)
+	}
+	return n, nil
+}
+
 // appendContainerRecord frames one chunk into buf and returns the new
 // buffer plus the payload's offset.
 func appendContainerRecord(buf []byte, id chunk.ID, data []byte) ([]byte, uint32) {
@@ -105,11 +131,19 @@ func scanContainer(data []byte, fn func(id chunk.ID, off uint32, payload []byte)
 	if len(data) < len(containerMagic) || !bytes.Equal(data[:len(containerMagic)], containerMagic) {
 		return 0, fmt.Errorf("%w: container missing magic", ErrCorrupt)
 	}
-	off := len(containerMagic)
+	return scanRecords(data[len(containerMagic):], len(containerMagic), fn)
+}
+
+// scanRecords is the record parser: data is a run of whole records that
+// starts base bytes into its container (a container minus its magic, or
+// the extents of a restore fetch), and the offsets handed to fn and
+// returned count from the container's start.
+func scanRecords(data []byte, base int, fn func(id chunk.ID, off uint32, payload []byte) error) (int, error) {
+	off := 0
 	for off < len(data) {
-		rec := off
+		rec := base + off
 		if len(data)-off < containerRecordHeader {
-			return rec, fmt.Errorf("%w: truncated container record header at offset %d", ErrCorrupt, off)
+			return rec, fmt.Errorf("%w: truncated container record header at offset %d", ErrCorrupt, rec)
 		}
 		var id chunk.ID
 		copy(id[:], data[off:])
@@ -123,12 +157,12 @@ func scanContainer(data []byte, fn func(id chunk.ID, off uint32, payload []byte)
 		if crc32.ChecksumIEEE(payload) != crc {
 			return rec, fmt.Errorf("%w: container record crc mismatch for chunk %s", ErrCorrupt, id)
 		}
-		if err := fn(id, uint32(off), payload); err != nil {
+		if err := fn(id, uint32(base+off), payload); err != nil {
 			return rec, err
 		}
 		off += int(n)
 	}
-	return off, nil
+	return base + off, nil
 }
 
 // parseContainer is scanContainer for sealed containers, where any
@@ -141,7 +175,9 @@ func parseContainer(data []byte, fn func(id chunk.ID, off uint32, payload []byte
 // containerLog is where container bytes live: byte slices (memLog) or
 // files (DiskStore). It is all that differs between an in-memory and a
 // disk-backed store. Container 0 names the open container. Callers
-// serialize writers against each other and against readers.
+// serialize writers against each other and against readers of the open
+// container; a sealed container is immutable and is read concurrently
+// with anything.
 type containerLog interface {
 	// append frames one chunk at the end of the open container and
 	// returns its payload's offset. The record may be lost in a crash
@@ -149,12 +185,11 @@ type containerLog interface {
 	append(id chunk.ID, data []byte) (uint32, error)
 	// sync makes every appended record durable.
 	sync() error
-	// readAt returns n bytes at off of a container. Slices returned for
-	// synced records stay valid across later appends and seals.
-	readAt(container uint64, off int64, n int) ([]byte, error)
-	// sealedBytes returns the whole content of a container that seal
-	// installed.
-	sealedBytes(container uint64) ([]byte, error)
+	// read returns the named byte ranges of a container, concatenated in
+	// the order given, or the whole container for no ranges; a range the
+	// container does not hold is errPastEnd. Slices returned for synced
+	// records stay valid across later appends and seals.
+	read(container uint64, extents []Extent) ([]byte, error)
 	// seal durably installs the open container as sealed container id;
 	// the next append starts a new open container.
 	seal(id uint64) error
@@ -164,7 +199,9 @@ type containerLog interface {
 // ever appended to — never rewritten in place, and left to its readers
 // once sealed — so payload sub-slices handed out stay valid.
 type memLog struct {
-	open   []byte
+	open []byte
+
+	mu     sync.Mutex // guards the map, which sealed reads share with seal
 	sealed map[uint64][]byte
 }
 
@@ -181,23 +218,37 @@ func (m *memLog) append(id chunk.ID, data []byte) (uint32, error) {
 
 func (m *memLog) sync() error { return nil }
 
-func (m *memLog) readAt(container uint64, off int64, n int) ([]byte, error) {
-	data := m.open
-	if container != 0 {
+func (m *memLog) read(container uint64, extents []Extent) ([]byte, error) {
+	var data []byte
+	if container == 0 {
+		data = m.open // under the caller's lock
+	} else {
+		m.mu.Lock()
 		data = m.sealed[container]
+		m.mu.Unlock()
 	}
-	if int64(len(data)) < off+int64(n) {
-		return nil, fmt.Errorf("%w: container %d lost", ErrCorrupt, container)
+	if len(extents) == 0 {
+		return data, nil
 	}
-	return data[off : off+int64(n)], nil
-}
-
-func (m *memLog) sealedBytes(container uint64) ([]byte, error) {
-	return m.sealed[container], nil
+	n, err := extentBytes(extents, int64(len(data)))
+	if err != nil {
+		return nil, err
+	}
+	if len(extents) == 1 {
+		e := extents[0]
+		return data[e.Off : e.Off+e.Len], nil
+	}
+	out := make([]byte, 0, n)
+	for _, e := range extents {
+		out = append(out, data[e.Off:e.Off+e.Len]...)
+	}
+	return out, nil
 }
 
 func (m *memLog) seal(id uint64) error {
+	m.mu.Lock()
 	m.sealed[id] = m.open
+	m.mu.Unlock()
 	m.open = nil
 	return nil
 }
@@ -419,7 +470,7 @@ func (cs *containerStore) has(ids []chunk.ID) []byte {
 }
 
 // locate returns the chunk's locator if its newest copy is in a sealed
-// container — the only kind a restore client can fetch whole.
+// container — the only kind a restore client can fetch by extent.
 func (cs *containerStore) locate(id chunk.ID) (Locator, bool) {
 	cs.mu.RLock()
 	defer cs.mu.RUnlock()
@@ -429,14 +480,49 @@ func (cs *containerStore) locate(id chunk.ID) (Locator, bool) {
 	return Locator{}, false
 }
 
-// containerBytes returns a sealed container's raw bytes.
-func (cs *containerStore) containerBytes(id uint64) ([]byte, error) {
+// locateAll is locate for a whole manifest under one hold of the lock:
+// the recipe is one view of the index (no seal lands between two of its
+// entries) and a long recipe queues behind a waiting uploader once, not
+// once per chunk. A zero locator means no sealed copy.
+func (cs *containerStore) locateAll(ids []chunk.ID) []RecipeEntry {
+	entries := make([]RecipeEntry, len(ids))
 	cs.mu.RLock()
 	defer cs.mu.RUnlock()
-	if id == 0 || id >= cs.openID {
+	for i, id := range ids {
+		entries[i].ID = id
+		if l, ok := cs.loc[id]; ok && l.Container != cs.openID {
+			entries[i].Loc = l
+		}
+	}
+	return entries
+}
+
+// readSealed returns the named extents of a sealed container,
+// concatenated, or all of it for no extents. The extents are a client's:
+// they must be non-empty, strictly ascending and non-overlapping and end
+// inside the container, so a reply is never larger than the container
+// and nothing is allocated for a request that is not. The lock is held
+// only to see that the container is sealed — sealed containers never
+// change, so the read itself must not make uploads wait.
+func (cs *containerStore) readSealed(id uint64, extents []Extent) ([]byte, error) {
+	var end uint64
+	for i, e := range extents {
+		if e.Len == 0 || (i > 0 && uint64(e.Off) < end) {
+			return nil, fmt.Errorf("%w: container %d: extent %d is empty, overlapping or out of order", ErrProto, id, i)
+		}
+		end = uint64(e.Off) + uint64(e.Len)
+	}
+	cs.mu.RLock()
+	sealed := id != 0 && id < cs.openID
+	cs.mu.RUnlock()
+	if !sealed {
 		return nil, fmt.Errorf("%w: container %d", ErrNotFound, id)
 	}
-	return cs.log.sealedBytes(id)
+	data, err := cs.log.read(id, extents)
+	if errors.Is(err, errPastEnd) {
+		return nil, fmt.Errorf("%w: container %d: extent %v", ErrProto, id, err)
+	}
+	return data, err
 }
 
 // readChunk serves one chunk payload from its container, verifying the
@@ -452,8 +538,11 @@ func (cs *containerStore) readChunk(id chunk.ID) ([]byte, error) {
 	if from == cs.openID {
 		from = 0
 	}
-	payload, err := cs.log.readAt(from, int64(loc.Offset), int(loc.Length))
+	payload, err := cs.log.read(from, []Extent{{Off: loc.Offset, Len: loc.Length}})
 	cs.mu.RUnlock()
+	if errors.Is(err, errPastEnd) {
+		return nil, fmt.Errorf("%w: container %d lost", ErrCorrupt, loc.Container)
+	}
 	if err != nil {
 		return nil, err
 	}

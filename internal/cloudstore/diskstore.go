@@ -190,17 +190,10 @@ func (d *DiskStore) seal(id uint64) error {
 	return syncDir(filepath.Dir(d.containerPath(id)))
 }
 
-func (d *DiskStore) sealedBytes(id uint64) ([]byte, error) {
-	data, err := os.ReadFile(d.containerPath(id))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("%w: container %d", ErrNotFound, id)
-	}
-	return data, err
-}
-
-// readAt reads one payload range out of a container (a single chunk
-// served without loading the whole container).
-func (d *DiskStore) readAt(id uint64, off int64, n int) ([]byte, error) {
+// read serves byte ranges of a container file — a chunk, or the records
+// one restore needs — with one open and one ReadAt per range, and the
+// whole file for no ranges.
+func (d *DiskStore) read(id uint64, extents []Extent) ([]byte, error) {
 	f, err := os.Open(d.containerPath(id))
 	if os.IsNotExist(err) {
 		return nil, fmt.Errorf("%w: container %d", ErrNotFound, id)
@@ -209,12 +202,24 @@ func (d *DiskStore) readAt(id uint64, off int64, n int) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
-	buf := make([]byte, n)
-	if _, err := f.ReadAt(buf, off); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("%w: container %d truncated", ErrCorrupt, id)
-		}
+	st, err := f.Stat()
+	if err != nil {
 		return nil, err
+	}
+	if len(extents) == 0 {
+		extents = []Extent{{Len: uint32(st.Size())}} // offsets are u32: a container is under 4 GiB
+	}
+	n, err := extentBytes(extents, st.Size())
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, n)
+	at := buf
+	for _, e := range extents {
+		if _, err := f.ReadAt(at[:e.Len], int64(e.Off)); err != nil {
+			return nil, err
+		}
+		at = at[e.Len:]
 	}
 	return buf, nil
 }

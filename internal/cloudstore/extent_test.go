@@ -1,0 +1,546 @@
+package cloudstore
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"efdedup/internal/chunk"
+	"efdedup/internal/metrics"
+)
+
+// packContainers uploads count chunks of random sizes in [minLen,maxLen)
+// one batch per chunk, seals, and returns them in upload order.
+func packContainers(t *testing.T, cl *Client, srv *Server, rng *rand.Rand, count, minLen, maxLen int) []chunk.Chunk {
+	t.Helper()
+	chunks := make([]chunk.Chunk, count)
+	for i := range chunks {
+		data := make([]byte, minLen+rng.Intn(maxLen-minLen))
+		rng.Read(data)
+		chunks[i] = chunk.Chunk{ID: chunk.Sum(data), Data: data}
+	}
+	if _, err := cl.BatchUpload(context.Background(), chunks); err != nil {
+		t.Fatal(err)
+	}
+	srv.FlushContainers()
+	return chunks
+}
+
+// onBothLogs runs fn against an in-memory and a disk-backed server; dir
+// is the disk-backed one's directory and empty otherwise.
+func onBothLogs(t *testing.T, cfg Config, fn func(t *testing.T, cl *Client, srv *Server, dir string)) {
+	for _, mode := range []string{"memory", "disk"} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := cfg
+			if mode == "disk" {
+				cfg.Dir = t.TempDir()
+			}
+			cl, srv := startCloud(t, cfg)
+			fn(t, cl, srv, cfg.Dir)
+		})
+	}
+}
+
+// recordBounds fetches a whole sealed container and returns the start and
+// end offset of every record in it.
+func recordBounds(t *testing.T, cl *Client, id uint64) (starts, ends map[uint32]bool) {
+	t.Helper()
+	raw, err := cl.GetContainer(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts, ends = make(map[uint32]bool), make(map[uint32]bool)
+	err = parseContainer(raw, func(_ chunk.ID, off uint32, payload []byte) error {
+		starts[off-containerRecordHeader] = true
+		ends[off+uint32(len(payload))] = true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return starts, ends
+}
+
+// TestExtentPlanProperties generates recipes — random subsets,
+// permutations and repeats of chunks spread over several sealed
+// containers, with A-B-A container revisits — and checks the plan
+// (ascending, non-overlapping, record-aligned extents that cover each
+// needed record exactly once and nothing else) and that every pipeline
+// shape restores the same bytes, in memory and on disk.
+func TestExtentPlanProperties(t *testing.T) {
+	onBothLogs(t, Config{ContainerBytes: 8 << 10}, func(t *testing.T, cl *Client, srv *Server, dir string) {
+		ctx := context.Background()
+		rng := rand.New(rand.NewSource(41))
+		chunks := packContainers(t, cl, srv, rng, 60, 100, 2000)
+		if sealed := srv.Stats().ContainersSealed; sealed < 3 {
+			t.Fatalf("only %d sealed containers", sealed)
+		}
+
+		for trial := 0; trial < 25; trial++ {
+			// A random walk over the chunk list: short forward runs
+			// (neighbours in one container), jumps (other containers
+			// and back again) and immediate repeats.
+			var ids []chunk.ID
+			var want []byte
+			at := rng.Intn(len(chunks))
+			for n := 1 + rng.Intn(40); n > 0; n-- {
+				switch rng.Intn(4) {
+				case 0:
+					at = rng.Intn(len(chunks))
+				case 1: // repeat
+				default:
+					at = (at + 1) % len(chunks)
+				}
+				ids = append(ids, chunks[at].ID)
+				want = append(want, chunks[at].Data...)
+			}
+			name := fmt.Sprintf("walk-%d", trial)
+			if err := cl.PutManifest(ctx, name, ids); err != nil {
+				t.Fatal(err)
+			}
+			recipe, err := cl.GetRecipe(ctx, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := planExtents(recipe)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			needed := make(map[Locator]bool)
+			for _, e := range recipe {
+				if e.Loc.Container == 0 {
+					t.Fatalf("trial %d: chunk %s has no sealed copy", trial, e.ID)
+				}
+				needed[e.Loc] = true
+			}
+			planned := 0
+			for id, extents := range plan {
+				starts, ends := recordBounds(t, cl, id)
+				for i, e := range extents {
+					if e.Len == 0 || !starts[e.Off] || !ends[e.Off+e.Len] {
+						t.Fatalf("trial %d: container %d extent %+v is not a run of whole records", trial, id, e)
+					}
+					if i > 0 && e.Off <= extents[i-1].Off+extents[i-1].Len {
+						t.Fatalf("trial %d: container %d extents %+v, %+v overlap, touch or descend", trial, id, extents[i-1], e)
+					}
+					planned += int(e.Len)
+				}
+			}
+			wantPlanned := 0
+			for l := range needed {
+				covers := 0
+				for _, e := range plan[l.Container] {
+					if e.Off <= l.Offset-containerRecordHeader && l.Offset+l.Length <= e.Off+e.Len {
+						covers++
+					}
+				}
+				if covers != 1 {
+					t.Fatalf("trial %d: record %+v covered by %d extents", trial, l, covers)
+				}
+				wantPlanned += containerRecordHeader + int(l.Length)
+			}
+			if planned != wantPlanned {
+				t.Fatalf("trial %d: plan fetches %d bytes, the needed records are %d", trial, planned, wantPlanned)
+			}
+
+			for _, ra := range []int{1, 4} {
+				for _, cap := range []int{1, 8} {
+					var buf bytes.Buffer
+					st, err := cl.RestoreTo(ctx, name, &buf, RestoreOptions{ReadAhead: ra, CacheContainers: cap})
+					if err != nil {
+						t.Fatalf("trial %d ReadAhead=%d cap=%d: %v", trial, ra, cap, err)
+					}
+					if !bytes.Equal(buf.Bytes(), want) {
+						t.Fatalf("trial %d ReadAhead=%d cap=%d: output differs", trial, ra, cap)
+					}
+					if cap == 8 && st.FetchedBytes != int64(planned) {
+						t.Fatalf("trial %d: fetched %d bytes, planned %d", trial, st.FetchedBytes, planned)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestRestoreFetchesOnlyNeededRecords restores a small stream whose
+// chunks sit in many containers: each container costs one RPC, and the
+// bytes moved are the stream's records, not the containers'.
+func TestRestoreFetchesOnlyNeededRecords(t *testing.T) {
+	cl, srv := startCloud(t, Config{ContainerBytes: 32 << 10})
+	ctx := context.Background()
+	chunks := packContainers(t, cl, srv, rand.New(rand.NewSource(43)), 100, 4096, 4097)
+
+	var ids []chunk.ID
+	var want []byte
+	for i := 0; i < len(chunks); i += 7 { // one or two chunks of each container
+		ids = append(ids, chunks[i].ID)
+		want = append(want, chunks[i].Data...)
+	}
+	if err := cl.PutManifest(ctx, "scattered", ids); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	st, err := cl.RestoreTo(ctx, "scattered", &buf, RestoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("restored stream differs")
+	}
+	if st.ContainersTouched < 8 {
+		t.Fatalf("ContainersTouched = %d, want a stream spread over >= 8", st.ContainersTouched)
+	}
+	if st.CacheMisses != int64(st.ContainersTouched) {
+		t.Fatalf("CacheMisses = %d, want %d (one RPC per container)", st.CacheMisses, st.ContainersTouched)
+	}
+	if float64(st.FetchedBytes) > 1.25*float64(st.Bytes) || st.FetchedBytes < st.Bytes {
+		t.Fatalf("fetched %d bytes to restore %d", st.FetchedBytes, st.Bytes)
+	}
+}
+
+// TestGetContainerRejectsHostileExtents drives the handler directly: an
+// extent list the container cannot serve in less than its own size is a
+// protocol error, and no reply is larger than the container.
+func TestGetContainerRejectsHostileExtents(t *testing.T) {
+	onBothLogs(t, Config{}, func(t *testing.T, cl *Client, srv *Server, dir string) {
+		packContainers(t, cl, srv, rand.New(rand.NewSource(47)), 8, 1000, 1001)
+		whole, err := srv.handleGetContainer(encodeContainerRequest(1, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := uint32(len(whole))
+
+		flood := make([]Extent, 5000)
+		for i := range flood {
+			flood[i] = Extent{Off: 0, Len: size}
+		}
+		hostile := map[string][]Extent{
+			"overlapping":    {{Off: 8, Len: 100}, {Off: 107, Len: 100}},
+			"descending":     {{Off: 500, Len: 10}, {Off: 8, Len: 10}},
+			"repeated":       {{Off: 8, Len: 10}, {Off: 8, Len: 10}},
+			"zero length":    {{Off: 8, Len: 0}},
+			"past end":       {{Off: size - 1, Len: 2}},
+			"starts past":    {{Off: size + 10, Len: 1}},
+			"u32 overflow":   {{Off: 16, Len: 1<<32 - 8}},
+			"max everything": {{Off: 1<<32 - 1, Len: 1<<32 - 1}},
+			"flood":          flood,
+		}
+		for name, extents := range hostile {
+			resp, err := srv.handleGetContainer(encodeContainerRequest(1, extents))
+			if !errors.Is(err, ErrProto) || resp != nil {
+				t.Errorf("%s: %d bytes, err = %v; want ErrProto", name, len(resp), err)
+			}
+		}
+		for _, n := range []int{0, 7, 9, 12, 15, 23} {
+			if _, err := srv.handleGetContainer(make([]byte, n)); !errors.Is(err, ErrProto) {
+				t.Errorf("body of %d bytes: err = %v, want ErrProto", n, err)
+			}
+		}
+		for _, id := range []uint64{0, 2, 1 << 40} { // open, not yet sealed, unknown
+			_, err := srv.handleGetContainer(encodeContainerRequest(id, []Extent{{Off: 8, Len: 1}}))
+			if !errors.Is(err, ErrNotFound) {
+				t.Errorf("container %d: err = %v, want ErrNotFound", id, err)
+			}
+		}
+
+		served := []Extent{{Off: 0, Len: 8}, {Off: 8, Len: 40}, {Off: size - 5, Len: 5}}
+		resp, err := srv.handleGetContainer(encodeContainerRequest(1, served))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append(append(append([]byte(nil), whole[:8]...), whole[8:48]...), whole[size-5:]...)
+		if !bytes.Equal(resp, want) {
+			t.Fatal("extents are not the container's bytes in request order")
+		}
+		resp, err = srv.handleGetContainer(encodeContainerRequest(1, []Extent{{Off: 0, Len: size}}))
+		if err != nil || !bytes.Equal(resp, whole) {
+			t.Fatalf("whole-container extent: %d bytes, %v", len(resp), err)
+		}
+	})
+}
+
+// damageRecord flips one payload byte of a stored chunk inside its sealed
+// container, in the file or in the in-memory log.
+func damageRecord(t *testing.T, srv *Server, dir string, id chunk.ID) Locator {
+	t.Helper()
+	loc, ok := srv.containers.locate(id)
+	if !ok {
+		t.Fatalf("chunk %s is not in a sealed container", id)
+	}
+	at := loc.Offset + loc.Length/2
+	if dir == "" {
+		srv.containers.log.(*memLog).sealed[loc.Container][at] ^= 0xFF
+		return loc
+	}
+	path := filepath.Join(dir, "containers", fmt.Sprintf("%016x.cont", loc.Container))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[at] ^= 0xFF
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return loc
+}
+
+// TestRestoreChecksNeededRecords damages sealed containers one byte at a
+// time: damage to a record the stream does not need is never fetched,
+// damage to one it needs fails the restore with ErrCorrupt naming the
+// container.
+func TestRestoreChecksNeededRecords(t *testing.T) {
+	onBothLogs(t, Config{ContainerBytes: 16 << 10}, func(t *testing.T, cl *Client, srv *Server, dir string) {
+		ctx := context.Background()
+		chunks := packContainers(t, cl, srv, rand.New(rand.NewSource(53)), 24, 2048, 2049)
+		var ids []chunk.ID
+		for i := 0; i < len(chunks); i += 2 {
+			ids = append(ids, chunks[i].ID)
+		}
+		if err := cl.PutManifest(ctx, "evens", ids); err != nil {
+			t.Fatal(err)
+		}
+
+		damageRecord(t, srv, dir, chunks[5].ID)
+		if _, err := cl.Restore(ctx, "evens"); err != nil {
+			t.Fatalf("damage outside the stream's records failed its restore: %v", err)
+		}
+		loc := damageRecord(t, srv, dir, chunks[10].ID)
+		_, err := cl.Restore(ctx, "evens")
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("container %d", loc.Container)) {
+			t.Fatalf("restore over a damaged needed record = %v, want ErrCorrupt naming container %d", err, loc.Container)
+		}
+	})
+}
+
+// TestRestoreRejectsLyingRecipe makes the server's index lie about where
+// a chunk's record is: every such recipe ends in ErrCorrupt naming the
+// container — never a panic, never bytes from the wrong place.
+func TestRestoreRejectsLyingRecipe(t *testing.T) {
+	lies := map[string]func(l *Locator){
+		"offset in the magic":         func(l *Locator) { l.Offset = 4 },
+		"offset in the first header":  func(l *Locator) { l.Offset = uint32(len(containerMagic)) + containerRecordHeader - 1 },
+		"offset off by one":           func(l *Locator) { l.Offset++ },
+		"offset in the next record":   func(l *Locator) { l.Offset += l.Length },
+		"offset past the container":   func(l *Locator) { l.Offset = 1 << 30 },
+		"length short":                func(l *Locator) { l.Length-- },
+		"length long":                 func(l *Locator) { l.Length++ },
+		"length one record long":      func(l *Locator) { l.Length += containerRecordHeader + l.Length },
+		"length zero":                 func(l *Locator) { l.Length = 0 },
+		"length overflows the offset": func(l *Locator) { l.Length = 1<<32 - 1 },
+	}
+	for _, which := range []int{0, 3, 7} { // first, middle and last record of the container
+		for name, lie := range lies {
+			t.Run(fmt.Sprintf("record %d/%s", which, name), func(t *testing.T) {
+				cl, srv := startCloud(t, Config{})
+				ctx := context.Background()
+				chunks := packContainers(t, cl, srv, rand.New(rand.NewSource(59)), 8, 512, 513)
+				ids := make([]chunk.ID, len(chunks))
+				for i, c := range chunks {
+					ids[i] = c.ID
+				}
+				if err := cl.PutManifest(ctx, "all", ids); err != nil {
+					t.Fatal(err)
+				}
+				if err := cl.PutManifest(ctx, "one", ids[which:which+1]); err != nil {
+					t.Fatal(err)
+				}
+				srv.containers.mu.Lock()
+				l := srv.containers.loc[ids[which]]
+				lie(&l)
+				srv.containers.loc[ids[which]] = l
+				srv.containers.mu.Unlock()
+
+				for _, manifest := range []string{"all", "one"} {
+					var buf bytes.Buffer
+					_, err := cl.RestoreTo(ctx, manifest, &buf, RestoreOptions{})
+					if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "container 1") {
+						t.Fatalf("%s: err = %v, want ErrCorrupt naming container 1", manifest, err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestFailedRestoreKeepsItsAccounting fails a restore mid-stream: the
+// returned stats and the cloud_restore_* counters still say what it
+// fetched.
+func TestFailedRestoreKeepsItsAccounting(t *testing.T) {
+	cl, srv := startCloud(t, Config{ContainerBytes: 16 << 10})
+	uploadStream(t, cl, "doomed", 61, 200_000)
+	srv.FlushContainers()
+
+	reg := metrics.Default()
+	misses := reg.Counter("cloud_restore_cache_misses_total")
+	fetched := reg.Counter("cloud_restore_fetched_bytes_total")
+	restored := reg.Counter("cloud_restore_bytes_total")
+	misses0, fetched0, restored0 := misses.Value(), fetched.Value(), restored.Value()
+
+	st, err := cl.RestoreTo(context.Background(), "doomed", &failAfterWriter{n: 50_000}, RestoreOptions{ReadAhead: 2})
+	if err == nil {
+		t.Fatal("restore into a failing writer succeeded")
+	}
+	if st.CacheMisses == 0 || st.FetchedBytes < st.Bytes || st.Bytes == 0 || st.Bytes > 50_000 {
+		t.Fatalf("stats of the failed restore: %+v", st)
+	}
+	if got := misses.Value() - misses0; got != st.CacheMisses {
+		t.Fatalf("cloud_restore_cache_misses_total moved by %d, stats say %d", got, st.CacheMisses)
+	}
+	if got := fetched.Value() - fetched0; got != st.FetchedBytes {
+		t.Fatalf("cloud_restore_fetched_bytes_total moved by %d, stats say %d", got, st.FetchedBytes)
+	}
+	if got := restored.Value() - restored0; got != st.Bytes {
+		t.Fatalf("cloud_restore_bytes_total moved by %d, stats say %d", got, st.Bytes)
+	}
+}
+
+// parkedLog is an in-memory container log whose sealed reads wait for
+// the test: the stand-in for a slow disk.
+type parkedLog struct {
+	*memLog
+	reading, release chan struct{}
+}
+
+func (l *parkedLog) read(container uint64, extents []Extent) ([]byte, error) {
+	if container != 0 {
+		l.reading <- struct{}{}
+		<-l.release
+	}
+	return l.memLog.read(container, extents)
+}
+
+// TestSealedReadDoesNotHoldTheStoreLock parks a restore's container read
+// inside the log and requires an upload and an index probe to finish
+// meanwhile: sealed containers are immutable, so reading one must not
+// make the store's writers (and, behind a queued writer, its readers)
+// wait for the disk.
+func TestSealedReadDoesNotHoldTheStoreLock(t *testing.T) {
+	log := &parkedLog{memLog: newMemLog(), reading: make(chan struct{}), release: make(chan struct{})}
+	cs := newContainerStore(log, 1<<20, 0, DefaultSparseRefLimit)
+	first, second := mkChunk("sealed"), mkChunk("uploaded during the read")
+	if _, err := cs.put([]chunk.Chunk{first}); err != nil {
+		t.Fatal(err)
+	}
+	cs.flush()
+
+	read := make(chan error, 1)
+	go func() {
+		data, err := cs.readSealed(1, []Extent{{Off: uint32(len(containerMagic)), Len: containerRecordHeader + uint32(len(first.Data))}})
+		if err == nil && !bytes.HasSuffix(data, first.Data) {
+			err = errors.New("extent is not the record")
+		}
+		read <- err
+	}()
+	<-log.reading
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := cs.put([]chunk.Chunk{second})
+		if has := cs.has([]chunk.ID{first.ID, second.ID}); err == nil && (has[0] != 1 || has[1] != 1) {
+			err = fmt.Errorf("has = %v", has)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("put and has waited for a sealed-container read")
+	}
+	close(log.release)
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoresRunBesideUploadsAndSeals restores one stream from several
+// goroutines while another client's uploads keep sealing containers:
+// sealed reads take no store lock, so -race is what checks that they
+// share nothing with the writer.
+func TestRestoresRunBesideUploadsAndSeals(t *testing.T) {
+	onBothLogs(t, Config{ContainerBytes: 8 << 10}, func(t *testing.T, cl *Client, srv *Server, dir string) {
+		ctx := context.Background()
+		chunks := packContainers(t, cl, srv, rand.New(rand.NewSource(71)), 40, 500, 1500)
+		ids := make([]chunk.ID, len(chunks))
+		for i, c := range chunks {
+			ids[i] = c.ID
+		}
+		if err := cl.PutManifest(ctx, "steady", ids); err != nil {
+			t.Fatal(err)
+		}
+		want := flatten(chunks)
+
+		restorers := make(chan error, 3)
+		for r := 0; r < cap(restorers); r++ {
+			go func() {
+				for i := 0; i < 20; i++ {
+					got, err := cl.Restore(ctx, "steady")
+					if err == nil && !bytes.Equal(got, want) {
+						err = errors.New("restore beside uploads differs")
+					}
+					if err != nil {
+						restorers <- err
+						return
+					}
+				}
+				restorers <- nil
+			}()
+		}
+		rng := rand.New(rand.NewSource(73))
+		for i := 0; i < 20; i++ {
+			fresh := make([]chunk.Chunk, 12)
+			for j := range fresh {
+				data := make([]byte, 1000)
+				rng.Read(data)
+				fresh[j] = chunk.Chunk{ID: chunk.Sum(data), Data: data}
+			}
+			if _, err := cl.BatchUpload(ctx, fresh); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for r := 0; r < cap(restorers); r++ {
+			if err := <-restorers; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sealed := srv.Stats().ContainersSealed; sealed < 20 {
+			t.Fatalf("only %d containers sealed beside the restores", sealed)
+		}
+	})
+}
+
+// TestGetRecipeIsOneIndexView checks locateAll against locate entry by
+// entry, sealed and unsealed chunks alike.
+func TestGetRecipeIsOneIndexView(t *testing.T) {
+	cl, srv := startCloud(t, Config{ContainerBytes: 4 << 10})
+	chunks := packContainers(t, cl, srv, rand.New(rand.NewSource(67)), 20, 500, 900)
+	open := mkChunk("still in the open container")
+	upload1(t, cl, open)
+	ids := []chunk.ID{open.ID, chunk.Sum([]byte("never stored"))}
+	for _, c := range chunks {
+		ids = append(ids, c.ID)
+	}
+	entries := srv.containers.locateAll(ids)
+	if len(entries) != len(ids) {
+		t.Fatalf("%d entries for %d ids", len(entries), len(ids))
+	}
+	for i, e := range entries {
+		want, _ := srv.containers.locate(ids[i])
+		if e.ID != ids[i] || e.Loc != want {
+			t.Fatalf("entry %d = %+v, locate says %+v", i, e, want)
+		}
+	}
+	if entries[0].Loc != (Locator{}) || entries[1].Loc != (Locator{}) || entries[2].Loc.Container == 0 {
+		t.Fatalf("sealed/unsealed split wrong: %+v", entries[:3])
+	}
+}

@@ -1,6 +1,7 @@
 package cloudstore
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -8,7 +9,10 @@ import (
 )
 
 // FuzzHandlers throws arbitrary request bodies at every cloud-store RPC
-// handler: none may panic, regardless of input.
+// handler: none may panic, regardless of input. The server holds one
+// sealed container, so that extent requests get past "not found" to the
+// range checks: whatever they ask for, the reply is a protocol error or
+// no larger than the container.
 func FuzzHandlers(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1})
@@ -16,12 +20,24 @@ func FuzzHandlers(f *testing.F) {
 	id, data := mkPayload(1, 64)
 	valid := append(append([]byte{}, id[:]...), data...)
 	f.Add(valid)
+	f.Add(encodeContainerRequest(1, nil))
+	f.Add(encodeContainerRequest(1, []Extent{{Off: 8, Len: containerRecordHeader + 64}}))
+	f.Add(encodeContainerRequest(1, []Extent{{Off: 8, Len: 40}, {Off: 40, Len: 1 << 31}}))
+	sealedBytes := len(containerMagic) + containerRecordHeader + len(data)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		srv, err := NewServer(Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
+		if _, err := srv.containers.put([]chunk.Chunk{{ID: id, Data: data}}); err != nil {
+			t.Fatal(err)
+		}
+		srv.FlushContainers()
+		resp, err := srv.handleGetContainer(body)
+		if len(resp) > sealedBytes || (err != nil && !errors.Is(err, ErrProto) && !errors.Is(err, ErrNotFound)) {
+			t.Fatalf("getcontainer(%x) = %d bytes of a %d-byte container, %v", body, len(resp), sealedBytes, err)
+		}
 		handlers := []func([]byte) ([]byte, error){
 			srv.handleBatchUpload,
 			srv.handleBatchHas,
@@ -53,6 +69,7 @@ func FuzzCloudCodecs(f *testing.F) {
 	f.Add(encodeManifestIDs([]chunk.ID{ck.ID}))
 	f.Add(encodeRecipe([]RecipeEntry{{ID: ck.ID, Loc: Locator{Container: 1, Offset: 2, Length: 3}}}))
 	f.Add(encodeChunkData([][]byte{[]byte("one"), []byte("two")}))
+	f.Add(encodeContainerRequest(1, []Extent{{Off: 8, Len: 40}, {Off: 48, Len: 1<<32 - 1}}))
 	f.Add(encodeStats(Stats{UniqueChunks: 1}))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}) // hostile count prefix
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -76,5 +93,10 @@ func FuzzCloudCodecs(f *testing.F) {
 		check("decodeChunkData", err)
 		_, err = decodeStats(data)
 		check("decodeStats", err)
+		id, extents, err := decodeContainerRequest(data)
+		check("decodeContainerRequest", err)
+		if err == nil && !bytes.Equal(encodeContainerRequest(id, extents), data) {
+			t.Fatalf("container request %x does not re-encode to itself", data)
+		}
 	})
 }

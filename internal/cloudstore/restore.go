@@ -10,23 +10,31 @@ package cloudstore
 //  2. groups consecutive recipe entries into runs — chunks that live in
 //     the same sealed container, or locator-less chunks batched for the
 //     getchunks fallback,
-//  3. fans the runs out to ReadAhead parallel fetchers that pull whole
-//     containers through a shared LRU cache (in-flight entries are
-//     pinned and deduplicated, so two runs touching one container cost
-//     one RPC),
-//  4. reassembles strictly in stream order into the caller's io.Writer,
+//  3. plans, per sealed container, the byte extents of the records the
+//     stream needs from it — whole records, sorted, coalesced — so that
+//     what a fetch moves scales with the bytes the stream needs, not
+//     with the size of the containers dedup scattered them over,
+//  4. fans the runs out to ReadAhead parallel fetchers that pull each
+//     container's extents, in one RPC, through a shared LRU cache
+//     (in-flight entries are pinned and deduplicated, so two runs
+//     touching one container cost one RPC),
+//  5. reassembles strictly in stream order into the caller's io.Writer,
 //     using the PR 5 FIFO + done-token ordered fan-out pattern.
 //
-// Memory is bounded by (cache capacity + in-flight runs) containers,
-// never by file size. Every payload is verified against its chunk ID
-// before a byte is written.
+// Memory is bounded by what (cache capacity + in-flight runs) containers
+// hold of this stream, never by file size. Every fetched record is
+// CRC-checked and every payload verified against its chunk ID before a
+// byte is written.
 
 import (
 	"bytes"
+	"cmp"
 	"context"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -87,6 +95,9 @@ type RestoreStats struct {
 	// FallbackChunks counts chunks fetched via the batched getchunks
 	// path because no sealed container held them yet.
 	FallbackChunks int
+	// FetchedBytes counts the response bytes of the container and
+	// fallback reads; over Bytes it is the restore's fetch amplification.
+	FetchedBytes int64
 }
 
 // RecipeEntry is one chunk of a manifest's restore recipe: its content
@@ -111,9 +122,11 @@ func (c *Client) GetRecipe(ctx context.Context, name string) ([]RecipeEntry, err
 	return out, nil
 }
 
-// GetContainer fetches a sealed container's raw CRC-framed bytes.
-func (c *Client) GetContainer(ctx context.Context, id uint64) ([]byte, error) {
-	resp, err := c.call(ctx, methodGetContainer, binary.BigEndian.AppendUint64(nil, id))
+// GetContainer fetches the given extents of a sealed container,
+// concatenated — they must be ascending and must not overlap — or, for
+// none, the container's raw CRC-framed bytes.
+func (c *Client) GetContainer(ctx context.Context, id uint64, extents ...Extent) ([]byte, error) {
+	resp, err := c.call(ctx, methodGetContainer, encodeContainerRequest(id, extents))
 	if err != nil {
 		return nil, classifyRemote(err)
 	}
@@ -149,22 +162,28 @@ type cacheEntry struct {
 // containerCache is a per-restore LRU of parsed containers with
 // single-flight fetches: concurrent runs needing the same container
 // share one cloud.getcontainer RPC, and in-flight or pinned entries are
-// never evicted, so the memory bound is cap + in-flight containers.
+// never evicted, so the memory bound is cap + in-flight containers. An
+// entry holds the records its stream needs from the container — every
+// one of them, so a container is fetched again only after eviction —
+// and nothing else the container packs.
 type containerCache struct {
-	client *Client
-	cap    int
+	client  *Client
+	cap     int
+	extents map[uint64][]Extent // what a miss fetches, per container
 
 	mu      sync.Mutex
 	entries map[uint64]*cacheEntry
 	lru     []uint64 // least recently used first
 
 	hits, misses atomic.Int64
+	fetched      atomic.Int64 // response bytes, fallback reads included
 }
 
-func newContainerCache(client *Client, capacity int) *containerCache {
+func newContainerCache(client *Client, capacity int, extents map[uint64][]Extent) *containerCache {
 	return &containerCache{
 		client:  client,
 		cap:     capacity,
+		extents: extents,
 		entries: make(map[uint64]*cacheEntry),
 	}
 }
@@ -237,17 +256,23 @@ func (cc *containerCache) get(ctx context.Context, id uint64) (*cacheEntry, erro
 	cc.mu.Unlock()
 	cc.misses.Add(1)
 
-	data, err := cc.client.GetContainer(ctx, id)
+	data, err := cc.client.GetContainer(ctx, id, cc.extents[id]...)
+	cc.fetched.Add(int64(len(data)))
 	if err == nil {
-		chunks := make(map[chunk.ID][]byte)
-		err = parseContainer(data, func(cid chunk.ID, _ uint32, payload []byte) error {
-			chunks[cid] = payload
+		// The extents are whole records, so the reply parses as the
+		// container itself does, frame CRCs included.
+		e.chunks = make(map[chunk.ID][]byte)
+		_, err = scanRecords(data, 0, func(cid chunk.ID, _ uint32, payload []byte) error {
+			e.chunks[cid] = payload
 			return nil
 		})
 		if err != nil {
 			err = fmt.Errorf("container %d: %w", id, err)
 		}
-		e.chunks = chunks
+	} else if errors.Is(err, ErrProto) {
+		// The request was built from the recipe: it names bytes the
+		// container does not hold.
+		err = fmt.Errorf("%w: recipe locators of container %d: %v", ErrCorrupt, id, err)
 	}
 	e.err = err
 	close(e.ready)
@@ -320,6 +345,40 @@ func planRuns(recipe []RecipeEntry, fallbackBatch int) (runs []*restoreRun, cont
 	return runs, len(touched)
 }
 
+// planExtents returns, per sealed container of a recipe, what to ask it
+// for: the records the stream needs — each whole, header included, so
+// the reply is checked as a container is — sorted, with duplicates and
+// neighbours merged into one extent. A locator that cannot address a
+// record fails here.
+func planExtents(recipe []RecipeEntry) (map[uint64][]Extent, error) {
+	first := uint32(len(containerMagic) + containerRecordHeader) // a container's first payload
+	plan := make(map[uint64][]Extent)
+	for _, e := range recipe {
+		l := e.Loc
+		if l.Container == 0 {
+			continue
+		}
+		if l.Offset < first || uint64(l.Offset)+uint64(l.Length) > math.MaxUint32 {
+			return nil, fmt.Errorf("%w: chunk %s: recipe locator %d+%d is not a record of container %d", ErrCorrupt, e.ID, l.Offset, l.Length, l.Container)
+		}
+		plan[l.Container] = append(plan[l.Container], Extent{Off: l.Offset - containerRecordHeader, Len: l.Length + containerRecordHeader})
+	}
+	for id, extents := range plan {
+		slices.SortFunc(extents, func(a, b Extent) int { return cmp.Compare(a.Off, b.Off) })
+		merged := extents[:1]
+		for _, e := range extents[1:] {
+			last := &merged[len(merged)-1]
+			if end := last.Off + last.Len; e.Off > end {
+				merged = append(merged, e)
+			} else if e.Off+e.Len > end {
+				last.Len = e.Off + e.Len - last.Off
+			}
+		}
+		plan[id] = merged
+	}
+	return plan, nil
+}
+
 // fetchRun materializes one run's payloads, verifying every chunk's
 // content address before it can reach the assembler.
 func (c *Client) fetchRun(ctx context.Context, cache *containerCache, run *restoreRun) error {
@@ -332,11 +391,14 @@ func (c *Client) fetchRun(ctx context.Context, cache *containerCache, run *resto
 		if err != nil {
 			return err
 		}
+		var fetched int64
 		for i, p := range payloads {
 			if chunk.Sum(p) != ids[i] {
 				return fmt.Errorf("%w: chunk %s corrupt in transit", ErrCorrupt, ids[i])
 			}
+			fetched += 4 + int64(len(p))
 		}
+		cache.fetched.Add(fetched)
 		run.payloads = payloads
 		return nil
 	}
@@ -351,6 +413,9 @@ func (c *Client) fetchRun(ctx context.Context, cache *containerCache, run *resto
 		if !ok {
 			return fmt.Errorf("%w: chunk %s missing from container %d", ErrCorrupt, e.ID, run.container)
 		}
+		if len(p) != int(e.Loc.Length) {
+			return fmt.Errorf("%w: chunk %s is %d bytes in container %d, its recipe locator says %d", ErrCorrupt, e.ID, len(p), run.container, e.Loc.Length)
+		}
 		if chunk.Sum(p) != e.ID {
 			return fmt.Errorf("%w: chunk %s corrupt in container %d", ErrCorrupt, e.ID, run.container)
 		}
@@ -361,37 +426,47 @@ func (c *Client) fetchRun(ctx context.Context, cache *containerCache, run *resto
 }
 
 // RestoreTo streams a named file into w, verifying every chunk, and
-// returns what it moved. Container fetches run ReadAhead-deep in
-// parallel through the LRU cache while reassembly stays strictly in
-// stream order; memory is bounded by the cache, not the file.
-func (c *Client) RestoreTo(ctx context.Context, name string, w io.Writer, opts RestoreOptions) (RestoreStats, error) {
+// returns what it moved — on failure, what it had moved by then.
+// Container fetches run ReadAhead-deep in parallel through the LRU cache
+// while reassembly stays strictly in stream order; memory is bounded by
+// the cache, not the file.
+func (c *Client) RestoreTo(ctx context.Context, name string, w io.Writer, opts RestoreOptions) (stats RestoreStats, err error) {
 	opts = opts.withDefaults()
 	reg := metrics.Default()
-	bytesTotal := reg.Counter("cloud_restore_bytes_total")
-	chunksTotal := reg.Counter("cloud_restore_chunks_total")
-	hitsTotal := reg.Counter("cloud_restore_cache_hits_total")
-	missesTotal := reg.Counter("cloud_restore_cache_misses_total")
-	fallbackTotal := reg.Counter("cloud_restore_fallback_chunks_total")
-	streamLat := reg.DurationHistogram("cloud_restore_stream_seconds")
-	fragHist := reg.Histogram("cloud_restore_containers_per_stream")
-
-	sp := metrics.StartTimer(streamLat)
+	sp := metrics.StartTimer(reg.DurationHistogram("cloud_restore_stream_seconds"))
 	defer sp.End()
 
 	recipe, err := c.GetRecipe(ctx, name)
 	if err != nil {
-		return RestoreStats{}, fmt.Errorf("cloudstore: restore %s: %w", name, err)
+		return stats, fmt.Errorf("cloudstore: restore %s: %w", name, err)
 	}
 	runs, containers := planRuns(recipe, opts.FallbackBatch)
-	stats := RestoreStats{ContainersTouched: containers}
-	fragHist.Observe(int64(containers))
+	stats.ContainersTouched = containers
+	reg.Histogram("cloud_restore_containers_per_stream").Observe(int64(containers))
+	extents, err := planExtents(recipe)
+	if err != nil {
+		return stats, fmt.Errorf("cloudstore: restore %s: %w", name, err)
+	}
+	cache := newContainerCache(c, opts.CacheContainers, extents)
+	// Registered before the pipeline's teardown so that it runs after it,
+	// on every return: a failed restore is the one whose numbers are asked for.
+	defer func() {
+		stats.CacheHits = cache.hits.Load()
+		stats.CacheMisses = cache.misses.Load()
+		stats.FetchedBytes = cache.fetched.Load()
+		reg.Counter("cloud_restore_bytes_total").Add(stats.Bytes)
+		reg.Counter("cloud_restore_chunks_total").Add(int64(stats.Chunks))
+		reg.Counter("cloud_restore_cache_hits_total").Add(stats.CacheHits)
+		reg.Counter("cloud_restore_cache_misses_total").Add(stats.CacheMisses)
+		reg.Counter("cloud_restore_fallback_chunks_total").Add(int64(stats.FallbackChunks))
+		reg.Counter("cloud_restore_fetched_bytes_total").Add(stats.FetchedBytes)
+	}()
 	if len(runs) == 0 {
 		return stats, nil
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	cache := newContainerCache(c, opts.CacheContainers)
 	order := make(chan *restoreRun, opts.ReadAhead*2)
 	work := make(chan *restoreRun, opts.ReadAhead)
 
@@ -453,14 +528,6 @@ func (c *Client) RestoreTo(ctx context.Context, name string, w io.Writer, opts R
 		}
 		run.payloads = nil // let the container page age out of memory
 	}
-
-	stats.CacheHits = cache.hits.Load()
-	stats.CacheMisses = cache.misses.Load()
-	bytesTotal.Add(stats.Bytes)
-	chunksTotal.Add(int64(stats.Chunks))
-	hitsTotal.Add(stats.CacheHits)
-	missesTotal.Add(stats.CacheMisses)
-	fallbackTotal.Add(int64(stats.FallbackChunks))
 	return stats, nil
 }
 
