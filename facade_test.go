@@ -40,7 +40,6 @@ func TestFacadeAgentAndCloud(t *testing.T) {
 	idx, err := efdedup.NewIndexCluster(efdedup.IndexClusterConfig{
 		Members:          []string{"kv-0"},
 		Network:          nw,
-		ReadConsistency:  efdedup.One,
 		WriteConsistency: efdedup.One,
 	})
 	if err != nil {

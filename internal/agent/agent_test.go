@@ -18,6 +18,7 @@ type testbed struct {
 	nw      *transport.MemNetwork
 	cloud   *cloudstore.Server
 	kvAddrs []string
+	kvNodes []*kvstore.Node
 }
 
 func newTestbed(t *testing.T, kvNodes int) *testbed {
@@ -48,6 +49,7 @@ func newTestbed(t *testing.T, kvNodes int) *testbed {
 		node.Serve(lk)
 		t.Cleanup(func() { node.Close() })
 		tb.kvAddrs = append(tb.kvAddrs, addr)
+		tb.kvNodes = append(tb.kvNodes, node)
 	}
 	return tb
 }

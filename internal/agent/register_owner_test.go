@@ -32,7 +32,7 @@ func TestRegisterFreshOwnerValues(t *testing.T) {
 	}
 
 	// Recompute the chunk set with the agent's default chunker and read
-	// every ID back out of the ring index.
+	// every ID back out of both replicas (2 nodes at γ = 2 hold every key).
 	fc, err := chunk.NewFixedChunker(chunk.DefaultFixedSize)
 	if err != nil {
 		t.Fatal(err)
@@ -46,12 +46,14 @@ func TestRegisterFreshOwnerValues(t *testing.T) {
 	}
 	for _, c := range chunks {
 		id := c.ID
-		owner, err := idx.Get(ctx, id[:])
-		if err != nil {
-			t.Fatalf("index missing chunk %s: %v", c.ID, err)
-		}
-		if string(owner) != "owner-agent" {
-			t.Fatalf("chunk %s owner = %q, want %q", c.ID, owner, "owner-agent")
+		for i, node := range tb.kvNodes {
+			e, ok := node.Get(id[:])
+			if !ok {
+				t.Fatalf("replica %d missing chunk %s", i, c.ID)
+			}
+			if string(e.Value) != "owner-agent" {
+				t.Fatalf("replica %d: chunk %s owner = %q, want %q", i, c.ID, e.Value, "owner-agent")
+			}
 		}
 	}
 }

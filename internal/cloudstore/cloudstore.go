@@ -441,8 +441,8 @@ func (s *Server) handlePutManifest(body []byte) ([]byte, error) {
 		return nil, fmt.Errorf("manifest %q: %w", name, err)
 	}
 	// Durable-first, then memory: a manifest the disk refused must never
-	// be advertised from the in-memory catalog (the same ordering bug
-	// kvstore handlePutNX had — apply, then fail to log — in reverse).
+	// be advertised from the in-memory catalog (the ordering a kvstore
+	// put handler once got wrong — apply, then fail to log).
 	if s.disk != nil {
 		if err := s.disk.PutManifest(name, ids); err != nil {
 			return nil, fmt.Errorf("cloudstore: persist manifest %q: %w", name, err)

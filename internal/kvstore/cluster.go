@@ -1,8 +1,8 @@
 package kvstore
 
 import (
+	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -65,11 +65,12 @@ type ClusterConfig struct {
 	// Members are the storage node addresses of the ring.
 	Members []string
 	// ReplicationFactor is γ: how many nodes hold each key. Defaults
-	// to 2 (the paper's choice); clamped to len(Members).
+	// to 2 (the paper's choice); a ring with fewer members holds each
+	// key on all of them.
 	ReplicationFactor int
-	// ReadConsistency and WriteConsistency default to One, matching
-	// the eventual-consistency deployment in the paper.
-	ReadConsistency  Consistency
+	// WriteConsistency is how many of a key's replicas must acknowledge
+	// a BatchPut. Defaults to One, matching the eventual-consistency
+	// deployment in the paper.
 	WriteConsistency Consistency
 	// LocalAddr, when set to one of Members, is preferred for lookups
 	// whose replica set contains it — the "consult its local Cassandra
@@ -105,9 +106,6 @@ type ClusterConfig struct {
 	Retry retrypolicy.Policy
 	// Breaker tunes the per-address circuit breaker.
 	Breaker retrypolicy.BreakerConfig
-	// DisableRetry forces single-attempt RPCs (the pre-resilience
-	// behaviour); the circuit breaker still observes outcomes.
-	DisableRetry bool
 	// RetryBudget caps retry amplification across the whole coordinator;
 	// nil gets a default bucket (256 tokens, successes refill 0.5).
 	RetryBudget *retrypolicy.Budget
@@ -141,7 +139,7 @@ type Cluster struct {
 	mu      sync.Mutex
 	clients map[string]*transport.Client
 	down    map[string]bool
-	hints   map[string][]hint
+	hints   map[string][]keyedEntry
 
 	stopHealth chan struct{}
 	healthDone chan struct{}
@@ -174,8 +172,7 @@ type clusterMetrics struct {
 // clientMethods are the RPC methods a coordinator issues (kv.ping is
 // covered too: health probes ride the same path).
 var clientMethods = []string{
-	methodGet, methodPut, methodPutNX, methodBatchHas, methodBatchPut,
-	methodScan, methodPing, methodStats, methodDigest, methodPull,
+	methodBatchHas, methodBatchPut, methodPing, methodStats, methodDigest, methodPull,
 }
 
 func newClusterMetrics(reg *metrics.Registry) clusterMetrics {
@@ -199,11 +196,6 @@ func newClusterMetrics(reg *metrics.Registry) clusterMetrics {
 	return m
 }
 
-type hint struct {
-	key []byte
-	e   Entry
-}
-
 // NewCluster validates cfg and builds a coordinator.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if len(cfg.Members) == 0 {
@@ -214,12 +206,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.ReplicationFactor <= 0 {
 		cfg.ReplicationFactor = 2
-	}
-	if cfg.ReplicationFactor > len(cfg.Members) {
-		cfg.ReplicationFactor = len(cfg.Members)
-	}
-	if cfg.ReadConsistency == 0 {
-		cfg.ReadConsistency = One
 	}
 	if cfg.WriteConsistency == 0 {
 		cfg.WriteConsistency = One
@@ -238,9 +224,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.Retry.AttemptTimeout == 0 {
 		cfg.Retry.AttemptTimeout = cfg.CallTimeout
-	}
-	if cfg.DisableRetry {
-		cfg.Retry.MaxAttempts = 1
 	}
 	if cfg.RetryBudget == nil {
 		cfg.RetryBudget = retrypolicy.NewBudget(256, 0.5)
@@ -272,7 +255,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		budget:   cfg.RetryBudget,
 		clients:  make(map[string]*transport.Client),
 		down:     make(map[string]bool),
-		hints:    make(map[string][]hint),
+		hints:    make(map[string][]keyedEntry),
 		met:      newClusterMetrics(reg),
 	}
 	// Per-member live gauges. Registration replaces any previous cluster's
@@ -365,10 +348,10 @@ func (c *Cluster) dropClient(addr string, cl *transport.Client) {
 // call performs one RPC against addr under the retry policy and the
 // address's circuit breaker: transient transport failures are retried
 // with jittered backoff (within the retry budget) and every attempt is
-// bounded by CallTimeout. Remote application errors (like ErrNotFound)
-// do not tear down the connection, are never retried and count as
-// breaker successes; transport failures drop the connection so the next
-// attempt redials.
+// bounded by CallTimeout. Remote application errors (a handler's
+// rejection) do not tear down the connection, are never retried and
+// count as breaker successes; transport failures drop the connection so
+// the next attempt redials.
 func (c *Cluster) call(ctx context.Context, addr, method string, body []byte) ([]byte, error) {
 	sp := metrics.StartTimer(c.met.rpc[method])
 	var resp []byte
@@ -439,187 +422,6 @@ func (c *Cluster) isDown(addr string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.down[addr]
-}
-
-// Put replicates key=value to γ nodes and waits for the configured write
-// consistency. Unreachable replicas receive hints replayed when they
-// recover.
-func (c *Cluster) Put(ctx context.Context, key, value []byte) error {
-	e := Entry{Value: value, Version: c.nextVersion()}
-	return c.putEntry(ctx, key, e)
-}
-
-func (c *Cluster) putEntry(ctx context.Context, key []byte, e Entry) error {
-	reps := c.replicas(key)
-	need := c.cfg.WriteConsistency.required(len(reps))
-	body := encodeEntry(nil, key, e)
-
-	type result struct {
-		addr string
-		err  error
-	}
-	results := make(chan result, len(reps))
-	for _, addr := range reps {
-		go func(addr string) {
-			_, err := c.call(ctx, addr, methodPut, body)
-			results <- result{addr: addr, err: err}
-		}(addr)
-	}
-	acks := 0
-	var firstErr error
-	for range reps {
-		r := <-results
-		if r.err == nil {
-			acks++
-			continue
-		}
-		if firstErr == nil {
-			firstErr = r.err
-		}
-		c.storeHint(r.addr, key, e)
-	}
-	if acks >= need {
-		return nil
-	}
-	return fmt.Errorf("%w: %d/%d acks at %s: %v", ErrNoQuorum, acks, need,
-		c.cfg.WriteConsistency, firstErr)
-}
-
-// Get reads key at the configured read consistency, resolving conflicts by
-// highest version and repairing stale replicas in the background.
-func (c *Cluster) Get(ctx context.Context, key []byte) ([]byte, error) {
-	reps := c.replicas(key)
-	need := c.cfg.ReadConsistency.required(len(reps))
-
-	type reply struct {
-		addr  string
-		entry Entry
-		found bool
-		err   error
-	}
-	replies := make([]reply, 0, len(reps))
-	// Contact replicas in preference order until enough answered.
-	for _, addr := range reps {
-		if c.isDown(addr) && len(reps) > need {
-			continue
-		}
-		resp, err := c.call(ctx, addr, methodGet, key)
-		switch {
-		case err == nil && len(resp) >= 8:
-			replies = append(replies, reply{
-				addr:  addr,
-				entry: Entry{Version: binary.BigEndian.Uint64(resp), Value: resp[8:]},
-				found: true,
-			})
-		case isNotFound(err):
-			replies = append(replies, reply{addr: addr})
-		default:
-			replies = append(replies, reply{addr: addr, err: err})
-		}
-		answered := 0
-		found := false
-		for _, r := range replies {
-			if r.err == nil {
-				answered++
-				if r.found {
-					found = true
-				}
-			}
-		}
-		// A NotFound from one replica is not authoritative while other
-		// replicas remain (it may simply not have received the key yet,
-		// e.g. right after a membership change); keep probing until a
-		// value turns up or every replica has answered.
-		if answered >= need && found {
-			break
-		}
-	}
-
-	answered := 0
-	best := reply{}
-	for _, r := range replies {
-		if r.err != nil {
-			continue
-		}
-		answered++
-		if r.found && (!best.found || r.entry.Version > best.entry.Version) {
-			best = r
-		}
-	}
-	if answered < need {
-		return nil, fmt.Errorf("%w: %d/%d replies at %s", ErrNoQuorum, answered, need, c.cfg.ReadConsistency)
-	}
-	if !best.found {
-		return nil, ErrNotFound
-	}
-	// Read repair: push the winning entry to replicas that returned an
-	// older or missing value.
-	for _, r := range replies {
-		if r.err != nil || r.addr == best.addr {
-			continue
-		}
-		if !r.found || r.entry.Version < best.entry.Version {
-			addr, e := r.addr, best.entry
-			go func() {
-				body := encodeEntry(nil, key, e)
-				if _, err := c.call(context.Background(), addr, methodPut, body); err != nil {
-					// A failed repair leaves the replica stale; park the
-					// entry as a hint so healthLoop re-delivers it once
-					// the replica answers pings again.
-					c.storeHint(addr, key, e)
-				}
-			}()
-		}
-	}
-	return best.entry.Value, nil
-}
-
-func isNotFound(err error) bool {
-	var remote *transport.RemoteError
-	return errors.As(err, &remote) && remote.Msg == ErrNotFound.Error()
-}
-
-// PutIfAbsent stores key=value when no replica in preference order already
-// has it, returning whether the key existed. The check-and-set is atomic
-// on the first reachable replica; remaining replicas are updated
-// asynchronously — exactly the semantics a dedup index needs, where a
-// rare double-store is harmless.
-func (c *Cluster) PutIfAbsent(ctx context.Context, key, value []byte) (existed bool, err error) {
-	e := Entry{Value: value, Version: c.nextVersion()}
-	body := encodeEntry(nil, key, e)
-	reps := c.replicas(key)
-	var firstErr error
-	for i, addr := range reps {
-		resp, callErr := c.call(ctx, addr, methodPutNX, body)
-		if callErr != nil {
-			if firstErr == nil {
-				firstErr = callErr
-			}
-			continue
-		}
-		existed = len(resp) == 1 && resp[0] == 1
-		// Propagate to the remaining replicas asynchronously.
-		for _, other := range append(reps[:i:i], reps[i+1:]...) {
-			other := other
-			go func() {
-				if _, err := c.call(context.Background(), other, methodPut, body); err != nil {
-					c.storeHint(other, key, e)
-				}
-			}()
-		}
-		return existed, nil
-	}
-	return false, fmt.Errorf("kvstore: put-if-absent: no replica reachable: %w", firstErr)
-}
-
-// Has reports whether key is present on any preferred replica (ONE-style
-// membership probe).
-func (c *Cluster) Has(ctx context.Context, key []byte) (bool, error) {
-	found, err := c.BatchHas(ctx, [][]byte{key})
-	if err != nil {
-		return false, err
-	}
-	return found[0], nil
 }
 
 // BatchHas answers membership for many keys with one RPC per contacted
@@ -790,40 +592,44 @@ func (c *Cluster) BatchPut(ctx context.Context, keys, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("%w: %d keys but %d values", ErrConfig, len(keys), len(values))
 	}
-	type record struct {
-		idx int
-		key []byte
-		e   Entry
-	}
-	groups := make(map[string][]record)
-	needed := make([]int, len(keys))
-	acks := make([]int, len(keys))
+	ents := make([]keyedEntry, len(keys))
 	for i, key := range keys {
-		e := Entry{Value: values[i], Version: c.nextVersion()}
-		reps := c.replicas(key)
-		needed[i] = c.cfg.WriteConsistency.required(len(reps))
+		ents[i] = keyedEntry{key: key, e: Entry{Value: values[i], Version: c.nextVersion()}}
+	}
+	return c.putEntries(ctx, ents)
+}
+
+// putEntries is the one write path to a replica: it sends each
+// already-versioned entry to its current replica set (one kv.batchput per
+// replica), tallies acks per entry against WriteConsistency and queues
+// hints for the replicas that failed. BatchPut assigns fresh versions
+// first; Rebalance passes stored entries through with theirs.
+func (c *Cluster) putEntries(ctx context.Context, ents []keyedEntry) error {
+	groups := make(map[string][]int) // replica -> indices into ents
+	short := make([]int, len(ents))  // acks each entry still lacks
+	for i, kv := range ents {
+		reps := c.replicas(kv.key)
+		short[i] = c.cfg.WriteConsistency.required(len(reps))
 		for _, addr := range reps {
-			groups[addr] = append(groups[addr], record{idx: i, key: key, e: e})
+			groups[addr] = append(groups[addr], i)
 		}
 	}
-	// Replica writes go out concurrently; acks are tallied per key.
+	// Replica writes go out concurrently; acks are tallied per entry.
 	var (
 		wg       sync.WaitGroup
 		tallyMu  sync.Mutex
 		firstErr error
 	)
-	for addr, recs := range groups {
+	for addr, idxs := range groups {
 		wg.Add(1)
-		go func(addr string, recs []record) {
+		go func(addr string, idxs []int) {
 			defer wg.Done()
-			body := binary.BigEndian.AppendUint32(nil, uint32(len(recs)))
-			for _, r := range recs {
-				body = encodeEntry(body, r.key, r.e)
+			batch := make([]keyedEntry, len(idxs))
+			for j, i := range idxs {
+				batch[j] = ents[i]
 			}
-			if _, err := c.call(ctx, addr, methodBatchPut, body); err != nil {
-				for _, r := range recs {
-					c.storeHint(addr, r.key, r.e)
-				}
+			if _, err := c.call(ctx, addr, methodBatchPut, appendScan(nil, batch)); err != nil {
+				c.storeHints(addr, batch)
 				tallyMu.Lock()
 				if firstErr == nil {
 					firstErr = err
@@ -832,22 +638,22 @@ func (c *Cluster) BatchPut(ctx context.Context, keys, values [][]byte) error {
 				return
 			}
 			tallyMu.Lock()
-			for _, r := range recs {
-				acks[r.idx]++
+			for _, i := range idxs {
+				short[i]--
 			}
 			tallyMu.Unlock()
-		}(addr, recs)
+		}(addr, idxs)
 	}
 	wg.Wait()
 	var failed [][]byte
-	for i, got := range acks {
-		if got < needed[i] {
+	for i, lacks := range short {
+		if lacks > 0 {
 			//lint:ignore hotalloc failure path only: stays nil when every replica acks, so the fast path never allocates
-			failed = append(failed, keys[i])
+			failed = append(failed, ents[i].key)
 		}
 	}
 	if len(failed) > 0 {
-		return &PartialWriteError{FailedKeys: failed, Total: len(keys), Cause: firstErr}
+		return &PartialWriteError{FailedKeys: failed, Total: len(ents), Cause: firstErr}
 	}
 	return nil
 }
@@ -889,15 +695,17 @@ func (c *Cluster) Members() []string {
 
 // --- health & hints ----------------------------------------------------
 
-// storeHint queues an entry for later delivery to an unreachable replica.
-func (c *Cluster) storeHint(addr string, key []byte, e Entry) {
-	k := make([]byte, len(key))
-	copy(k, key)
+// storeHints queues entries for later delivery to an unreachable replica.
+// Keys are copied: a hint outlives the caller's batch.
+func (c *Cluster) storeHints(addr string, ents []keyedEntry) {
+	for i := range ents {
+		ents[i].key = bytes.Clone(ents[i].key)
+	}
 	c.mu.Lock()
-	c.hints[addr] = append(c.hints[addr], hint{key: k, e: e})
+	c.hints[addr] = append(c.hints[addr], ents...)
 	c.down[addr] = true
 	c.mu.Unlock()
-	c.met.hints.Inc()
+	c.met.hints.Add(int64(len(ents)))
 }
 
 // healthLoop pings members, updating the down set and replaying hints to
@@ -939,7 +747,7 @@ func (c *Cluster) checkMembers() {
 			c.mu.Lock()
 			wasDown := c.down[addr]
 			c.down[addr] = err != nil
-			var replay []hint
+			var replay []keyedEntry
 			if err == nil && wasDown && len(c.hints[addr]) > 0 {
 				replay = c.hints[addr]
 				delete(c.hints, addr)
@@ -962,19 +770,11 @@ const hintReplayBatch = 128
 // keeps its remaining hints and the next recovery resumes from there.
 // Entries carry versions and nodes apply last-write-wins, so replay
 // order and double delivery are both harmless.
-func (c *Cluster) replayHints(addr string, hints []hint) {
+func (c *Cluster) replayHints(addr string, hints []keyedEntry) {
 	for start := 0; start < len(hints); start += hintReplayBatch {
-		end := start + hintReplayBatch
-		if end > len(hints) {
-			end = len(hints)
-		}
-		batch := hints[start:end]
-		body := binary.BigEndian.AppendUint32(nil, uint32(len(batch)))
-		for _, h := range batch {
-			body = encodeEntry(body, h.key, h.e)
-		}
+		batch := hints[start:min(start+hintReplayBatch, len(hints))]
 		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-		_, err := c.callAttempt(ctx, addr, methodBatchPut, body)
+		_, err := c.callAttempt(ctx, addr, methodBatchPut, appendScan(nil, batch))
 		cancel()
 		if err != nil {
 			c.mu.Lock()

@@ -232,7 +232,7 @@ func TestSnapshotRecoversWithWALSuffix(t *testing.T) {
 	}
 	put := func(n *Node, k, v string, ver uint64) {
 		t.Helper()
-		if _, err := n.handlePut(encodeEntry(nil, []byte(k), Entry{Value: []byte(v), Version: ver})); err != nil {
+		if _, err := n.handleBatchPut(appendScan(nil, []keyedEntry{{key: []byte(k), e: Entry{Value: []byte(v), Version: ver}}})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,10 +264,10 @@ func TestSnapshotRecoversWithWALSuffix(t *testing.T) {
 	if rs := node2.RecoveryStats(); rs.Records != 5 || rs.Discarded() != 0 {
 		t.Fatalf("recovery stats %+v, want 5 clean WAL-suffix records", rs)
 	}
-	if e, ok := node2.localGet([]byte("post4")); !ok || !bytes.Equal(e.Value, []byte("v")) {
+	if e, ok := node2.Get([]byte("post4")); !ok || !bytes.Equal(e.Value, []byte("v")) {
 		t.Fatal("WAL-suffix entry lost across restart")
 	}
-	if e, ok := node2.localGet([]byte("pre0")); !ok || e.Version != 1 {
+	if e, ok := node2.Get([]byte("pre0")); !ok || e.Version != 1 {
 		t.Fatal("snapshot entry lost or re-versioned across restart")
 	}
 }
@@ -279,7 +279,7 @@ func TestSnapshotCorruptionFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := node.handlePut(encodeEntry(nil, []byte("k"), Entry{Value: []byte("v"), Version: 1})); err != nil {
+	if _, err := node.handleBatchPut(appendScan(nil, []keyedEntry{{key: []byte("k"), e: Entry{Value: []byte("v"), Version: 1}}})); err != nil {
 		t.Fatal(err)
 	}
 	if err := node.Snapshot(); err != nil {
@@ -320,11 +320,11 @@ func TestWALBoundedUnderSustainedIngest(t *testing.T) {
 
 	var appended int64
 	for i := 0; i < 2000; i++ {
-		body := encodeEntry(nil, []byte(fmt.Sprintf("key-%d", i)), Entry{Value: bytes.Repeat([]byte("v"), 64), Version: uint64(i + 1)})
-		if _, err := node.handlePut(body); err != nil {
+		kv := keyedEntry{key: []byte(fmt.Sprintf("key-%d", i)), e: Entry{Value: bytes.Repeat([]byte("v"), 64), Version: uint64(i + 1)}}
+		if _, err := node.handleBatchPut(appendScan(nil, []keyedEntry{kv})); err != nil {
 			t.Fatal(err)
 		}
-		appended += int64(8 + len(body))
+		appended += int64(len(appendRecord(nil, kv.key, kv.e)))
 	}
 	if appended < 4*threshold {
 		t.Fatalf("test bug: only %d bytes appended, need >> %d", appended, threshold)
@@ -369,7 +369,7 @@ func TestSnapshotTimer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	if _, err := node.handlePut(encodeEntry(nil, []byte("k"), Entry{Value: []byte("v"), Version: 1})); err != nil {
+	if _, err := node.handleBatchPut(appendScan(nil, []keyedEntry{{key: []byte("k"), e: Entry{Value: []byte("v"), Version: 1}}})); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

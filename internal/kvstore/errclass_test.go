@@ -25,7 +25,7 @@ func TestErrorClassification(t *testing.T) {
 			_, err := decodeKeyList([]byte{1})
 			return err
 		}(), ErrProto},
-		{"truncated scan response", func() error {
+		{"truncated entry sequence", func() error {
 			_, err := decodeScan([]byte{0, 0, 0, 1})
 			return err
 		}(), ErrProto},

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"efdedup/internal/metrics"
+	"efdedup/internal/retrypolicy"
 	"efdedup/internal/transport"
 )
 
@@ -46,7 +47,7 @@ func TestBatchHasFallbackIsBatched(t *testing.T) {
 	cl := testCluster(t, nw, ClusterConfig{
 		Members:           addrs,
 		ReplicationFactor: 3,
-		DisableRetry:      true,
+		Retry:             retrypolicy.Policy{MaxAttempts: 1},
 	})
 
 	const n = 64

@@ -202,7 +202,7 @@ func FuzzKVCodecs(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeEntry(nil, []byte("key"), Entry{Version: 3, Value: []byte("value")}))
 	f.Add(encodeKeyList([][]byte{[]byte("a"), []byte("b")}))
-	f.Add(encodeScan(map[string]Entry{"k": {Version: 1, Value: []byte("v")}}))
+	f.Add(appendScan(nil, []keyedEntry{{key: []byte("k"), e: Entry{Version: 1, Value: []byte("v")}}}))
 	f.Add(encodeStats(NodeStats{Gets: 1, Puts: 2, Hits: 3, Misses: 4, Entries: 5}))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}) // hostile length prefix
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -242,7 +242,8 @@ func FuzzRepairCodecs(f *testing.F) {
 	})
 }
 
-// FuzzDecodeScan: the scan-response parser must be panic-free.
+// FuzzDecodeScan: the entry-sequence parser (kv.batchput body, kv.pull
+// reply) must be panic-free.
 func FuzzDecodeScan(f *testing.F) {
 	payload := encodeEntry(nil, []byte("k"), Entry{Value: []byte("v"), Version: 1})
 	valid := append([]byte{0, 0, 0, 1}, payload...)

@@ -77,8 +77,8 @@ func TestHintedHandoffPartialReplayOnFlap(t *testing.T) {
 	ctx := context.Background()
 	total := hintReplayBatch + 22
 	for i := 0; i < total; i++ {
-		if err := c.Put(ctx, []byte(fmt.Sprintf("key-%03d", i)), []byte("v")); err != nil {
-			t.Fatalf("Put %d at ONE with kv-1 down: %v", i, err)
+		if err := put(ctx, c, []byte(fmt.Sprintf("key-%03d", i)), []byte("v")); err != nil {
+			t.Fatalf("BatchPut %d at ONE with kv-1 down: %v", i, err)
 		}
 	}
 	if got := c.PendingHints()["kv-1"]; got != total {

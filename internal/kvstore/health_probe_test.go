@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"efdedup/internal/faultnet"
+	"efdedup/internal/retrypolicy"
 	"efdedup/internal/transport"
 )
 
@@ -41,7 +42,7 @@ func probeBed(t *testing.T, cfg faultnet.Config, pingTimeout time.Duration) (*Cl
 		Network:           edgeNW,
 		HeartbeatInterval: 20 * time.Millisecond,
 		PingTimeout:       pingTimeout,
-		DisableRetry:      true,
+		Retry:             retrypolicy.Policy{MaxAttempts: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

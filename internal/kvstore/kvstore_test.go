@@ -13,26 +13,50 @@ import (
 	"efdedup/internal/transport"
 )
 
-// testRing spins up n storage nodes on a fresh memory network and returns
-// their addresses plus a cleanup-registered node list.
+// testRing spins up n storage nodes (closed at cleanup) on nw and returns
+// their addresses; repairRing also hands back the nodes.
 func testRing(t *testing.T, nw *transport.MemNetwork, n int) []string {
 	t.Helper()
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		node, err := NewNode(NodeConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := fmt.Sprintf("kv-%d", i)
-		l, err := nw.Listen(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		node.Serve(l)
-		t.Cleanup(func() { node.Close() })
-		addrs[i] = addr
-	}
+	addrs, _ := repairRing(t, nw, n)
 	return addrs
+}
+
+// put writes one key through the coordinator's write path: a one-element
+// BatchPut.
+func put(ctx context.Context, c *Cluster, key, value []byte) error {
+	return c.BatchPut(ctx, [][]byte{key}, [][]byte{value})
+}
+
+// has probes one key: a one-element BatchHas.
+func has(ctx context.Context, c *Cluster, key []byte) (bool, error) {
+	found, err := c.BatchHas(ctx, [][]byte{key})
+	if err != nil {
+		return false, err
+	}
+	return found[0], nil
+}
+
+// assertAllFound fails unless BatchHas reports every key present.
+func assertAllFound(t *testing.T, c *Cluster, keys [][]byte, when string) {
+	t.Helper()
+	found, err := c.BatchHas(context.Background(), keys)
+	if err != nil {
+		t.Fatalf("BatchHas %s: %v", when, err)
+	}
+	for i, ok := range found {
+		if !ok {
+			t.Fatalf("key %q missing %s", keys[i], when)
+		}
+	}
+}
+
+// nodesByAddr indexes nodes by their listen address.
+func nodesByAddr(addrs []string, nodes []*Node) map[string]*Node {
+	out := make(map[string]*Node, len(addrs))
+	for i, a := range addrs {
+		out[a] = nodes[i]
+	}
+	return out
 }
 
 func testCluster(t *testing.T, nw *transport.MemNetwork, cfg ClusterConfig) *Cluster {
@@ -64,44 +88,57 @@ func TestClusterConfigValidation(t *testing.T) {
 
 func TestPutGetRoundTrip(t *testing.T) {
 	nw := transport.NewMemNetwork()
-	addrs := testRing(t, nw, 3)
+	addrs, nodes := repairRing(t, nw, 3)
+	byAddr := nodesByAddr(addrs, nodes)
 	c := testCluster(t, nw, ClusterConfig{Members: addrs, ReplicationFactor: 2})
 
 	ctx := context.Background()
-	if err := c.Put(ctx, []byte("k1"), []byte("v1")); err != nil {
+	key := []byte("k1")
+	if err := put(ctx, c, key, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get(ctx, []byte("k1"))
+	reps := c.replicas(key)
+	if len(reps) != 2 {
+		t.Fatalf("replica set %v, want 2 nodes", reps)
+	}
+	for _, addr := range reps {
+		e, ok := byAddr[addr].Get(key)
+		if !ok || string(e.Value) != "v1" {
+			t.Fatalf("replica %s holds %q (present %v), want v1", addr, e.Value, ok)
+		}
+		delete(byAddr, addr)
+	}
+	for addr, nd := range byAddr {
+		if _, ok := nd.Get(key); ok {
+			t.Fatalf("non-replica %s holds the key", addr)
+		}
+	}
+	found, err := c.BatchHas(ctx, [][]byte{key, []byte("missing")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "v1" {
-		t.Fatalf("Get = %q, want v1", got)
-	}
-	if _, err := c.Get(ctx, []byte("missing")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get(missing) = %v, want ErrNotFound", err)
+	if !found[0] || found[1] {
+		t.Fatalf("BatchHas = %v, want [true false]", found)
 	}
 }
 
 func TestPutOverwriteLastWriteWins(t *testing.T) {
 	nw := transport.NewMemNetwork()
-	addrs := testRing(t, nw, 3)
-	c := testCluster(t, nw, ClusterConfig{Members: addrs, ReplicationFactor: 3, WriteConsistency: All, ReadConsistency: All})
+	addrs, nodes := repairRing(t, nw, 3)
+	c := testCluster(t, nw, ClusterConfig{Members: addrs, ReplicationFactor: 3, WriteConsistency: All})
 
 	ctx := context.Background()
 	key := []byte("k")
-	if err := c.Put(ctx, key, []byte("old")); err != nil {
+	if err := put(ctx, c, key, []byte("old")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(ctx, key, []byte("new")); err != nil {
+	if err := put(ctx, c, key, []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get(ctx, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "new" {
-		t.Fatalf("Get after overwrite = %q, want new", got)
+	for i, nd := range nodes {
+		if e, ok := nd.Get(key); !ok || string(e.Value) != "new" {
+			t.Fatalf("replica %d holds %q after overwrite (present %v), want new", i, e.Value, ok)
+		}
 	}
 }
 
@@ -135,48 +172,15 @@ func TestReplicationSurvivesNodeLoss(t *testing.T) {
 	keys := make([][]byte, 50)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%03d", i))
-		if err := c.Put(ctx, keys[i], []byte("v")); err != nil {
+		if err := put(ctx, c, keys[i], []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// Kill one node: with RF=2 and writes at ALL, every key must still be
-	// readable at ONE through its surviving replica.
+	// found through its surviving replica.
 	nodes[2].Close()
-	for _, k := range keys {
-		if _, err := c.Get(ctx, k); err != nil {
-			t.Fatalf("Get(%s) after node loss: %v", k, err)
-		}
-	}
-}
-
-func TestPutIfAbsent(t *testing.T) {
-	nw := transport.NewMemNetwork()
-	addrs := testRing(t, nw, 3)
-	c := testCluster(t, nw, ClusterConfig{Members: addrs, ReplicationFactor: 2})
-
-	ctx := context.Background()
-	existed, err := c.PutIfAbsent(ctx, []byte("k"), []byte("v"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if existed {
-		t.Fatal("first PutIfAbsent reported existing key")
-	}
-	existed, err = c.PutIfAbsent(ctx, []byte("k"), []byte("other"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !existed {
-		t.Fatal("second PutIfAbsent missed existing key")
-	}
-	got, err := c.Get(ctx, []byte("k"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "v" {
-		t.Fatalf("PutIfAbsent overwrote value: %q", got)
-	}
+	assertAllFound(t, c, keys, "after node loss")
 }
 
 func TestBatchHasAndBatchPut(t *testing.T) {
@@ -250,7 +254,7 @@ func TestBatchHasFallbackOnNodeFailure(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		k := []byte(fmt.Sprintf("key-%02d", i))
 		keys = append(keys, k)
-		if err := c.Put(ctx, k, []byte("v")); err != nil {
+		if err := put(ctx, c, k, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,9 +288,9 @@ func TestWriteQuorumFailure(t *testing.T) {
 		WriteConsistency:  All,
 		CallTimeout:       200 * time.Millisecond,
 	})
-	err = c.Put(context.Background(), []byte("k"), []byte("v"))
+	err = put(context.Background(), c, []byte("k"), []byte("v"))
 	if !errors.Is(err, ErrNoQuorum) {
-		t.Fatalf("Put = %v, want ErrNoQuorum", err)
+		t.Fatalf("BatchPut = %v, want ErrNoQuorum", err)
 	}
 	if hints := c.PendingHints(); hints["kv-1"] == 0 {
 		t.Error("no hint queued for the unreachable replica")
@@ -316,8 +320,8 @@ func TestHintedHandoffReplaysOnRecovery(t *testing.T) {
 		CallTimeout:       200 * time.Millisecond,
 	})
 	ctx := context.Background()
-	if err := c.Put(ctx, []byte("k"), []byte("v")); err != nil {
-		t.Fatalf("Put at ONE with one replica down: %v", err)
+	if err := put(ctx, c, []byte("k"), []byte("v")); err != nil {
+		t.Fatalf("BatchPut at ONE with one replica down: %v", err)
 	}
 	if hints := c.PendingHints(); hints["kv-1"] == 0 {
 		t.Fatal("no hint stored for the down replica")
@@ -337,75 +341,15 @@ func TestHintedHandoffReplaysOnRecovery(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if nodeB.Len() == 1 {
+		if e, ok := nodeB.Get([]byte("k")); ok {
+			if string(e.Value) != "v" {
+				t.Fatalf("replayed hint carries %q, want v", e.Value)
+			}
 			return // hint delivered
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatal("hint never replayed to recovered node")
-}
-
-func TestReadRepairConvergesReplicas(t *testing.T) {
-	nw := transport.NewMemNetwork()
-	n := 3
-	nodes := make([]*Node, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		node, err := NewNode(NodeConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := fmt.Sprintf("kv-%d", i)
-		l, err := nw.Listen(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		node.Serve(l)
-		nodes[i], addrs[i] = node, addr
-	}
-	defer func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-	}()
-	c := testCluster(t, nw, ClusterConfig{
-		Members: addrs, ReplicationFactor: 3,
-		WriteConsistency: One, ReadConsistency: All,
-	})
-	ctx := context.Background()
-	key := []byte("repair-me")
-
-	// Seed divergence: write directly to one node with a newer version.
-	if err := c.Put(ctx, key, []byte("stale")); err != nil {
-		t.Fatal(err)
-	}
-	newer := Entry{Value: []byte("fresh"), Version: c.nextVersion()}
-	for _, nd := range nodes[:1] {
-		nd.applyPut(key, newer)
-	}
-
-	got, err := c.Get(ctx, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "fresh" {
-		t.Fatalf("Get = %q, want fresh (highest version wins)", got)
-	}
-	// Read repair is async; wait for propagation.
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		repaired := 0
-		for _, nd := range nodes {
-			if e, ok := nd.localGet(key); ok && bytes.Equal(e.Value, []byte("fresh")) {
-				repaired++
-			}
-		}
-		if repaired == n {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatal("read repair did not converge all replicas")
 }
 
 func TestNodeStatsCounting(t *testing.T) {
@@ -414,14 +358,15 @@ func TestNodeStatsCounting(t *testing.T) {
 	c := testCluster(t, nw, ClusterConfig{Members: addrs, ReplicationFactor: 1})
 	ctx := context.Background()
 
-	if err := c.Put(ctx, []byte("a"), []byte("1")); err != nil {
+	if err := put(ctx, c, []byte("a"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(ctx, []byte("a")); err != nil {
+	found, err := c.BatchHas(ctx, [][]byte{[]byte("a"), []byte("b")})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(ctx, []byte("b")); !errors.Is(err, ErrNotFound) {
-		t.Fatal(err)
+	if !found[0] || found[1] {
+		t.Fatalf("BatchHas = %v, want [true false]", found)
 	}
 	stats, err := c.MemberStats(ctx)
 	if err != nil {
@@ -450,7 +395,7 @@ func TestWALPersistence(t *testing.T) {
 	c := testCluster(t, nw, ClusterConfig{Members: []string{"kv-0"}, ReplicationFactor: 1})
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		if err := c.Put(ctx, []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+		if err := put(ctx, c, []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -543,34 +488,6 @@ func TestConsistencyRequired(t *testing.T) {
 	}
 	if One.String() != "ONE" || Quorum.String() != "QUORUM" || All.String() != "ALL" {
 		t.Error("Consistency.String mismatch")
-	}
-}
-
-// TestPropertyQuorumReadYourWrites: with R+W > N, a read after a write
-// always sees the written value, for random key/value pairs.
-func TestPropertyQuorumReadYourWrites(t *testing.T) {
-	nw := transport.NewMemNetwork()
-	addrs := testRing(t, nw, 3)
-	c := testCluster(t, nw, ClusterConfig{
-		Members: addrs, ReplicationFactor: 3,
-		ReadConsistency: Quorum, WriteConsistency: Quorum,
-	})
-	ctx := context.Background()
-	f := func(key, value []byte) bool {
-		if len(key) == 0 {
-			return true
-		}
-		if err := c.Put(ctx, key, value); err != nil {
-			return false
-		}
-		got, err := c.Get(ctx, key)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(got, value)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
 

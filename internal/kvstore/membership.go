@@ -2,8 +2,9 @@ package kvstore
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
+
+	"efdedup/internal/transport"
 )
 
 // Membership changes. The paper highlights that with a Cassandra-style
@@ -14,8 +15,9 @@ import (
 // after churn.
 
 // AddMember joins a new storage node to the ring. Keys are not moved
-// until Rebalance runs; until then reads fall back through the old
-// replicas (lookup fallback), so the operation is non-disruptive.
+// until Rebalance runs; until then a lookup whose new primary is the
+// joiner misses, which costs the agent a redundant upload and nothing
+// else, so the operation is non-disruptive.
 func (c *Cluster) AddMember(addr string) error {
 	if addr == "" {
 		return fmt.Errorf("%w: empty member address", ErrConfig)
@@ -64,63 +66,48 @@ func (c *Cluster) RemoveMember(addr string) error {
 	return nil
 }
 
-// Rebalance scans every reachable member and re-replicates each key to
-// its current replica set, restoring placement after membership changes.
-// Entries keep their versions, so last-write-wins semantics are
-// preserved and re-running Rebalance is idempotent.
+// Rebalance reads every reachable member's table and re-replicates each
+// key to its current replica set, restoring placement after membership
+// changes. A member's table is read with kv.pull scoped to a ring of that
+// member alone, which puts every key it holds in scope. Entries keep
+// their versions, so last-write-wins semantics are preserved and
+// re-running Rebalance is idempotent.
 func (c *Cluster) Rebalance(ctx context.Context) error {
-	members := c.Members()
-
+	var all bucketSet
+	for b := 0; b < digestBuckets; b++ {
+		all.add(b)
+	}
 	seen := make(map[string]uint64) // key -> newest version already pushed
-	for _, addr := range members {
-		resp, err := c.call(ctx, addr, methodScan, nil)
+	for _, addr := range c.Members() {
+		self := []string{addr}
+		resp, err := c.call(ctx, addr, methodPull, encodePullReq(1, c.cfg.VirtualNodes, self, self, all))
 		if err != nil {
+			if transport.IsRemoteError(err) {
+				// The member answered and refused: not an outage to skip.
+				return fmt.Errorf("kvstore: rebalance read %s: %w", addr, err)
+			}
 			// An unreachable member's data is covered by its replicas'
-			// scans; skip it.
+			// tables; skip it.
 			continue
 		}
 		entries, err := decodeScan(resp)
 		if err != nil {
-			return fmt.Errorf("kvstore: rebalance scan %s: %w", addr, err)
+			return fmt.Errorf("kvstore: rebalance read %s: %w", addr, err)
 		}
+		fresh := entries[:0]
 		for _, kv := range entries {
 			if v, ok := seen[string(kv.key)]; ok && v >= kv.e.Version {
 				continue
 			}
 			seen[string(kv.key)] = kv.e.Version
-			if err := c.putEntry(ctx, kv.key, kv.e); err != nil {
-				return fmt.Errorf("kvstore: rebalance key: %w", err)
+			fresh = append(fresh, kv)
+		}
+		for start := 0; start < len(fresh); start += hintReplayBatch {
+			batch := fresh[start:min(start+hintReplayBatch, len(fresh))]
+			if err := c.putEntries(ctx, batch); err != nil {
+				return fmt.Errorf("kvstore: rebalance from %s: %w", addr, err)
 			}
 		}
 	}
 	return nil
-}
-
-type scannedEntry struct {
-	key []byte
-	e   Entry
-}
-
-// decodeScan parses a kv.scan response.
-func decodeScan(body []byte) ([]scannedEntry, error) {
-	if len(body) < 4 {
-		return nil, fmt.Errorf("%w: truncated scan response", ErrProto)
-	}
-	count := int(binary.BigEndian.Uint32(body))
-	src := body[4:]
-	// Each record costs at least 16 bytes (two length prefixes + version);
-	// reject counts the payload cannot hold before allocating.
-	if count > len(src)/16+1 {
-		return nil, fmt.Errorf("%w: scan count %d exceeds payload", ErrProto, count)
-	}
-	out := make([]scannedEntry, 0, count)
-	for i := 0; i < count; i++ {
-		key, e, rest, err := decodeEntry(src)
-		if err != nil {
-			return nil, fmt.Errorf("kvstore: scan record %d: %w", i, err)
-		}
-		out = append(out, scannedEntry{key: key, e: e})
-		src = rest
-	}
-	return out, nil
 }

@@ -48,72 +48,82 @@ func TestRemoveMemberValidation(t *testing.T) {
 	}
 }
 
+// rebalanceKeys returns n distinct test keys.
+func rebalanceKeys(n int) [][]byte {
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%03d", i))
+	}
+	return keys
+}
+
+// putAll writes keys one BatchPut each, like n separate streams would.
+func putAll(t *testing.T, c *Cluster, keys [][]byte) {
+	t.Helper()
+	for _, k := range keys {
+		if err := put(context.Background(), c, k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestAddMemberAndRebalance grows the ring and verifies the new node ends
 // up holding its share of the keys.
 func TestAddMemberAndRebalance(t *testing.T) {
 	nw := transport.NewMemNetwork()
-	addrs := testRing(t, nw, 3)
+	addrs, nodes := repairRing(t, nw, 3)
+	byAddr := nodesByAddr(addrs, nodes)
 	c := testCluster(t, nw, ClusterConfig{
 		Members: addrs, ReplicationFactor: 2, WriteConsistency: All,
 	})
 	ctx := context.Background()
-	const keys = 200
-	for i := 0; i < keys; i++ {
-		if err := c.Put(ctx, []byte(fmt.Sprintf("key-%03d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
+	keys := rebalanceKeys(200)
+	putAll(t, c, keys)
 
 	newNode := addNode(t, nw, "kv-new")
+	byAddr["kv-new"] = newNode
 	if err := c.AddMember("kv-new"); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Members()) != 4 {
 		t.Fatalf("members = %v", c.Members())
 	}
-	// Reads keep working before any data movement (fallback replicas).
-	for i := 0; i < keys; i += 20 {
-		if _, err := c.Get(ctx, []byte(fmt.Sprintf("key-%03d", i))); err != nil {
-			t.Fatalf("read during membership change: %v", err)
+	// Lookups keep working before any data movement: no probe fails, and
+	// the only misses are keys whose new primary is the empty joiner (a
+	// false negative costs a redundant upload, never a wrong answer).
+	found, err := c.BatchHas(ctx, keys)
+	if err != nil {
+		t.Fatalf("BatchHas during membership change: %v", err)
+	}
+	for i, ok := range found {
+		if !ok && c.replicas(keys[i])[0] != "kv-new" {
+			t.Fatalf("key %q missed although its primary %s held it before the join", keys[i], c.replicas(keys[i])[0])
 		}
 	}
 	if err := c.Rebalance(ctx); err != nil {
 		t.Fatal(err)
 	}
 	// With RF=2 over 4 nodes, the new node should own ≈ keys/2 entries.
-	if got := newNode.Len(); got < keys/5 {
+	if got := newNode.Len(); got < len(keys)/5 {
 		t.Errorf("new node holds %d keys after rebalance, want a meaningful share", got)
 	}
-	// All keys still readable.
-	for i := 0; i < keys; i++ {
-		if _, err := c.Get(ctx, []byte(fmt.Sprintf("key-%03d", i))); err != nil {
-			t.Fatalf("key %d lost after rebalance: %v", i, err)
-		}
-	}
+	// Every key sits on every node of its new replica set.
+	assertPlacement(t, c, byAddr, keys)
+	assertAllFound(t, c, keys, "after rebalance")
 }
 
 // TestRemoveMemberAndRebalance decommissions a node and verifies
 // replication is restored on the survivors.
 func TestRemoveMemberAndRebalance(t *testing.T) {
 	nw := transport.NewMemNetwork()
-	n := 4
-	nodes := make([]*Node, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		addr := fmt.Sprintf("kv-%d", i)
-		nodes[i] = addNode(t, nw, addr)
-		addrs[i] = addr
-	}
+	addrs, nodes := repairRing(t, nw, 4)
+	byAddr := nodesByAddr(addrs, nodes)
 	c := testCluster(t, nw, ClusterConfig{
 		Members: addrs, ReplicationFactor: 2, WriteConsistency: All,
 	})
 	ctx := context.Background()
-	const keys = 200
-	for i := 0; i < keys; i++ {
-		if err := c.Put(ctx, []byte(fmt.Sprintf("key-%03d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
+	keys := rebalanceKeys(200)
+	putAll(t, c, keys)
 	// Decommission node 2: remove from ring, rebalance, then kill it.
 	if err := c.RemoveMember(addrs[2]); err != nil {
 		t.Fatal(err)
@@ -122,11 +132,9 @@ func TestRemoveMemberAndRebalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[2].Close()
-	for i := 0; i < keys; i++ {
-		if _, err := c.Get(ctx, []byte(fmt.Sprintf("key-%03d", i))); err != nil {
-			t.Fatalf("key %d unreadable after decommission: %v", i, err)
-		}
-	}
+	// Both replicas of every key are survivors now.
+	assertPlacement(t, c, byAddr, keys)
+	assertAllFound(t, c, keys, "after decommission")
 }
 
 func TestRebalanceIdempotent(t *testing.T) {
@@ -134,11 +142,7 @@ func TestRebalanceIdempotent(t *testing.T) {
 	addrs := testRing(t, nw, 3)
 	c := testCluster(t, nw, ClusterConfig{Members: addrs, ReplicationFactor: 2})
 	ctx := context.Background()
-	for i := 0; i < 50; i++ {
-		if err := c.Put(ctx, []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
+	putAll(t, c, rebalanceKeys(50))
 	if err := c.Rebalance(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -158,5 +162,55 @@ func TestRebalanceIdempotent(t *testing.T) {
 			t.Errorf("%s entry count changed on idempotent rebalance: %d -> %d",
 				addr, stats1[addr].Entries, stats2[addr].Entries)
 		}
+	}
+}
+
+// TestRebalanceFailsWhenMemberRefusesRead: a member that answers the
+// table read with an error (here: a vnode count the node's request
+// validation rejects) is not an unreachable member to skip silently.
+func TestRebalanceFailsWhenMemberRefusesRead(t *testing.T) {
+	nw := transport.NewMemNetwork()
+	addrs := testRing(t, nw, 2)
+	c := testCluster(t, nw, ClusterConfig{Members: addrs, VirtualNodes: 5000})
+	if err := c.Rebalance(context.Background()); err == nil {
+		t.Fatal("Rebalance succeeded although every member refused the read")
+	}
+}
+
+// TestAddMemberRaisesEffectiveReplication: γ is not frozen at the member
+// count the coordinator was built with. A one-member ring configured with
+// γ = 2 starts replicating as soon as a second member joins.
+func TestAddMemberRaisesEffectiveReplication(t *testing.T) {
+	nw := transport.NewMemNetwork()
+	addrs, nodes := repairRing(t, nw, 2)
+	c := testCluster(t, nw, ClusterConfig{Members: addrs[:1], ReplicationFactor: 2})
+	ctx := context.Background()
+	keys := rebalanceKeys(50)
+	values := make([][]byte, len(keys))
+	for i := range values {
+		values[i] = []byte("v")
+	}
+	if err := c.BatchPut(ctx, keys, values); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddMember(addrs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Rebalance(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i, nd := range nodes {
+		for _, k := range keys {
+			if _, ok := nd.Get(k); !ok {
+				t.Fatalf("node %d lacks %q after join + rebalance at γ = 2", i, k)
+			}
+		}
+	}
+	stats, err := c.RepairOnce(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Pairs != 1 || !stats.Converged() {
+		t.Fatalf("repair after join: %+v, want 1 converged pair", stats)
 	}
 }

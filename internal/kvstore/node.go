@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -15,12 +14,8 @@ import (
 
 // RPC method names served by a storage node.
 const (
-	methodGet      = "kv.get"
-	methodPut      = "kv.put"
-	methodPutNX    = "kv.putnx"
 	methodBatchHas = "kv.batchhas"
 	methodBatchPut = "kv.batchput"
-	methodScan     = "kv.scan"
 	methodPing     = "kv.ping"
 	methodStats    = "kv.stats"
 	methodDigest   = "kv.digest"
@@ -158,12 +153,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 	}
 	n.server = transport.NewServer()
-	n.handle(methodGet, n.handleGet)
-	n.handle(methodPut, n.handlePut)
-	n.handle(methodPutNX, n.handlePutNX)
 	n.handle(methodBatchHas, n.handleBatchHas)
 	n.handle(methodBatchPut, n.handleBatchPut)
-	n.handle(methodScan, n.handleScan)
 	n.handle(methodPing, func([]byte) ([]byte, error) { return []byte("pong"), nil })
 	n.handle(methodStats, n.handleStats)
 	n.handle(methodDigest, n.handleDigest)
@@ -185,7 +176,7 @@ func (n *Node) handle(method string, h func([]byte) ([]byte, error)) {
 		sp := metrics.StartTimer(hist)
 		resp, err := h(body)
 		sp.End()
-		if err != nil && !errors.Is(err, ErrNotFound) {
+		if err != nil {
 			fails.Inc()
 		}
 		return resp, err
@@ -279,9 +270,15 @@ func (n *Node) maybeSnapshot() {
 	n.snapWG.Add(1)
 	go func() {
 		defer n.snapWG.Done()
-		defer n.snapping.Store(false)
-		//lint:ignore errlost failures recorded in kvstore_node_snapshot_failures_total; the WAL keeps growing and the next put retries
-		_ = n.Snapshot()
+		err := n.Snapshot()
+		n.snapping.Store(false)
+		// A failure is recorded in kvstore_node_snapshot_failures_total and
+		// the next put retries. After a success, look again: puts that ran
+		// between the snapshot's unlock and the flag's reset skipped their
+		// trigger, and may have been the last ones.
+		if err == nil {
+			n.maybeSnapshot()
+		}
 	}()
 }
 
@@ -301,7 +298,7 @@ func (n *Node) Snapshot() error {
 		table[k] = e
 	}
 	n.mu.RUnlock()
-	if _, err := writeSnapshot(n.snapPath, table); err != nil {
+	if err := writeSnapshot(n.snapPath, table); err != nil {
 		n.snapFails.Inc()
 		return err
 	}
@@ -347,8 +344,9 @@ func (n *Node) applyPut(key []byte, e Entry) bool {
 	return true
 }
 
-// localGet reads an entry from the table.
-func (n *Node) localGet(key []byte) (Entry, bool) {
+// Get reads key from this replica's table, in process — no RPC, no
+// counters.
+func (n *Node) Get(key []byte) (Entry, bool) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	e, ok := n.table[string(key)]
@@ -356,76 +354,6 @@ func (n *Node) localGet(key []byte) (Entry, bool) {
 }
 
 // --- handlers ----------------------------------------------------------
-
-func (n *Node) handleGet(body []byte) ([]byte, error) {
-	n.gets.Add(1)
-	e, ok := n.localGet(body)
-	if !ok {
-		n.misses.Add(1)
-		return nil, ErrNotFound
-	}
-	n.hits.Add(1)
-	out := binary.BigEndian.AppendUint64(nil, e.Version)
-	return append(out, e.Value...), nil
-}
-
-func (n *Node) handlePut(body []byte) ([]byte, error) {
-	n.puts.Add(1)
-	key, e, _, err := decodeEntry(body)
-	if err != nil {
-		return nil, err
-	}
-	n.putMu.RLock()
-	if n.wal != nil {
-		if err := n.wal.Append(key, e); err != nil {
-			n.putMu.RUnlock()
-			return nil, err
-		}
-	}
-	n.applyPut(key, e)
-	n.putMu.RUnlock()
-	n.maybeSnapshot()
-	return nil, nil
-}
-
-// handlePutNX stores the entry only when the key is absent, returning a
-// single byte: 1 when the key already existed, 0 when stored. The log
-// append happens before the table insert — same order as handlePut — so
-// a crash between the two can lose an unacknowledged insert but never
-// acknowledge an unlogged one.
-func (n *Node) handlePutNX(body []byte) ([]byte, error) {
-	n.puts.Add(1)
-	key, e, _, err := decodeEntry(body)
-	if err != nil {
-		return nil, err
-	}
-	if _, exists := n.localGet(key); exists {
-		return []byte{1}, nil
-	}
-	n.putMu.RLock()
-	if n.wal != nil {
-		if err := n.wal.Append(key, e); err != nil {
-			n.putMu.RUnlock()
-			return nil, err
-		}
-	}
-	k := string(key)
-	n.mu.Lock()
-	_, exists := n.table[k]
-	if !exists {
-		n.table[k] = e
-	}
-	n.mu.Unlock()
-	n.putMu.RUnlock()
-	if exists {
-		// Lost the race after the existence check: the WAL record is
-		// harmless — replay applies last-write-wins, and the stored
-		// entry's version beats or equals ours.
-		return []byte{1}, nil
-	}
-	n.maybeSnapshot()
-	return []byte{0}, nil
-}
 
 // handleBatchHas answers membership for a key list with one byte per key.
 func (n *Node) handleBatchHas(body []byte) ([]byte, error) {
@@ -453,6 +381,8 @@ func (n *Node) handleBatchHas(body []byte) ([]byte, error) {
 }
 
 // handleBatchPut stores a count-prefixed sequence of key+entry records.
+// It is the only handler that writes: each record is appended to the WAL
+// before it is applied to the table.
 func (n *Node) handleBatchPut(body []byte) ([]byte, error) {
 	if len(body) < 4 {
 		return nil, fmt.Errorf("%w: truncated batch", ErrProto)
@@ -479,25 +409,6 @@ func (n *Node) handleBatchPut(body []byte) ([]byte, error) {
 	n.puts.Add(int64(count))
 	n.maybeSnapshot()
 	return nil, nil
-}
-
-// handleScan returns every entry as a count-prefixed record sequence.
-// The dedup index is small (hashes only), so a full snapshot is fine; a
-// production system would paginate.
-func (n *Node) handleScan([]byte) ([]byte, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return encodeScan(n.table), nil
-}
-
-// encodeScan serializes a table snapshot as the count-prefixed record
-// sequence decodeScan consumes.
-func encodeScan(table map[string]Entry) []byte {
-	out := binary.BigEndian.AppendUint32(nil, uint32(len(table)))
-	for k, e := range table {
-		out = encodeEntry(out, []byte(k), e)
-	}
-	return out
 }
 
 func (n *Node) handleStats([]byte) ([]byte, error) {

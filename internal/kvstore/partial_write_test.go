@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"efdedup/internal/faultnet"
+	"efdedup/internal/retrypolicy"
 	"efdedup/internal/transport"
 )
 
@@ -45,7 +46,7 @@ func TestBatchPutPartialFailureNamesFailedKeys(t *testing.T) {
 		Members:           addrs,
 		ReplicationFactor: 1,
 		Network:           fnw,
-		DisableRetry:      true,
+		Retry:             retrypolicy.Policy{MaxAttempts: 1},
 		CallTimeout:       time.Second,
 	})
 	if err != nil {
@@ -90,7 +91,7 @@ func TestBatchPutPartialFailureNamesFailedKeys(t *testing.T) {
 	// And the failed keys are exactly the ones the live node does NOT
 	// hold.
 	for _, k := range partial.FailedKeys {
-		if _, ok := nodes[0].localGet(k); ok {
+		if _, ok := nodes[0].Get(k); ok {
 			t.Errorf("key %q reported failed but present on live node", k)
 		}
 	}

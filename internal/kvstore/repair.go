@@ -270,8 +270,9 @@ func (n *Node) handleDigest(body []byte) ([]byte, error) {
 	return encodeDigestResp(d), nil
 }
 
-// handlePull streams the full entries of the requested buckets (scan
-// wire format), scope-filtered like the digest they were chosen from.
+// handlePull streams the full entries of the requested buckets (the
+// count-prefixed sequence decodeScan reads), scope-filtered like the
+// digest they were chosen from.
 func (n *Node) handlePull(body []byte) ([]byte, error) {
 	req, want, err := decodePullReq(body)
 	if err != nil {
@@ -429,12 +430,12 @@ func (c *Cluster) pullEntries(ctx context.Context, addr string, body []byte) (ma
 // version) cannot be fixed at its own version — applyPut rejects
 // version ties — so the deterministic winner (larger value bytes) is
 // re-written to both sides at version+1, which converges.
-func diffEntries(a, b map[string]Entry) (pushA, pushB []scannedEntry, conflicts int) {
+func diffEntries(a, b map[string]Entry) (pushA, pushB []keyedEntry, conflicts int) {
 	for k, ea := range a {
 		eb, ok := b[k]
 		switch {
 		case !ok || eb.Version < ea.Version:
-			pushB = append(pushB, scannedEntry{key: []byte(k), e: ea})
+			pushB = append(pushB, keyedEntry{key: []byte(k), e: ea})
 		case eb.Version == ea.Version && !bytes.Equal(eb.Value, ea.Value):
 			conflicts++
 			win := ea
@@ -442,14 +443,14 @@ func diffEntries(a, b map[string]Entry) (pushA, pushB []scannedEntry, conflicts 
 				win = eb
 			}
 			win.Version++
-			se := scannedEntry{key: []byte(k), e: win}
+			se := keyedEntry{key: []byte(k), e: win}
 			pushA = append(pushA, se)
 			pushB = append(pushB, se)
 		}
 	}
 	for k, eb := range b {
 		if ea, ok := a[k]; !ok || ea.Version < eb.Version {
-			pushA = append(pushA, scannedEntry{key: []byte(k), e: eb})
+			pushA = append(pushA, keyedEntry{key: []byte(k), e: eb})
 		}
 	}
 	return pushA, pushB, conflicts
@@ -457,18 +458,10 @@ func diffEntries(a, b map[string]Entry) (pushA, pushB []scannedEntry, conflicts 
 
 // pushEntries delivers repair entries to one replica in batchput batches,
 // preserving versions so last-write-wins holds.
-func (c *Cluster) pushEntries(ctx context.Context, addr string, ents []scannedEntry) error {
+func (c *Cluster) pushEntries(ctx context.Context, addr string, ents []keyedEntry) error {
 	for start := 0; start < len(ents); start += hintReplayBatch {
-		end := start + hintReplayBatch
-		if end > len(ents) {
-			end = len(ents)
-		}
-		batch := ents[start:end]
-		body := binary.BigEndian.AppendUint32(nil, uint32(len(batch)))
-		for _, kv := range batch {
-			body = encodeEntry(body, kv.key, kv.e)
-		}
-		if _, err := c.call(ctx, addr, methodBatchPut, body); err != nil {
+		batch := ents[start:min(start+hintReplayBatch, len(ents))]
+		if _, err := c.call(ctx, addr, methodBatchPut, appendScan(nil, batch)); err != nil {
 			return err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"efdedup/internal/retrypolicy"
 	"efdedup/internal/transport"
 )
 
@@ -48,7 +49,7 @@ func assertPlacement(t *testing.T, c *Cluster, nodes map[string]*Node, keys [][]
 	t.Helper()
 	for _, key := range keys {
 		for _, addr := range c.replicas(key) {
-			if _, ok := nodes[addr].localGet(key); !ok {
+			if _, ok := nodes[addr].Get(key); !ok {
 				t.Fatalf("replica %s missing key %q after repair", addr, key)
 			}
 		}
@@ -58,10 +59,7 @@ func assertPlacement(t *testing.T, c *Cluster, nodes map[string]*Node, keys [][]
 func TestRepairConvergesWipedReplica(t *testing.T) {
 	nw := transport.NewMemNetwork()
 	addrs, nodes := repairRing(t, nw, 3)
-	byAddr := map[string]*Node{}
-	for i, a := range addrs {
-		byAddr[a] = nodes[i]
-	}
+	byAddr := nodesByAddr(addrs, nodes)
 	c := testCluster(t, nw, ClusterConfig{
 		Members:           addrs,
 		ReplicationFactor: 2,
@@ -71,7 +69,7 @@ func TestRepairConvergesWipedReplica(t *testing.T) {
 	var keys [][]byte
 	for i := 0; i < 64; i++ {
 		k := []byte(fmt.Sprintf("chunk-%03d", i))
-		if err := c.Put(ctx, k, []byte(fmt.Sprintf("meta-%d", i))); err != nil {
+		if err := put(ctx, c, k, []byte(fmt.Sprintf("meta-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, k)
@@ -139,8 +137,8 @@ func TestRepairResolvesVersionTies(t *testing.T) {
 	if stats.Conflicts != 1 {
 		t.Fatalf("conflicts = %d, want 1: %+v", stats.Conflicts, stats)
 	}
-	e0, ok0 := nodes[0].localGet(key)
-	e1, ok1 := nodes[1].localGet(key)
+	e0, ok0 := nodes[0].Get(key)
+	e1, ok1 := nodes[1].Get(key)
 	if !ok0 || !ok1 {
 		t.Fatal("key lost during conflict resolution")
 	}
@@ -184,7 +182,7 @@ func TestRepairCountsUnreachablePairs(t *testing.T) {
 	c := testCluster(t, nw, ClusterConfig{
 		Members:           addrs,
 		ReplicationFactor: 2,
-		DisableRetry:      true,
+		Retry:             retrypolicy.Policy{MaxAttempts: 1},
 		CallTimeout:       200 * time.Millisecond,
 	})
 	nodes[2].Close()
@@ -200,10 +198,7 @@ func TestRepairCountsUnreachablePairs(t *testing.T) {
 func TestRepairAfterMembershipChange(t *testing.T) {
 	nw := transport.NewMemNetwork()
 	addrs, nodes := repairRing(t, nw, 3)
-	byAddr := map[string]*Node{}
-	for i, a := range addrs {
-		byAddr[a] = nodes[i]
-	}
+	byAddr := nodesByAddr(addrs, nodes)
 	c := testCluster(t, nw, ClusterConfig{
 		Members:           addrs[:2],
 		ReplicationFactor: 2,
@@ -213,7 +208,7 @@ func TestRepairAfterMembershipChange(t *testing.T) {
 	var keys [][]byte
 	for i := 0; i < 48; i++ {
 		k := []byte(fmt.Sprintf("chunk-%03d", i))
-		if err := c.Put(ctx, k, []byte("meta")); err != nil {
+		if err := put(ctx, c, k, []byte("meta")); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, k)

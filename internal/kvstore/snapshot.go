@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -17,7 +16,7 @@ import (
 //
 //	8 bytes  magic "EFSNAP1\n"
 //	u32      record count
-//	repeated u32 length | u32 crc32(payload) | payload (encoded key+entry)
+//	repeated framed record (appendRecord in wal.go), one per entry
 //
 // A snapshot is written to a temp file, fsynced, then atomically renamed
 // over the previous one (and the directory fsynced), so a crash at any
@@ -30,40 +29,31 @@ import (
 var snapshotMagic = []byte("EFSNAP1\n")
 
 // writeSnapshot durably writes table to path via write-temp → fsync →
-// atomic rename, returning the file size.
-func writeSnapshot(path string, table map[string]Entry) (int64, error) {
+// atomic rename.
+func writeSnapshot(path string, table map[string]Entry) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return 0, fmt.Errorf("kvstore: write snapshot: %w", err)
+		return fmt.Errorf("kvstore: write snapshot: %w", err)
 	}
-	cleanup := func(err error) (int64, error) {
+	cleanup := func(err error) error {
 		_ = f.Close()
 		_ = os.Remove(tmp)
-		return 0, err
+		return err
 	}
 	w := bufio.NewWriter(f)
 	if _, err := w.Write(snapshotMagic); err != nil {
 		return cleanup(fmt.Errorf("kvstore: write snapshot: %w", err))
 	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(table)))
-	if _, err := w.Write(hdr[:4]); err != nil {
+	if _, err := w.Write(binary.BigEndian.AppendUint32(nil, uint32(len(table)))); err != nil {
 		return cleanup(fmt.Errorf("kvstore: write snapshot: %w", err))
 	}
-	size := int64(len(snapshotMagic) + 4)
-	var payload []byte
+	var rec []byte
 	for k, e := range table {
-		payload = encodeEntry(payload[:0], []byte(k), e)
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-		binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-		if _, err := w.Write(hdr[:]); err != nil {
+		rec = appendRecord(rec[:0], []byte(k), e)
+		if _, err := w.Write(rec); err != nil {
 			return cleanup(fmt.Errorf("kvstore: write snapshot: %w", err))
 		}
-		if _, err := w.Write(payload); err != nil {
-			return cleanup(fmt.Errorf("kvstore: write snapshot: %w", err))
-		}
-		size += int64(8 + len(payload))
 	}
 	if err := w.Flush(); err != nil {
 		return cleanup(fmt.Errorf("kvstore: write snapshot: %w", err))
@@ -73,16 +63,13 @@ func writeSnapshot(path string, table map[string]Entry) (int64, error) {
 	}
 	if err := f.Close(); err != nil {
 		_ = os.Remove(tmp)
-		return 0, fmt.Errorf("kvstore: close snapshot: %w", err)
+		return fmt.Errorf("kvstore: close snapshot: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		_ = os.Remove(tmp)
-		return 0, fmt.Errorf("kvstore: install snapshot: %w", err)
+		return fmt.Errorf("kvstore: install snapshot: %w", err)
 	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return 0, err
-	}
-	return size, nil
+	return syncDir(filepath.Dir(path))
 }
 
 // syncDir fsyncs a directory so a just-renamed file survives power loss.
@@ -126,25 +113,12 @@ func loadSnapshot(path string) (map[string]Entry, error) {
 	count := binary.BigEndian.Uint32(cnt[:])
 	table := make(map[string]Entry, count)
 	for i := uint32(0); i < count; i++ {
-		var hdr [8]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		key, e, _, st := readRecord(r)
+		switch st {
+		case recordEOF, recordTorn:
 			return nil, fmt.Errorf("%w: snapshot %s: truncated record %d", ErrCorrupt, path, i)
-		}
-		n := binary.BigEndian.Uint32(hdr[:4])
-		want := binary.BigEndian.Uint32(hdr[4:])
-		if n > maxWALRecord {
-			return nil, fmt.Errorf("%w: snapshot %s: record %d of %d bytes", ErrCorrupt, path, i, n)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, fmt.Errorf("%w: snapshot %s: truncated record %d", ErrCorrupt, path, i)
-		}
-		if crc32.ChecksumIEEE(payload) != want {
-			return nil, fmt.Errorf("%w: snapshot %s: record %d crc mismatch", ErrCorrupt, path, i)
-		}
-		key, e, rest, err := decodeEntry(payload)
-		if err != nil || len(rest) != 0 {
-			return nil, fmt.Errorf("%w: snapshot %s: record %d undecodable", ErrCorrupt, path, i)
+		case recordCorrupt:
+			return nil, fmt.Errorf("%w: snapshot %s: record %d fails its length, crc or decode check", ErrCorrupt, path, i)
 		}
 		table[string(key)] = e
 	}

@@ -42,13 +42,13 @@ func TestConcurrentCoordinators(t *testing.T) {
 			ctx := context.Background()
 			for i := 0; i < keysPerWorker; i++ {
 				key := []byte(fmt.Sprintf("w%d-key-%03d", w, i))
-				if err := c.Put(ctx, key, []byte("v")); err != nil {
+				if err := put(ctx, c, key, []byte("v")); err != nil {
 					errCh <- err
 					return
 				}
-				// Interleave reads and membership probes.
-				if _, err := c.Get(ctx, key); err != nil {
-					errCh <- fmt.Errorf("read-own-write %s: %w", key, err)
+				// Interleave membership probes with the writes.
+				if ok, err := has(ctx, c, key); err != nil || !ok {
+					errCh <- fmt.Errorf("probe-own-write %s: found %v, err %v", key, ok, err)
 					return
 				}
 			}
@@ -80,44 +80,5 @@ func TestConcurrentCoordinators(t *testing.T) {
 		if !ok {
 			t.Errorf("key %s lost under concurrency", keys[i])
 		}
-	}
-}
-
-// TestConcurrentPutIfAbsentSingleWinner: many coordinators race
-// PutIfAbsent on one key; exactly one must win on the primary replica.
-func TestConcurrentPutIfAbsentSingleWinner(t *testing.T) {
-	nw := transport.NewMemNetwork()
-	addrs := testRing(t, nw, 3)
-	const racers = 8
-	wins := make(chan int, racers)
-	var wg sync.WaitGroup
-	for r := 0; r < racers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			c, err := NewCluster(ClusterConfig{Members: addrs, ReplicationFactor: 2, Network: nw})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
-			existed, err := c.PutIfAbsent(context.Background(), []byte("contended"), []byte(fmt.Sprint(r)))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if !existed {
-				wins <- r
-			}
-		}(r)
-	}
-	wg.Wait()
-	close(wins)
-	count := 0
-	for range wins {
-		count++
-	}
-	if count != 1 {
-		t.Fatalf("%d racers won PutIfAbsent, want exactly 1", count)
 	}
 }

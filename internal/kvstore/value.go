@@ -7,11 +7,13 @@
 //   - Node: one storage replica (in-memory table, optional write-ahead
 //     log) exposed over the transport RPC protocol;
 //   - Cluster: a client-side coordinator that places keys with consistent
-//     hashing, replicates writes to γ nodes, reads at a configurable
-//     consistency level (ONE / QUORUM / ALL), performs read repair and
-//     hinted handoff, and keeps per-peer health with heartbeats.
+//     hashing and exposes the index as a batched set: BatchHas probes one
+//     replica per key (falling back through the others), BatchPut
+//     replicates to γ nodes at a configurable write consistency (ONE /
+//     QUORUM / ALL) with hinted handoff, anti-entropy repair reconciles
+//     replicas, and heartbeats keep per-peer health.
 //
-// Conflicts resolve by last-write-wins on a (version, coordinator) pair.
+// Conflicts resolve by last-write-wins on the entry version.
 // This matches the needs of a dedup index: values are tiny chunk-metadata
 // records, false negatives only cost a redundant upload, and false
 // positives cannot happen because chunk IDs are content hashes.
@@ -21,10 +23,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
-
-// ErrNotFound is returned by reads of missing keys.
-var ErrNotFound = errors.New("kvstore: key not found")
 
 // ErrProto marks malformed or truncated wire payloads: the peer sent
 // bytes the protocol cannot decode, so the retry layer must not spend
@@ -74,7 +74,15 @@ func readBytes(src []byte) (val, rest []byte, err error) {
 	return src[4 : 4+n], src[4+n:], nil
 }
 
-// encodeEntry serializes key+entry for put requests and scan streams.
+// keyedEntry is one key with its entry: an element of a kv.batchput
+// body or kv.pull reply, a queued hint, a repair push.
+type keyedEntry struct {
+	key []byte
+	e   Entry
+}
+
+// encodeEntry serializes key+entry for batchput bodies, pull replies and
+// WAL/snapshot records.
 func encodeEntry(dst []byte, key []byte, e Entry) []byte {
 	dst = appendBytes(dst, key)
 	dst = binary.BigEndian.AppendUint64(dst, e.Version)
@@ -97,6 +105,45 @@ func decodeEntry(src []byte) (key []byte, e Entry, rest []byte, err error) {
 		return nil, Entry{}, nil, err
 	}
 	return key, e, rest, nil
+}
+
+// appendScan appends the count-prefixed entry sequence decodeScan reads:
+// the body of kv.batchput and of a kv.pull reply.
+func appendScan(dst []byte, ents []keyedEntry) []byte {
+	size := 4
+	for _, kv := range ents {
+		size += 16 + len(kv.key) + len(kv.e.Value)
+	}
+	dst = slices.Grow(dst, size)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ents)))
+	for _, kv := range ents {
+		dst = encodeEntry(dst, kv.key, kv.e)
+	}
+	return dst
+}
+
+// decodeScan parses a count-prefixed entry sequence.
+func decodeScan(body []byte) ([]keyedEntry, error) {
+	if len(body) < 4 {
+		return nil, fmt.Errorf("%w: truncated entry sequence", ErrProto)
+	}
+	count := int(binary.BigEndian.Uint32(body))
+	src := body[4:]
+	// Each record costs at least 16 bytes (two length prefixes + version);
+	// reject counts the payload cannot hold before allocating.
+	if count > len(src)/16+1 {
+		return nil, fmt.Errorf("%w: entry count %d exceeds payload", ErrProto, count)
+	}
+	out := make([]keyedEntry, 0, count)
+	for i := 0; i < count; i++ {
+		key, e, rest, err := decodeEntry(src)
+		if err != nil {
+			return nil, fmt.Errorf("kvstore: entry %d: %w", i, err)
+		}
+		out = append(out, keyedEntry{key: key, e: e})
+		src = rest
+	}
+	return out, nil
 }
 
 // encodeKeyList serializes a count-prefixed list of keys.

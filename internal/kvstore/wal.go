@@ -7,19 +7,17 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"time"
 )
 
 // WAL is the append-only write-ahead log giving a storage node durability
-// across restarts. Each record is
-//
-//	u32 length | u32 crc32(payload) | payload
-//
-// where payload is an encoded key+entry. Replay stops at the first torn
-// or corrupt record; opening the log for appending truncates the file
-// back to the last valid record, so post-crash appends land on a clean
-// tail and replay correctly on the next restart.
+// across restarts: a sequence of framed records (appendRecord). Replay
+// stops at the first torn or corrupt record; opening the log for
+// appending truncates the file back to the last valid record, so
+// post-crash appends land on a clean tail and replay correctly on the
+// next restart.
 type WAL struct {
 	mu       sync.Mutex
 	f        *os.File
@@ -112,7 +110,7 @@ func OpenWAL(path string) (*WAL, error) {
 // prefix. Under SyncInterval a flusher goroutine is started; it stops on
 // Close.
 func OpenWALOptions(opts WALOptions) (*WAL, error) {
-	stats, err := scanWAL(opts.Path, nil)
+	stats, err := ReplayWAL(opts.Path, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -163,10 +161,7 @@ func OpenWALOptions(opts WALOptions) (*WAL, error) {
 // and fsynced before Append returns; under SyncInterval it becomes
 // durable at the next group commit; under SyncOff when the caller syncs.
 func (w *WAL) Append(key []byte, e Entry) error {
-	payload := encodeEntry(nil, key, e)
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	rec := appendRecord(nil, key, e)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -177,13 +172,10 @@ func (w *WAL) Append(key []byte, e Entry) error {
 		// more writes on top of it would fabricate durability.
 		return w.syncErr
 	}
-	if _, err := w.w.Write(hdr[:]); err != nil {
+	if _, err := w.w.Write(rec); err != nil {
 		return fmt.Errorf("kvstore: wal append: %w", err)
 	}
-	if _, err := w.w.Write(payload); err != nil {
-		return fmt.Errorf("kvstore: wal append: %w", err)
-	}
-	w.size += int64(8 + len(payload))
+	w.size += int64(len(rec))
 	w.dirty = true
 	if w.policy == SyncAlways {
 		return w.syncLocked()
@@ -344,15 +336,10 @@ type ReplayStats struct {
 func (s ReplayStats) Discarded() int64 { return s.TornBytes + s.CorruptBytes }
 
 // ReplayWAL streams every intact record of the log at path into apply
-// and reports what was recovered. A missing file is not an error (fresh
-// node). Replay is read-only; OpenWAL performs the tail truncation.
+// (when non-nil), classifies the stop condition and measures the valid
+// prefix. A missing file is not an error (fresh node). Replay is
+// read-only; OpenWAL performs the tail truncation.
 func ReplayWAL(path string, apply func(key []byte, e Entry)) (ReplayStats, error) {
-	return scanWAL(path, apply)
-}
-
-// scanWAL walks the log, calling apply (when non-nil) for each intact
-// record, classifying the stop condition and measuring the valid prefix.
-func scanWAL(path string, apply func(key []byte, e Entry)) (ReplayStats, error) {
 	var stats ReplayStats
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -369,33 +356,14 @@ func scanWAL(path string, apply func(key []byte, e Entry)) (ReplayStats, error) 
 	total := fi.Size()
 	r := bufio.NewReader(f)
 	for {
-		var hdr [8]byte
-		if n, err := io.ReadFull(r, hdr[:]); err != nil {
-			if n > 0 {
-				stats.TornBytes = total - stats.Bytes // torn header
-			}
+		key, e, size, st := readRecord(r)
+		switch st {
+		case recordEOF:
 			return stats, nil
-		}
-		n := binary.BigEndian.Uint32(hdr[:4])
-		want := binary.BigEndian.Uint32(hdr[4:])
-		if n > maxWALRecord {
-			// A length no appender writes: corruption, not a torn tail.
-			stats.CorruptBytes = total - stats.Bytes
+		case recordTorn:
+			stats.TornBytes = total - stats.Bytes
 			return stats, nil
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			stats.TornBytes = total - stats.Bytes // torn record body
-			return stats, nil
-		}
-		if crc32.ChecksumIEEE(payload) != want {
-			stats.CorruptBytes = total - stats.Bytes
-			return stats, nil
-		}
-		key, e, rest, err := decodeEntry(payload)
-		if err != nil || len(rest) != 0 {
-			// CRC-valid bytes that do not decode as exactly one entry:
-			// written by something else — corruption.
+		case recordCorrupt:
 			stats.CorruptBytes = total - stats.Bytes
 			return stats, nil
 		}
@@ -403,6 +371,67 @@ func scanWAL(path string, apply func(key []byte, e Entry)) (ReplayStats, error) 
 			apply(key, e)
 		}
 		stats.Records++
-		stats.Bytes += int64(8 + len(payload))
+		stats.Bytes += size
 	}
+}
+
+// --- framed records ------------------------------------------------------
+//
+// The WAL and the snapshot file hold the same record:
+//
+//	u32 length | u32 crc32(payload) | payload (one encoded key+entry)
+
+// appendRecord appends one framed record to dst.
+func appendRecord(dst []byte, key []byte, e Entry) []byte {
+	start := len(dst)
+	dst = slices.Grow(dst, 8+16+len(key)+len(e.Value))
+	dst = binary.BigEndian.AppendUint32(dst, 0) // length, set below
+	dst = binary.BigEndian.AppendUint32(dst, 0) // crc32, set below
+	dst = encodeEntry(dst, key, e)
+	payload := dst[start+8:]
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst
+}
+
+// recordStatus is how one readRecord call ended. What torn and corrupt
+// mean for the file is the caller's verdict: a WAL truncates a torn tail
+// and counts corruption, a snapshot treats both as ErrCorrupt.
+type recordStatus int
+
+const (
+	recordOK      recordStatus = iota
+	recordEOF                  // no bytes left: the clean end of the file
+	recordTorn                 // header or payload cut short
+	recordCorrupt              // impossible length, CRC mismatch or payload that is not exactly one entry
+)
+
+// readRecord reads one framed record and reports the bytes it occupies.
+func readRecord(r *bufio.Reader) (key []byte, e Entry, size int64, st recordStatus) {
+	var hdr [8]byte
+	if n, err := io.ReadFull(r, hdr[:]); err != nil {
+		if n > 0 {
+			return nil, Entry{}, 0, recordTorn
+		}
+		return nil, Entry{}, 0, recordEOF
+	}
+	n := binary.BigEndian.Uint32(hdr[:4])
+	if n > maxWALRecord {
+		// A length no writer produces, and one that must not size the
+		// allocation below.
+		return nil, Entry{}, 0, recordCorrupt
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, Entry{}, 0, recordTorn
+	}
+	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[4:]) {
+		return nil, Entry{}, 0, recordCorrupt
+	}
+	key, e, rest, err := decodeEntry(payload)
+	if err != nil || len(rest) != 0 {
+		// CRC-valid bytes written by something else.
+		return nil, Entry{}, 0, recordCorrupt
+	}
+	return key, e, int64(8 + len(payload)), recordOK
 }

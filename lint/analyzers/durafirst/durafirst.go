@@ -1,7 +1,7 @@
 // Package durafirst enforces durable-write-before-memory-mutation in
 // kvstore/cloudstore handler methods — the bug class PRs 6 and 7 each
-// shipped and then fixed by hand (handlePutNX applying to the table
-// before the WAL append landed; handlePutManifest registering the
+// shipped and then fixed by hand (a kvstore put handler, since deleted,
+// applying to the table before the WAL append landed; handlePutManifest registering the
 // manifest before the disk write). The invariant comes straight from
 // the paper's collaborative index: once a handler acks success, a
 // crash must not forget state the ack promised, and the index must

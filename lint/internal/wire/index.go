@@ -28,7 +28,7 @@ type Site struct {
 	Kind   SiteKind
 	Method string
 	// Pos is the outermost constant-method call (the wrapper call in
-	// n.handle("kv.get", ...), not the transport primitive inside it).
+	// n.handle("kv.batchhas", ...), not the transport primitive inside it).
 	Pos token.Pos
 	// FuncID is the enclosing function (types.Func.FullName), "" at
 	// package scope.

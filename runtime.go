@@ -66,10 +66,11 @@ type (
 	// IndexCluster is the client-side coordinator over a ring's
 	// replicas.
 	IndexCluster = kvstore.Cluster
-	// IndexClusterConfig configures replication factor, consistency and
-	// membership.
+	// IndexClusterConfig configures replication factor, write consistency
+	// and membership.
 	IndexClusterConfig = kvstore.ClusterConfig
-	// Consistency selects ONE / QUORUM / ALL.
+	// Consistency selects how many replicas must acknowledge a write:
+	// ONE / QUORUM / ALL.
 	Consistency = kvstore.Consistency
 )
 
