@@ -12,7 +12,7 @@ ci: build vet lint wire-lock-check test race fuzz-short chaos bench-smoke
 # Race-detect the resilience-critical packages only (quick local loop;
 # CI races the whole module).
 race-core:
-	$(GO) test -race ./internal/transport ./internal/kvstore ./internal/agent ./internal/faultnet ./internal/gossip ./internal/retrypolicy
+	$(GO) test -race ./internal/transport ./internal/reclog ./internal/kvstore ./internal/agent ./internal/faultnet ./internal/gossip ./internal/retrypolicy
 
 build:
 	$(GO) build ./...
@@ -59,7 +59,7 @@ wire-lock-check:
 		     exit 1; }
 	@rm -f .wire.lock.tmp
 
-# Short coverage-guided fuzz pass over the chunker, WAL-replay, wire
+# Short coverage-guided fuzz pass over the chunker, record-log open, wire
 # codec and cloud handler invariants (the seed corpora alone run in every `make test`),
 # plus a one-iteration bench smoke so bit-rot in the chunk benchmarks
 # surfaces here, not in the nightly full bench.
@@ -67,8 +67,7 @@ fuzz-short:
 	$(GO) test ./internal/chunk -fuzz FuzzGearRoundTrip -fuzztime 10s
 	$(GO) test ./internal/chunk -fuzz FuzzFixedRoundTrip -fuzztime 10s
 	$(GO) test ./internal/chunk -fuzz FuzzGearVectorizedEquivalence -fuzztime 10s
-	$(GO) test ./internal/kvstore -fuzz 'FuzzWALReplay$$' -fuzztime 10s
-	$(GO) test ./internal/kvstore -fuzz FuzzWALReplayRawBytes -fuzztime 10s
+	$(GO) test ./internal/reclog -fuzz 'FuzzLogOpen$$' -fuzztime 10s
 	$(GO) test ./internal/kvstore -fuzz 'FuzzKVCodecs$$' -fuzztime 10s
 	$(GO) test ./internal/kvstore -fuzz 'FuzzRepairCodecs$$' -fuzztime 10s
 	$(GO) test ./internal/cloudstore -fuzz 'FuzzCloudCodecs$$' -fuzztime 10s

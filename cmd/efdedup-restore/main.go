@@ -3,8 +3,8 @@
 // every chunk's content address. The restore reads the records it needs
 // out of each container, one request per container, through a read-ahead
 // cache — memory use is bounded by the cache, not the file — and the
-// output file is written atomically (temp file + rename),
-// so an interrupted restore never leaves a half-written file at -out.
+// output file is installed atomically, so an interrupted restore never
+// leaves a half-written file at -out.
 //
 // Usage:
 //
@@ -13,15 +13,16 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"time"
 
 	"efdedup/internal/cloudstore"
+	"efdedup/internal/reclog"
 	"efdedup/internal/transport"
 )
 
@@ -79,44 +80,12 @@ func run() error {
 	return nil
 }
 
-// restoreToFile streams the restore into a temp file next to the target
-// and renames it into place only after every chunk verified, so -out is
-// either absent, the old file, or a complete verified restore.
-func restoreToFile(ctx context.Context, client *cloudstore.Client, name, out string, opts cloudstore.RestoreOptions) (cloudstore.RestoreStats, error) {
-	dir := filepath.Dir(out)
-	tmp, err := os.CreateTemp(dir, ".restore-*")
-	if err != nil {
-		return cloudstore.RestoreStats{}, err
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-
-	st, err := client.RestoreTo(ctx, name, tmp, opts)
-	if err != nil {
-		tmp.Close()
-		return st, err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return st, err
-	}
-	if err := tmp.Close(); err != nil {
-		return st, err
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		return st, err
-	}
-	if err := os.Rename(tmpName, out); err != nil {
-		return st, err
-	}
-	// Fsync the directory so the rename itself survives power loss.
-	df, err := os.Open(dir)
-	if err != nil {
-		return st, err
-	}
-	if err := df.Sync(); err != nil {
-		df.Close()
-		return st, err
-	}
-	return st, df.Close()
+// restoreToFile streams the restore into -out through an atomic install,
+// so -out is either absent, the old file, or a complete verified restore.
+func restoreToFile(ctx context.Context, client *cloudstore.Client, name, out string, opts cloudstore.RestoreOptions) (st cloudstore.RestoreStats, err error) {
+	err = reclog.WriteFileAtomic(out, func(w *bufio.Writer) error {
+		st, err = client.RestoreTo(ctx, name, w, opts)
+		return err
+	})
+	return st, err
 }

@@ -37,7 +37,7 @@ func startCloud(t *testing.T) (*cloudstore.Client, *cloudstore.Server, string) {
 
 func listTempFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	tmps, err := filepath.Glob(filepath.Join(dir, ".restore-*"))
+	tmps, err := filepath.Glob(filepath.Join(dir, ".tmp-*"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 var clientMethods = []string{
 	methodBatchUpload, methodBatchHas, methodUploadRaw,
 	methodGetChunks, methodGetRecipe, methodGetContainer,
-	methodPutManifest, methodGetManifest, methodStats,
+	methodPutManifest, methodStats,
 }
 
 // Dialer is the dial half of a transport network.
@@ -223,18 +223,16 @@ func (c *Client) PutManifest(ctx context.Context, name string, ids []chunk.ID) e
 	return classifyRemote(err)
 }
 
-// GetManifest returns the chunk sequence of a named file.
+// GetManifest returns the chunk sequence of a named file: the IDs of its
+// restore recipe.
 func (c *Client) GetManifest(ctx context.Context, name string) ([]chunk.ID, error) {
-	resp, err := c.call(ctx, methodGetManifest, []byte(name))
+	recipe, err := c.GetRecipe(ctx, name)
 	if err != nil {
-		if isRemoteNotFound(err) {
-			return nil, ErrNotFound
-		}
 		return nil, err
 	}
-	ids, err := decodeManifestIDs(resp)
-	if err != nil {
-		return nil, fmt.Errorf("cloudstore: manifest response: %w", err)
+	ids := make([]chunk.ID, len(recipe))
+	for i, e := range recipe {
+		ids[i] = e.ID
 	}
 	return ids, nil
 }
@@ -246,11 +244,6 @@ func (c *Client) FetchStats(ctx context.Context) (Stats, error) {
 		return Stats{}, err
 	}
 	return decodeStats(resp)
-}
-
-func isRemoteNotFound(err error) bool {
-	var remote *transport.RemoteError
-	return errors.As(err, &remote) && remote.Msg == ErrNotFound.Error()
 }
 
 // classifyRemote maps a server-side application error back onto the

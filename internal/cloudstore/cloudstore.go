@@ -40,7 +40,6 @@ const (
 	methodGetRecipe    = "cloud.getrecipe"
 	methodGetContainer = "cloud.getcontainer"
 	methodPutManifest  = "cloud.putmanifest"
-	methodGetManifest  = "cloud.getmanifest"
 	methodStats        = "cloud.stats"
 )
 
@@ -148,7 +147,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s.handle(methodGetRecipe, s.handleGetRecipe)
 	s.handle(methodGetContainer, s.handleGetContainer)
 	s.handle(methodPutManifest, s.handlePutManifest)
-	s.handle(methodGetManifest, s.handleGetManifest)
 	s.handle(methodStats, s.handleStats)
 	reg := metrics.Default()
 	reg.GaugeFunc("cloud_server_unique_chunks", func() float64 {
@@ -456,16 +454,6 @@ func (s *Server) handlePutManifest(body []byte) ([]byte, error) {
 	s.mu.Unlock()
 	s.repackSparse(ids)
 	return nil, nil
-}
-
-func (s *Server) handleGetManifest(body []byte) ([]byte, error) {
-	s.mu.RLock()
-	ids, ok := s.manifests[string(body)]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return encodeManifestIDs(ids), nil
 }
 
 func (s *Server) handleStats([]byte) ([]byte, error) {

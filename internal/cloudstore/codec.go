@@ -115,8 +115,8 @@ func decodeNamedBlob(body []byte) (string, []byte, error) {
 	return string(body[2 : 2+nameLen]), body[2+nameLen:], nil
 }
 
-// encodeManifestIDs builds a getmanifest response (and the ID suffix of
-// a putmanifest body): a bare 32-byte ID concatenation.
+// encodeManifestIDs builds the ID suffix of a putmanifest body, which is
+// also a manifest file: a bare 32-byte ID concatenation.
 func encodeManifestIDs(ids []chunk.ID) []byte {
 	out := make([]byte, 0, len(ids)*chunk.IDSize)
 	for _, id := range ids {

@@ -15,20 +15,20 @@ package cloudstore
 //
 // Container format (file "<root>/containers/<%016x>.cont" once sealed,
 // "<root>/containers/open.cont" while open, or byte slices for Dir-less
-// servers):
+// servers): the magic "EFCONT2\n", then one reclog frame per chunk whose
+// payload is
 //
-//	8 bytes  magic "EFCONT1\n"
-//	repeated 32-byte chunk ID | u32 payload length | u32 crc32(payload) | payload
+//	32-byte chunk ID | data
 //
-// Records are CRC-framed so a torn or bit-flipped container is detected
-// at parse time, and every payload is still content-addressed by its
-// chunk ID, so readers verify end to end.
+// The frame CRC covers ID and data, so a torn or bit-flipped container
+// is detected at parse time, and every payload is still content-addressed
+// by its chunk ID, so readers verify end to end.
 //
 // Durability protocol: the open container is the write-ahead log. An
 // upload appends its fresh records, syncs the open container once, and
 // only then enters the chunks in the index and replies, so a chunk the
 // index advertises — to its uploader or to anyone's BatchHas — is
-// durable. Sealing is fsync → rename → directory fsync, so a sealed
+// durable. Sealing is an atomic install (reclog's SealAs), so a sealed
 // container is never torn: damage to one is data loss (ErrCorrupt),
 // while a torn tail of the open container is a crash artifact holding
 // only unacknowledged records and is cut off at startup. The first
@@ -51,15 +51,13 @@ package cloudstore
 // configured amount.
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 
 	"efdedup/internal/chunk"
 	"efdedup/internal/metrics"
+	"efdedup/internal/reclog"
 )
 
 // Container geometry and duplication defaults.
@@ -76,10 +74,15 @@ const (
 )
 
 // containerMagic identifies a container file and its format version.
-var containerMagic = []byte("EFCONT1\n")
+// (EFCONT1 put the chunk ID in front of the frame header.)
+var containerMagic = []byte("EFCONT2\n")
 
-// containerRecordHeader is the per-record framing overhead.
-const containerRecordHeader = chunk.IDSize + 8
+// containerRecordHeader is the per-record overhead: a Locator's Offset
+// is this far into its record.
+const containerRecordHeader = reclog.HeaderSize + chunk.IDSize
+
+// maxChunkBytes is the largest chunk a record can hold.
+const maxChunkBytes = reclog.MaxRecord - chunk.IDSize
 
 // Locator addresses one chunk copy inside a container: the container ID
 // plus the payload's byte range within the container.
@@ -112,64 +115,44 @@ func extentBytes(extents []Extent, size int64) (int, error) {
 	return n, nil
 }
 
-// appendContainerRecord frames one chunk into buf and returns the new
-// buffer plus the payload's offset.
-func appendContainerRecord(buf []byte, id chunk.ID, data []byte) ([]byte, uint32) {
+// appendContainerRecord frames one chunk at the end of buf; its data
+// starts containerRecordHeader bytes into the record.
+func appendContainerRecord(buf []byte, id chunk.ID, data []byte) []byte {
+	start := len(buf)
+	buf = reclog.BeginFrame(buf)
 	buf = append(buf, id[:]...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(data)))
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(data))
-	off := uint32(len(buf))
 	buf = append(buf, data...)
-	return buf, off
+	reclog.EndFrame(buf[start:])
+	return buf
 }
 
-// scanContainer walks a container's records in order, verifying the
-// frame CRCs, and hands each payload (a sub-slice of data) to fn. It
-// returns how many leading bytes are intact — the magic plus every
-// record before the first damaged one — and ErrCorrupt for the damage.
-func scanContainer(data []byte, fn func(id chunk.ID, off uint32, payload []byte) error) (int, error) {
-	if len(data) < len(containerMagic) || !bytes.Equal(data[:len(containerMagic)], containerMagic) {
-		return 0, fmt.Errorf("%w: container missing magic", ErrCorrupt)
+// splitRecord splits a record's payload into chunk ID and data.
+func splitRecord(payload []byte) (id chunk.ID, data []byte, ok bool) {
+	if len(payload) < chunk.IDSize {
+		return id, nil, false
 	}
-	return scanRecords(data[len(containerMagic):], len(containerMagic), fn)
+	copy(id[:], payload)
+	return id, payload[chunk.IDSize:], true
 }
 
-// scanRecords is the record parser: data is a run of whole records that
-// starts base bytes into its container (a container minus its magic, or
-// the extents of a restore fetch), and the offsets handed to fn and
-// returned count from the container's start.
-func scanRecords(data []byte, base int, fn func(id chunk.ID, off uint32, payload []byte) error) (int, error) {
-	off := 0
-	for off < len(data) {
-		rec := base + off
-		if len(data)-off < containerRecordHeader {
-			return rec, fmt.Errorf("%w: truncated container record header at offset %d", ErrCorrupt, rec)
+// parseRecords walks a run of whole records — the extents of a restore
+// fetch, or a sealed container minus its magic — verifying the frame
+// CRCs, and hands each chunk to fn; data is a sub-slice of b. The run
+// was cut at record boundaries, so anything but a clean end is
+// ErrCorrupt.
+func parseRecords(b []byte, fn func(id chunk.ID, data []byte)) error {
+	for off := 0; ; {
+		payload, n, st := reclog.Next(b[off:])
+		if st == reclog.EOF {
+			return nil
 		}
-		var id chunk.ID
-		copy(id[:], data[off:])
-		n := binary.BigEndian.Uint32(data[off+chunk.IDSize:])
-		crc := binary.BigEndian.Uint32(data[off+chunk.IDSize+4:])
-		off += containerRecordHeader
-		if uint64(len(data)-off) < uint64(n) {
-			return rec, fmt.Errorf("%w: truncated container payload for chunk %s", ErrCorrupt, id)
+		id, data, ok := splitRecord(payload) // of nothing, unless st is OK
+		if !ok {
+			return fmt.Errorf("%w: container record at byte %d is truncated or fails its crc", ErrCorrupt, off)
 		}
-		payload := data[off : off+int(n)]
-		if crc32.ChecksumIEEE(payload) != crc {
-			return rec, fmt.Errorf("%w: container record crc mismatch for chunk %s", ErrCorrupt, id)
-		}
-		if err := fn(id, uint32(base+off), payload); err != nil {
-			return rec, err
-		}
-		off += int(n)
+		fn(id, data)
+		off += n
 	}
-	return base + off, nil
-}
-
-// parseContainer is scanContainer for sealed containers, where any
-// framing or CRC damage is real: they are installed atomically.
-func parseContainer(data []byte, fn func(id chunk.ID, off uint32, payload []byte) error) error {
-	_, err := scanContainer(data, fn)
-	return err
 }
 
 // containerLog is where container bytes live: byte slices (memLog) or
@@ -211,8 +194,8 @@ func (m *memLog) append(id chunk.ID, data []byte) (uint32, error) {
 	if len(m.open) == 0 {
 		m.open = append(m.open, containerMagic...)
 	}
-	var off uint32
-	m.open, off = appendContainerRecord(m.open, id, data)
+	off := uint32(len(m.open)) + containerRecordHeader
+	m.open = appendContainerRecord(m.open, id, data)
 	return off, nil
 }
 
@@ -338,6 +321,11 @@ func (cs *containerStore) replay(l Locator, id chunk.ID, open bool) {
 // any of them; on failure none is advertised and the error is the
 // caller's to report.
 func (cs *containerStore) put(chunks []chunk.Chunk) (int, error) {
+	for _, ck := range chunks {
+		if len(ck.Data) > maxChunkBytes {
+			return 0, fmt.Errorf("%w: chunk %s is %d bytes, a record holds %d", ErrProto, ck.ID, len(ck.Data), maxChunkBytes)
+		}
+	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	var fresh map[chunk.ID]Locator

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +12,28 @@ import (
 	"testing"
 
 	"efdedup/internal/chunk"
+	"efdedup/internal/reclog"
 )
+
+// walkContainer walks a whole container — magic, then records — and
+// hands fn every chunk with its data's offset in raw.
+func walkContainer(raw []byte, fn func(id chunk.ID, off uint32, payload []byte) error) error {
+	if !bytes.HasPrefix(raw, containerMagic) {
+		return fmt.Errorf("%w: container missing magic", ErrCorrupt)
+	}
+	var ferr error
+	off := uint32(len(containerMagic))
+	err := parseRecords(raw[len(containerMagic):], func(id chunk.ID, data []byte) {
+		if ferr == nil {
+			ferr = fn(id, off+containerRecordHeader, data)
+		}
+		off += containerRecordHeader + uint32(len(data))
+	})
+	if err != nil {
+		return err
+	}
+	return ferr
+}
 
 func TestContainerRecordRoundTrip(t *testing.T) {
 	buf := append([]byte(nil), containerMagic...)
@@ -19,10 +41,10 @@ func TestContainerRecordRoundTrip(t *testing.T) {
 	for _, s := range []string{"alpha", "beta", "a much longer third chunk payload"} {
 		c := mkChunk(s)
 		want = append(want, c)
-		buf, _ = appendContainerRecord(buf, c.ID, c.Data)
+		buf = appendContainerRecord(buf, c.ID, c.Data)
 	}
 	var got []chunk.Chunk
-	err := parseContainer(buf, func(id chunk.ID, off uint32, payload []byte) error {
+	err := walkContainer(buf, func(id chunk.ID, off uint32, payload []byte) error {
 		if !bytes.Equal(buf[off:off+uint32(len(payload))], payload) {
 			t.Fatalf("offset %d does not address payload", off)
 		}
@@ -44,22 +66,23 @@ func TestContainerRecordRoundTrip(t *testing.T) {
 
 func TestParseContainerDetectsDamage(t *testing.T) {
 	c := mkChunk("payload under test")
-	good, _ := appendContainerRecord(append([]byte(nil), containerMagic...), c.ID, c.Data)
+	good := appendContainerRecord(append([]byte(nil), containerMagic...), c.ID, c.Data)
 	nop := func(chunk.ID, uint32, []byte) error { return nil }
 
 	cases := map[string][]byte{
 		"bad magic":         append([]byte("NOTCONT\n"), good[len(containerMagic):]...),
 		"flipped payload":   flipByte(good, len(good)-1),
-		"flipped crc":       flipByte(good, len(containerMagic)+chunk.IDSize+5),
+		"flipped crc":       flipByte(good, len(containerMagic)+5),
+		"flipped id":        flipByte(good, len(containerMagic)+reclog.HeaderSize+3),
 		"truncated payload": good[:len(good)-3],
 		"truncated header":  good[:len(containerMagic)+10],
 	}
 	for name, data := range cases {
-		if err := parseContainer(data, nop); !errors.Is(err, ErrCorrupt) {
+		if err := walkContainer(data, nop); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
-	if err := parseContainer(good, nop); err != nil {
+	if err := walkContainer(good, nop); err != nil {
 		t.Fatalf("pristine container rejected: %v", err)
 	}
 }

@@ -215,7 +215,7 @@ func TestCrashWithoutCloseKeepsAcknowledgedChunks(t *testing.T) {
 // everything in it, and appends cleanly after it.
 func TestOpenContainerTornTailIsCutAtStartup(t *testing.T) {
 	id, payload := mkPayload(77, 900)
-	record, _ := appendContainerRecord(nil, id, payload)
+	record := appendContainerRecord(nil, id, payload)
 	tails := map[string][]byte{
 		"half a record": record[:len(record)/2],
 		"torn header":   record[:10],

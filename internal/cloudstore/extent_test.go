@@ -57,7 +57,7 @@ func recordBounds(t *testing.T, cl *Client, id uint64) (starts, ends map[uint32]
 		t.Fatal(err)
 	}
 	starts, ends = make(map[uint32]bool), make(map[uint32]bool)
-	err = parseContainer(raw, func(_ chunk.ID, off uint32, payload []byte) error {
+	err = walkContainer(raw, func(_ chunk.ID, off uint32, payload []byte) error {
 		starts[off-containerRecordHeader] = true
 		ends[off+uint32(len(payload))] = true
 		return nil

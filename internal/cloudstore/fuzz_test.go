@@ -46,7 +46,6 @@ func FuzzHandlers(f *testing.F) {
 			srv.handleGetRecipe,
 			srv.handleGetContainer,
 			srv.handlePutManifest,
-			srv.handleGetManifest,
 			srv.handleStats,
 		}
 		for _, h := range handlers {

@@ -262,9 +262,8 @@ func (cc *containerCache) get(ctx context.Context, id uint64) (*cacheEntry, erro
 		// The extents are whole records, so the reply parses as the
 		// container itself does, frame CRCs included.
 		e.chunks = make(map[chunk.ID][]byte)
-		_, err = scanRecords(data, 0, func(cid chunk.ID, _ uint32, payload []byte) error {
+		err = parseRecords(data, func(cid chunk.ID, payload []byte) {
 			e.chunks[cid] = payload
-			return nil
 		})
 		if err != nil {
 			err = fmt.Errorf("container %d: %w", id, err)

@@ -65,12 +65,6 @@ type Config struct {
 	// StallFor is the stall duration; defaults to 20ms when StallProb is
 	// set.
 	StallFor time.Duration
-	// Latency is a fixed delay injected before every dialed-connection
-	// write, modelling one-way WAN propagation from the dialing site.
-	// Unlike the stochastic stalls it applies to all traffic
-	// deterministically, so benchmarks can shape an edge-to-cloud link
-	// and measure how round-trip count dominates restore throughput.
-	Latency time.Duration
 }
 
 // Fabric is the shared chaos state: site registry, active cuts, open
@@ -397,9 +391,6 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		return 0, err
 	}
 	cfg := c.f.cfg
-	if cfg.Latency > 0 {
-		time.Sleep(cfg.Latency)
-	}
 	if cfg.ResetProb > 0 && c.f.roll() < cfg.ResetProb {
 		c.f.injected[kindReset].Inc()
 		err := fmt.Errorf("%w: connection reset mid-stream", ErrInjected)

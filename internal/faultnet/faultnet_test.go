@@ -337,37 +337,3 @@ func TestComposesWithNetem(t *testing.T) {
 	}
 	conn.Close()
 }
-
-// TestConfiguredLatencyDelaysWrites: a fixed Latency delays every write
-// on dialed connections, so N sequential round trips cost at least
-// N*Latency — the WAN shaping the restore benchmarks rely on.
-func TestConfiguredLatencyDelaysWrites(t *testing.T) {
-	mem := transport.NewMemNetwork()
-	f := NewFabric(Config{Seed: 1, Latency: 10 * time.Millisecond})
-	defer f.Close()
-	ring := f.NetworkFor("ring", mem)
-	edge := f.NetworkFor("edge", mem)
-
-	l, err := ring.Listen("kv-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveEcho(t, l)
-
-	conn, err := edge.Dial(context.Background(), "kv-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	start := time.Now()
-	const trips = 5
-	for i := 0; i < trips; i++ {
-		if err := roundTrip(conn, "ping"); err != nil {
-			t.Fatalf("round trip %d: %v", i, err)
-		}
-	}
-	if got := time.Since(start); got < trips*10*time.Millisecond {
-		t.Fatalf("5 round trips took %v, want >= %v of injected latency", got, trips*10*time.Millisecond)
-	}
-}

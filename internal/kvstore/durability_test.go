@@ -2,9 +2,11 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -381,5 +383,134 @@ func TestSnapshotTimer(t *testing.T) {
 	}
 	if _, err := loadSnapshot(walPath + ".snap"); err != nil {
 		t.Fatalf("periodic snapshot unreadable: %v", err)
+	}
+}
+
+// TestSnapshotCountCannotSizeTheTable: the record count sits in a header
+// no CRC covers, so a 12-byte file must not be able to make loadSnapshot
+// allocate a table for a hundred million (or four billion) entries
+// before it notices there are none.
+func TestSnapshotCountCannotSizeTheTable(t *testing.T) {
+	for _, count := range []uint32{0x04000000, 0xFFFFFFFF} {
+		path := filepath.Join(t.TempDir(), "node.wal.snap")
+		if err := writeFile(path, binary.BigEndian.AppendUint32(bytes.Clone(snapshotMagic), count)); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := loadSnapshot(path)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("count %#x over an empty body: %v, want ErrCorrupt", count, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("count %#x allocated %d bytes before failing", count, got)
+		}
+	}
+}
+
+// TestMalformedBatchPutAppliesNothing: a body whose second record is cut
+// short is refused whole — the valid first record reaches neither the
+// log nor the table.
+func TestMalformedBatchPutAppliesNothing(t *testing.T) {
+	node, err := NewNode(NodeConfig{WALPath: filepath.Join(t.TempDir(), "node.wal"), WALSync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	body := appendScan(nil, []keyedEntry{
+		{key: []byte("key0"), e: Entry{Value: []byte("v"), Version: 1}},
+		{key: []byte("key1"), e: Entry{Value: []byte("v"), Version: 1}},
+	})
+	size := node.wal.Size()
+	if _, err := node.handleBatchPut(body[:len(body)-3]); !errors.Is(err, ErrProto) {
+		t.Fatalf("truncated batch = %v, want ErrProto", err)
+	}
+	if _, ok := node.Get([]byte("key0")); ok {
+		t.Fatal("the valid record of a malformed batch was applied")
+	}
+	if got := node.wal.Size(); got != size {
+		t.Fatalf("a malformed batch grew the WAL from %d to %d bytes", size, got)
+	}
+}
+
+// TestBatchPutIsDurableAsAUnit: under SyncAlways an acknowledged batch —
+// logged with one append and one fsync — survives a kill entire.
+func TestBatchPutIsDurableAsAUnit(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "node.wal")
+	node, err := NewNode(NodeConfig{WALPath: walPath, WALSync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ents []keyedEntry
+	for i := 0; i < 64; i++ {
+		ents = append(ents, keyedEntry{key: []byte(fmt.Sprintf("k%02d", i)), e: Entry{Value: []byte("v"), Version: uint64(i + 1)}})
+	}
+	if _, err := node.handleBatchPut(appendScan(nil, ents)); err != nil {
+		t.Fatal(err)
+	}
+	node.Kill()
+	node2, err := NewNode(NodeConfig{WALPath: walPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node2.Close()
+	if rs := node2.RecoveryStats(); node2.Len() != 64 || rs.Records != 64 || rs.Discarded() != 0 {
+		t.Fatalf("recovered %d entries, %+v; want the whole batch of 64", node2.Len(), rs)
+	}
+}
+
+// TestRecoveryScansTheLogOnce: the open that positions the log for
+// append is the replay — every record reaches the table callback exactly
+// once — and a node cut down mid-record reports the torn tail and serves
+// the prefix.
+func TestRecoveryScansTheLogOnce(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "node.wal")
+	w, err := OpenWAL(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const records = 50
+	for i := 0; i < records; i++ { // 10 keys, 5 versions each: callbacks outnumber entries
+		if err := w.Append([]byte(fmt.Sprintf("k%d", i%10)), Entry{Value: []byte("v"), Version: uint64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	applied := 0
+	w, stats, err := openWAL(WALOptions{Path: walPath}, func([]byte, Entry) { applied++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if applied != records || stats.Records != records {
+		t.Fatalf("one open applied %d records (stats %+v), want %d", applied, stats, records)
+	}
+
+	data, err := readFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFile(walPath, data[:len(data)-5]); err != nil {
+		t.Fatal(err)
+	}
+	node, err := NewNode(NodeConfig{WALPath: walPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	rs := node.RecoveryStats()
+	if rs.Records != records-1 || rs.TornBytes == 0 || rs.CorruptBytes != 0 || node.Len() != 10 {
+		t.Fatalf("recovery over a torn tail: %+v, %d entries; want %d records, a torn tail, 10 entries", rs, node.Len(), records-1)
+	}
+	if e, ok := node.Get([]byte("k9")); !ok || e.Version != records-10 {
+		t.Fatalf("k9 = %+v, %v; want the version before the torn record", e, ok)
+	}
+	if got := node.wal.Size(); got != rs.Bytes {
+		t.Fatalf("log resumes at %d, valid prefix is %d", got, rs.Bytes)
 	}
 }

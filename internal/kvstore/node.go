@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"efdedup/internal/metrics"
+	"efdedup/internal/reclog"
 	"efdedup/internal/transport"
 )
 
@@ -127,7 +128,13 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		if table != nil {
 			n.table = table
 		}
-		stats, err := ReplayWAL(cfg.WALPath, func(key []byte, e Entry) {
+		// One pass over the log replays it into the table and finds the
+		// offset appends resume at.
+		wal, stats, err := openWAL(WALOptions{
+			Path:      cfg.WALPath,
+			Sync:      cfg.WALSync,
+			SyncEvery: cfg.WALSyncEvery,
+		}, func(key []byte, e Entry) {
 			n.applyPut(key, e)
 		})
 		if err != nil {
@@ -137,14 +144,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		n.reg.Counter("kvstore_wal_replay_records_total").Add(int64(stats.Records))
 		n.reg.Counter("kvstore_wal_replay_torn_bytes_total").Add(stats.TornBytes)
 		n.reg.Counter("kvstore_wal_replay_corrupt_bytes_total").Add(stats.CorruptBytes)
-		wal, err := OpenWALOptions(WALOptions{
-			Path:      cfg.WALPath,
-			Sync:      cfg.WALSync,
-			SyncEvery: cfg.WALSyncEvery,
-		})
-		if err != nil {
-			return nil, err
-		}
 		n.wal = wal
 		if cfg.SnapshotEvery > 0 {
 			n.snapStop = make(chan struct{})
@@ -381,26 +380,44 @@ func (n *Node) handleBatchHas(body []byte) ([]byte, error) {
 }
 
 // handleBatchPut stores a count-prefixed sequence of key+entry records.
-// It is the only handler that writes: each record is appended to the WAL
-// before it is applied to the table.
+// It is the only handler that writes, and it follows the cloud's upload
+// protocol: validate the whole body (a malformed one changes nothing),
+// append the batch to the WAL — one lock, one buffer and, under
+// SyncAlways, one fsync — and only then apply it to the table. Decoding
+// the body twice is cheaper than holding it decoded.
 func (n *Node) handleBatchPut(body []byte) ([]byte, error) {
 	if len(body) < 4 {
 		return nil, fmt.Errorf("%w: truncated batch", ErrProto)
 	}
 	count := binary.BigEndian.Uint32(body)
+	var frames []byte
+	if n.wal != nil {
+		// One header per entry, of which the body holds at most len/16.
+		frames = make([]byte, 0, len(body)+reclog.HeaderSize*int(min(uint64(count), uint64(len(body)/16))))
+	}
 	src := body[4:]
-	n.putMu.RLock()
 	for i := uint32(0); i < count; i++ {
 		key, e, rest, err := decodeEntry(src)
 		if err != nil {
-			n.putMu.RUnlock()
 			return nil, fmt.Errorf("kvstore: batch record %d: %w", i, err)
 		}
 		if n.wal != nil {
-			if err := n.wal.Append(key, e); err != nil {
-				n.putMu.RUnlock()
-				return nil, err
-			}
+			frames = appendRecord(frames, key, e)
+		}
+		src = rest
+	}
+	n.putMu.RLock()
+	if n.wal != nil {
+		if err := n.wal.appendFrames(frames); err != nil {
+			n.putMu.RUnlock()
+			return nil, err
+		}
+	}
+	src = body[4:]
+	for i := uint32(0); i < count; i++ {
+		key, e, rest, err := decodeEntry(src)
+		if err != nil {
+			break // unreachable: the pass above decoded these bytes
 		}
 		n.applyPut(key, e)
 		src = rest

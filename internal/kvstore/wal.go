@@ -1,32 +1,25 @@
 package kvstore
 
 import (
-	"bufio"
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 	"slices"
 	"sync"
 	"time"
+
+	"efdedup/internal/reclog"
 )
 
-// WAL is the append-only write-ahead log giving a storage node durability
-// across restarts: a sequence of framed records (appendRecord). Replay
-// stops at the first torn or corrupt record; opening the log for
-// appending truncates the file back to the last valid record, so
-// post-crash appends land on a clean tail and replay correctly on the
-// next restart.
+// WAL is the write-ahead log giving a storage node durability across
+// restarts: a reclog.Log whose records are encoded key+entry pairs, plus
+// what a log alone does not decide — when appended records are fsynced
+// (SyncPolicy, the group-commit flusher), a mutex for concurrent
+// appenders, and close-exactly-once. Framing, tail truncation on open
+// and the sticky failure after a failed write or fsync are reclog's.
 type WAL struct {
 	mu       sync.Mutex
-	f        *os.File
-	w        *bufio.Writer
-	path     string
+	log      *reclog.Log
 	policy   SyncPolicy
-	size     int64 // bytes of appended (valid) records
-	dirty    bool  // buffered or un-fsynced bytes outstanding
-	syncErr  error // sticky: a failed fsync leaves disk state unknown
 	closed   bool
 	closeErr error
 
@@ -83,14 +76,9 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // DefaultSyncEvery is the group-commit interval when none is configured.
 const DefaultSyncEvery = 50 * time.Millisecond
 
-// maxWALRecord bounds a single record (16 MiB). Index entries are tiny
-// chunk-metadata blobs; a length prefix beyond this is corruption and
-// must not drive a giant allocation during replay.
-const maxWALRecord = 16 << 20
-
 // WALOptions configures OpenWALOptions.
 type WALOptions struct {
-	// Path locates the log file (created if missing).
+	// Path locates the log file (created by the first append if missing).
 	Path string
 	// Sync is the fsync policy; the zero value is SyncInterval.
 	Sync SyncPolicy
@@ -99,86 +87,61 @@ type WALOptions struct {
 	SyncEvery time.Duration
 }
 
-// OpenWAL opens (creating if needed) the log at path for appending with
-// the default interval group-commit policy.
+// OpenWAL opens the log at path for appending with the default interval
+// group-commit policy.
 func OpenWAL(path string) (*WAL, error) {
 	return OpenWALOptions(WALOptions{Path: path})
 }
 
-// OpenWALOptions opens the log, scans it for the last valid record and
-// truncates any torn or corrupt tail so new appends extend a replayable
-// prefix. Under SyncInterval a flusher goroutine is started; it stops on
-// Close.
+// OpenWALOptions opens the log, truncating any torn or corrupt tail so
+// new appends extend a replayable prefix. Under SyncInterval a flusher
+// goroutine is started; it stops on Close.
 func OpenWALOptions(opts WALOptions) (*WAL, error) {
-	stats, err := ReplayWAL(opts.Path, nil)
+	w, _, err := openWAL(opts, nil)
+	return w, err
+}
+
+// openWAL opens the log in one pass over the file: every intact record
+// goes to apply (when non-nil) on the way to finding the valid prefix.
+func openWAL(opts WALOptions, apply func(key []byte, e Entry)) (*WAL, ReplayStats, error) {
+	log, stats, err := reclog.Open(opts.Path, nil, replayInto(apply))
 	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(opts.Path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("kvstore: open wal: %w", err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("kvstore: open wal: %w", err)
-	}
-	if fi.Size() > stats.Bytes {
-		// Drop the unreplayable tail. Without this, post-crash appends
-		// land behind corrupt bytes and are lost to every future replay.
-		if err := f.Truncate(stats.Bytes); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("kvstore: truncate wal tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("kvstore: truncate wal tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(stats.Bytes, io.SeekStart); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("kvstore: open wal: %w", err)
+		return nil, stats, fmt.Errorf("kvstore: open wal: %w", err)
 	}
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = DefaultSyncEvery
 	}
-	w := &WAL{
-		f:      f,
-		w:      bufio.NewWriter(f),
-		path:   opts.Path,
-		policy: opts.Sync,
-		size:   stats.Bytes,
-	}
+	w := &WAL{log: log, policy: opts.Sync}
 	if opts.Sync == SyncInterval {
 		w.stop = make(chan struct{})
 		w.done = make(chan struct{})
 		go w.flushLoop(opts.SyncEvery)
 	}
-	return w, nil
+	return w, stats, nil
 }
 
 // Append records one key+entry. Under SyncAlways the record is flushed
 // and fsynced before Append returns; under SyncInterval it becomes
 // durable at the next group commit; under SyncOff when the caller syncs.
 func (w *WAL) Append(key []byte, e Entry) error {
-	rec := appendRecord(nil, key, e)
+	return w.appendFrames(appendRecord(nil, key, e))
+}
+
+// appendFrames logs a run of framed records under one hold of the mutex
+// and, under SyncAlways, one fsync: a batch is durable as a unit.
+func (w *WAL) appendFrames(frames []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return fmt.Errorf("%w: wal append after close", ErrClosed)
 	}
-	if w.syncErr != nil {
-		// A failed fsync leaves an unknown on-disk state; acknowledging
-		// more writes on top of it would fabricate durability.
-		return w.syncErr
-	}
-	if _, err := w.w.Write(rec); err != nil {
+	// After a failed write or fsync the log refuses: acknowledging more
+	// writes on top of an unknown on-disk state would fabricate durability.
+	if _, err := w.log.Append(frames); err != nil {
 		return fmt.Errorf("kvstore: wal append: %w", err)
 	}
-	w.size += int64(len(rec))
-	w.dirty = true
 	if w.policy == SyncAlways {
-		return w.syncLocked()
+		return w.log.Sync()
 	}
 	return nil
 }
@@ -191,33 +154,15 @@ func (w *WAL) flushLoop(every time.Duration) {
 	for {
 		select {
 		case <-ticker.C:
-			w.mu.Lock()
-			if !w.closed && w.dirty && w.syncErr == nil {
-				// The error is sticky in syncErr; the next Append
-				// surfaces it to a caller who can act on it.
-				//lint:ignore errlost syncLocked records the failure in w.syncErr for the next Append to return
-				_ = w.syncLocked()
-			}
-			w.mu.Unlock()
+			// A no-op with nothing new appended. A failure is sticky in
+			// the log; the next Append surfaces it to a caller who can act
+			// on it.
+			//lint:ignore errlost the log keeps the failure for the next Append to return
+			_ = w.Sync()
 		case <-w.stop:
 			return
 		}
 	}
-}
-
-// syncLocked flushes buffered records and fsyncs. Callers hold w.mu.
-// Failures are sticky: the log refuses further appends.
-func (w *WAL) syncLocked() error {
-	if err := w.w.Flush(); err != nil {
-		w.syncErr = fmt.Errorf("kvstore: wal flush: %w", err)
-		return w.syncErr
-	}
-	if err := w.f.Sync(); err != nil {
-		w.syncErr = fmt.Errorf("kvstore: wal fsync: %w", err)
-		return w.syncErr
-	}
-	w.dirty = false
-	return nil
 }
 
 // Sync forces a flush+fsync of everything appended so far.
@@ -227,10 +172,7 @@ func (w *WAL) Sync() error {
 	if w.closed {
 		return fmt.Errorf("%w: wal sync after close", ErrClosed)
 	}
-	if w.syncErr != nil {
-		return w.syncErr
-	}
-	return w.syncLocked()
+	return w.log.Sync()
 }
 
 // Size returns the log's current length in bytes (valid prefix plus
@@ -238,7 +180,7 @@ func (w *WAL) Sync() error {
 func (w *WAL) Size() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.size
+	return w.log.Size()
 }
 
 // Truncate resets the log to empty after its contents have been made
@@ -251,21 +193,10 @@ func (w *WAL) Truncate() error {
 	if w.closed {
 		return fmt.Errorf("%w: wal truncate after close", ErrClosed)
 	}
-	w.w.Reset(w.f) // discard buffered pre-snapshot records
-	if err := w.f.Truncate(0); err != nil {
+	// Buffered pre-snapshot records go too, and so does a sticky failure.
+	if err := w.log.Reset(); err != nil {
 		return fmt.Errorf("kvstore: wal truncate: %w", err)
 	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("kvstore: wal truncate: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("kvstore: wal truncate: %w", err)
-	}
-	w.size = 0
-	w.dirty = false
-	// The on-disk log is empty and consistent again; a previous fsync
-	// failure no longer taints anything still in the file.
-	w.syncErr = nil
 	return nil
 }
 
@@ -273,165 +204,77 @@ func (w *WAL) Truncate() error {
 // closes the file — exactly once; repeated Closes return the first
 // result. A flush failure keeps its context and still closes the file.
 func (w *WAL) Close() error {
-	w.closeOnce.Do(func() {
-		if w.stop != nil {
-			close(w.stop)
-			<-w.done
-		}
-		w.mu.Lock()
-		ferr := w.syncErr
-		if ferr == nil {
-			ferr = w.syncLocked()
-		}
-		cerr := w.f.Close()
-		w.closed = true
-		switch {
-		case ferr != nil && cerr != nil:
-			w.closeErr = fmt.Errorf("kvstore: wal close: %w (and close: %v)", ferr, cerr)
-		case ferr != nil:
-			w.closeErr = fmt.Errorf("kvstore: wal close: %w", ferr)
-		case cerr != nil:
-			w.closeErr = fmt.Errorf("kvstore: wal close: %w", cerr)
-		}
-		w.mu.Unlock()
-	})
+	w.shutdown(true)
 	return w.closeErr
 }
 
 // kill simulates ungraceful process death for chaos tests: buffered
 // user-space records are dropped and nothing is flushed or fsynced —
 // what SIGKILL does to a process with unflushed buffers.
-func (w *WAL) kill() {
+func (w *WAL) kill() { w.shutdown(false) }
+
+func (w *WAL) shutdown(graceful bool) {
 	w.closeOnce.Do(func() {
 		if w.stop != nil {
 			close(w.stop)
 			<-w.done
 		}
 		w.mu.Lock()
-		//lint:ignore errlost simulated crash: losing the close error is the point
-		_ = w.f.Close()
+		defer w.mu.Unlock()
 		w.closed = true
-		w.mu.Unlock()
+		if !graceful {
+			//lint:ignore errlost simulated crash: losing the close error is the point
+			_ = w.log.Abandon()
+		} else if err := w.log.Close(); err != nil {
+			w.closeErr = fmt.Errorf("kvstore: wal close: %w", err)
+		}
 	})
 }
 
 // ReplayStats describes what a log scan recovered and what it had to
-// discard.
-type ReplayStats struct {
-	// Records is how many intact records the valid prefix holds.
-	Records int
-	// Bytes is the valid prefix length — the offset appends resume at.
-	Bytes int64
-	// TornBytes counts trailing bytes discarded because the final record
-	// was incomplete: the expected artifact of a crash mid-append.
-	TornBytes int64
-	// CorruptBytes counts bytes discarded because a fully-present record
-	// failed its CRC or decode — bit rot or external damage, not a torn
-	// write. Everything after the corrupt record is unreachable and
-	// counted here too.
-	CorruptBytes int64
-}
-
-// Discarded returns the total bytes the scan could not replay.
-func (s ReplayStats) Discarded() int64 { return s.TornBytes + s.CorruptBytes }
+// discard: a torn tail is the expected artifact of a crash mid-append,
+// corruption is a fully present record that fails its CRC or does not
+// decode as exactly one entry.
+type ReplayStats = reclog.Stats
 
 // ReplayWAL streams every intact record of the log at path into apply
 // (when non-nil), classifies the stop condition and measures the valid
 // prefix. A missing file is not an error (fresh node). Replay is
-// read-only; OpenWAL performs the tail truncation.
+// read-only; opening the log performs the tail truncation.
 func ReplayWAL(path string, apply func(key []byte, e Entry)) (ReplayStats, error) {
-	var stats ReplayStats
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return stats, nil
-	}
-	if err != nil {
-		return stats, fmt.Errorf("kvstore: replay wal: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return stats, fmt.Errorf("kvstore: replay wal: %w", err)
-	}
-	total := fi.Size()
-	r := bufio.NewReader(f)
-	for {
-		key, e, size, st := readRecord(r)
-		switch st {
-		case recordEOF:
-			return stats, nil
-		case recordTorn:
-			stats.TornBytes = total - stats.Bytes
-			return stats, nil
-		case recordCorrupt:
-			stats.CorruptBytes = total - stats.Bytes
-			return stats, nil
-		}
-		if apply != nil {
+	return reclog.Scan(path, nil, replayInto(apply))
+}
+
+// replayInto adapts apply to a log scan.
+func replayInto(apply func(key []byte, e Entry)) func(payload []byte) bool {
+	return func(payload []byte) bool {
+		key, e, ok := recordEntry(payload)
+		if ok && apply != nil {
 			apply(key, e)
 		}
-		stats.Records++
-		stats.Bytes += size
+		return ok
 	}
 }
 
-// --- framed records ------------------------------------------------------
-//
-// The WAL and the snapshot file hold the same record:
-//
-//	u32 length | u32 crc32(payload) | payload (one encoded key+entry)
-
-// appendRecord appends one framed record to dst.
-func appendRecord(dst []byte, key []byte, e Entry) []byte {
-	start := len(dst)
-	dst = slices.Grow(dst, 8+16+len(key)+len(e.Value))
-	dst = binary.BigEndian.AppendUint32(dst, 0) // length, set below
-	dst = binary.BigEndian.AppendUint32(dst, 0) // crc32, set below
-	dst = encodeEntry(dst, key, e)
-	payload := dst[start+8:]
-	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
-	return dst
-}
-
-// recordStatus is how one readRecord call ended. What torn and corrupt
-// mean for the file is the caller's verdict: a WAL truncates a torn tail
-// and counts corruption, a snapshot treats both as ErrCorrupt.
-type recordStatus int
-
-const (
-	recordOK      recordStatus = iota
-	recordEOF                  // no bytes left: the clean end of the file
-	recordTorn                 // header or payload cut short
-	recordCorrupt              // impossible length, CRC mismatch or payload that is not exactly one entry
-)
-
-// readRecord reads one framed record and reports the bytes it occupies.
-func readRecord(r *bufio.Reader) (key []byte, e Entry, size int64, st recordStatus) {
-	var hdr [8]byte
-	if n, err := io.ReadFull(r, hdr[:]); err != nil {
-		if n > 0 {
-			return nil, Entry{}, 0, recordTorn
-		}
-		return nil, Entry{}, 0, recordEOF
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > maxWALRecord {
-		// A length no writer produces, and one that must not size the
-		// allocation below.
-		return nil, Entry{}, 0, recordCorrupt
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, Entry{}, 0, recordTorn
-	}
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[4:]) {
-		return nil, Entry{}, 0, recordCorrupt
-	}
+// recordEntry returns the entry a record payload holds. CRC-valid bytes
+// that are not exactly one entry were written by something else: corrupt,
+// to whoever scans them. The value is a copy: a table entry pins no file.
+func recordEntry(payload []byte) (key []byte, e Entry, ok bool) {
 	key, e, rest, err := decodeEntry(payload)
 	if err != nil || len(rest) != 0 {
-		// CRC-valid bytes written by something else.
-		return nil, Entry{}, 0, recordCorrupt
+		return nil, Entry{}, false
 	}
-	return key, e, int64(8 + len(payload)), recordOK
+	e.Value = bytes.Clone(e.Value)
+	return key, e, true
+}
+
+// appendRecord appends one record — a frame holding one encoded
+// key+entry, the unit of the WAL and of the snapshot file — to dst.
+func appendRecord(dst []byte, key []byte, e Entry) []byte {
+	start := len(dst)
+	dst = slices.Grow(dst, reclog.HeaderSize+16+len(key)+len(e.Value))
+	dst = reclog.BeginFrame(dst)
+	dst = encodeEntry(dst, key, e)
+	reclog.EndFrame(dst[start:])
+	return dst
 }

@@ -18,8 +18,9 @@
 //
 // A success-acking return (its final result is a literal nil error)
 // reached while some path is dirty reports at the offending mutation.
-// Durable calls are wal.Append / disk.Put* / containerLog.sync /
-// writeAtomic, directly or one call level down (pass.Summaries
+// Durable calls are wal.Append (or its batch form appendFrames) /
+// disk.Put* / containerLog.sync / reclog.WriteFileAtomic, directly or
+// one call level down (pass.Summaries
 // resolves the callee body, so `n.applyPut(...)` style helpers
 // contribute their mutations and `containerStore.put` style helpers
 // their durable-then-mutate sequences at the call site). Mutations are writes to receiver-rooted fields,
@@ -46,7 +47,7 @@ import (
 // Analyzer is the durafirst pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "durafirst",
-	Doc:  "in kvstore/cloudstore handlers, mutex-guarded receiver mutations must be preceded by the durable call (wal.Append/disk.Put*/containerLog.sync/writeAtomic) on every success-acking path",
+	Doc:  "in kvstore/cloudstore handlers, mutex-guarded receiver mutations must be preceded by the durable call (wal.Append/disk.Put*/containerLog.sync/reclog.WriteFileAtomic) on every success-acking path",
 	Run:  run,
 }
 
@@ -324,15 +325,17 @@ func isFacility(info *types.Info, e ast.Expr, recv types.Object) bool {
 	return false
 }
 
-// isDurableCall matches the durable sinks: (*WAL).Append, any
-// (*DiskStore).Put*, the cloud container log's sync, and the writeAtomic
-// helper.
+// isDurableCall matches the durable sinks: (*WAL).Append and its batch
+// form appendFrames, any (*DiskStore).Put*, the cloud container log's
+// sync, and reclog.WriteFileAtomic.
 func isDurableCall(info *types.Info, call *ast.CallExpr) bool {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name == "writeAtomic"
-	case *ast.SelectorExpr:
+	if fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		name := fun.Sel.Name
+		if x, ok := fun.X.(*ast.Ident); ok {
+			if pkg, ok := info.Uses[x].(*types.PkgName); ok {
+				return name == "WriteFileAtomic" && shortPkg(pkg.Imported().Path()) == "reclog"
+			}
+		}
 		tv, ok := info.Types[fun.X]
 		if !ok {
 			return false
@@ -343,7 +346,7 @@ func isDurableCall(info *types.Info, call *ast.CallExpr) bool {
 		}
 		switch named.Obj().Name() {
 		case "WAL":
-			return name == "Append"
+			return name == "Append" || name == "appendFrames"
 		case "DiskStore":
 			return strings.HasPrefix(name, "Put")
 		case "containerLog":

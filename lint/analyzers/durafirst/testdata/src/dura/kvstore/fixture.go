@@ -4,15 +4,18 @@
 package kvstore
 
 import (
+	"bufio"
 	"errors"
 	"sync"
+
+	"dura/reclog"
 )
 
 var errRejected = errors.New("rejected")
 
 // WAL, DiskStore and containerLog mirror the real durability facilities
-// by name — the analyzer matches (*WAL).Append, (*DiskStore).Put* and
-// containerLog.sync.
+// by name — the analyzer matches (*WAL).Append and appendFrames,
+// (*DiskStore).Put*, containerLog.sync and reclog.WriteFileAtomic.
 type containerLog interface {
 	append(rec []byte) error
 	sync() error
@@ -21,6 +24,8 @@ type containerLog interface {
 type WAL struct{}
 
 func (w *WAL) Append(rec []byte) error { return nil }
+
+func (w *WAL) appendFrames(frames []byte) error { return nil }
 
 type DiskStore struct{}
 
@@ -103,6 +108,21 @@ func (n *Node) handleViaApply(k string, v []byte) ([]byte, error) {
 	return v, nil
 }
 
+// The atomic install comes after the catalog already advertises it.
+func (n *Node) handleIndexBeforeInstall(k string, v []byte) ([]byte, error) {
+	n.mu.Lock()
+	n.table[k] = v // want `mutated before the durable write`
+	n.mu.Unlock()
+	err := reclog.WriteFileAtomic(k, func(w *bufio.Writer) error {
+		_, err := w.Write(v)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
 // Deferred unlock holds the mutex to function end; the mutation is
 // still guarded, and there is no durable call at all.
 func (n *Node) handleDeferDirty(k string, v []byte) ([]byte, error) {
@@ -122,6 +142,34 @@ func (n *Node) handleClean(k string, v []byte) ([]byte, error) {
 	n.mu.Lock()
 	n.table[k] = v
 	n.puts++
+	n.mu.Unlock()
+	return v, nil
+}
+
+// The batch form: the whole batch is logged, then applied.
+func (n *Node) handleBatchClean(ks []string, frames []byte) ([]byte, error) {
+	if err := n.wal.appendFrames(frames); err != nil {
+		return nil, err
+	}
+	n.mu.Lock()
+	for _, k := range ks {
+		n.table[k] = frames
+	}
+	n.mu.Unlock()
+	return frames, nil
+}
+
+// Install the file atomically, then advertise it.
+func (n *Node) handleInstallThenIndex(k string, v []byte) ([]byte, error) {
+	err := reclog.WriteFileAtomic(k, func(w *bufio.Writer) error {
+		_, err := w.Write(v)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	n.mu.Lock()
+	n.table[k] = v
 	n.mu.Unlock()
 	return v, nil
 }

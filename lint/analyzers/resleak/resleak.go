@@ -1,8 +1,9 @@
 // Package resleak reports resources acquired but not released on every
 // path out of the function: files (os.Open/Create/OpenFile/CreateTemp),
 // connections (net.Dial*, any Dial/DialContext/DialWithPolicy method or
-// function whose first result is a Closer), WALs (OpenWAL/
-// OpenWALOptions) and the module's node/cluster/server constructors —
+// function whose first result is a Closer), WALs and record logs
+// (OpenWAL/OpenWALOptions, reclog.Open) and the module's
+// node/cluster/server constructors —
 // the exact shapes PRs 3-7 kept leaking on early-return error paths
 // (daemon gets its node, the listen fails, the error return skips the
 // Close and the WAL flusher goroutine lives forever).
@@ -219,8 +220,8 @@ func collectAcquisitions(pass *analysis.Pass, g *cfg.CFG) []*acquisition {
 				continue
 			}
 			a := &acquisition{res: resObj, pos: as.Pos(), desc: desc}
-			if len(as.Lhs) == 2 {
-				if errID, ok := ast.Unparen(as.Lhs[1]).(*ast.Ident); ok && errID.Name != "_" {
+			if n := len(as.Lhs); n >= 2 { // the error comes last: (res, err) or (res, stats, err)
+				if errID, ok := ast.Unparen(as.Lhs[n-1]).(*ast.Ident); ok && errID.Name != "_" {
 					if obj := pass.ObjectOf(errID); obj != nil && isErrorType(obj.Type()) {
 						a.err = obj
 					}
@@ -481,8 +482,8 @@ func isErrorType(t types.Type) bool {
 // must be a named function whose first result carries a Close method;
 // within that, the tracked names are the stdlib openers and dialers,
 // any Dial-family callee (interface methods included — the transport
-// Network.Dial), the WAL openers, and the module's kvstore/cloudstore
-// constructors.
+// Network.Dial), the WAL and record-log openers, and the module's
+// kvstore/cloudstore constructors.
 func trackedAcquisition(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	fn, ok := pass.CalleeObject(call).(*types.Func)
 	if !ok || fn.Pkg() == nil {
@@ -501,7 +502,7 @@ func trackedAcquisition(pass *analysis.Pass, call *ast.CallExpr) (string, bool) 
 		return qualified, true
 	case name == "Dial" || name == "DialContext" || name == "DialTimeout" || name == "DialWithPolicy":
 		return qualified, true
-	case name == "OpenWAL" || name == "OpenWALOptions":
+	case name == "OpenWAL" || name == "OpenWALOptions" || (name == "Open" && shortPkg(pkg) == "reclog"):
 		return qualified, true
 	case (name == "NewNode" || name == "NewCluster" || name == "NewServer") &&
 		(shortPkg(pkg) == "kvstore" || shortPkg(pkg) == "cloudstore"):

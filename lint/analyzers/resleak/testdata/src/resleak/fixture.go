@@ -7,6 +7,8 @@ import (
 	"errors"
 	"net"
 	"os"
+
+	"resleak/reclog"
 )
 
 var errBad = errors.New("bad")
@@ -91,6 +93,18 @@ func leakWAL(path string) error {
 	}
 	w.replay()
 	return nil
+}
+
+// Record-log shape: the early return forgets the log it opened.
+func leakLog(path string) error {
+	l, _, err := reclog.Open(path) // want `reclog\.Open result is not closed on every path`
+	if err != nil {
+		return err // exempt: the error is the last of three results
+	}
+	if err := l.Sync(); err != nil {
+		return err
+	}
+	return l.Close()
 }
 
 // A leak inside a function literal is charged to the literal.
