@@ -68,7 +68,7 @@ func run() error {
 		lookupInflight = flag.Int("lookup-inflight", 0, "overlapped index-lookup batches shared by all streams (0 = default)")
 		maxStreams     = flag.Int("max-streams", 0, "concurrent streams admitted into the agent; extra files queue (0 = default, negative = unlimited)")
 		arenaBudget    = flag.Int64("arena-budget", 0, "chunk payload bytes admitted across all streams (0 = default 256 MiB, negative = unlimited)")
-		repairEvery    = flag.Duration("repair-interval", 0, "background anti-entropy repair period for the ring index (0 disables; ring mode)")
+		repairEvery    = flag.Duration("repair-interval", 0, "background anti-entropy repair period for the ring index: what refills a replica that missed writes (0 disables; ring mode)")
 		timeout        = flag.Duration("timeout", 10*time.Minute, "overall processing deadline")
 		metricsAddr    = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof/ on this address (empty disables)")
 		breakdown      = flag.Bool("breakdown", false, "print the per-stage latency breakdown after processing")

@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -81,9 +80,6 @@ type ClusterConfig struct {
 	// VirtualNodes per member on the hash ring; defaults to
 	// hashring.DefaultVirtualNodes.
 	VirtualNodes int
-	// HeartbeatInterval enables background failure detection when
-	// positive.
-	HeartbeatInterval time.Duration
 	// RepairInterval enables background anti-entropy when positive: the
 	// coordinator periodically exchanges Merkle-style digests between
 	// replica pairs and streams only the differing entries, reconciling
@@ -91,26 +87,25 @@ type ClusterConfig struct {
 	// during a partition.
 	RepairInterval time.Duration
 	// Membership optionally supplies an external liveness view (e.g. a
-	// gossip node). When set, a peer judged not-alive is skipped the same
-	// way the built-in ping detector's down set is.
+	// gossip node): lookups skip a peer it judges not alive, as they skip
+	// one whose circuit breaker is open.
 	Membership LivenessView
 	// CallTimeout bounds each RPC attempt; defaults to 5s.
 	CallTimeout time.Duration
-	// PingTimeout bounds each health-probe ping; defaults to the smaller
-	// of HeartbeatInterval and 1s.
-	PingTimeout time.Duration
 	// Retry tunes the per-RPC retry/backoff schedule (transient faults
 	// are absorbed below the consistency layer instead of surfacing as
 	// ErrNoQuorum). Zero fields take retrypolicy defaults; the
 	// per-attempt timeout is CallTimeout.
 	Retry retrypolicy.Policy
-	// Breaker tunes the per-address circuit breaker.
+	// Breaker tunes the per-address circuit breaker, the coordinator's
+	// failure detector: lookups route around a replica while its breaker
+	// is open and try it again once the cool-down half-opens it.
 	Breaker retrypolicy.BreakerConfig
 	// RetryBudget caps retry amplification across the whole coordinator;
 	// nil gets a default bucket (256 tokens, successes refill 0.5).
 	RetryBudget *retrypolicy.Budget
 	// Metrics receives the coordinator's instrumentation (per-method RPC
-	// latency histograms, breaker-state gauges, lookup/hint counters).
+	// latency histograms, breaker-state gauges, lookup counters).
 	// Nil records into metrics.Default().
 	Metrics *metrics.Registry
 }
@@ -138,11 +133,6 @@ type Cluster struct {
 
 	mu      sync.Mutex
 	clients map[string]*transport.Client
-	down    map[string]bool
-	hints   map[string][]keyedEntry
-
-	stopHealth chan struct{}
-	healthDone chan struct{}
 
 	stopRepair chan struct{}
 	repairDone chan struct{}
@@ -160,8 +150,6 @@ type clusterMetrics struct {
 	rpcFails map[string]*metrics.Counter   // per-method failed calls
 	local    *metrics.Counter              // lookups answered by the local node
 	remote   *metrics.Counter              // lookups that crossed the network
-	hints    *metrics.Counter              // hinted writes queued
-	replays  *metrics.Counter              // hinted writes replayed
 
 	repairRounds   *metrics.Counter // completed anti-entropy sweeps
 	repairMismatch *metrics.Counter // replica pairs whose digests differed
@@ -169,10 +157,9 @@ type clusterMetrics struct {
 	repairFails    *metrics.Counter // replica pairs that failed to reconcile
 }
 
-// clientMethods are the RPC methods a coordinator issues (kv.ping is
-// covered too: health probes ride the same path).
+// clientMethods are the RPC methods a coordinator issues.
 var clientMethods = []string{
-	methodBatchHas, methodBatchPut, methodPing, methodStats, methodDigest, methodPull,
+	methodBatchHas, methodBatchPut, methodStats, methodDigest, methodPull,
 }
 
 func newClusterMetrics(reg *metrics.Registry) clusterMetrics {
@@ -181,8 +168,6 @@ func newClusterMetrics(reg *metrics.Registry) clusterMetrics {
 		rpcFails: make(map[string]*metrics.Counter, len(clientMethods)),
 		local:    reg.Counter("kvstore_client_lookups_local_total"),
 		remote:   reg.Counter("kvstore_client_lookups_remote_total"),
-		hints:    reg.Counter("kvstore_client_hints_queued_total"),
-		replays:  reg.Counter("kvstore_client_hints_replayed_total"),
 
 		repairRounds:   reg.Counter("kvstore_repair_rounds_total"),
 		repairMismatch: reg.Counter("kvstore_repair_mismatches_total"),
@@ -216,12 +201,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.CallTimeout == 0 {
 		cfg.CallTimeout = 5 * time.Second
 	}
-	if cfg.PingTimeout == 0 {
-		cfg.PingTimeout = time.Second
-		if cfg.HeartbeatInterval > 0 && cfg.HeartbeatInterval < cfg.PingTimeout {
-			cfg.PingTimeout = cfg.HeartbeatInterval
-		}
-	}
 	if cfg.Retry.AttemptTimeout == 0 {
 		cfg.Retry.AttemptTimeout = cfg.CallTimeout
 	}
@@ -254,8 +233,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		breakers: retrypolicy.NewBreakerSet(cfg.Breaker),
 		budget:   cfg.RetryBudget,
 		clients:  make(map[string]*transport.Client),
-		down:     make(map[string]bool),
-		hints:    make(map[string][]keyedEntry),
 		met:      newClusterMetrics(reg),
 	}
 	// Per-member live gauges. Registration replaces any previous cluster's
@@ -266,18 +243,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		reg.GaugeFunc("kvstore_breaker_state", func() float64 {
 			return float64(c.breakers.For(addr).State())
 		}, "addr", addr)
-		reg.GaugeFunc("kvstore_pending_hints", func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return float64(len(c.hints[addr]))
-		}, "addr", addr)
 	}
 	c.versionCounter.Store(uint64(time.Now().UnixNano()))
-	if cfg.HeartbeatInterval > 0 {
-		c.stopHealth = make(chan struct{})
-		c.healthDone = make(chan struct{})
-		go c.healthLoop()
-	}
 	if cfg.RepairInterval > 0 {
 		c.stopRepair = make(chan struct{})
 		c.repairDone = make(chan struct{})
@@ -286,12 +253,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// Close tears down connections and stops the health and repair loops.
+// Close tears down connections and stops the repair loop.
 func (c *Cluster) Close() error {
-	if c.stopHealth != nil {
-		close(c.stopHealth)
-		<-c.healthDone
-	}
 	if c.stopRepair != nil {
 		close(c.stopRepair)
 		<-c.repairDone
@@ -396,14 +359,8 @@ func (c *Cluster) BreakerStates() map[string]retrypolicy.BreakerState {
 
 // replicas returns the replica set for key in preference order: the local
 // member first when it is in the set.
-func (c *Cluster) replicas(key []byte) []string {
+func (c *Cluster) replicas(key []byte, local string) []string {
 	reps := c.ring.Lookup(key, c.cfg.ReplicationFactor)
-	c.mu.Lock()
-	local := c.cfg.LocalAddr
-	c.mu.Unlock()
-	if local == "" {
-		return reps
-	}
 	for i, r := range reps {
 		if r == local && i != 0 {
 			reps[0], reps[i] = reps[i], reps[0]
@@ -413,34 +370,47 @@ func (c *Cluster) replicas(key []byte) []string {
 	return reps
 }
 
-// isDown reports the failure detector's opinion of addr, folding in the
-// external membership view when configured.
-func (c *Cluster) isDown(addr string) bool {
+// skip reports whether lookups should route around addr: its circuit
+// breaker is open, or the external membership view says it is not alive.
+// The breaker is the one failure detector; it opens on consecutive failed
+// calls and half-opens after its cool-down, so a recovered replica is
+// tried again without any background probing.
+func (c *Cluster) skip(addr string) bool {
 	if c.cfg.Membership != nil && !c.cfg.Membership.IsAlive(addr) {
 		return true
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.down[addr]
+	return c.breakers.For(addr).State() == retrypolicy.Open
 }
 
 // BatchHas answers membership for many keys with one RPC per contacted
 // node: the dedup hot path. Keys are grouped by their preferred replica
-// (local node when possible, otherwise the primary); failed nodes fall
-// back to the next replica.
+// (local node when possible, otherwise the primary), or the next one
+// while the preferred replica is skipped; failed nodes fall back to the
+// next replica.
 func (c *Cluster) BatchHas(ctx context.Context, keys [][]byte) ([]bool, error) {
 	out := make([]bool, len(keys))
+	c.mu.Lock()
+	localAddr := c.cfg.LocalAddr
+	c.mu.Unlock()
 	// Group key indices by target replica, with per-key fallback lists.
 	groups := make(map[string][]int)
 	fallbacks := make([][]string, len(keys))
+	skipped := make(map[string]bool) // liveness, read once per replica per call
 	for i, key := range keys {
-		reps := c.replicas(key)
+		reps := c.replicas(key, localAddr)
 		if len(reps) == 0 {
 			return nil, fmt.Errorf("%w: empty ring", ErrNoQuorum)
 		}
 		target := reps[0]
-		if c.isDown(target) && len(reps) > 1 {
-			target = reps[1]
+		if len(reps) > 1 {
+			skip, ok := skipped[target]
+			if !ok {
+				skip = c.skip(target)
+				skipped[target] = skip
+			}
+			if skip {
+				target = reps[1]
+			}
 		}
 		groups[target] = append(groups[target], i)
 		fallbacks[i] = reps
@@ -452,9 +422,6 @@ func (c *Cluster) BatchHas(ctx context.Context, keys [][]byte) ([]bool, error) {
 		errMu    sync.Mutex
 		firstErr error
 	)
-	c.mu.Lock()
-	localAddr := c.cfg.LocalAddr
-	c.mu.Unlock()
 	for addr, idxs := range groups {
 		if addr == localAddr {
 			c.localLookups.Add(int64(len(idxs)))
@@ -584,10 +551,10 @@ func (e *PartialWriteError) Unwrap() []error { return []error{ErrNoQuorum, e.Cau
 // BatchPut stores many key/value pairs, grouping records per replica so a
 // ring write costs O(replica nodes) RPCs instead of O(keys). The batch
 // succeeds when every key reached at least the configured write
-// consistency; replicas that were unreachable receive hints. A failure is
-// a *PartialWriteError naming exactly which keys missed their target —
-// the others are durably applied, so callers must not treat the whole
-// batch as lost.
+// consistency. A failure is a *PartialWriteError naming exactly which
+// keys missed their target — the others are durably applied, so callers
+// must not treat the whole batch as lost. A replica that missed writes is
+// refilled by anti-entropy (RepairOnce, RepairInterval).
 func (c *Cluster) BatchPut(ctx context.Context, keys, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("%w: %d keys but %d values", ErrConfig, len(keys), len(values))
@@ -601,14 +568,14 @@ func (c *Cluster) BatchPut(ctx context.Context, keys, values [][]byte) error {
 
 // putEntries is the one write path to a replica: it sends each
 // already-versioned entry to its current replica set (one kv.batchput per
-// replica), tallies acks per entry against WriteConsistency and queues
-// hints for the replicas that failed. BatchPut assigns fresh versions
-// first; Rebalance passes stored entries through with theirs.
+// replica) and tallies acks per entry against WriteConsistency. BatchPut
+// assigns fresh versions first; Rebalance passes stored entries through
+// with theirs.
 func (c *Cluster) putEntries(ctx context.Context, ents []keyedEntry) error {
 	groups := make(map[string][]int) // replica -> indices into ents
 	short := make([]int, len(ents))  // acks each entry still lacks
 	for i, kv := range ents {
-		reps := c.replicas(kv.key)
+		reps := c.ring.Lookup(kv.key, c.cfg.ReplicationFactor)
 		short[i] = c.cfg.WriteConsistency.required(len(reps))
 		for _, addr := range reps {
 			groups[addr] = append(groups[addr], i)
@@ -629,7 +596,6 @@ func (c *Cluster) putEntries(ctx context.Context, ents []keyedEntry) error {
 				batch[j] = ents[i]
 			}
 			if _, err := c.call(ctx, addr, methodBatchPut, appendScan(nil, batch)); err != nil {
-				c.storeHints(addr, batch)
 				tallyMu.Lock()
 				if firstErr == nil {
 					firstErr = err
@@ -693,108 +659,6 @@ func (c *Cluster) Members() []string {
 	return out
 }
 
-// --- health & hints ----------------------------------------------------
-
-// storeHints queues entries for later delivery to an unreachable replica.
-// Keys are copied: a hint outlives the caller's batch.
-func (c *Cluster) storeHints(addr string, ents []keyedEntry) {
-	for i := range ents {
-		ents[i].key = bytes.Clone(ents[i].key)
-	}
-	c.mu.Lock()
-	c.hints[addr] = append(c.hints[addr], ents...)
-	c.down[addr] = true
-	c.mu.Unlock()
-	c.met.hints.Add(int64(len(ents)))
-}
-
-// healthLoop pings members, updating the down set and replaying hints to
-// recovered nodes.
-func (c *Cluster) healthLoop() {
-	defer close(c.healthDone)
-	ticker := time.NewTicker(c.cfg.HeartbeatInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			c.checkMembers()
-		case <-c.stopHealth:
-			return
-		}
-	}
-}
-
-// checkMembers probes every member concurrently under PingTimeout — the
-// sweep's latency is one probe round trip, not the sum over dead members
-// — records breaker outcomes (a successful ping closes an open breaker,
-// restoring fast recovery), updates the down set and replays queued
-// hints to recovered nodes.
-func (c *Cluster) checkMembers() {
-	var wg sync.WaitGroup
-	for _, addr := range c.Members() {
-		wg.Add(1)
-		go func(addr string) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.PingTimeout)
-			_, err := c.callAttempt(ctx, addr, methodPing, nil)
-			cancel()
-			br := c.breakers.For(addr)
-			if err != nil {
-				br.Failure()
-			} else {
-				br.Success()
-			}
-			c.mu.Lock()
-			wasDown := c.down[addr]
-			c.down[addr] = err != nil
-			var replay []keyedEntry
-			if err == nil && wasDown && len(c.hints[addr]) > 0 {
-				replay = c.hints[addr]
-				delete(c.hints, addr)
-			}
-			c.mu.Unlock()
-			if len(replay) > 0 {
-				c.replayHints(addr, replay)
-			}
-		}(addr)
-	}
-	wg.Wait()
-}
-
-// hintReplayBatch is how many queued hints ride in one kv.batchput RPC.
-const hintReplayBatch = 128
-
-// replayHints delivers queued hints in kv.batchput batches (one RPC per
-// batch instead of one per hint), stopping on the first failure and
-// re-queueing everything undelivered — a node that flaps mid-replay
-// keeps its remaining hints and the next recovery resumes from there.
-// Entries carry versions and nodes apply last-write-wins, so replay
-// order and double delivery are both harmless.
-func (c *Cluster) replayHints(addr string, hints []keyedEntry) {
-	for start := 0; start < len(hints); start += hintReplayBatch {
-		batch := hints[start:min(start+hintReplayBatch, len(hints))]
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-		_, err := c.callAttempt(ctx, addr, methodBatchPut, appendScan(nil, batch))
-		cancel()
-		if err != nil {
-			c.mu.Lock()
-			c.down[addr] = true
-			c.hints[addr] = append(hints[start:], c.hints[addr]...)
-			c.mu.Unlock()
-			return
-		}
-		c.met.replays.Add(int64(len(batch)))
-	}
-}
-
-// PendingHints reports queued hint counts per unreachable member (for
-// tests and observability).
-func (c *Cluster) PendingHints() map[string]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int, len(c.hints))
-	for addr, hs := range c.hints {
-		out[addr] = len(hs)
-	}
-	return out
-}
+// pushBatch is how many stored entries Rebalance and the repair push
+// send in one kv.batchput RPC.
+const pushBatch = 128

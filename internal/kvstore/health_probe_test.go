@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -9,14 +10,17 @@ import (
 	"efdedup/internal/transport"
 )
 
-// Failure-detector transition tests under injected network faults: a slow
-// node must not be declared dead while its probes still answer inside
-// PingTimeout, a node stalled past PingTimeout must be, and recovery must
-// flip the detector back.
+// Failure-detector transition tests under injected network faults. The
+// detector is the per-replica circuit breaker, observed through the
+// lookups BatchHas routes: a node that stalls but still answers inside
+// the per-attempt timeout must keep serving lookups, a node stalled past
+// it must be routed around once its breaker trips, and recovery must
+// route lookups back.
 
-// probeBed builds one storage node behind a chaos fabric and a
-// heartbeating cluster probing it through that fabric.
-func probeBed(t *testing.T, cfg faultnet.Config, pingTimeout time.Duration) (*Cluster, *faultnet.Fabric, string) {
+// probeBed builds a two-node ring behind a chaos fabric and a coordinator
+// that prefers kv-0, the node under test, reaching both through the
+// fabric. kv-1 is the backup lookups fall back to.
+func probeBed(t *testing.T, cfg faultnet.Config, callTimeout time.Duration) (*Cluster, *faultnet.Fabric, string) {
 	t.Helper()
 	mem := transport.NewMemNetwork()
 	fab := faultnet.NewFabric(cfg)
@@ -24,36 +28,49 @@ func probeBed(t *testing.T, cfg faultnet.Config, pingTimeout time.Duration) (*Cl
 	ringNW := fab.NetworkFor("ring", mem)
 	edgeNW := fab.NetworkFor("edge", mem)
 
-	node, err := NewNode(NodeConfig{})
-	if err != nil {
-		t.Fatal(err)
+	members := []string{"kv-0", "kv-1"}
+	for _, addr := range members {
+		node, err := NewNode(NodeConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := ringNW.Listen(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node.Serve(l)
+		t.Cleanup(func() { node.Close() })
 	}
-	const addr = "kv-0"
-	l, err := ringNW.Listen(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node.Serve(l)
-	t.Cleanup(func() { node.Close() })
 
 	c, err := NewCluster(ClusterConfig{
-		Members:           []string{addr},
-		ReplicationFactor: 1,
+		Members:           members,
+		ReplicationFactor: 2,
+		LocalAddr:         members[0],
 		Network:           edgeNW,
-		HeartbeatInterval: 20 * time.Millisecond,
-		PingTimeout:       pingTimeout,
+		CallTimeout:       callTimeout,
 		Retry:             retrypolicy.Policy{MaxAttempts: 1},
+		Breaker:           retrypolicy.BreakerConfig{FailureThreshold: 2, OpenFor: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c, fab, addr
+	return c, fab, members[0]
+}
+
+// routedLocally runs one BatchHas and reports whether its lookups went to
+// the local replica, which they do unless the detector skips it.
+func routedLocally(c *Cluster) (bool, error) {
+	before, _ := c.LookupStats()
+	_, err := c.BatchHas(context.Background(), lookupKeys(8))
+	after, _ := c.LookupStats()
+	return after > before, err
 }
 
 func TestProbeToleratesStallBelowPingTimeout(t *testing.T) {
-	// Every probe write stalls 30ms — a slow node, not a dead one. With
-	// PingTimeout at 500ms the detector must keep reporting it alive.
+	// Every request write stalls 30ms — a slow node, not a dead one. With
+	// a 500ms per-attempt timeout every call answers, the breaker never
+	// trips and lookups stay local.
 	c, _, addr := probeBed(t, faultnet.Config{
 		Seed:      1,
 		StallProb: 1,
@@ -62,16 +79,20 @@ func TestProbeToleratesStallBelowPingTimeout(t *testing.T) {
 
 	deadline := time.Now().Add(400 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		if c.isDown(addr) {
-			t.Fatal("slow node declared dead before PingTimeout elapsed")
+		local, err := routedLocally(c)
+		if err != nil {
+			t.Fatalf("BatchHas against a slow node: %v", err)
 		}
-		time.Sleep(10 * time.Millisecond)
+		if !local || c.skip(addr) {
+			t.Fatal("slow node routed around before the per-attempt timeout elapsed")
+		}
 	}
 }
 
 func TestProbeDeclaresDeadPastPingTimeout(t *testing.T) {
-	// Every probe write stalls 300ms against a 50ms PingTimeout: the node
-	// cannot answer a probe in time and must be marked down.
+	// Every request write stalls 300ms against a 50ms per-attempt
+	// timeout: no call to the node can answer in time, so its breaker
+	// trips and lookups stop going to it.
 	c, _, addr := probeBed(t, faultnet.Config{
 		Seed:      1,
 		StallProb: 1,
@@ -79,31 +100,45 @@ func TestProbeDeclaresDeadPastPingTimeout(t *testing.T) {
 	}, 50*time.Millisecond)
 
 	deadline := time.Now().Add(10 * time.Second)
-	for !c.isDown(addr) {
+	for !c.skip(addr) {
 		if !time.Now().Before(deadline) {
 			t.Fatal("stalled node never declared dead")
 		}
-		time.Sleep(10 * time.Millisecond)
+		// The backup stalls too, so these lookups fail; only the routing
+		// verdict matters here.
+		if _, err := routedLocally(c); err == nil {
+			t.Fatal("BatchHas succeeded with every call stalled past its timeout")
+		}
+	}
+	if local, _ := routedLocally(c); local {
+		t.Fatal("lookups still routed to the node after its breaker opened")
 	}
 }
 
 func TestProbeRecoversAfterIsolation(t *testing.T) {
 	c, fab, addr := probeBed(t, faultnet.Config{Seed: 1}, 100*time.Millisecond)
 
-	waitDown := func(want bool, what string) {
+	waitRouted := func(wantLocal bool, what string) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
-		for c.isDown(addr) != want {
+		for {
+			local, err := routedLocally(c)
+			if err != nil {
+				t.Fatalf("BatchHas while waiting for %s: %v", what, err)
+			}
+			if local == wantLocal {
+				return
+			}
 			if !time.Now().Before(deadline) {
-				t.Fatalf("detector never observed %s", what)
+				t.Fatalf("routing never observed %s", what)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
 
-	waitDown(false, "initial liveness")
+	waitRouted(true, "initial liveness")
 	fab.Isolate(addr)
-	waitDown(true, "the isolation")
+	waitRouted(false, "the isolation")
 	fab.Restore(addr)
-	waitDown(false, "the recovery")
+	waitRouted(true, "the recovery")
 }

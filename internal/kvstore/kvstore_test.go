@@ -97,7 +97,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err := put(ctx, c, key, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	reps := c.replicas(key)
+	reps := c.replicas(key, "")
 	if len(reps) != 2 {
 		t.Fatalf("replica set %v, want 2 nodes", reps)
 	}
@@ -292,9 +292,6 @@ func TestWriteQuorumFailure(t *testing.T) {
 	if !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("BatchPut = %v, want ErrNoQuorum", err)
 	}
-	if hints := c.PendingHints(); hints["kv-1"] == 0 {
-		t.Error("no hint queued for the unreachable replica")
-	}
 	node.Close()
 }
 
@@ -316,18 +313,14 @@ func TestHintedHandoffReplaysOnRecovery(t *testing.T) {
 		Members:           []string{"kv-0", "kv-1"},
 		ReplicationFactor: 2,
 		WriteConsistency:  One,
-		HeartbeatInterval: 30 * time.Millisecond,
 		CallTimeout:       200 * time.Millisecond,
 	})
 	ctx := context.Background()
 	if err := put(ctx, c, []byte("k"), []byte("v")); err != nil {
 		t.Fatalf("BatchPut at ONE with one replica down: %v", err)
 	}
-	if hints := c.PendingHints(); hints["kv-1"] == 0 {
-		t.Fatal("no hint stored for the down replica")
-	}
 
-	// Bring kv-1 up; the health loop should replay the hint.
+	// Bring kv-1 up; one anti-entropy round refills the write it missed.
 	nodeB, err := NewNode(NodeConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -339,17 +332,17 @@ func TestHintedHandoffReplaysOnRecovery(t *testing.T) {
 	nodeB.Serve(lB)
 	defer nodeB.Close()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if e, ok := nodeB.Get([]byte("k")); ok {
-			if string(e.Value) != "v" {
-				t.Fatalf("replayed hint carries %q, want v", e.Value)
-			}
-			return // hint delivered
-		}
-		time.Sleep(20 * time.Millisecond)
+	stats, err := c.RepairOnce(ctx)
+	if err != nil {
+		t.Fatalf("RepairOnce: %v", err)
 	}
-	t.Fatal("hint never replayed to recovered node")
+	if stats.Pushed != 1 {
+		t.Errorf("repair pushed %d entries, want 1", stats.Pushed)
+	}
+	e, ok := nodeB.Get([]byte("k"))
+	if !ok || string(e.Value) != "v" {
+		t.Fatalf("recovered replica holds %q (present %v), want v", e.Value, ok)
+	}
 }
 
 func TestNodeStatsCounting(t *testing.T) {

@@ -59,7 +59,6 @@ func (c *Cluster) RemoveMember(addr string) error {
 		delete(c.clients, addr)
 		go cl.Close()
 	}
-	delete(c.down, addr)
 	if c.cfg.LocalAddr == addr {
 		c.cfg.LocalAddr = ""
 	}
@@ -102,8 +101,8 @@ func (c *Cluster) Rebalance(ctx context.Context) error {
 			seen[string(kv.key)] = kv.e.Version
 			fresh = append(fresh, kv)
 		}
-		for start := 0; start < len(fresh); start += hintReplayBatch {
-			batch := fresh[start:min(start+hintReplayBatch, len(fresh))]
+		for start := 0; start < len(fresh); start += pushBatch {
+			batch := fresh[start:min(start+pushBatch, len(fresh))]
 			if err := c.putEntries(ctx, batch); err != nil {
 				return fmt.Errorf("kvstore: rebalance from %s: %w", addr, err)
 			}

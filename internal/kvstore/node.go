@@ -17,7 +17,6 @@ import (
 const (
 	methodBatchHas = "kv.batchhas"
 	methodBatchPut = "kv.batchput"
-	methodPing     = "kv.ping"
 	methodStats    = "kv.stats"
 	methodDigest   = "kv.digest"
 	methodPull     = "kv.pull"
@@ -154,7 +153,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.server = transport.NewServer()
 	n.handle(methodBatchHas, n.handleBatchHas)
 	n.handle(methodBatchPut, n.handleBatchPut)
-	n.handle(methodPing, func([]byte) ([]byte, error) { return []byte("pong"), nil })
 	n.handle(methodStats, n.handleStats)
 	n.handle(methodDigest, n.handleDigest)
 	n.handle(methodPull, n.handlePull)

@@ -95,8 +95,4 @@ func TestBatchPutPartialFailureNamesFailedKeys(t *testing.T) {
 			t.Errorf("key %q reported failed but present on live node", k)
 		}
 	}
-	// Every failed key got a hint queued for the dead replica.
-	if hints := c.PendingHints()[addrs[1]]; hints != len(partial.FailedKeys) {
-		t.Errorf("pending hints for dead node = %d, want %d", hints, len(partial.FailedKeys))
-	}
 }

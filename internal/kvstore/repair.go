@@ -13,10 +13,11 @@ import (
 // Anti-entropy: Merkle-style fanout digests between replicas.
 //
 // A restarted or previously partitioned replica has no way to learn what
-// it missed from heartbeats alone — hints cover only failures the
-// coordinator observed, and a node that lost disk state looks healthy
-// while silently answering "miss" for chunks the ring already paid to
-// index. The repair protocol closes that gap:
+// it missed from liveness signals alone: a write that failed while it was
+// unreachable is not retried, and a node that lost disk state looks
+// healthy while silently answering "miss" for chunks the ring already
+// paid to index. The repair protocol closes that gap, and is the one path
+// by which a replica catches up:
 //
 //	kv.digest  →  per-bucket XOR digests over one replica pair's shared
 //	              key range (keys whose replica set contains both nodes)
@@ -459,8 +460,8 @@ func diffEntries(a, b map[string]Entry) (pushA, pushB []keyedEntry, conflicts in
 // pushEntries delivers repair entries to one replica in batchput batches,
 // preserving versions so last-write-wins holds.
 func (c *Cluster) pushEntries(ctx context.Context, addr string, ents []keyedEntry) error {
-	for start := 0; start < len(ents); start += hintReplayBatch {
-		batch := ents[start:min(start+hintReplayBatch, len(ents))]
+	for start := 0; start < len(ents); start += pushBatch {
+		batch := ents[start:min(start+pushBatch, len(ents))]
 		if _, err := c.call(ctx, addr, methodBatchPut, appendScan(nil, batch)); err != nil {
 			return err
 		}

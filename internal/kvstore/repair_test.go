@@ -18,21 +18,26 @@ func repairRing(t *testing.T, nw *transport.MemNetwork, n int) ([]string, []*Nod
 	addrs := make([]string, n)
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
-		node, err := NewNode(NodeConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := fmt.Sprintf("kv-%d", i)
-		l, err := nw.Listen(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		node.Serve(l)
-		t.Cleanup(func() { node.Close() })
-		addrs[i] = addr
-		nodes[i] = node
+		addrs[i] = fmt.Sprintf("kv-%d", i)
+		nodes[i] = serveNode(t, nw, addrs[i])
 	}
 	return addrs, nodes
+}
+
+// serveNode starts a storage node listening on addr.
+func serveNode(t *testing.T, nw *transport.MemNetwork, addr string) *Node {
+	t.Helper()
+	node, err := NewNode(NodeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := nw.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.Serve(l)
+	t.Cleanup(func() { node.Close() })
+	return node
 }
 
 // wipe empties a node's table, simulating a replica restarted from lost
@@ -48,7 +53,7 @@ func wipe(n *Node) {
 func assertPlacement(t *testing.T, c *Cluster, nodes map[string]*Node, keys [][]byte) {
 	t.Helper()
 	for _, key := range keys {
-		for _, addr := range c.replicas(key) {
+		for _, addr := range c.replicas(key, "") {
 			if _, ok := nodes[addr].Get(key); !ok {
 				t.Fatalf("replica %s missing key %q after repair", addr, key)
 			}

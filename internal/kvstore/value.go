@@ -10,8 +10,9 @@
 //     hashing and exposes the index as a batched set: BatchHas probes one
 //     replica per key (falling back through the others), BatchPut
 //     replicates to γ nodes at a configurable write consistency (ONE /
-//     QUORUM / ALL) with hinted handoff, anti-entropy repair reconciles
-//     replicas, and heartbeats keep per-peer health.
+//     QUORUM / ALL), anti-entropy repair reconciles replicas, and
+//     per-peer circuit breakers decide which replicas lookups route
+//     around.
 //
 // Conflicts resolve by last-write-wins on the entry version.
 // This matches the needs of a dedup index: values are tiny chunk-metadata
@@ -75,7 +76,7 @@ func readBytes(src []byte) (val, rest []byte, err error) {
 }
 
 // keyedEntry is one key with its entry: an element of a kv.batchput
-// body or kv.pull reply, a queued hint, a repair push.
+// body or kv.pull reply, a repair push.
 type keyedEntry struct {
 	key []byte
 	e   Entry

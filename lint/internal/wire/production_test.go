@@ -47,7 +47,7 @@ func TestProductionLayouts(t *testing.T) {
 	}
 
 	methods := ix.Methods()
-	if len(methods) < 15 {
+	if len(methods) < 14 {
 		t.Errorf("only %d RPC methods indexed: %v", len(methods), methods)
 	}
 
