@@ -12,7 +12,7 @@ ci: build vet lint wire-lock-check test race fuzz-short chaos bench-smoke
 # Race-detect the resilience-critical packages only (quick local loop;
 # CI races the whole module).
 race-core:
-	$(GO) test -race ./internal/transport ./internal/reclog ./internal/kvstore ./internal/agent ./internal/faultnet ./internal/gossip ./internal/retrypolicy
+	$(GO) test -race ./internal/transport ./internal/reclog ./internal/kvstore ./internal/cloudstore ./internal/agent ./internal/faultnet ./internal/gossip ./internal/retrypolicy
 
 build:
 	$(GO) build ./...

@@ -211,8 +211,7 @@ func chaosStage(ctx context.Context) error {
 		Members:           members,
 		ReplicationFactor: 2,
 		Network:           edgeNW,
-		CallTimeout:       100 * time.Millisecond,
-		Retry:             efdedup.RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, Seed: 1},
+		Retry:             efdedup.RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, AttemptTimeout: 100 * time.Millisecond, Seed: 1},
 		Breaker:           efdedup.BreakerConfig{FailureThreshold: 3, OpenFor: 50 * time.Millisecond},
 	})
 	if err != nil {

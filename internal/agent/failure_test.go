@@ -71,9 +71,9 @@ func TestUploadFailureSurfacesAndDrains(t *testing.T) {
 func deadRingIndex(t *testing.T, tb *testbed) *kvstore.Cluster {
 	t.Helper()
 	idx, err := kvstore.NewCluster(kvstore.ClusterConfig{
-		Members:     []string{"kv-gone"},
-		Network:     tb.nw,
-		CallTimeout: 200 * time.Millisecond,
+		Members: []string{"kv-gone"},
+		Network: tb.nw,
+		Retry:   retrypolicy.Policy{AttemptTimeout: 200 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -137,8 +137,7 @@ func TestMidStreamRingOutageWithInflightLookups(t *testing.T) {
 		Members:           kvAddrs,
 		ReplicationFactor: 2,
 		Network:           fnw,
-		CallTimeout:       300 * time.Millisecond,
-		Retry:             retrypolicy.Policy{MaxAttempts: 2, BaseDelay: 2 * time.Millisecond},
+		Retry:             retrypolicy.Policy{MaxAttempts: 2, BaseDelay: 2 * time.Millisecond, AttemptTimeout: 300 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,9 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
-	"sync"
 
 	"efdedup/internal/chunk"
 	"efdedup/internal/metrics"
@@ -24,31 +22,21 @@ var clientMethods = []string{
 	methodPutManifest, methodStats,
 }
 
-// Dialer is the dial half of a transport network.
-type Dialer interface {
-	Dial(ctx context.Context, addr string) (net.Conn, error)
-}
-
 // Client talks to a cloud store over one multiplexed connection. Transport
 // failures are retried under a policy and redial the connection, so a WAN
 // blip does not surface to the agent; a circuit breaker fails fast while
 // the cloud stays unreachable.
 type Client struct {
-	addr    string
-	dialer  Dialer
-	retrier *retrypolicy.Retrier
-	breaker *retrypolicy.Breaker
+	addr  string
+	peers *transport.Peers
 
 	rpcLat   map[string]*metrics.Histogram
 	rpcFails map[string]*metrics.Counter
-
-	mu  sync.Mutex
-	rpc *transport.Client // nil after a transport failure until redial
 }
 
 // Dial connects to the cloud store at addr with the default retry policy
 // and breaker.
-func Dial(ctx context.Context, d Dialer, addr string) (*Client, error) {
+func Dial(ctx context.Context, d transport.Dialer, addr string) (*Client, error) {
 	return DialWithPolicy(ctx, d, addr, retrypolicy.Policy{}, retrypolicy.BreakerConfig{})
 }
 
@@ -57,13 +45,11 @@ func Dial(ctx context.Context, d Dialer, addr string) (*Client, error) {
 // persistently unreachable cloud immediately — but runs under the same
 // retry policy as every later RPC, so a transient refusal at startup is
 // absorbed rather than fatal. Later redials happen lazily per attempt.
-func DialWithPolicy(ctx context.Context, d Dialer, addr string, p retrypolicy.Policy, b retrypolicy.BreakerConfig) (*Client, error) {
+func DialWithPolicy(ctx context.Context, d transport.Dialer, addr string, p retrypolicy.Policy, b retrypolicy.BreakerConfig) (*Client, error) {
 	reg := metrics.Default()
 	c := &Client{
 		addr:     addr,
-		dialer:   d,
-		retrier:  retrypolicy.New(p),
-		breaker:  retrypolicy.NewBreaker(b),
+		peers:    transport.NewPeers(d, p, b, nil),
 		rpcLat:   make(map[string]*metrics.Histogram, len(clientMethods)),
 		rpcFails: make(map[string]*metrics.Counter, len(clientMethods)),
 	}
@@ -72,94 +58,24 @@ func DialWithPolicy(ctx context.Context, d Dialer, addr string, p retrypolicy.Po
 		c.rpcFails[m] = reg.Counter("cloud_client_rpc_failures_total", "method", m)
 	}
 	reg.GaugeFunc("cloud_client_breaker_state", func() float64 {
-		return float64(c.breaker.State())
+		return float64(c.peers.Breaker(addr).State())
 	}, "addr", addr)
-	err := c.retrier.Do(ctx, c.breaker, nil, transport.Retryable,
-		func(actx context.Context) error {
-			_, err := c.conn(actx)
-			return err
-		})
-	if err != nil {
+	if err := c.peers.Connect(ctx, addr); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// Breaker exposes the client's circuit breaker state (for stats and the
-// agent's recovery probing).
-func (c *Client) Breaker() *retrypolicy.Breaker { return c.breaker }
-
-// Close releases the connection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	rpc := c.rpc
-	c.rpc = nil
-	c.mu.Unlock()
-	if rpc == nil {
-		return nil
-	}
-	return rpc.Close()
-}
-
-// conn returns the live connection, redialing if the last one was dropped.
-func (c *Client) conn(ctx context.Context) (*transport.Client, error) {
-	c.mu.Lock()
-	rpc := c.rpc
-	c.mu.Unlock()
-	if rpc != nil {
-		return rpc, nil
-	}
-	raw, err := c.dialer.Dial(ctx, c.addr)
-	if err != nil {
-		return nil, fmt.Errorf("cloudstore: dial %s: %w", c.addr, err)
-	}
-	c.mu.Lock()
-	if c.rpc != nil { // lost a redial race; keep the winner
-		winner := c.rpc
-		c.mu.Unlock()
-		raw.Close()
-		return winner, nil
-	}
-	rpc = transport.NewClient(raw)
-	c.rpc = rpc
-	c.mu.Unlock()
-	return rpc, nil
-}
-
-// drop discards a failed connection so the next attempt redials. Only the
-// exact connection that failed is dropped, so a concurrent redial's fresh
-// connection survives.
-func (c *Client) drop(rpc *transport.Client) {
-	c.mu.Lock()
-	if c.rpc == rpc {
-		c.rpc = nil
-	}
-	c.mu.Unlock()
-	rpc.Close()
-}
+// Close releases the connection. It is terminal: later calls fail with
+// transport.ErrClientClosed.
+func (c *Client) Close() error { return c.peers.Close() }
 
 // call issues one RPC under the retry policy and breaker. Application
-// errors (RemoteError) return immediately; transport failures drop the
-// connection and retry over a fresh dial.
+// errors (RemoteError) return immediately; transport failures redial and
+// retry.
 func (c *Client) call(ctx context.Context, method string, body []byte) ([]byte, error) {
 	sp := metrics.StartTimer(c.rpcLat[method])
-	var resp []byte
-	err := c.retrier.Do(ctx, c.breaker, nil, transport.Retryable,
-		func(actx context.Context) error {
-			rpc, err := c.conn(actx)
-			if err != nil {
-				return err
-			}
-			r, err := rpc.Call(actx, method, body)
-			if err != nil {
-				if !transport.IsRemoteError(err) {
-					c.drop(rpc)
-				}
-				return err
-			}
-			resp = r
-			return nil
-		})
+	resp, err := c.peers.Call(ctx, c.addr, method, body)
 	sp.End()
 	if err != nil && !transport.IsRemoteError(err) {
 		c.rpcFails[method].Inc()

@@ -243,7 +243,7 @@ func (c *Cluster) KillNode(i int) error {
 // detachAgentsLocked removes the current agent generation from the
 // cluster and returns it so the caller can close it after releasing
 // c.mu — index and cloud clients close network connections, which must
-// not happen under the testbed mutex (lockedio2).
+// not happen under the testbed mutex (lockedio).
 func (c *Cluster) detachAgentsLocked() (indexes []*kvstore.Cluster, clients []*cloudstore.Client) {
 	indexes, clients = c.indexes, c.clients
 	c.indexes = nil

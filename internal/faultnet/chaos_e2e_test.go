@@ -94,8 +94,7 @@ func newChaosBed(t *testing.T) *chaosBed {
 		Members:           members,
 		ReplicationFactor: 2,
 		Network:           edgeNW,
-		CallTimeout:       100 * time.Millisecond,
-		Retry:             retrypolicy.Policy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 1},
+		Retry:             retrypolicy.Policy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond, AttemptTimeout: 100 * time.Millisecond, Seed: 1},
 		Breaker:           retrypolicy.BreakerConfig{FailureThreshold: 3, OpenFor: 50 * time.Millisecond},
 	})
 	if err != nil {

@@ -35,18 +35,12 @@ import (
 	"time"
 
 	"efdedup/internal/metrics"
+	"efdedup/internal/transport"
 )
 
 // ErrInjected marks every failure this package fabricates, so tests and
 // retry classifiers can tell injected faults from real ones.
 var ErrInjected = errors.New("faultnet: injected fault")
-
-// Inner is the Listen/Dial slice faultnet wraps. transport.TCPNetwork,
-// *transport.MemNetwork and *netem.Network all satisfy it.
-type Inner interface {
-	Listen(addr string) (net.Listener, error)
-	Dial(ctx context.Context, addr string) (net.Conn, error)
-}
 
 // Config tunes the stochastic fault injectors. All probabilities are in
 // [0,1]; the zero value injects nothing until scripted faults are added.
@@ -139,7 +133,7 @@ func (f *Fabric) Register(addr, site string) {
 func (f *Fabric) Partition(fromSite, toSite string) {
 	f.mu.Lock()
 	f.cutSites[[2]string{fromSite, toSite}] = true
-	//lint:ignore lockedio2 matchingLocked only collects matching conns in memory; the resets happen via kill after Unlock
+	//lint:ignore lockedio matchingLocked only collects matching conns in memory; the resets happen via kill after Unlock
 	victims := f.matchingLocked(func(c *faultConn) bool {
 		return c.fromSite == fromSite && c.toSite == toSite
 	})
@@ -171,7 +165,7 @@ func (f *Fabric) HealBoth(a, b string) {
 func (f *Fabric) Isolate(addr string) {
 	f.mu.Lock()
 	f.cutNodes[addr] = true
-	//lint:ignore lockedio2 matchingLocked only collects matching conns in memory; the resets happen via kill after Unlock
+	//lint:ignore lockedio matchingLocked only collects matching conns in memory; the resets happen via kill after Unlock
 	victims := f.matchingLocked(func(c *faultConn) bool { return c.raddr == addr })
 	f.mu.Unlock()
 	kill(victims)
@@ -223,7 +217,7 @@ func (f *Fabric) Close() {
 		t.Stop()
 	}
 	f.timers = make(map[*time.Timer]bool)
-	//lint:ignore lockedio2 matchingLocked only collects matching conns in memory; the resets happen via kill after Unlock
+	//lint:ignore lockedio matchingLocked only collects matching conns in memory; the resets happen via kill after Unlock
 	victims := f.matchingLocked(func(*faultConn) bool { return true })
 	f.mu.Unlock()
 	kill(victims)
@@ -301,11 +295,11 @@ func (f *Fabric) refused(fromSite, addr string) bool {
 type Network struct {
 	f     *Fabric
 	site  string
-	inner Inner
+	inner transport.Network
 }
 
 // NetworkFor returns the chaos view for services located at site.
-func (f *Fabric) NetworkFor(site string, inner Inner) *Network {
+func (f *Fabric) NetworkFor(site string, inner transport.Network) *Network {
 	return &Network{f: f, site: site, inner: inner}
 }
 

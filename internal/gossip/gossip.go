@@ -73,18 +73,12 @@ type Member struct {
 	Status Status
 }
 
-// Network is the transport slice gossip needs.
-type Network interface {
-	Listen(addr string) (net.Listener, error)
-	Dial(ctx context.Context, addr string) (net.Conn, error)
-}
-
 // Config assembles a gossip node.
 type Config struct {
 	// Addr is this node's gossip listen address.
 	Addr string
 	// Network provides connectivity.
-	Network Network
+	Network transport.Network
 	// Seeds are peers contacted on startup (any subset suffices; the
 	// rest is learned).
 	Seeds []string
@@ -113,9 +107,8 @@ type Node struct {
 
 	server   *transport.Server
 	listener net.Listener
-	clients  map[string]*transport.Client
+	peers    *transport.Peers
 	rng      *rand.Rand
-	breakers *retrypolicy.BreakerSet
 
 	rounds        *metrics.Counter
 	exchangeFails *metrics.Counter
@@ -149,17 +142,16 @@ func Start(cfg Config) (*Node, error) {
 		seed = time.Now().UnixNano()
 	}
 	n := &Node{
-		cfg:     cfg,
-		table:   map[string]entry{cfg.Addr: {heartbeat: 1, updated: time.Now()}},
-		clients: make(map[string]*transport.Client),
-		rng:     rand.New(rand.NewSource(seed)),
-		// Per-peer breakers keep rounds from burning on a downed peer:
+		cfg:   cfg,
+		table: map[string]entry{cfg.Addr: {heartbeat: 1, updated: time.Now()}},
+		// One exchange attempt per round, bounded by the interval. The
+		// per-peer breakers keep rounds from burning on a downed peer:
 		// while a breaker is open the peer is skipped during target
 		// selection, then probed again after a few intervals.
-		breakers: retrypolicy.NewBreakerSet(retrypolicy.BreakerConfig{
-			FailureThreshold: 3,
-			OpenFor:          4 * cfg.Interval,
-		}),
+		peers: transport.NewPeers(cfg.Network,
+			retrypolicy.Policy{MaxAttempts: 1, AttemptTimeout: cfg.Interval},
+			retrypolicy.BreakerConfig{FailureThreshold: 3, OpenFor: 4 * cfg.Interval}, nil),
+		rng:  rand.New(rand.NewSource(seed)),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -193,15 +185,7 @@ func (n *Node) Stop() {
 		close(n.stop)
 		<-n.done
 		n.server.Close()
-		n.mu.Lock()
-		clients := n.clients
-		n.clients = make(map[string]*transport.Client)
-		n.mu.Unlock()
-		// Close outside the lock: a stalled peer conn must not block
-		// concurrent table reads.
-		for _, cl := range clients {
-			cl.Close()
-		}
+		n.peers.Close()
 	})
 }
 
@@ -292,7 +276,7 @@ func (n *Node) round() {
 		if addr == n.cfg.Addr {
 			continue
 		}
-		if n.statusLocked(addr, e, now) != Dead && n.breakers.For(addr).State() != retrypolicy.Open {
+		if n.statusLocked(addr, e, now) != Dead && n.peers.Breaker(addr).State() != retrypolicy.Open {
 			peers = append(peers, addr)
 		}
 	}
@@ -303,50 +287,12 @@ func (n *Node) round() {
 	}
 	target := peers[n.rng.Intn(len(peers))]
 
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.Interval)
-	defer cancel()
-	resp, err := n.call(ctx, target, n.encodeTable())
-	br := n.breakers.For(target)
+	resp, err := n.peers.Call(context.Background(), target, methodExchange, n.encodeTable())
 	if err != nil {
-		br.Failure()
 		n.exchangeFails.Inc()
 		return // the failure detector handles persistent silence
 	}
-	br.Success()
 	n.mergeTable(resp)
-}
-
-// call sends one exchange RPC, redialing on broken connections.
-func (n *Node) call(ctx context.Context, addr string, body []byte) ([]byte, error) {
-	n.mu.Lock()
-	cl := n.clients[addr]
-	n.mu.Unlock()
-	if cl == nil {
-		conn, err := n.cfg.Network.Dial(ctx, addr)
-		if err != nil {
-			return nil, err
-		}
-		cl = transport.NewClient(conn)
-		n.mu.Lock()
-		if existing := n.clients[addr]; existing != nil {
-			go cl.Close()
-			cl = existing
-		} else {
-			n.clients[addr] = cl
-		}
-		n.mu.Unlock()
-	}
-	resp, err := cl.Call(ctx, methodExchange, body)
-	if err != nil {
-		n.mu.Lock()
-		if n.clients[addr] == cl {
-			delete(n.clients, addr)
-		}
-		n.mu.Unlock()
-		cl.Close()
-		return nil, err
-	}
-	return resp, nil
 }
 
 // handleExchange merges the caller's table and answers with ours. A

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,11 +53,6 @@ func (c Consistency) String() string {
 	}
 }
 
-// Dialer is the slice of transport.Network the cluster needs.
-type Dialer interface {
-	Dial(ctx context.Context, addr string) (net.Conn, error)
-}
-
 // ClusterConfig configures a coordinator for one D2-ring's index.
 type ClusterConfig struct {
 	// Members are the storage node addresses of the ring.
@@ -76,7 +70,7 @@ type ClusterConfig struct {
 	// node" behaviour.
 	LocalAddr string
 	// Network provides connectivity (possibly netem-shaped).
-	Network Dialer
+	Network transport.Dialer
 	// VirtualNodes per member on the hash ring; defaults to
 	// hashring.DefaultVirtualNodes.
 	VirtualNodes int
@@ -90,12 +84,10 @@ type ClusterConfig struct {
 	// gossip node): lookups skip a peer it judges not alive, as they skip
 	// one whose circuit breaker is open.
 	Membership LivenessView
-	// CallTimeout bounds each RPC attempt; defaults to 5s.
-	CallTimeout time.Duration
 	// Retry tunes the per-RPC retry/backoff schedule (transient faults
 	// are absorbed below the consistency layer instead of surfacing as
-	// ErrNoQuorum). Zero fields take retrypolicy defaults; the
-	// per-attempt timeout is CallTimeout.
+	// ErrNoQuorum). Zero fields take retrypolicy defaults, except the
+	// per-attempt timeout, which defaults to 5s.
 	Retry retrypolicy.Policy
 	// Breaker tunes the per-address circuit breaker, the coordinator's
 	// failure detector: lookups route around a replica while its breaker
@@ -125,14 +117,11 @@ type Cluster struct {
 	cfg  ClusterConfig
 	ring *hashring.Ring
 
-	retrier  *retrypolicy.Retrier
-	breakers *retrypolicy.BreakerSet
-	budget   *retrypolicy.Budget
+	peers *transport.Peers
 
 	versionCounter atomic.Uint64
 
-	mu      sync.Mutex
-	clients map[string]*transport.Client
+	mu sync.Mutex // guards cfg.Members and cfg.LocalAddr
 
 	stopRepair chan struct{}
 	repairDone chan struct{}
@@ -198,11 +187,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.VirtualNodes == 0 {
 		cfg.VirtualNodes = hashring.DefaultVirtualNodes
 	}
-	if cfg.CallTimeout == 0 {
-		cfg.CallTimeout = 5 * time.Second
-	}
 	if cfg.Retry.AttemptTimeout == 0 {
-		cfg.Retry.AttemptTimeout = cfg.CallTimeout
+		cfg.Retry.AttemptTimeout = 5 * time.Second
 	}
 	if cfg.RetryBudget == nil {
 		cfg.RetryBudget = retrypolicy.NewBudget(256, 0.5)
@@ -227,13 +213,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		reg = metrics.Default()
 	}
 	c := &Cluster{
-		cfg:      cfg,
-		ring:     ring,
-		retrier:  retrypolicy.New(cfg.Retry),
-		breakers: retrypolicy.NewBreakerSet(cfg.Breaker),
-		budget:   cfg.RetryBudget,
-		clients:  make(map[string]*transport.Client),
-		met:      newClusterMetrics(reg),
+		cfg:   cfg,
+		ring:  ring,
+		peers: transport.NewPeers(cfg.Network, cfg.Retry, cfg.Breaker, cfg.RetryBudget),
+		met:   newClusterMetrics(reg),
 	}
 	// Per-member live gauges. Registration replaces any previous cluster's
 	// callback under the same series, so a recreated coordinator (common
@@ -241,7 +224,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	for _, addr := range cfg.Members {
 		addr := addr
 		reg.GaugeFunc("kvstore_breaker_state", func() float64 {
-			return float64(c.breakers.For(addr).State())
+			return float64(c.peers.Breaker(addr).State())
 		}, "addr", addr)
 	}
 	c.versionCounter.Store(uint64(time.Now().UnixNano()))
@@ -253,80 +236,25 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// Close tears down connections and stops the repair loop.
+// Close stops the repair loop and tears down connections. It is
+// terminal: later calls fail with transport.ErrClientClosed.
 func (c *Cluster) Close() error {
 	if c.stopRepair != nil {
 		close(c.stopRepair)
 		<-c.repairDone
 	}
-	c.mu.Lock()
-	clients := c.clients
-	c.clients = make(map[string]*transport.Client)
-	c.mu.Unlock()
-	// Close outside the lock: a Close can block on a stalled peer and
-	// must not freeze concurrent RPCs holding up c.mu.
-	for _, cl := range clients {
-		cl.Close()
-	}
-	return nil
+	return c.peers.Close()
 }
 
 // nextVersion returns a monotonically increasing write version.
 func (c *Cluster) nextVersion() uint64 { return c.versionCounter.Add(1) }
 
-// client returns (dialing lazily) the connection to addr.
-func (c *Cluster) client(ctx context.Context, addr string) (*transport.Client, error) {
-	c.mu.Lock()
-	if cl, ok := c.clients[addr]; ok {
-		c.mu.Unlock()
-		return cl, nil
-	}
-	c.mu.Unlock()
-	conn, err := c.cfg.Network.Dial(ctx, addr)
-	if err != nil {
-		return nil, fmt.Errorf("kvstore: dial %s: %w", addr, err)
-	}
-	cl := transport.NewClient(conn)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if existing, ok := c.clients[addr]; ok {
-		// Lost the race; keep the established one.
-		go cl.Close()
-		return existing, nil
-	}
-	c.clients[addr] = cl
-	return cl, nil
-}
-
-// dropClient discards a broken connection so the next call redials.
-func (c *Cluster) dropClient(addr string, cl *transport.Client) {
-	c.mu.Lock()
-	if c.clients[addr] == cl {
-		delete(c.clients, addr)
-	}
-	c.mu.Unlock()
-	cl.Close()
-}
-
-// call performs one RPC against addr under the retry policy and the
-// address's circuit breaker: transient transport failures are retried
-// with jittered backoff (within the retry budget) and every attempt is
-// bounded by CallTimeout. Remote application errors (a handler's
-// rejection) do not tear down the connection, are never retried and
-// count as breaker successes; transport failures drop the connection so
-// the next attempt redials.
+// call performs one RPC against addr through the peer set, under the
+// retry policy, the address's circuit breaker and the retry budget, each
+// attempt bounded by Retry.AttemptTimeout.
 func (c *Cluster) call(ctx context.Context, addr, method string, body []byte) ([]byte, error) {
 	sp := metrics.StartTimer(c.met.rpc[method])
-	var resp []byte
-	err := c.retrier.Do(ctx, c.breakers.For(addr), c.budget, transport.Retryable,
-		func(actx context.Context) error {
-			r, err := c.callAttempt(actx, addr, method, body)
-			if err != nil {
-				return err
-			}
-			resp = r
-			return nil
-		})
+	resp, err := c.peers.Call(ctx, addr, method, body)
 	sp.End()
 	if err != nil && !transport.IsRemoteError(err) {
 		c.met.rpcFails[method].Inc()
@@ -334,27 +262,10 @@ func (c *Cluster) call(ctx context.Context, addr, method string, body []byte) ([
 	return resp, err
 }
 
-// callAttempt performs a single un-retried RPC attempt against addr.
-// The caller is responsible for bounding ctx.
-func (c *Cluster) callAttempt(ctx context.Context, addr, method string, body []byte) ([]byte, error) {
-	cl, err := c.client(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := cl.Call(ctx, method, body)
-	if err != nil {
-		if !transport.IsRemoteError(err) {
-			c.dropClient(addr, cl)
-		}
-		return nil, err
-	}
-	return resp, nil
-}
-
 // BreakerStates snapshots every member's circuit-breaker state (for
 // observability and tests).
 func (c *Cluster) BreakerStates() map[string]retrypolicy.BreakerState {
-	return c.breakers.States()
+	return c.peers.BreakerStates()
 }
 
 // replicas returns the replica set for key in preference order: the local
@@ -379,7 +290,7 @@ func (c *Cluster) skip(addr string) bool {
 	if c.cfg.Membership != nil && !c.cfg.Membership.IsAlive(addr) {
 		return true
 	}
-	return c.breakers.For(addr).State() == retrypolicy.Open
+	return c.peers.Breaker(addr).State() == retrypolicy.Open
 }
 
 // BatchHas answers membership for many keys with one RPC per contacted

@@ -182,7 +182,7 @@ func TestOpenBreakerRoutesAroundReplica(t *testing.T) {
 	})
 
 	keys := lookupKeys(200)
-	c.breakers.For("kv-0").Failure()
+	c.peers.Breaker("kv-0").Failure()
 	if got := localLookups(t, c, keys); got != 0 {
 		t.Fatalf("local lookups with kv-0's breaker open = %d, want 0", got)
 	}

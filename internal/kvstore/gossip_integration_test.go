@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"efdedup/internal/gossip"
+	"efdedup/internal/retrypolicy"
 	"efdedup/internal/transport"
 )
 
@@ -63,7 +64,7 @@ func TestClusterWithGossipMembership(t *testing.T) {
 		Network:           nw,
 		LocalAddr:         kvAddrs[0],
 		Membership:        view,
-		CallTimeout:       300 * time.Millisecond,
+		Retry:             retrypolicy.Policy{AttemptTimeout: 300 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 // probeBed builds a two-node ring behind a chaos fabric and a coordinator
 // that prefers kv-0, the node under test, reaching both through the
 // fabric. kv-1 is the backup lookups fall back to.
-func probeBed(t *testing.T, cfg faultnet.Config, callTimeout time.Duration) (*Cluster, *faultnet.Fabric, string) {
+func probeBed(t *testing.T, cfg faultnet.Config, attemptTimeout time.Duration) (*Cluster, *faultnet.Fabric, string) {
 	t.Helper()
 	mem := transport.NewMemNetwork()
 	fab := faultnet.NewFabric(cfg)
@@ -47,8 +47,7 @@ func probeBed(t *testing.T, cfg faultnet.Config, callTimeout time.Duration) (*Cl
 		ReplicationFactor: 2,
 		LocalAddr:         members[0],
 		Network:           edgeNW,
-		CallTimeout:       callTimeout,
-		Retry:             retrypolicy.Policy{MaxAttempts: 1},
+		Retry:             retrypolicy.Policy{MaxAttempts: 1, AttemptTimeout: attemptTimeout},
 		Breaker:           retrypolicy.BreakerConfig{FailureThreshold: 2, OpenFor: time.Second},
 	})
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"efdedup/internal/retrypolicy"
 	"efdedup/internal/transport"
 )
 
@@ -286,7 +287,7 @@ func TestWriteQuorumFailure(t *testing.T) {
 		Members:           []string{"kv-0", "kv-1"}, // kv-1 never exists
 		ReplicationFactor: 2,
 		WriteConsistency:  All,
-		CallTimeout:       200 * time.Millisecond,
+		Retry:             retrypolicy.Policy{AttemptTimeout: 200 * time.Millisecond},
 	})
 	err = put(context.Background(), c, []byte("k"), []byte("v"))
 	if !errors.Is(err, ErrNoQuorum) {
@@ -313,7 +314,7 @@ func TestHintedHandoffReplaysOnRecovery(t *testing.T) {
 		Members:           []string{"kv-0", "kv-1"},
 		ReplicationFactor: 2,
 		WriteConsistency:  One,
-		CallTimeout:       200 * time.Millisecond,
+		Retry:             retrypolicy.Policy{AttemptTimeout: 200 * time.Millisecond},
 	})
 	ctx := context.Background()
 	if err := put(ctx, c, []byte("k"), []byte("v")); err != nil {

@@ -39,7 +39,6 @@ func (c *Cluster) AddMember(addr string) error {
 // copies elsewhere; run Rebalance afterwards to restore full replication.
 func (c *Cluster) RemoveMember(addr string) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	found := -1
 	for i, m := range c.cfg.Members {
 		if m == addr {
@@ -48,20 +47,20 @@ func (c *Cluster) RemoveMember(addr string) error {
 		}
 	}
 	if found < 0 {
+		c.mu.Unlock()
 		return fmt.Errorf("%w: member %q not found", ErrConfig, addr)
 	}
 	if len(c.cfg.Members) == 1 {
+		c.mu.Unlock()
 		return fmt.Errorf("%w: cannot remove the last member", ErrConfig)
 	}
 	c.cfg.Members = append(c.cfg.Members[:found], c.cfg.Members[found+1:]...)
 	c.ring.Remove(addr)
-	if cl, ok := c.clients[addr]; ok {
-		delete(c.clients, addr)
-		go cl.Close()
-	}
 	if c.cfg.LocalAddr == addr {
 		c.cfg.LocalAddr = ""
 	}
+	c.mu.Unlock()
+	c.peers.Forget(addr) // closes the connection, outside the lock
 	return nil
 }
 

@@ -46,8 +46,7 @@ func TestBatchPutPartialFailureNamesFailedKeys(t *testing.T) {
 		Members:           addrs,
 		ReplicationFactor: 1,
 		Network:           fnw,
-		Retry:             retrypolicy.Policy{MaxAttempts: 1},
-		CallTimeout:       time.Second,
+		Retry:             retrypolicy.Policy{MaxAttempts: 1, AttemptTimeout: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

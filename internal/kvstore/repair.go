@@ -490,12 +490,9 @@ func (c *Cluster) repairLoop() {
 }
 
 // repairTimeout bounds one background round: digest+pull+push across all
-// pairs, each call already bounded by CallTimeout and the retry policy.
+// pairs, each call already bounded by the per-attempt timeout and the
+// retry policy.
 func (c *Cluster) repairTimeout() time.Duration {
 	n := len(c.Members())
-	d := time.Duration(n*n) * c.cfg.CallTimeout
-	if d < c.cfg.CallTimeout {
-		d = c.cfg.CallTimeout
-	}
-	return d
+	return time.Duration(max(n*n, 1)) * c.cfg.Retry.AttemptTimeout
 }

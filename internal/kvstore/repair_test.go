@@ -187,8 +187,7 @@ func TestRepairCountsUnreachablePairs(t *testing.T) {
 	c := testCluster(t, nw, ClusterConfig{
 		Members:           addrs,
 		ReplicationFactor: 2,
-		Retry:             retrypolicy.Policy{MaxAttempts: 1},
-		CallTimeout:       200 * time.Millisecond,
+		Retry:             retrypolicy.Policy{MaxAttempts: 1, AttemptTimeout: 200 * time.Millisecond},
 	})
 	nodes[2].Close()
 	stats, err := c.RepairOnce(context.Background())

@@ -27,6 +27,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"efdedup/internal/transport"
 )
 
 // Link describes the service characteristics of one logical network path.
@@ -321,20 +323,12 @@ func (t *Topology) ResetCounters() {
 type Network struct {
 	topo  *Topology
 	site  string
-	inner networkInner
-}
-
-// networkInner is the subset of transport.Network that netem needs; it is
-// structurally identical so both transport.TCPNetwork and
-// transport.MemNetwork satisfy it without an import cycle.
-type networkInner interface {
-	Listen(addr string) (net.Listener, error)
-	Dial(ctx context.Context, addr string) (net.Conn, error)
+	inner transport.Network
 }
 
 // NetworkFor returns the shaped network view for a node located at the
 // given site.
-func (t *Topology) NetworkFor(site string, inner networkInner) *Network {
+func (t *Topology) NetworkFor(site string, inner transport.Network) *Network {
 	return &Network{topo: t, site: site, inner: inner}
 }
 

@@ -7,14 +7,19 @@ import (
 	"sync"
 )
 
+// Dialer is the client half of a Network: all an RPC caller needs.
+type Dialer interface {
+	// Dial connects to a previously bound address.
+	Dial(ctx context.Context, addr string) (net.Conn, error)
+}
+
 // Network abstracts how services listen and dial, so the same cluster code
 // runs over real TCP, an in-memory fabric, or a netem-shaped wrapper of
 // either.
 type Network interface {
 	// Listen binds the given address and returns a listener.
 	Listen(addr string) (net.Listener, error)
-	// Dial connects to a previously bound address.
-	Dial(ctx context.Context, addr string) (net.Conn, error)
+	Dialer
 }
 
 // TCPNetwork is the real thing. Addresses are host:port; "host:0" asks the

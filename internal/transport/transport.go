@@ -8,6 +8,9 @@
 //     per-link latency is emulated);
 //   - Server, dispatching frames to registered method handlers;
 //   - Client, a connection with concurrent Call support;
+//   - Peers, the one client stack every caller shares: a Client per
+//     address, redialed after transport failures, each call retried
+//     under the caller's policy and the address's circuit breaker;
 //   - Network, an abstraction over how bytes move: real TCP
 //     (TCPNetwork) or an in-process memory fabric (MemNetwork) so whole
 //     clusters can run inside one test binary.

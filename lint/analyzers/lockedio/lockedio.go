@@ -1,5 +1,5 @@
 // Package lockedio flags network I/O performed while a sync.Mutex or
-// sync.RWMutex is held.
+// sync.RWMutex is held, directly or through any chain of calls.
 //
 // The kvstore, cloudstore, gossip and agent layers all follow the same
 // discipline: take the lock to read or mutate connection tables, RELEASE
@@ -8,25 +8,26 @@
 // peer and is how distributed stores deadlock under partitions — the
 // chaos tests (internal/faultnet) stall connections for seconds on
 // purpose, so a lock held across I/O turns a single injected stall
-// into a node-wide freeze.
+// into a node-wide freeze. A blocked remote call inside a helper stalls
+// every goroutine contending for the lock just the same, so a call made
+// under a lock is reported too when the callee's summary transitively
+// reaches I/O, with the call path in the diagnostic.
 //
-// Detection is a per-function positional sweep: Lock()/RLock() events
-// open a held region, Unlock()/RUnlock() close it, deferred unlocks
-// keep it open to the end of the function, and any I/O call inside a
-// held region is reported. I/O calls are recognized by type
-// information: calls into package net, method calls on values
-// implementing net.Conn, calls passing a net.Conn argument, Dial/
-// DialContext methods on any dialer interface, and Call/Close on the
-// frame transport client. Nested function literals are swept
-// separately — a goroutine body does not inherit the parent's lock
-// region.
+// Both findings come from the interprocedural summaries' positional
+// sweep (lint/internal/summary): Lock()/RLock() opens a held region,
+// Unlock()/RUnlock() closes it, a deferred unlock keeps it open to the
+// end of the function. I/O is recognized by type information: calls
+// into package net, methods on net.Conn implementations, Dial/
+// DialContext methods on any dialer, Call/Close on the frame transport
+// client, and helpers taking a net.Conn argument. Nested function
+// literals are swept with their own held region — a goroutine body does
+// not inherit the parent's lock, and calls behind a `go` statement do
+// not run under it.
 package lockedio
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"efdedup/lint/analysis"
@@ -35,256 +36,42 @@ import (
 // Analyzer is the lockedio pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockedio",
-	Doc:  "reports network I/O (dials, conn reads/writes, transport RPCs) performed while a sync mutex is held",
+	Doc:  "reports network I/O (dials, conn reads/writes, transport RPCs) performed while a sync mutex is held, directly or through a call chain",
 	Run:  run,
 }
 
-// event is one lock-relevant occurrence inside a function body.
-type event struct {
-	pos  token.Pos
-	kind int    // lock, unlock, deferUnlock, io
-	key  string // mutex expression (lock/unlock) or I/O description
-}
-
-const (
-	evLock = iota
-	evUnlock
-	evDeferUnlock
-	evIO
-)
-
 func run(pass *analysis.Pass) error {
-	conn := netConnInterface(pass.Pkg)
-	for _, file := range pass.Files {
-		for body := range functionBodies(file) {
-			sweep(pass, body, conn)
+	sums := pass.Summaries
+	if sums == nil {
+		return nil
+	}
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			fs := sums.ForFunc(fn)
+			if fs == nil {
+				continue
+			}
+			for _, io := range fs.IOUnderLock {
+				pass.Reportf(io.Pos, "%s while %s is held (locked at line %d); release the lock before network I/O",
+					io.Desc, io.LockExpr, pass.Fset.Position(io.LockPos).Line)
+			}
+			for _, cul := range fs.CallsUnderLock {
+				if cul.CalleeID == "" {
+					continue
+				}
+				if path := sums.ReachesIO(cul.CalleeID); path != nil {
+					pass.Reportf(cul.Pos,
+						"mutex %s (locked at %s) held across call to %s, which reaches %s via %s",
+						cul.LockExpr, sums.FmtPos(cul.LockPos), cul.CalleeName,
+						path.Desc, strings.Join(path.Chain, " → "))
+				}
+			}
 		}
 	}
 	return nil
-}
-
-// functionBodies yields every function body in the file: declarations
-// and literals. Each is swept independently.
-func functionBodies(file *ast.File) map[*ast.BlockStmt]bool {
-	bodies := make(map[*ast.BlockStmt]bool)
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch fn := n.(type) {
-		case *ast.FuncDecl:
-			if fn.Body != nil {
-				bodies[fn.Body] = true
-			}
-		case *ast.FuncLit:
-			bodies[fn.Body] = true
-		}
-		return true
-	})
-	return bodies
-}
-
-// sweep collects lock and I/O events in source order (skipping nested
-// function literals) and reports I/O that happens while any mutex is
-// held.
-func sweep(pass *analysis.Pass, body *ast.BlockStmt, conn *types.Interface) {
-	var events []event
-	var walk func(n ast.Node, inDefer bool)
-	walk = func(n ast.Node, inDefer bool) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch node := m.(type) {
-			case *ast.FuncLit:
-				return false // separate sweep
-			case *ast.DeferStmt:
-				walk(node.Call, true)
-				return false
-			case *ast.GoStmt:
-				// The spawned call does not block the lock holder;
-				// only its argument expressions evaluate synchronously.
-				for _, arg := range node.Call.Args {
-					walk(arg, false)
-				}
-				return false
-			case *ast.CallExpr:
-				if ev, ok := classify(pass, node, conn, inDefer); ok {
-					events = append(events, ev)
-				}
-			}
-			return true
-		})
-	}
-	walk(body, false)
-
-	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
-	held := make(map[string]token.Pos) // mutex expr -> Lock pos
-	sticky := make(map[string]bool)    // deferred unlock: held to return
-	for _, ev := range events {
-		switch ev.kind {
-		case evLock:
-			held[ev.key] = ev.pos
-		case evUnlock:
-			if !sticky[ev.key] {
-				delete(held, ev.key)
-			}
-		case evDeferUnlock:
-			sticky[ev.key] = true
-		case evIO:
-			if mu := firstHeld(held); mu != "" {
-				pass.Reportf(ev.pos, "%s while %s is held (locked at line %d); release the lock before network I/O",
-					ev.key, mu, pass.Fset.Position(held[mu]).Line)
-			}
-		}
-	}
-}
-
-// classify decides whether a call is a lock transition or network I/O.
-func classify(pass *analysis.Pass, call *ast.CallExpr, conn *types.Interface, inDefer bool) (event, bool) {
-	if key, name, ok := mutexOp(pass, call); ok {
-		switch name {
-		case "Lock", "RLock":
-			if inDefer {
-				return event{}, false
-			}
-			return event{pos: call.Pos(), kind: evLock, key: key}, true
-		case "Unlock", "RUnlock":
-			kind := evUnlock
-			if inDefer {
-				kind = evDeferUnlock
-			}
-			return event{pos: call.Pos(), kind: kind, key: key}, true
-		}
-		return event{}, false
-	}
-	if desc, ok := ioCall(pass, call, conn); ok {
-		return event{pos: call.Pos(), kind: evIO, key: desc}, true
-	}
-	return event{}, false
-}
-
-// mutexOp matches (*sync.Mutex)/(*sync.RWMutex) Lock/Unlock/RLock/
-// RUnlock calls, returning the receiver expression as the mutex key.
-func mutexOp(pass *analysis.Pass, call *ast.CallExpr) (key, name string, ok bool) {
-	sel, okSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !okSel {
-		return "", "", false
-	}
-	obj := pass.CalleeObject(call)
-	fn, okFn := obj.(*types.Func)
-	if !okFn {
-		return "", "", false
-	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return "", "", false
-	}
-	rt := recv.Type()
-	if p, isPtr := rt.(*types.Pointer); isPtr {
-		rt = p.Elem()
-	}
-	named, okNamed := rt.(*types.Named)
-	if !okNamed || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	if tn := named.Obj().Name(); tn != "Mutex" && tn != "RWMutex" {
-		return "", "", false
-	}
-	return types.ExprString(sel.X), fn.Name(), true
-}
-
-// ioCall reports whether the call performs network I/O, with a short
-// description for the diagnostic.
-func ioCall(pass *analysis.Pass, call *ast.CallExpr, conn *types.Interface) (string, bool) {
-	// Builtins (delete, append, ...) and type conversions never do
-	// I/O even when a conn flows through them.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if _, isBuiltin := pass.ObjectOf(id).(*types.Builtin); isBuiltin {
-			return "", false
-		}
-	}
-	if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
-		return "", false
-	}
-	obj := pass.CalleeObject(call)
-	if fn, ok := obj.(*types.Func); ok {
-		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-			rt := recv.Type()
-			// Method on a net.Conn implementation or the interface
-			// itself (Read/Write/Close/SetDeadline...).
-			if conn != nil && (types.Implements(rt, conn) || implementsPtr(rt, conn)) {
-				return "net.Conn." + fn.Name(), true
-			}
-			// Dialer-shaped interface methods (transport.Network,
-			// kvstore/cloudstore dialer fields).
-			if fn.Name() == "Dial" || fn.Name() == "DialContext" {
-				return fn.Name(), true
-			}
-			// Frame transport client: Call blocks on a full RPC round
-			// trip, Close tears down the underlying conn.
-			if named, ok := deref(rt).(*types.Named); ok {
-				tobj := named.Obj()
-				if tobj.Pkg() != nil && strings.HasSuffix(tobj.Pkg().Path(), "internal/transport") &&
-					tobj.Name() == "Client" && (fn.Name() == "Call" || fn.Name() == "Close") {
-					return "transport.Client." + fn.Name(), true
-				}
-			}
-		}
-		// Anything else from package net: Dial, DialTimeout, Listen,
-		// (*net.Dialer).DialContext, ...
-		if fn.Pkg() != nil && fn.Pkg().Path() == "net" {
-			return "net." + fn.Name(), true
-		}
-	}
-	// A helper taking a net.Conn argument does the I/O on our behalf —
-	// except constructors (New*), which only wrap the conn.
-	if fn, ok := obj.(*types.Func); ok && strings.HasPrefix(fn.Name(), "New") {
-		return "", false
-	}
-	if conn != nil {
-		for _, arg := range call.Args {
-			if tv, ok := pass.TypesInfo.Types[arg]; ok && tv.Type != nil {
-				if types.Implements(tv.Type, conn) || implementsPtr(tv.Type, conn) {
-					return "call passing net.Conn", true
-				}
-			}
-		}
-	}
-	return "", false
-}
-
-// firstHeld picks the lexically smallest held mutex so diagnostics are
-// deterministic when several locks are held at once.
-func firstHeld(held map[string]token.Pos) string {
-	best := ""
-	for mu := range held {
-		if best == "" || mu < best {
-			best = mu
-		}
-	}
-	return best
-}
-
-func implementsPtr(t types.Type, iface *types.Interface) bool {
-	if _, ok := t.(*types.Pointer); ok {
-		return false
-	}
-	return types.Implements(types.NewPointer(t), iface)
-}
-
-func deref(t types.Type) types.Type {
-	if p, ok := t.(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
-}
-
-// netConnInterface digs the net.Conn interface type out of the
-// package's import graph; nil when net is not imported anywhere.
-func netConnInterface(pkg *types.Package) *types.Interface {
-	netPkg := analysis.ImportedPackage(pkg, "net")
-	if netPkg == nil {
-		return nil
-	}
-	obj := netPkg.Scope().Lookup("Conn")
-	if obj == nil {
-		return nil
-	}
-	iface, _ := obj.Type().Underlying().(*types.Interface)
-	return iface
 }

@@ -1,15 +1,15 @@
 // Command efdedup-lint is the repository's invariant checker: a
 // multichecker running the custom analyzers that encode what the
 // compiler, go vet and -race cannot see — locks never held across
-// network I/O, directly (lockedio) or through any call chain
-// (lockedio2), no mutex acquisition-order cycles anywhere in the module
-// (lockorder), errors classifiable at transport boundaries (errclass)
-// and never silently lost when they carry quorum sentinels (errlost), a
-// bit-deterministic model/sim/estimate/partition core (nodeterm),
-// bounded constant metric names (metricname), contexts in first
-// position (ctxfirst), joinable goroutines (goleak), no per-chunk
-// allocations on the dedup pipeline hot path (hotalloc), and atomic
-// file installs fsynced before their rename (fsyncrename).
+// network I/O, directly or through any call chain (lockedio), no mutex
+// acquisition-order cycles anywhere in the module (lockorder), errors
+// classifiable at transport boundaries (errclass) and never silently
+// lost when they carry quorum sentinels (errlost), a bit-deterministic
+// model/sim/estimate/partition core (nodeterm), bounded constant metric
+// names (metricname), contexts in first position (ctxfirst), joinable
+// goroutines (goleak), no per-chunk allocations on the dedup pipeline
+// hot path (hotalloc), and atomic file installs fsynced before their
+// rename (fsyncrename).
 //
 // Five analyzers are path-sensitive, built on the CFG + dataflow layer
 // (lint/internal/cfg, lint/internal/dataflow): resources must reach
@@ -68,7 +68,6 @@ import (
 	"efdedup/lint/analyzers/hotalloc"
 	"efdedup/lint/analyzers/lenguard"
 	"efdedup/lint/analyzers/lockedio"
-	"efdedup/lint/analyzers/lockedio2"
 	"efdedup/lint/analyzers/lockorder"
 	"efdedup/lint/analyzers/metricname"
 	"efdedup/lint/analyzers/nodeterm"
@@ -93,7 +92,6 @@ var all = []*analysis.Analyzer{
 	hotalloc.Analyzer,
 	lenguard.Analyzer,
 	lockedio.Analyzer,
-	lockedio2.Analyzer,
 	lockorder.Analyzer,
 	metricname.Analyzer,
 	nodeterm.Analyzer,

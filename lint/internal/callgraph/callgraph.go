@@ -1,6 +1,6 @@
 // Package callgraph builds a module-wide static call graph over the
 // packages a lint run loaded. It is the substrate of the
-// interprocedural analyzers (lockorder, lockedio2, errlost, hotalloc):
+// interprocedural analyzers (lockorder, lockedio, errlost, hotalloc):
 // purely intra-procedural sweeps cannot see a deadlock whose two lock
 // acquisitions live in different functions, or a per-chunk allocation
 // three calls below the pipeline root.
@@ -19,7 +19,7 @@
 //     p.add)`) produce Ref edges: the receiver may invoke them, so
 //     reachability analyses that care about "may eventually run on
 //     this path" (hotalloc) follow them, while happens-while-holding
-//     analyses (lockedio2, lockorder) do not.
+//     analyses (lockedio, lockorder) do not.
 //
 // Calls anywhere under a `go` statement — including inside the spawned
 // function literal's body — are marked Async: they do not block the

@@ -7,7 +7,7 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// Transitive I/O (lockedio2)
+// Transitive I/O (lockedio)
 // ---------------------------------------------------------------------
 
 // IOPath describes how a function transitively reaches network I/O.

@@ -6,11 +6,11 @@
 // pipeline roots. Facts are extracted once per lint run; transitive
 // queries are memoized on the Set.
 //
-// A summary is deliberately positional, mirroring the intra-procedural
-// lockedio sweep: Lock()/RLock() opens a held region, Unlock()/RUnlock()
-// closes it, a deferred unlock keeps it open to the end of the body.
-// Branch-sensitive lock flows (lock in one arm, unlock in another) are
-// outside its precision, exactly as they are for lockedio.
+// A summary is deliberately positional — the one lock-region sweep the
+// lockedio and lockorder analyzers share: Lock()/RLock() opens a held
+// region, Unlock()/RUnlock() closes it, a deferred unlock keeps it open
+// to the end of the body. Branch-sensitive lock flows (lock in one arm,
+// unlock in another) are outside its precision.
 package summary
 
 import (
@@ -81,6 +81,14 @@ type IOSite struct {
 	Pos  token.Pos
 }
 
+// IOUnderLock records a direct network-I/O call made while a mutex is
+// held.
+type IOUnderLock struct {
+	IOSite
+	LockExpr string
+	LockPos  token.Pos
+}
+
 // WrapSite is one place a tracked sentinel is wrapped into (or returned
 // as) an error.
 type WrapSite struct {
@@ -96,7 +104,8 @@ type FuncSummary struct {
 	Locks          []LockSite
 	LockEdges      []LockEdge
 	CallsUnderLock []CallUnderLock
-	IO             []IOSite
+	IO             []IOSite // synchronous direct I/O only
+	IOUnderLock    []IOUnderLock
 	Wraps          []WrapSite
 	// ErrEscapes lists callee IDs whose error results can flow into
 	// this function's own return values.
@@ -165,8 +174,7 @@ func summarize(node *callgraph.Node) *FuncSummary {
 	return fs
 }
 
-// event mirrors the lockedio positional sweep, extended with call
-// events so held regions can be joined with the call graph.
+// event is one lock, unlock, I/O or call occurrence in a body.
 type event struct {
 	pos  token.Pos
 	kind int
@@ -184,10 +192,10 @@ const (
 	evCall
 )
 
-// sweepLocks fills Locks, LockEdges, CallsUnderLock and IO. Each
-// function-literal body is swept as part of the enclosing declaration
-// but with its own held-region state (a closure's lock region does not
-// leak into the enclosing function and vice versa), matching lockedio.
+// sweepLocks fills Locks, LockEdges, CallsUnderLock, IO and IOUnderLock.
+// Each function-literal body is swept as part of the enclosing
+// declaration but with its own held-region state (a closure's lock
+// region does not leak into the enclosing function and vice versa).
 func sweepLocks(fs *FuncSummary, node *callgraph.Node, conn *types.Interface) {
 	type body struct {
 		block *ast.BlockStmt
@@ -283,8 +291,12 @@ func sweepBody(fs *FuncSummary, node *callgraph.Node, block *ast.BlockStmt, asyn
 		case evDeferUnlock:
 			sticky[ev.expr] = true
 		case evIO:
+			site := IOSite{Desc: ev.desc, Pos: ev.pos}
 			if !async {
-				fs.IO = append(fs.IO, IOSite{Desc: ev.desc, Pos: ev.pos})
+				fs.IO = append(fs.IO, site)
+			}
+			if len(held) > 0 {
+				fs.IOUnderLock = append(fs.IOUnderLock, IOUnderLock{IOSite: site, LockExpr: held[0].expr, LockPos: held[0].pos})
 			}
 		case evCall:
 			if async || len(held) == 0 {
@@ -318,7 +330,7 @@ func classify(info *types.Info, node *callgraph.Node, call *ast.CallExpr, conn *
 		}
 		return event{}, false
 	}
-	if desc, ok := IODesc(info, call, conn); ok {
+	if desc, ok := ioDesc(info, call, conn); ok {
 		return event{pos: call.Pos(), kind: evIO, desc: desc}, true
 	}
 	if callee := calleeFunc(info, call); callee != nil {
@@ -542,11 +554,13 @@ func isPackageLevel(obj types.Object) bool {
 	return obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope()
 }
 
-// IODesc reports whether the call performs network I/O directly,
-// mirroring the lockedio analyzer's classification: calls into package
-// net, methods on net.Conn implementations, Dial/DialContext methods,
-// transport.Client Call/Close, and helpers taking a net.Conn argument.
-func IODesc(info *types.Info, call *ast.CallExpr, conn *types.Interface) (string, bool) {
+// ioDesc reports whether the call performs network I/O directly, with a
+// short description for diagnostics: calls into package net, methods on
+// net.Conn implementations, Dial/DialContext methods, transport.Client
+// Call/Close, and helpers taking a net.Conn argument — except
+// constructors (New*), which only wrap the conn. Builtins and type
+// conversions never do I/O even when a conn flows through them.
+func ioDesc(info *types.Info, call *ast.CallExpr, conn *types.Interface) (string, bool) {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if obj := objectOf(info, id); obj != nil {
 			if _, isBuiltin := obj.(*types.Builtin); isBuiltin {

@@ -129,9 +129,9 @@ type sink struct {
 // package named transport — so fixtures can stub the real package.
 // Wrapper functions that pass their own string parameter through to a
 // primitive (kvstore's (*Node).handle, cloudstore's (*Server).handle,
-// (*Cluster).call → callAttempt → Client.Call) are discovered by
-// fixpoint, and sites are recorded at the outermost call carrying a
-// constant method name.
+// (*Cluster).call → (*transport.Peers).Call → Client.Call) are
+// discovered by fixpoint, and sites are recorded at the outermost call
+// carrying a constant method name.
 func BuildIndex(fset *token.FileSet, pkgs []*load.Package) *Index {
 	ix := &Index{
 		Encodes: make(map[string]*Layout),

@@ -321,10 +321,10 @@ func (n *Node) register() {
 type Cluster struct{ cl *transport.Client }
 
 func (c *Cluster) call(method string, body []byte) ([]byte, error) {
-	return c.callAttempt(method, body)
+	return c.attempt(method, body)
 }
 
-func (c *Cluster) callAttempt(method string, body []byte) ([]byte, error) {
+func (c *Cluster) attempt(method string, body []byte) ([]byte, error) {
 	return c.cl.Call(method, body)
 }
 

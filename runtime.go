@@ -2,7 +2,6 @@ package efdedup
 
 import (
 	"context"
-	"net"
 
 	"efdedup/internal/agent"
 	"efdedup/internal/chunk"
@@ -12,6 +11,7 @@ import (
 	"efdedup/internal/kvstore"
 	"efdedup/internal/netem"
 	"efdedup/internal/retrypolicy"
+	"efdedup/internal/transport"
 )
 
 // Chunker splits byte streams into content-addressed chunks.
@@ -112,9 +112,7 @@ func NewCloudServer(cfg CloudServerConfig) (*CloudServer, error) {
 
 // Dialer abstracts how clients reach services: real TCP
 // (transport.TCPNetwork), the in-memory fabric, or a netem-shaped view.
-type Dialer interface {
-	Dial(ctx context.Context, addr string) (net.Conn, error)
-}
+type Dialer = transport.Dialer
 
 // DialCloud connects a client to a cloud store.
 func DialCloud(ctx context.Context, d Dialer, addr string) (*CloudClient, error) {
