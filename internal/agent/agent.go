@@ -344,7 +344,7 @@ func (a *Agent) ProcessBytes(ctx context.Context, name string, data []byte) (Rep
 		return a.rawUpload(ctx, name, data, start)
 	}
 	p := a.newPipeline(ctx, name)
-	return a.finishStream(ctx, p, p.runBytes(data), start)
+	return a.finishStream(p, p.runBytes(data), start)
 }
 
 // ProcessStream deduplicates r under the agent's mode, records a manifest
@@ -374,7 +374,7 @@ func (a *Agent) ProcessStream(ctx context.Context, name string, r io.Reader) (Re
 	}
 
 	p := a.newPipeline(ctx, name)
-	return a.finishStream(ctx, p, p.run(r), start)
+	return a.finishStream(p, p.run(r), start)
 }
 
 // rawUpload ships one buffered stream unmodified (ModeCloudOnly).
@@ -397,21 +397,13 @@ func (a *Agent) rawUpload(ctx context.Context, name string, data []byte, start t
 	return rep, nil
 }
 
-// finishStream joins the pipeline and records the stream's manifest.
-func (a *Agent) finishStream(ctx context.Context, p *pipeline, runErr error, start time.Time) (Report, error) {
-	rep, finishErr := p.finish(runErr)
-	if finishErr != nil {
-		// The manifest is only recorded below, after every chunk it
-		// references was durably uploaded; an aborted stream therefore
-		// leaves no manifest behind, so a restore can never reference
-		// chunks the cloud lacks.
-		return rep, finishErr
-	}
-	msp := metrics.StartTimer(a.met.manifestLat)
-	err := a.cfg.Cloud.PutManifest(ctx, rep.Name, p.manifest)
-	msp.End()
+// finishStream joins and commits the pipeline. The manifest goes out
+// only with, or after, every chunk it references (see pipeline.finish),
+// so a restore can never reference chunks the cloud lacks.
+func (a *Agent) finishStream(p *pipeline, runErr error, start time.Time) (Report, error) {
+	rep, err := p.finish(runErr)
 	if err != nil {
-		return rep, fmt.Errorf("agent: manifest %s: %w", rep.Name, err)
+		return rep, err
 	}
 	rep.Duration = time.Since(start)
 	a.met.streamLat.ObserveDuration(rep.Duration)

@@ -15,9 +15,15 @@ package agent
 //	shared lookup pool ×LookupInflight per agent — BatchHas (downgrade ladder)
 //	   ▼  ordered delivery via lookupOrder done tokens
 //	router — duplicate suppression, upload batching
-//	   │  uploads (cap 4 batches)
-//	   ▼
-//	uploader — BatchUpload, acknowledged accounting, ring index registration
+//	   │  uploads (cap 4 full batches)        │  tail: the last, partial batch
+//	   ▼                                      ▼
+//	uploader — BatchUpload of full batches    finish — after the uploader joins:
+//	                                          Commit(tail + manifest)
+//	both: acknowledged accounting, ring index registration
+//
+// The router keeps the tail batch back; finish owns it once the router
+// has exited and ships it in the same round trip as the manifest, so a
+// stream whose fresh chunks fit one batch costs one cloud RPC.
 //
 // The hash and lookup stages are served by the agent's shared scheduler
 // (scheduler.go): the pools are sized once per agent and drained
@@ -36,8 +42,10 @@ package agent
 // Memory bound: chunk payloads live in the chunk-buffer arena and are
 // released exactly once — by the collector (intra-stream duplicate), the
 // router (index-known duplicate), the uploader (after the cloud acked or
-// failed the batch), or a draining stage after a fatal error. Per-stream
-// in-flight payloads are capped by the channel bounds:
+// failed the batch), finish (the tail, after the commit was acked or
+// failed, or unsent because the stream failed), or a draining stage after
+// a fatal error. Per-stream in-flight payloads are capped by the channel
+// bounds:
 //
 //	inflight chunks ≤ (2·HashWorkers+hashOrderSlack) + 1  — hash stage
 //	                + (LookupInflight+1)·LookupBatch       — lookup stage
@@ -331,9 +339,7 @@ func (p *pipeline) collect() {
 	if !p.aborted() {
 		p.dispatchLookup() // partial tail batch
 	} else if p.cur != nil {
-		for _, c := range p.cur.batch {
-			p.release(c)
-		}
+		p.releaseAll(p.cur.batch)
 		putLookupJob(p.cur)
 		p.cur = nil
 	}
@@ -364,8 +370,10 @@ func putLookupJob(job *lookupJob) {
 }
 
 // route consumes resolved batches in stream order, suppresses
-// index-known duplicates and feeds the uploader. It owns the uploads
-// channel and closes it on the way out.
+// index-known duplicates and feeds the uploader full batches. It owns the
+// uploads channel and closes it on the way out. The partial tail batch
+// stays in pendingUpload: finish commits it with the manifest, or
+// releases it if the stream failed.
 func (p *pipeline) route() {
 	defer close(p.routeDone)
 	for job := range p.lookupOrder {
@@ -375,9 +383,7 @@ func (p *pipeline) route() {
 			p.fail(job.err)
 			fallthrough
 		case p.aborted():
-			for _, c := range job.batch {
-				p.release(c)
-			}
+			p.releaseAll(job.batch)
 		default:
 			for i, c := range job.batch {
 				if job.known[i] {
@@ -394,15 +400,14 @@ func (p *pipeline) route() {
 		}
 		putLookupJob(job)
 	}
-	if !p.aborted() {
-		p.queueUpload() // partial tail batch
-	} else {
-		for _, c := range p.pendingUpload {
-			p.release(c)
-		}
-		p.pendingUpload = nil
-	}
 	close(p.uploads)
+}
+
+// releaseAll returns a batch's payloads to the arena.
+func (p *pipeline) releaseAll(batch []chunk.Chunk) {
+	for _, c := range batch {
+		p.release(c)
+	}
 }
 
 // queueUpload hands the pending chunks to the asynchronous uploader.
@@ -420,8 +425,8 @@ func (p *pipeline) queueUpload() {
 	p.pendingUpload = p.pendingUpload[:0]
 }
 
-// upload ships batches to the cloud. A batch's chunks are counted and
-// its hashes registered in the ring index only after the cloud
+// upload ships full batches to the cloud. A batch's chunks are counted
+// and its hashes registered in the ring index only after the cloud
 // acknowledges it; payloads return to the arena either way.
 func (p *pipeline) upload() {
 	defer close(p.uploadErr)
@@ -431,43 +436,61 @@ func (p *pipeline) upload() {
 		_, err := p.a.cfg.Cloud.BatchUpload(p.ctx, batch)
 		sp.End()
 		if err != nil {
-			for _, c := range batch {
-				p.release(c)
-			}
+			p.releaseAll(batch)
 			p.uploadErr <- fmt.Errorf("agent: upload batch: %w", err)
 			// Drain remaining batches so the producer never blocks.
 			// Dropped batches are deliberately not counted: they never
 			// reached the cloud.
 			for batch := range p.uploads {
 				p.a.met.uploadQueue.Add(-1)
-				for _, c := range batch {
-					p.release(c)
-				}
+				p.releaseAll(batch)
 			}
 			return
 		}
-		var batchBytes int64
-		for _, c := range batch {
-			batchBytes += int64(len(c.Data))
-		}
-		p.uploadedChunks.Add(int64(len(batch)))
-		p.uploadedBytes.Add(batchBytes)
-		p.a.met.uploadedChunks.Add(int64(len(batch)))
-		p.a.met.uploadedBytes.Add(batchBytes)
-		p.a.met.uploadBatch.Observe(int64(len(batch)))
-		// Payloads are dead once the cloud acked the batch; only the
-		// content IDs flow on to the ring index.
-		for _, c := range batch {
-			p.release(c)
-		}
-		// Only now — with the batch durable in the cloud — are its
-		// hashes registered in the ring index. Registering at lookup
-		// time could advertise chunks that a mid-stream abort never
-		// uploaded, making peers skip uploads for data the cloud does
-		// not hold.
-		if p.a.cfg.Mode == ModeRing {
-			p.registerFresh(batch)
-		}
+		p.acked(batch)
+	}
+}
+
+// commit ends the stream in one cloud round trip: the tail batch the
+// router held back and the manifest. The tail is accounted like an
+// uploaded batch, and only on the cloud's ack.
+func (p *pipeline) commit(tail []chunk.Chunk) error {
+	sp := metrics.StartTimer(p.a.met.manifestLat)
+	_, err := p.a.cfg.Cloud.Commit(p.ctx, p.rep.Name, p.manifest, tail)
+	sp.End()
+	if err != nil {
+		p.releaseAll(tail)
+		return fmt.Errorf("agent: commit %s: %w", p.rep.Name, err)
+	}
+	p.acked(tail)
+	return nil
+}
+
+// acked accounts a batch the cloud acknowledged: its chunks count as
+// uploaded, its payloads return to the arena, and its hashes go on to the
+// ring index.
+func (p *pipeline) acked(batch []chunk.Chunk) {
+	if len(batch) == 0 {
+		return
+	}
+	var batchBytes int64
+	for _, c := range batch {
+		batchBytes += int64(len(c.Data))
+	}
+	p.uploadedChunks.Add(int64(len(batch)))
+	p.uploadedBytes.Add(batchBytes)
+	p.a.met.uploadedChunks.Add(int64(len(batch)))
+	p.a.met.uploadedBytes.Add(batchBytes)
+	p.a.met.uploadBatch.Observe(int64(len(batch)))
+	// Payloads are dead once the cloud acked the batch; only the content
+	// IDs flow on to the ring index.
+	p.releaseAll(batch)
+	// Only now — with the batch durable in the cloud — are its hashes
+	// registered in the ring index. Registering at lookup time could
+	// advertise chunks that a mid-stream abort never uploaded, making
+	// peers skip uploads for data the cloud does not hold.
+	if p.a.cfg.Mode == ModeRing {
+		p.registerFresh(batch)
 	}
 }
 
@@ -522,12 +545,18 @@ func (p *pipeline) registerFresh(batch []chunk.Chunk) {
 	}()
 }
 
-// finish joins the stage-exit chain and reports the first error among
-// the stream error, fatal stage errors, upload failures and index
-// failures. The chain — chunker done → hash stage closed → collector
-// exits (closing the lookup stage) → router exits (closing uploads) →
-// uploader exits (closing uploadErr) — also sequences the memory model:
-// every stage's writes happen before finish reads them.
+// finish joins the stage-exit chain, commits the stream and reports the
+// first error among the stream error, fatal stage errors, upload
+// failures, the commit and index failures. The chain — chunker done →
+// hash stage closed → collector exits (closing the lookup stage) → router
+// exits (closing uploads) → uploader exits (closing uploadErr) — also
+// sequences the memory model: every stage's writes happen before finish
+// reads them.
+//
+// The commit waits for the uploader, so every full batch is acked before
+// the manifest names its chunks, and an aborted stream leaves no
+// manifest. It runs before the index join: the last full batch's ring
+// insert overlaps the commit's WAN round trip.
 func (p *pipeline) finish(streamErr error) (Report, error) {
 	if streamErr != nil {
 		p.fail(streamErr)
@@ -536,6 +565,12 @@ func (p *pipeline) finish(streamErr error) (Report, error) {
 	<-p.collectDone
 	<-p.routeDone
 	uploadFailure := <-p.uploadErr
+	var commitFailure error
+	if tail := p.pendingUpload; p.fatal() == nil && uploadFailure == nil {
+		commitFailure = p.commit(tail)
+	} else {
+		p.releaseAll(tail)
+	}
 	p.indexWG.Wait()
 	// Stages have joined, so every submitted job was popped and answered
 	// (the collector/router awaited each done token): the slot's queues
@@ -560,6 +595,8 @@ func (p *pipeline) finish(streamErr error) (Report, error) {
 		return p.rep, p.fatal()
 	case uploadFailure != nil:
 		return p.rep, uploadFailure
+	case commitFailure != nil:
+		return p.rep, commitFailure
 	case indexFailure != nil:
 		return p.rep, indexFailure
 	}

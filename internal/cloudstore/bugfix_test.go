@@ -5,9 +5,9 @@ package cloudstore
 //
 //   - escapeName used to leave '%' unescaped, so "a%2Fb" and "a/b"
 //     collided on disk and ManifestNames un-escaped literal "%2F";
-//   - handlePutManifest / the raw-upload manifest path used to update
-//     the in-memory catalog before the durable disk write, advertising
-//     manifests a restart would not have;
+//   - the manifest handler and the raw-upload manifest path used to
+//     update the in-memory catalog before the durable disk write,
+//     advertising manifests a restart would not have;
 //   - the server accepted empty / "." / ".." manifest names;
 //   - a chunk the disk refused was reported as a duplicate, so the
 //     upload RPC succeeded for a chunk the cloud did not hold.
@@ -140,24 +140,31 @@ func breakStoreDir(t *testing.T, dir, sub string) {
 
 // TestPutManifestDurableFirst injects a disk failure into the manifest
 // write and asserts the server does NOT advertise the manifest from
-// memory — the durable write must come first.
+// memory — the durable write must come first — whether the commit
+// carries no tail or a tail that was stored before the manifest write
+// failed.
 func TestPutManifestDurableFirst(t *testing.T) {
 	dir := t.TempDir()
 	cl, srv := startCloud(t, Config{Dir: dir})
 	ctx := context.Background()
 
-	c := mkChunk("manifest body chunk")
+	c, tail := mkChunk("manifest body chunk"), mkChunk("tail chunk")
 	upload1(t, cl, c)
 	breakManifestDir(t, dir)
 
 	if err := cl.PutManifest(ctx, "phantom", []chunk.ID{c.ID}); err == nil {
 		t.Fatal("PutManifest succeeded with a broken disk")
 	}
-	if _, err := cl.GetManifest(ctx, "phantom"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("failed durable write still advertised: GetManifest = %v, want ErrNotFound", err)
+	if _, err := cl.Commit(ctx, "phantom-tail", []chunk.ID{c.ID, tail.ID}, []chunk.Chunk{tail}); err == nil {
+		t.Fatal("Commit succeeded with a broken disk")
 	}
-	if st := srv.Stats(); st.Manifests != 0 {
-		t.Fatalf("Manifests = %d after failed durable write, want 0", st.Manifests)
+	for _, name := range []string{"phantom", "phantom-tail"} {
+		if _, err := cl.GetManifest(ctx, name); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("failed durable write still advertised: GetManifest(%s) = %v, want ErrNotFound", name, err)
+		}
+	}
+	if st := srv.Stats(); st.Manifests != 0 || st.UniqueChunks != 2 {
+		t.Fatalf("stats after failed manifest writes: %+v, want 0 manifests and both chunks", st)
 	}
 }
 

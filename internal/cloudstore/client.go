@@ -19,7 +19,7 @@ import (
 var clientMethods = []string{
 	methodBatchUpload, methodBatchHas, methodUploadRaw,
 	methodGetChunks, methodGetRecipe, methodGetContainer,
-	methodPutManifest, methodStats,
+	methodCommit, methodStats,
 }
 
 // Client talks to a cloud store over one multiplexed connection. Transport
@@ -129,14 +129,31 @@ func (c *Client) UploadRaw(ctx context.Context, name string, data []byte) (store
 	return int(binary.BigEndian.Uint32(resp)), nil
 }
 
-// PutManifest records the chunk sequence of a named file.
-func (c *Client) PutManifest(ctx context.Context, name string, ids []chunk.ID) error {
-	body, err := encodeNamedBlob(name, encodeManifestIDs(ids))
+// Commit ends a stream in one round trip: it stores the stream's tail
+// chunks, as BatchUpload would, and records its manifest under name. The
+// server records the manifest only if every chunk it names is stored;
+// otherwise the error wraps ErrNotFound and no manifest exists. It
+// returns how many tail chunks were new.
+func (c *Client) Commit(ctx context.Context, name string, ids []chunk.ID, chunks []chunk.Chunk) (stored int, err error) {
+	body, err := encodeCommit(name, chunks, ids)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	_, err = c.call(ctx, methodPutManifest, body)
-	return classifyRemote(err)
+	resp, err := c.call(ctx, methodCommit, body)
+	if err != nil {
+		return 0, classifyRemote(err)
+	}
+	if len(resp) != 4 {
+		return 0, fmt.Errorf("%w: malformed commit response", ErrProto)
+	}
+	return int(binary.BigEndian.Uint32(resp)), nil
+}
+
+// PutManifest records the chunk sequence of a named file: a Commit with
+// no tail chunks.
+func (c *Client) PutManifest(ctx context.Context, name string, ids []chunk.ID) error {
+	_, err := c.Commit(ctx, name, ids, nil)
+	return err
 }
 
 // GetManifest returns the chunk sequence of a named file: the IDs of its

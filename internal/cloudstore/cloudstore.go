@@ -12,11 +12,15 @@
 //     deduplicates server-side.
 //
 // Manifests map a file name to its chunk sequence so any stored stream
-// can be restored and verified end to end. Fresh chunks are packed in
-// upload order into locality-preserving containers (container.go), the
-// only place a payload is kept; a restore reads the records it needs out
-// of each container with one RPC, through a read-ahead cache, instead of
-// one RPC per chunk.
+// can be restored and verified end to end. Both edge roles end a stream
+// with one Commit: its last, partial upload batch and its manifest in
+// one round trip. The server records the manifest only once every chunk
+// it names is stored, so an acked manifest always restores.
+//
+// Fresh chunks are packed in upload order into locality-preserving
+// containers (container.go), the only place a payload is kept; a restore
+// reads the records it needs out of each container with one RPC, through
+// a read-ahead cache, instead of one RPC per chunk.
 package cloudstore
 
 import (
@@ -39,7 +43,7 @@ const (
 	methodGetChunks    = "cloud.getchunks"
 	methodGetRecipe    = "cloud.getrecipe"
 	methodGetContainer = "cloud.getcontainer"
-	methodPutManifest  = "cloud.putmanifest"
+	methodCommit       = "cloud.commit"
 	methodStats        = "cloud.stats"
 )
 
@@ -146,7 +150,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s.handle(methodGetChunks, s.handleGetChunks)
 	s.handle(methodGetRecipe, s.handleGetRecipe)
 	s.handle(methodGetContainer, s.handleGetContainer)
-	s.handle(methodPutManifest, s.handlePutManifest)
+	s.handle(methodCommit, s.handleCommit)
 	s.handle(methodStats, s.handleStats)
 	reg := metrics.Default()
 	reg.GaugeFunc("cloud_server_unique_chunks", func() float64 {
@@ -254,6 +258,36 @@ func validManifestName(name string) error {
 	return nil
 }
 
+// verifyChunks checks that every uploaded payload hashes to its ID.
+func verifyChunks(chunks []chunk.Chunk) error {
+	for i, ck := range chunks {
+		if chunk.Sum(ck.Data) != ck.ID {
+			return fmt.Errorf("%w: batch record %d content mismatch", ErrCorrupt, i)
+		}
+	}
+	return nil
+}
+
+// recordManifest stores a manifest durable-first — a manifest the disk
+// refused is never advertised from the in-memory catalog, the ordering a
+// kvstore put handler once got wrong (apply, then fail to log) — and
+// then repacks the chunks it references sparsely.
+func (s *Server) recordManifest(name string, ids []chunk.ID) error {
+	if s.disk != nil {
+		if err := s.disk.PutManifest(name, ids); err != nil {
+			return fmt.Errorf("cloudstore: persist manifest %q: %w", name, err)
+		}
+	}
+	s.mu.Lock()
+	if _, ok := s.manifests[name]; !ok {
+		s.stats.Manifests++
+	}
+	s.manifests[name] = ids
+	s.mu.Unlock()
+	s.repackSparse(ids)
+	return nil
+}
+
 // countLogical adds the payload bytes a client asked the cloud to store.
 func (s *Server) countLogical(chunks []chunk.Chunk) {
 	var n int64
@@ -307,10 +341,8 @@ func (s *Server) handleBatchUpload(body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, ck := range chunks {
-		if chunk.Sum(ck.Data) != ck.ID {
-			return nil, fmt.Errorf("%w: batch record %d content mismatch", ErrCorrupt, i)
-		}
+	if err := verifyChunks(chunks); err != nil {
+		return nil, err
 	}
 	s.countLogical(chunks)
 	stored, err := s.containers.put(chunks)
@@ -351,33 +383,18 @@ func (s *Server) handleUploadRaw(body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]chunk.ID, len(chunks))
-	for i, c := range chunks {
-		ids[i] = c.ID
-	}
-	// Durable-first: the manifest must hit disk before the in-memory
-	// catalog advertises it, or a failed write leaves the server claiming
-	// a manifest a restart will not have. One named block keeps the
-	// persist and the catalog update on the same guarded path.
 	if name != "" {
-		if s.disk != nil {
-			if err := s.disk.PutManifest(name, ids); err != nil {
-				return nil, fmt.Errorf("cloudstore: persist manifest %q: %w", name, err)
-			}
+		ids := make([]chunk.ID, len(chunks))
+		for i, c := range chunks {
+			ids[i] = c.ID
 		}
-		s.mu.Lock()
-		s.stats.RawUploads++
-		if _, ok := s.manifests[name]; !ok {
-			s.stats.Manifests++
+		if err := s.recordManifest(name, ids); err != nil {
+			return nil, err
 		}
-		s.manifests[name] = ids
-		s.mu.Unlock()
-		s.repackSparse(ids)
-	} else {
-		s.mu.Lock()
-		s.stats.RawUploads++
-		s.mu.Unlock()
 	}
+	s.mu.Lock()
+	s.stats.RawUploads++
+	s.mu.Unlock()
 	return binary.BigEndian.AppendUint32(nil, uint32(stored)), nil
 }
 
@@ -425,35 +442,38 @@ func (s *Server) handleGetContainer(body []byte) ([]byte, error) {
 	return s.containers.readSealed(id, extents)
 }
 
-// putmanifest body: u16 name length | name | (32-byte ID)*.
-func (s *Server) handlePutManifest(body []byte) ([]byte, error) {
-	name, rest, err := decodeNamedBlob(body)
+// commit body: u16 name length | name | u32 count | (32-byte ID | u32 len |
+// payload)* | (32-byte ID)*; response: u32 tail chunks that were new.
+// It ends a stream in one round trip: the tail batch is stored as a batch
+// upload would store it (append, one sync, publish), and only then, if
+// every chunk the manifest names is stored, is the manifest recorded — an
+// acked manifest always restores. A manifest naming a missing chunk is an
+// ErrNotFound and records nothing.
+func (s *Server) handleCommit(body []byte) ([]byte, error) {
+	name, chunks, ids, err := decodeCommit(body)
 	if err != nil {
 		return nil, err
 	}
 	if err := validManifestName(name); err != nil {
 		return nil, err
 	}
-	ids, err := decodeManifestIDs(rest)
-	if err != nil {
-		return nil, fmt.Errorf("manifest %q: %w", name, err)
+	if err := verifyChunks(chunks); err != nil {
+		return nil, err
 	}
-	// Durable-first, then memory: a manifest the disk refused must never
-	// be advertised from the in-memory catalog (the ordering a kvstore
-	// put handler once got wrong — apply, then fail to log).
-	if s.disk != nil {
-		if err := s.disk.PutManifest(name, ids); err != nil {
-			return nil, fmt.Errorf("cloudstore: persist manifest %q: %w", name, err)
+	s.countLogical(chunks)
+	stored, err := s.containers.put(chunks)
+	if err != nil {
+		return nil, err
+	}
+	for i, ok := range s.containers.has(ids) {
+		if ok == 0 {
+			return nil, fmt.Errorf("%w: manifest %q entry %d names chunk %s, which is not stored", ErrNotFound, name, i, ids[i])
 		}
 	}
-	s.mu.Lock()
-	if _, ok := s.manifests[name]; !ok {
-		s.stats.Manifests++
+	if err := s.recordManifest(name, ids); err != nil {
+		return nil, err
 	}
-	s.manifests[name] = ids
-	s.mu.Unlock()
-	s.repackSparse(ids)
-	return nil, nil
+	return binary.BigEndian.AppendUint32(nil, uint32(stored)), nil
 }
 
 func (s *Server) handleStats([]byte) ([]byte, error) {

@@ -175,6 +175,74 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCommitStoresTailAndManifest ends a stream the way an agent does:
+// one chunk uploaded in a full batch earlier, the rest in the commit's
+// tail. The tail is stored and counted like a batch upload, and the
+// manifest restores.
+func TestCommitStoresTailAndManifest(t *testing.T) {
+	cl, srv := startCloud(t, Config{})
+	ctx := context.Background()
+
+	early, t1, t2 := mkChunk("uploaded earlier "), mkChunk("tail one "), mkChunk("tail two")
+	upload1(t, cl, early)
+	ids := []chunk.ID{early.ID, t1.ID, t2.ID, t1.ID}
+	stored, err := cl.Commit(ctx, "stream", ids, []chunk.Chunk{t1, t2, t1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored != 2 {
+		t.Fatalf("Commit stored %d, want 2 (one in-tail duplicate)", stored)
+	}
+	restored, err := cl.Restore(ctx, "stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(restored) != "uploaded earlier tail one tail twotail one " {
+		t.Fatalf("Restore = %q", restored)
+	}
+	st := srv.Stats()
+	if st.UniqueChunks != 3 || st.Manifests != 1 || st.LogicalBytes != int64(len(early.Data)+2*len(t1.Data)+len(t2.Data)) {
+		t.Fatalf("stats after commit: %+v", st)
+	}
+	// A repeated commit stores nothing new and replaces the manifest.
+	if stored, err := cl.Commit(ctx, "stream", ids[:1], []chunk.Chunk{t1}); err != nil || stored != 0 {
+		t.Fatalf("repeated Commit = %d, %v; want 0, nil", stored, err)
+	}
+	if st := srv.Stats(); st.Manifests != 1 {
+		t.Fatalf("Manifests = %d after replacing one, want 1", st.Manifests)
+	}
+}
+
+// TestCommitRefusesMissingChunk: a manifest naming a chunk the cloud
+// never stored is refused with ErrNotFound and records nothing, so no
+// acked manifest can fail to restore. The tail it carried is still
+// stored: those chunks were durable before the check ran.
+func TestCommitRefusesMissingChunk(t *testing.T) {
+	cl, srv := startCloud(t, Config{})
+	ctx := context.Background()
+
+	tail, never := mkChunk("tail"), mkChunk("never uploaded")
+	for _, c := range []struct {
+		name  string
+		chunk []chunk.Chunk
+	}{{"bare", nil}, {"with-tail", []chunk.Chunk{tail}}} {
+		_, err := cl.Commit(ctx, c.name, []chunk.ID{tail.ID, never.ID}, c.chunk)
+		if !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: Commit naming a missing chunk = %v, want ErrNotFound", c.name, err)
+		}
+		if _, err := cl.GetRecipe(ctx, c.name); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: GetRecipe after a refused commit = %v, want ErrNotFound", c.name, err)
+		}
+	}
+	if err := cl.PutManifest(ctx, "put", []chunk.ID{never.ID}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("PutManifest naming a missing chunk = %v, want ErrNotFound", err)
+	}
+	st := srv.Stats()
+	if st.Manifests != 0 || st.UniqueChunks != 1 {
+		t.Fatalf("stats after refused commits: %+v, want no manifest and only the tail chunk", st)
+	}
+}
+
 func TestGetMissing(t *testing.T) {
 	cl, _ := startCloud(t, Config{})
 	ctx := context.Background()

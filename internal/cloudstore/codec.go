@@ -15,51 +15,109 @@ import (
 	"efdedup/internal/chunk"
 )
 
-// encodeChunkList builds a batch upload body:
-// u32 count | (32-byte ID | u32 len | payload)*.
-func encodeChunkList(chunks []chunk.Chunk) []byte {
-	body := binary.BigEndian.AppendUint32(nil, uint32(len(chunks)))
+// chunkListSize is the encoded size of a chunk list.
+func chunkListSize(chunks []chunk.Chunk) int {
+	n := 4
 	for _, ck := range chunks {
-		body = append(body, ck.ID[:]...)
-		body = binary.BigEndian.AppendUint32(body, uint32(len(ck.Data)))
-		body = append(body, ck.Data...)
+		n += chunk.IDSize + 4 + len(ck.Data)
 	}
-	return body
+	return n
 }
 
-// decodeChunkList parses a batch upload body. Chunk payloads alias the
-// input.
-func decodeChunkList(body []byte) ([]chunk.Chunk, error) {
+// appendChunkList appends a chunk list to dst:
+// u32 count | (32-byte ID | u32 len | payload)*.
+func appendChunkList(dst []byte, chunks []chunk.Chunk) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(chunks)))
+	for _, ck := range chunks {
+		dst = append(dst, ck.ID[:]...)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(ck.Data)))
+		dst = append(dst, ck.Data...)
+	}
+	return dst
+}
+
+// readChunkList reads a chunk list off the front of body and returns the
+// bytes after it. Chunk payloads alias the input.
+func readChunkList(body []byte) ([]chunk.Chunk, []byte, error) {
 	if len(body) < 4 {
-		return nil, fmt.Errorf("%w: truncated chunk list", ErrProto)
+		return nil, nil, fmt.Errorf("%w: truncated chunk list", ErrProto)
 	}
 	count := binary.BigEndian.Uint32(body)
 	src := body[4:]
 	// Each record costs at least a header; reject counts the payload
 	// cannot hold before allocating count slots.
 	if uint64(count) > uint64(len(src))/(chunk.IDSize+4) {
-		return nil, fmt.Errorf("%w: chunk count %d exceeds what %d bytes can hold", ErrProto, count, len(src))
+		return nil, nil, fmt.Errorf("%w: chunk count %d exceeds what %d bytes can hold", ErrProto, count, len(src))
 	}
 	out := make([]chunk.Chunk, 0, count)
 	for i := uint32(0); i < count; i++ {
 		if len(src) < chunk.IDSize+4 {
-			return nil, fmt.Errorf("%w: truncated chunk record %d", ErrProto, i)
+			return nil, nil, fmt.Errorf("%w: truncated chunk record %d", ErrProto, i)
 		}
 		var ck chunk.Chunk
 		copy(ck.ID[:], src[:chunk.IDSize])
 		n := binary.BigEndian.Uint32(src[chunk.IDSize:])
 		src = src[chunk.IDSize+4:]
 		if uint64(len(src)) < uint64(n) {
-			return nil, fmt.Errorf("%w: chunk payload %d of %d bytes exceeds remaining %d", ErrProto, i, n, len(src))
+			return nil, nil, fmt.Errorf("%w: chunk payload %d of %d bytes exceeds remaining %d", ErrProto, i, n, len(src))
 		}
 		ck.Data = src[:n]
 		src = src[n:]
 		out = append(out, ck)
 	}
-	if len(src) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after %d chunk records", ErrProto, len(src), count)
+	return out, src, nil
+}
+
+// encodeChunkList builds a batch upload body: a chunk list alone.
+func encodeChunkList(chunks []chunk.Chunk) []byte {
+	body := make([]byte, 0, chunkListSize(chunks))
+	return appendChunkList(body, chunks)
+}
+
+// decodeChunkList parses a batch upload body.
+func decodeChunkList(body []byte) ([]chunk.Chunk, error) {
+	chunks, rest, err := readChunkList(body)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after %d chunk records", ErrProto, len(rest), len(chunks))
+	}
+	return chunks, nil
+}
+
+// encodeCommit builds a commit body — a stream's name, its tail batch and
+// its manifest — in one buffer sized up front, since the tail's payloads
+// are most of it: u16 name length | name | chunk list | (32-byte ID)*.
+func encodeCommit(name string, chunks []chunk.Chunk, ids []chunk.ID) ([]byte, error) {
+	if len(name) > 65535 {
+		return nil, fmt.Errorf("%w: name too long", ErrProto)
+	}
+	body := make([]byte, 0, 2+len(name)+chunkListSize(chunks)+len(ids)*chunk.IDSize)
+	body = binary.BigEndian.AppendUint16(body, uint16(len(name)))
+	body = append(body, name...)
+	body = appendChunkList(body, chunks)
+	for _, id := range ids {
+		body = append(body, id[:]...)
+	}
+	return body, nil
+}
+
+// decodeCommit parses a commit body. Chunk payloads alias the input.
+func decodeCommit(body []byte) (name string, chunks []chunk.Chunk, ids []chunk.ID, err error) {
+	name, rest, err := decodeNamedBlob(body)
+	if err != nil {
+		return "", nil, nil, err
+	}
+	chunks, rest, err = readChunkList(rest)
+	if err != nil {
+		return "", nil, nil, fmt.Errorf("commit %q: %w", name, err)
+	}
+	ids, err = decodeManifestIDs(rest)
+	if err != nil {
+		return "", nil, nil, fmt.Errorf("commit %q: %w", name, err)
+	}
+	return name, chunks, ids, nil
 }
 
 // encodeIDList builds a batchhas/getchunks request:
@@ -91,7 +149,7 @@ func decodeIDList(body []byte) ([]chunk.ID, error) {
 	return ids, nil
 }
 
-// encodeNamedBlob builds an uploadraw/putmanifest body:
+// encodeNamedBlob builds an uploadraw body:
 // u16 name length | name | payload.
 func encodeNamedBlob(name string, payload []byte) ([]byte, error) {
 	if len(name) > 65535 {
@@ -115,8 +173,8 @@ func decodeNamedBlob(body []byte) (string, []byte, error) {
 	return string(body[2 : 2+nameLen]), body[2+nameLen:], nil
 }
 
-// encodeManifestIDs builds the ID suffix of a putmanifest body, which is
-// also a manifest file: a bare 32-byte ID concatenation.
+// encodeManifestIDs builds a manifest file: a bare 32-byte ID
+// concatenation, as in the suffix of a commit body.
 func encodeManifestIDs(ids []chunk.ID) []byte {
 	out := make([]byte, 0, len(ids)*chunk.IDSize)
 	for _, id := range ids {

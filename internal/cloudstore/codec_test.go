@@ -56,6 +56,77 @@ func TestChunkListHostile(t *testing.T) {
 	}
 }
 
+func TestCommitRoundTrip(t *testing.T) {
+	tail := []chunk.Chunk{codecChunk("t1"), codecChunk("t22")}
+	ids := []chunk.ID{tail[0].ID, chunk.Sum([]byte("old")), tail[1].ID}
+	for _, c := range []struct {
+		tail []chunk.Chunk
+		ids  []chunk.ID
+	}{{tail, ids}, {nil, ids}, {nil, nil}} {
+		body, err := encodeCommit("backup/1", c.tail, c.ids)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		if want := 2 + len("backup/1") + chunkListSize(c.tail) + len(c.ids)*chunk.IDSize; len(body) != want || cap(body) != want {
+			t.Fatalf("body is %d bytes in a %d-byte buffer, want one %d-byte buffer", len(body), cap(body), want)
+		}
+		name, gotTail, gotIDs, err := decodeCommit(body)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if name != "backup/1" || len(gotTail) != len(c.tail) || len(gotIDs) != len(c.ids) {
+			t.Fatalf("round trip gave %q, %d chunks, %d IDs", name, len(gotTail), len(gotIDs))
+		}
+		for i := range c.tail {
+			if gotTail[i].ID != c.tail[i].ID || !bytes.Equal(gotTail[i].Data, c.tail[i].Data) {
+				t.Fatalf("tail chunk %d mutated", i)
+			}
+		}
+		for i := range c.ids {
+			if gotIDs[i] != c.ids[i] {
+				t.Fatalf("manifest ID %d mutated", i)
+			}
+		}
+	}
+	if _, err := encodeCommit(string(make([]byte, 70000)), nil, nil); !errors.Is(err, ErrProto) {
+		t.Fatalf("oversized name not rejected: %v", err)
+	}
+}
+
+// TestCommitHostile feeds commit bodies a client could not have built:
+// every one is an ErrProto, from the decoder and from the handler.
+func TestCommitHostile(t *testing.T) {
+	head := binary.BigEndian.AppendUint16(nil, 1)
+	head = append(head, 'f')
+	list := appendChunkList(nil, []chunk.Chunk{codecChunk("x")})
+	id := chunk.Sum([]byte("x"))
+	cases := map[string][]byte{
+		"no chunk list":         head,
+		"truncated list":        append(append([]byte{}, head...), list[:len(list)-1]...),
+		"count exceeds body":    binary.BigEndian.AppendUint32(append([]byte{}, head...), 1<<20),
+		"misaligned ID suffix":  append(append(append([]byte{}, head...), list...), id[:chunk.IDSize-1]...),
+		"name longer than body": {0xFF, 0xFF, 'x'},
+	}
+	srv, err := NewServer(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for name, body := range cases {
+		t.Run(name, func(t *testing.T) {
+			if _, _, _, err := decodeCommit(body); !errors.Is(err, ErrProto) {
+				t.Fatalf("decodeCommit: %v, want ErrProto", err)
+			}
+			if _, err := srv.handleCommit(body); !errors.Is(err, ErrProto) {
+				t.Fatalf("handleCommit: %v, want ErrProto", err)
+			}
+		})
+	}
+	if st := srv.Stats(); st.UniqueChunks != 0 || st.Manifests != 0 {
+		t.Fatalf("hostile commits stored something: %+v", st)
+	}
+}
+
 func TestIDListRoundTrip(t *testing.T) {
 	in := []chunk.ID{chunk.Sum([]byte("1")), chunk.Sum([]byte("2"))}
 	out, err := decodeIDList(encodeIDList(in))

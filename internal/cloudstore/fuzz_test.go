@@ -12,7 +12,8 @@ import (
 // handler: none may panic, regardless of input. The server holds one
 // sealed container, so that extent requests get past "not found" to the
 // range checks: whatever they ask for, the reply is a protocol error or
-// no larger than the container.
+// no larger than the container. A commit the server acks names only
+// chunks it stores.
 func FuzzHandlers(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1})
@@ -23,6 +24,12 @@ func FuzzHandlers(f *testing.F) {
 	f.Add(encodeContainerRequest(1, nil))
 	f.Add(encodeContainerRequest(1, []Extent{{Off: 8, Len: containerRecordHeader + 64}}))
 	f.Add(encodeContainerRequest(1, []Extent{{Off: 8, Len: 40}, {Off: 40, Len: 1 << 31}}))
+	tail := mkChunk("tail")
+	for _, ids := range [][]chunk.ID{{id}, {id, tail.ID}, {tail.ID, chunk.Sum(nil)}} {
+		if body, err := encodeCommit("f", []chunk.Chunk{tail}, ids); err == nil {
+			f.Add(body)
+		}
+	}
 	sealedBytes := len(containerMagic) + containerRecordHeader + len(data)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		srv, err := NewServer(Config{})
@@ -45,11 +52,18 @@ func FuzzHandlers(f *testing.F) {
 			srv.handleGetChunks,
 			srv.handleGetRecipe,
 			srv.handleGetContainer,
-			srv.handlePutManifest,
 			srv.handleStats,
 		}
 		for _, h := range handlers {
 			_, _ = h(body) // must not panic
+		}
+		if _, err := srv.handleCommit(body); err == nil {
+			name, _, ids, _ := decodeCommit(body)
+			for i, ok := range srv.containers.has(ids) {
+				if ok == 0 {
+					t.Fatalf("acked commit %q names unstored chunk %d", name, i)
+				}
+			}
 		}
 	})
 }
@@ -66,6 +80,9 @@ func FuzzCloudCodecs(f *testing.F) {
 		f.Add(blob)
 	}
 	f.Add(encodeManifestIDs([]chunk.ID{ck.ID}))
+	if body, err := encodeCommit("name", []chunk.Chunk{ck}, []chunk.ID{ck.ID, ck.ID}); err == nil {
+		f.Add(body)
+	}
 	f.Add(encodeRecipe([]RecipeEntry{{ID: ck.ID, Loc: Locator{Container: 1, Offset: 2, Length: 3}}}))
 	f.Add(encodeChunkData([][]byte{[]byte("one"), []byte("two")}))
 	f.Add(encodeContainerRequest(1, []Extent{{Off: 8, Len: 40}, {Off: 48, Len: 1<<32 - 1}}))
@@ -86,6 +103,13 @@ func FuzzCloudCodecs(f *testing.F) {
 		check("decodeNamedBlob", err)
 		_, err = decodeManifestIDs(data)
 		check("decodeManifestIDs", err)
+		name, tail, ids, err := decodeCommit(data)
+		check("decodeCommit", err)
+		if err == nil {
+			if re, err := encodeCommit(name, tail, ids); err != nil || !bytes.Equal(re, data) {
+				t.Fatalf("commit body %x does not re-encode to itself: %v", data, err)
+			}
+		}
 		_, err = decodeRecipe(data)
 		check("decodeRecipe", err)
 		_, err = decodeChunkData(data, 3)

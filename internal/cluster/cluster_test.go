@@ -211,9 +211,11 @@ func TestIndexSurvivesNodeFailure(t *testing.T) {
 
 // TestWANLatencyHurtsCloudAssisted reproduces the Fig. 5(b) mechanism:
 // raising edge↔cloud delay slows cloud-assisted far more than ring mode.
+// Each point is the best of three runs: scheduler and GC noise only ever
+// slow a run down, so the fastest run is the one that measures the links.
 func TestWANLatencyHurtsCloudAssisted(t *testing.T) {
 	d := testDataset(t)
-	throughput := func(mode agent.Mode, wanDelay time.Duration) float64 {
+	run := func(mode agent.Mode, wanDelay time.Duration) float64 {
 		cfg := Config{
 			Nodes: []NodeSpec{
 				{Name: "e0", Site: "siteA"},
@@ -241,10 +243,18 @@ func TestWANLatencyHurtsCloudAssisted(t *testing.T) {
 		}
 		return res.AggregateThroughput()
 	}
+	throughput := func(mode agent.Mode, wanDelay time.Duration) float64 {
+		best := 0.0
+		for i := 0; i < 3; i++ {
+			best = max(best, run(mode, wanDelay))
+		}
+		return best
+	}
 
 	const low, high = 2 * time.Millisecond, 40 * time.Millisecond
 	ringDrop := throughput(agent.ModeRing, low) / throughput(agent.ModeRing, high)
 	assistedDrop := throughput(agent.ModeCloudAssisted, low) / throughput(agent.ModeCloudAssisted, high)
+	t.Logf("WAN latency x20: cloud-assisted slowed %.2fx, ring %.2fx", assistedDrop, ringDrop)
 	if assistedDrop <= ringDrop {
 		t.Errorf("WAN latency x20: cloud-assisted slowed %.2fx vs ring %.2fx — ring should be more resilient",
 			assistedDrop, ringDrop)

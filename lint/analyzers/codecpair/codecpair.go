@@ -3,7 +3,10 @@
 // lint/internal/wire. A pair is two functions in one package whose
 // names share a suffix under the codec prefixes (encode/append/marshal
 // vs decode/read/parse/unmarshal): encodeEntry pairs with decodeEntry,
-// appendBytes with readBytes, (*Node).encodeTable with decodeTable.
+// appendBytes with readBytes, (*Node).encodeTable with decodeTable. When
+// a suffix has several encoders or decoders — a whole-body codec and the
+// append/read helper it shares — each decoder pairs with the encoder of
+// its own family: encodeX with decodeX, appendX with readX.
 //
 // When both sides extract to a structured layout, any field-level
 // disagreement — width, prefix size, list element shape, extra or
@@ -35,13 +38,17 @@ var Analyzer = &analysis.Analyzer{
 var (
 	encPrefixes = []string{"encode", "append", "marshal"}
 	decPrefixes = []string{"decode", "read", "parse", "unmarshal"}
+	// family maps a decoder prefix to its encoder prefix, for suffixes
+	// with more than one pairing.
+	family = map[string]string{"decode": "encode", "read": "append", "unmarshal": "marshal"}
 )
 
 // candidate is one codec-named function declared in this pass.
 type candidate struct {
-	fid  string
-	name string
-	pos  token.Pos
+	fid    string
+	name   string
+	prefix string
+	pos    token.Pos
 }
 
 func run(pass *analysis.Pass) error {
@@ -62,42 +69,63 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			c := candidate{fid: fn.FullName(), name: fd.Name.Name, pos: fd.Name.Pos()}
-			if suf, ok := trimAnyPrefix(fd.Name.Name, encPrefixes); ok {
+			if pre, suf, ok := trimAnyPrefix(fd.Name.Name, encPrefixes); ok {
+				c.prefix = pre
 				encs[suf] = append(encs[suf], c)
 			}
-			if suf, ok := trimAnyPrefix(fd.Name.Name, decPrefixes); ok {
+			if pre, suf, ok := trimAnyPrefix(fd.Name.Name, decPrefixes); ok {
+				c.prefix = pre
 				decs[suf] = append(decs[suf], c)
 			}
 		}
 	}
 	for suf, ds := range decs {
-		es := encs[suf]
-		// Ambiguous suffixes (two encoders named encodeX and appendX)
-		// have no well-defined pairing; stay silent.
-		if len(es) != 1 || len(ds) != 1 {
-			continue
-		}
-		enc := ix.Layout(es[0].fid, wire.Encode)
-		dec := ix.Layout(ds[0].fid, wire.Decode)
-		if enc == nil || dec == nil || len(enc.Fields) == 0 || len(dec.Fields) == 0 {
-			continue
-		}
-		if msg := wire.Compare(enc, dec); msg != "" {
-			pass.Reportf(ds[0].pos, "wire layout mismatch between %s and %s: %s (encoder layout: %s; decoder layout: %s)",
-				es[0].name, ds[0].name, msg, enc, dec)
+		for _, d := range ds {
+			e, ok := partner(d, encs[suf], len(ds))
+			if !ok {
+				continue
+			}
+			enc := ix.Layout(e.fid, wire.Encode)
+			dec := ix.Layout(d.fid, wire.Decode)
+			if enc == nil || dec == nil || len(enc.Fields) == 0 || len(dec.Fields) == 0 {
+				continue
+			}
+			if msg := wire.Compare(enc, dec); msg != "" {
+				pass.Reportf(d.pos, "wire layout mismatch between %s and %s: %s (encoder layout: %s; decoder layout: %s)",
+					e.name, d.name, msg, enc, dec)
+			}
 		}
 	}
 	return nil
 }
 
-// trimAnyPrefix strips the first matching codec prefix, returning the
-// lowercased remainder. A bare prefix name ("read") is not a codec.
-func trimAnyPrefix(name string, prefixes []string) (string, bool) {
+// partner returns a decoder's encoder: the one encoder of its suffix if
+// the decoder is the only one too, else the one encoder of the decoder's
+// family. Anything else has no well-defined pairing and stays silent.
+func partner(d candidate, es []candidate, decoders int) (candidate, bool) {
+	if len(es) == 1 && decoders == 1 {
+		return es[0], true
+	}
+	var match []candidate
+	for _, e := range es {
+		if e.prefix == family[d.prefix] {
+			match = append(match, e)
+		}
+	}
+	if len(match) != 1 {
+		return candidate{}, false
+	}
+	return match[0], true
+}
+
+// trimAnyPrefix strips the first matching codec prefix, returning it and
+// the lowercased remainder. A bare prefix name ("read") is not a codec.
+func trimAnyPrefix(name string, prefixes []string) (prefix, suffix string, ok bool) {
 	lower := strings.ToLower(name)
 	for _, p := range prefixes {
 		if strings.HasPrefix(lower, p) && len(name) > len(p) {
-			return lower[len(p):], true
+			return p, lower[len(p):], true
 		}
 	}
-	return "", false
+	return "", "", false
 }

@@ -41,6 +41,32 @@ func decodePair(src []byte) (uint32, error) { // want `encoder writes 1 field\(s
 	return binary.BigEndian.Uint32(src), nil
 }
 
+// --- positive: a shared helper pair under a whole-body pair ----------
+
+// The suffix has two encoders and two decoders; each decoder is checked
+// against the encoder of its own family.
+func appendCounts(dst []byte, a uint32) []byte {
+	return binary.BigEndian.AppendUint32(dst, a)
+}
+
+func readCounts(src []byte) (uint64, []byte, error) { // want `wire layout mismatch between appendCounts and readCounts: field 1: encoder writes u32, decoder reads u64`
+	if len(src) < 8 {
+		return 0, nil, errProto
+	}
+	return binary.BigEndian.Uint64(src), src[8:], nil
+}
+
+func encodeCounts(a uint32) []byte {
+	return binary.BigEndian.AppendUint32(nil, a)
+}
+
+func decodeCounts(src []byte) (uint32, error) {
+	if len(src) != 4 {
+		return 0, errProto
+	}
+	return binary.BigEndian.Uint32(src), nil
+}
+
 // --- negatives -------------------------------------------------------
 
 // A symmetric pair: length-prefixed bytes then a fixed word.

@@ -1,13 +1,13 @@
 // Package durafirst enforces durable-write-before-memory-mutation in
-// kvstore/cloudstore handler methods — the bug class PRs 6 and 7 each
-// shipped and then fixed by hand (a kvstore put handler, since deleted,
-// applying to the table before the WAL append landed; handlePutManifest registering the
-// manifest before the disk write). The invariant comes straight from
-// the paper's collaborative index: once a handler acks success, a
-// crash must not forget state the ack promised, and the index must
-// never reference chunks the durable store lacks. So on every path
-// that acks success, the mutex-guarded mutation of receiver state must
-// be dominated by the durable call.
+// kvstore/cloudstore handler methods — a bug class this code base has
+// shipped and then fixed by hand twice (a kvstore put handler, since
+// deleted, applying to the table before the WAL append landed; the cloud's
+// manifest handler registering the manifest before the disk write). The
+// invariant comes straight from the paper's collaborative index: once a
+// handler acks success, a crash must not forget state the ack promised,
+// and the index must never reference chunks the durable store lacks. So
+// on every path that acks success, the mutex-guarded mutation of
+// receiver state must be dominated by the durable call.
 //
 // The check is a forward may-analysis of a three-state machine per
 // path over the function CFG:
@@ -20,12 +20,16 @@
 // reached while some path is dirty reports at the offending mutation.
 // Durable calls are wal.Append (or its batch form appendFrames) /
 // disk.Put* / containerLog.sync / reclog.WriteFileAtomic, directly or
-// one call level down (pass.Summaries
-// resolves the callee body, so `n.applyPut(...)` style helpers
-// contribute their mutations and `containerStore.put` style helpers
-// their durable-then-mutate sequences at the call site). Mutations are writes to receiver-rooted fields,
-// map entries and slices inside a mutex-held region — unlocked writes
-// are a different analyzer's problem.
+// one call level down: pass.Summaries resolves the callee body, so
+// `n.applyPut(...)` style helpers contribute their mutations and
+// `n.persist(...)` style helpers their durable write at the call site. A
+// helper that writes durably and then mutates, like `containerStore.put`
+// (append, sync, index), orders its own state and contributes nothing: it
+// vouches for no later mutation, so a handler that stores chunks and then
+// records a manifest still needs the manifest's own durable write before
+// the catalog write. Mutations are writes to receiver-rooted fields, map
+// entries and slices inside a mutex-held region — unlocked writes are a
+// different analyzer's problem.
 //
 // Edge refinement keeps the in-memory-only configuration clean: on
 // the arm where the durability facility is known nil (`n.wal == nil`,
@@ -267,8 +271,25 @@ func calleeEvents(pass *analysis.Pass, call *ast.CallExpr, cache map[*types.Func
 		}
 		return true
 	})
+	if selfOrdered(out) {
+		out = nil
+	}
 	cache[fn] = out
 	return out
+}
+
+// selfOrdered reports whether a callee's events are a durable write
+// followed by the mutations it covers.
+func selfOrdered(evs []event) bool {
+	if len(evs) == 0 || !evs[0].durable {
+		return false
+	}
+	for _, ev := range evs {
+		if !ev.durable {
+			return true
+		}
+	}
+	return false
 }
 
 // refine exempts the arm where the durability facility is known nil:

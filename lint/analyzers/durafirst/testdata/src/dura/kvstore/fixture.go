@@ -31,6 +31,8 @@ type DiskStore struct{}
 
 func (d *DiskStore) PutChunk(id string, b []byte) error { return nil }
 
+func (d *DiskStore) PutManifest(name string, ids []string) error { return nil }
+
 type nodeStats struct{ puts int }
 
 type Node struct {
@@ -39,6 +41,7 @@ type Node struct {
 	disk    *DiskStore
 	log     containerLog
 	table   map[string][]byte
+	catalog map[string][]string
 	puts    int
 	scratch []byte
 	stats   nodeStats
@@ -51,6 +54,21 @@ func (n *Node) applyPut(k string, v []byte) {
 }
 
 func (n *Node) persist(v []byte) error { return n.wal.Append(v) }
+
+// store is the chunk-store shape: append, sync, then index — ordered on
+// its own, and no cover for what its caller mutates next.
+func (n *Node) store(k string, v []byte) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if err := n.log.append(v); err != nil {
+		return err
+	}
+	if err := n.log.sync(); err != nil {
+		return err
+	}
+	n.table[k] = v
+	return nil
+}
 
 // --- positives -------------------------------------------------------
 
@@ -132,6 +150,23 @@ func (n *Node) handleDeferDirty(k string, v []byte) ([]byte, error) {
 	return v, nil
 }
 
+// The commit shape: the tail chunks are durable, but the manifest is
+// advertised before its own disk write.
+func (n *Node) handleCatalogBeforeManifest(k string, v []byte, ids []string) ([]byte, error) {
+	if err := n.store(k, v); err != nil {
+		return nil, err
+	}
+	n.mu.Lock()
+	n.catalog[k] = ids // want `mutated before the durable write`
+	n.mu.Unlock()
+	if n.disk != nil {
+		if err := n.disk.PutManifest(k, ids); err != nil {
+			return nil, err
+		}
+	}
+	return v, nil
+}
+
 // --- negatives -------------------------------------------------------
 
 // Correct order: log first, then apply.
@@ -209,6 +244,23 @@ func (n *Node) handleViaPersist(k string, v []byte) ([]byte, error) {
 	}
 	n.mu.Lock()
 	n.table[k] = v
+	n.mu.Unlock()
+	return v, nil
+}
+
+// The commit order: store the tail, persist the manifest, then
+// advertise it.
+func (n *Node) handleCommit(k string, v []byte, ids []string) ([]byte, error) {
+	if err := n.store(k, v); err != nil {
+		return nil, err
+	}
+	if n.disk != nil {
+		if err := n.disk.PutManifest(k, ids); err != nil {
+			return nil, err
+		}
+	}
+	n.mu.Lock()
+	n.catalog[k] = ids
 	n.mu.Unlock()
 	return v, nil
 }
