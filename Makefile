@@ -76,11 +76,13 @@ fuzz-short:
 	$(GO) test -bench=. -benchtime=1x ./internal/chunk
 
 # Crash/recovery suite under the race detector: kill-restart-rejoin
-# e2e (torn WAL tail, anti-entropy convergence, membership growth) plus
-# the WAL/snapshot durability and repair unit tests.
+# e2e (torn WAL tail, anti-entropy convergence, membership growth), the
+# WAL/snapshot durability and repair unit tests, and container reads
+# racing the appends and seals of the open container.
 chaos:
 	$(GO) test -race -count=2 -run 'TestDurableRingSurvivesKillRestartRejoin|TestAgentSurvives|TestRestoreSurvives' ./internal/faultnet
 	$(GO) test -race -count=2 -run 'TestWAL|TestSnapshot|TestRepair|TestProbe' ./internal/kvstore
+	$(GO) test -race -count=2 -run 'TestConcurrentUploadsAndReads|TestRestoresRunBesideUploadsAndSeals|TestRestoreSurvivesSealMidRestore' ./internal/cloudstore
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -39,8 +39,6 @@ func run() error {
 		metricsAddr    = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof/ on this address while the bench runs")
 		hashWorkers    = flag.Int("hash-workers", 0, "agents' concurrent SHA-256 workers (0 = agent default)")
 		lookupInflight = flag.Int("lookup-inflight", 0, "agents' overlapped index-lookup batches (0 = agent default)")
-		maxStreams     = flag.Int("max-streams", 0, "agents' concurrent-stream admission bound (0 = agent default)")
-		arenaBudget    = flag.Int64("arena-budget", 0, "agents' pooled chunk-payload byte budget (0 = agent default)")
 	)
 	flag.Parse()
 
@@ -53,7 +51,6 @@ func run() error {
 	cfg := experiments.Config{
 		Quick: *quick, Seed: *seed,
 		HashWorkers: *hashWorkers, LookupInflight: *lookupInflight,
-		MaxStreams: *maxStreams, ArenaBudgetBytes: *arenaBudget,
 	}
 	if *verbose {
 		cfg.Log = os.Stderr

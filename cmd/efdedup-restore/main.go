@@ -74,8 +74,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	log.Printf("restored %s: %d bytes in %d chunks, %d containers touched (cache %d hit / %d miss, %d fallback chunks), %d bytes fetched (%.2fx restored), all chunks verified",
-		*name, st.Bytes, st.Chunks, st.ContainersTouched, st.CacheHits, st.CacheMisses, st.FallbackChunks,
+	log.Printf("restored %s: %d bytes in %d chunks, %d containers touched (cache %d hit / %d miss), %d bytes fetched (%.2fx restored), all chunks verified",
+		*name, st.Bytes, st.Chunks, st.ContainersTouched, st.CacheHits, st.CacheMisses,
 		st.FetchedBytes, float64(st.FetchedBytes)/float64(max(st.Bytes, 1)))
 	return nil
 }

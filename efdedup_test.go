@@ -128,10 +128,10 @@ func TestPublicChunkers(t *testing.T) {
 // TestExperimentIDs checks the experiment registry is exposed.
 func TestExperimentIDs(t *testing.T) {
 	ids := efdedup.ExperimentIDs()
-	if len(ids) != 13 {
-		t.Fatalf("got %d experiment IDs, want 13", len(ids))
+	if len(ids) != 12 {
+		t.Fatalf("got %d experiment IDs, want 12", len(ids))
 	}
-	if ids[0] != "fig2" || ids[len(ids)-1] != "ext-ingest" {
+	if ids[0] != "fig2" || ids[len(ids)-1] != "ext-erasure" {
 		t.Fatalf("unexpected IDs: %v", ids)
 	}
 }

@@ -18,8 +18,7 @@ import (
 // without a registry lookup.
 var clientMethods = []string{
 	methodBatchUpload, methodBatchHas, methodUploadRaw,
-	methodGetChunks, methodGetRecipe, methodGetContainer,
-	methodCommit, methodStats,
+	methodGetRecipe, methodGetContainer, methodCommit, methodStats,
 }
 
 // Client talks to a cloud store over one multiplexed connection. Transport

@@ -19,8 +19,9 @@
 //
 // Fresh chunks are packed in upload order into locality-preserving
 // containers (container.go), the only place a payload is kept; a restore
-// reads the records it needs out of each container with one RPC, through
-// a read-ahead cache, instead of one RPC per chunk.
+// reads the records it needs out of each container — sealed or still
+// open — with one RPC, through a read-ahead cache, instead of one RPC per
+// chunk.
 package cloudstore
 
 import (
@@ -40,7 +41,6 @@ const (
 	methodBatchUpload  = "cloud.batchupload"
 	methodBatchHas     = "cloud.batchhas"
 	methodUploadRaw    = "cloud.uploadraw"
-	methodGetChunks    = "cloud.getchunks"
 	methodGetRecipe    = "cloud.getrecipe"
 	methodGetContainer = "cloud.getcontainer"
 	methodCommit       = "cloud.commit"
@@ -147,7 +147,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s.handle(methodBatchUpload, s.handleBatchUpload)
 	s.handle(methodBatchHas, s.handleBatchHas)
 	s.handle(methodUploadRaw, s.handleUploadRaw)
-	s.handle(methodGetChunks, s.handleGetChunks)
 	s.handle(methodGetRecipe, s.handleGetRecipe)
 	s.handle(methodGetContainer, s.handleGetContainer)
 	s.handle(methodCommit, s.handleCommit)
@@ -398,28 +397,11 @@ func (s *Server) handleUploadRaw(body []byte) ([]byte, error) {
 	return binary.BigEndian.AppendUint32(nil, uint32(stored)), nil
 }
 
-// getchunks body: u32 count | (32-byte ID)*; response: (u32 len |
-// payload)* in request order. The batched fallback for chunks that are
-// not (yet) in any sealed container.
-func (s *Server) handleGetChunks(body []byte) ([]byte, error) {
-	ids, err := decodeIDList(body)
-	if err != nil {
-		return nil, err
-	}
-	payloads := make([][]byte, 0, len(ids))
-	for _, id := range ids {
-		data, err := s.containers.readChunk(id)
-		if err != nil {
-			return nil, fmt.Errorf("chunk %s: %w", id, err)
-		}
-		payloads = append(payloads, data)
-	}
-	return encodeChunkData(payloads), nil
-}
-
 // getrecipe body: manifest name; response: u32 count | per chunk:
-// 32-byte ID | u64 container | u32 offset | u32 length. Container 0
-// means "no sealed copy" — the client falls back to getchunks.
+// 32-byte ID | u64 container | u32 offset | u32 length. The container is
+// the sealed or open one holding the chunk's newest copy; 0 means the
+// store holds no copy, which only a manifest recorded before commits
+// checked their chunks can name.
 func (s *Server) handleGetRecipe(body []byte) ([]byte, error) {
 	s.mu.RLock()
 	ids, ok := s.manifests[string(body)]
@@ -431,15 +413,15 @@ func (s *Server) handleGetRecipe(body []byte) ([]byte, error) {
 }
 
 // getcontainer body: u64 container ID | (u32 offset | u32 length)*;
-// response: those byte ranges of the sealed container, concatenated in
-// request order — the records one restore needs from it, in one RPC — or
-// the container's raw CRC-framed bytes for no ranges.
+// response: those byte ranges of the sealed or open container,
+// concatenated in request order — the records one restore needs from it,
+// in one RPC — or the container's raw CRC-framed bytes for no ranges.
 func (s *Server) handleGetContainer(body []byte) ([]byte, error) {
 	id, extents, err := decodeContainerRequest(body)
 	if err != nil {
 		return nil, err
 	}
-	return s.containers.readSealed(id, extents)
+	return s.containers.read(id, extents)
 }
 
 // commit body: u16 name length | name | u32 count | (32-byte ID | u32 len |

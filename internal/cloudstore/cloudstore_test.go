@@ -243,15 +243,30 @@ func TestCommitRefusesMissingChunk(t *testing.T) {
 	}
 }
 
+// TestGetMissing: a missing manifest, an unknown container and an open
+// container with no records yet are all ErrNotFound, on both logs — the
+// empty open container is no file on disk but an empty buffer in memory.
 func TestGetMissing(t *testing.T) {
-	cl, _ := startCloud(t, Config{})
-	ctx := context.Background()
-	if _, err := cl.GetChunks(ctx, []chunk.ID{chunk.Sum([]byte("nope"))}); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("GetChunks(missing) = %v, want ErrNotFound", err)
-	}
-	if _, err := cl.GetManifest(ctx, "nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("GetManifest(missing) = %v, want ErrNotFound", err)
-	}
+	onBothLogs(t, Config{}, func(t *testing.T, cl *Client, srv *Server, dir string) {
+		ctx := context.Background()
+		if _, err := cl.GetManifest(ctx, "nope"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("GetManifest(missing) = %v, want ErrNotFound", err)
+		}
+		missing := func(when string, ids ...uint64) {
+			t.Helper()
+			for _, id := range ids {
+				for _, extents := range [][]Extent{nil, {{Off: 8, Len: 1}}} {
+					if _, err := cl.GetContainer(ctx, id, extents...); !errors.Is(err, ErrNotFound) {
+						t.Fatalf("%s: GetContainer(%d, %v) = %v, want ErrNotFound", when, id, extents, err)
+					}
+				}
+			}
+		}
+		missing("fresh store", 0, 1, 2)
+		upload1(t, cl, mkChunk("sealed next"))
+		srv.FlushContainers()
+		missing("after a seal", 0, 2, 3)
+	})
 }
 
 func TestFetchStats(t *testing.T) {

@@ -120,8 +120,7 @@ func decodeCommit(body []byte) (name string, chunks []chunk.Chunk, ids []chunk.I
 	return name, chunks, ids, nil
 }
 
-// encodeIDList builds a batchhas/getchunks request:
-// u32 count | (32-byte ID)*.
+// encodeIDList builds a batchhas request: u32 count | (32-byte ID)*.
 func encodeIDList(ids []chunk.ID) []byte {
 	body := binary.BigEndian.AppendUint32(nil, uint32(len(ids)))
 	for _, id := range ids {
@@ -260,39 +259,6 @@ func decodeContainerRequest(body []byte) (uint64, []Extent, error) {
 		src = src[8:]
 	}
 	return id, extents, nil
-}
-
-// encodeChunkData builds a getchunks response: (u32 len | payload)* in
-// request order. The count travels in the request, not the response.
-func encodeChunkData(payloads [][]byte) []byte {
-	var out []byte
-	for _, data := range payloads {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(data)))
-		out = append(out, data...)
-	}
-	return out
-}
-
-// decodeChunkData parses a getchunks response of exactly count
-// payloads, which alias the input.
-func decodeChunkData(body []byte, count int) ([][]byte, error) {
-	out := make([][]byte, 0, count)
-	for len(out) < count {
-		if len(body) < 4 {
-			return nil, fmt.Errorf("%w: truncated chunk data header at record %d", ErrProto, len(out))
-		}
-		n := binary.BigEndian.Uint32(body)
-		body = body[4:]
-		if uint64(len(body)) < uint64(n) {
-			return nil, fmt.Errorf("%w: chunk data %d of %d bytes exceeds remaining %d", ErrProto, len(out), n, len(body))
-		}
-		out = append(out, body[:n])
-		body = body[n:]
-	}
-	if len(body) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after %d chunk payloads", ErrProto, len(body), count)
-	}
-	return out, nil
 }
 
 // encodeStats builds a stats response: seven u64 counters in the order

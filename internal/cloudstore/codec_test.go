@@ -231,30 +231,6 @@ func TestContainerRequestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestChunkDataRoundTrip(t *testing.T) {
-	in := [][]byte{[]byte("one"), nil, []byte("three")}
-	out, err := decodeChunkData(encodeChunkData(in), len(in))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(out) != 3 || string(out[0]) != "one" || len(out[1]) != 0 || string(out[2]) != "three" {
-		t.Fatalf("round trip mutated the payloads: %q", out)
-	}
-	// The old client-side loop compared uint32(len(resp)) < n: a length
-	// near 2^32 wrapped the check and panicked on the reslice.
-	overflow := binary.BigEndian.AppendUint32(nil, 1<<32-2)
-	overflow = append(overflow, make([]byte, 8)...)
-	if _, err := decodeChunkData(overflow, 1); !errors.Is(err, ErrProto) {
-		t.Fatalf("overflow length not rejected: %v", err)
-	}
-	if _, err := decodeChunkData(encodeChunkData(in), 4); !errors.Is(err, ErrProto) {
-		t.Fatalf("short response not rejected: %v", err)
-	}
-	if _, err := decodeChunkData(encodeChunkData(in), 2); !errors.Is(err, ErrProto) {
-		t.Fatalf("trailing payload not rejected: %v", err)
-	}
-}
-
 func TestStatsRoundTrip(t *testing.T) {
 	in := Stats{
 		UniqueChunks: 1, UniqueBytes: 2, LogicalBytes: 3, RawUploads: 4,

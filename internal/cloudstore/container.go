@@ -5,13 +5,13 @@ package cloudstore
 // A chunk payload lives in exactly one kind of place: a record of a
 // container. Fresh chunks are appended — in upload order, which is
 // stream order — to the one open container; when it reaches its target
-// size it seals and a new one starts. A restore reads, from each sealed
-// container its stream touches, the byte extents of the records it needs
-// (one RPC and one file open per container), so the number of containers
-// a stream touches is the fragmentation measure, as in the
-// container-store designs of the fragmentation literature (partial
-// repetition / container capping) — counted in round trips, not in
-// bytes.
+// size it seals and a new one starts. A restore reads, from each
+// container its stream touches, sealed or open, the byte extents of the
+// records it needs (one RPC and one file open per container), so the
+// number of containers a stream touches is the fragmentation measure, as
+// in the container-store designs of the fragmentation literature
+// (partial repetition / container capping) — counted in round trips, not
+// in bytes.
 //
 // Container format (file "<root>/containers/<%016x>.cont" once sealed,
 // "<root>/containers/open.cont" while open, or byte slices for Dir-less
@@ -36,9 +36,11 @@ package cloudstore
 // the kvstore WAL): the file's state is unknown, so uploads fail until a
 // restart has recovered the durable prefix; reads keep working.
 //
-// One index maps every chunk to its newest copy. A chunk in the open
-// container is served from there but reported to restore clients as
-// "container 0" (fetch via cloud.getchunks) until its container seals.
+// One index maps every chunk to its newest durable copy, by the ID its
+// container has or will seal as. The open container is read under the
+// store's lock, since appends and a seal change it, and a sealed one
+// without; a client holding an open container's locators reads the same
+// bytes after it seals, at the same offsets, under the same ID.
 //
 // Bounded selective duplication: when a manifest's chunks are spread
 // thinly over old containers (a later backup referencing a handful of
@@ -457,42 +459,38 @@ func (cs *containerStore) has(ids []chunk.ID) []byte {
 	return out
 }
 
-// locate returns the chunk's locator if its newest copy is in a sealed
-// container — the only kind a restore client can fetch by extent.
+// locate returns the locator of the chunk's newest copy.
 func (cs *containerStore) locate(id chunk.ID) (Locator, bool) {
 	cs.mu.RLock()
 	defer cs.mu.RUnlock()
-	if l, ok := cs.loc[id]; ok && l.Container != cs.openID {
-		return l, true
-	}
-	return Locator{}, false
+	l, ok := cs.loc[id]
+	return l, ok
 }
 
 // locateAll is locate for a whole manifest under one hold of the lock:
 // the recipe is one view of the index (no seal lands between two of its
 // entries) and a long recipe queues behind a waiting uploader once, not
-// once per chunk. A zero locator means no sealed copy.
+// once per chunk. A zero locator means the chunk is not stored.
 func (cs *containerStore) locateAll(ids []chunk.ID) []RecipeEntry {
 	entries := make([]RecipeEntry, len(ids))
 	cs.mu.RLock()
 	defer cs.mu.RUnlock()
 	for i, id := range ids {
-		entries[i].ID = id
-		if l, ok := cs.loc[id]; ok && l.Container != cs.openID {
-			entries[i].Loc = l
-		}
+		entries[i] = RecipeEntry{ID: id, Loc: cs.loc[id]}
 	}
 	return entries
 }
 
-// readSealed returns the named extents of a sealed container,
-// concatenated, or all of it for no extents. The extents are a client's:
-// they must be non-empty, strictly ascending and non-overlapping and end
-// inside the container, so a reply is never larger than the container
-// and nothing is allocated for a request that is not. The lock is held
-// only to see that the container is sealed — sealed containers never
-// change, so the read itself must not make uploads wait.
-func (cs *containerStore) readSealed(id uint64, extents []Extent) ([]byte, error) {
+// read returns the named extents of a container, concatenated, or all of
+// it for no extents. The extents must be non-empty, strictly ascending
+// and non-overlapping and end inside the container, so a reply is never
+// larger than the container and nothing is allocated for a request that
+// is not. The open container — the log's container 0 — is read under the
+// lock, which keeps appends and its seal out; a sealed container never
+// changes, so the lock is held only to see that it is sealed and its read
+// must not make uploads wait. An open container with no records is not
+// found, as an unknown one is.
+func (cs *containerStore) read(id uint64, extents []Extent) ([]byte, error) {
 	var end uint64
 	for i, e := range extents {
 		if e.Len == 0 || (i > 0 && uint64(e.Off) < end) {
@@ -501,12 +499,19 @@ func (cs *containerStore) readSealed(id uint64, extents []Extent) ([]byte, error
 		end = uint64(e.Off) + uint64(e.Len)
 	}
 	cs.mu.RLock()
+	open := id == cs.openID && cs.openBytes > 0
 	sealed := id != 0 && id < cs.openID
-	cs.mu.RUnlock()
-	if !sealed {
+	from := id
+	if open {
+		from = 0
+		defer cs.mu.RUnlock()
+	} else {
+		cs.mu.RUnlock()
+	}
+	if !open && !sealed {
 		return nil, fmt.Errorf("%w: container %d", ErrNotFound, id)
 	}
-	data, err := cs.log.read(id, extents)
+	data, err := cs.log.read(from, extents)
 	if errors.Is(err, errPastEnd) {
 		return nil, fmt.Errorf("%w: container %d: extent %v", ErrProto, id, err)
 	}
@@ -514,26 +519,18 @@ func (cs *containerStore) readSealed(id uint64, extents []Extent) ([]byte, error
 }
 
 // readChunk serves one chunk payload from its container, verifying the
-// content address.
+// content address. It reads the whole record, which is never empty, so
+// that an empty chunk is not an empty extent.
 func (cs *containerStore) readChunk(id chunk.ID) ([]byte, error) {
-	cs.mu.RLock()
-	loc, ok := cs.loc[id]
+	loc, ok := cs.locate(id)
 	if !ok {
-		cs.mu.RUnlock()
 		return nil, ErrNotFound
 	}
-	from := loc.Container
-	if from == cs.openID {
-		from = 0
-	}
-	payload, err := cs.log.read(from, []Extent{{Off: loc.Offset, Len: loc.Length}})
-	cs.mu.RUnlock()
-	if errors.Is(err, errPastEnd) {
-		return nil, fmt.Errorf("%w: container %d lost", ErrCorrupt, loc.Container)
-	}
+	record, err := cs.read(loc.Container, []Extent{{Off: loc.Offset - containerRecordHeader, Len: containerRecordHeader + loc.Length}})
 	if err != nil {
 		return nil, err
 	}
+	payload := record[containerRecordHeader:]
 	if chunk.Sum(payload) != id {
 		return nil, fmt.Errorf("%w: chunk %s corrupt in container %d", ErrCorrupt, id, loc.Container)
 	}

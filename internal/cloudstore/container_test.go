@@ -112,8 +112,9 @@ func storeChunks(t *testing.T, srv *Server, ids []chunk.ID, payloads [][]byte) {
 
 // TestOpenContainerIsTheOnlyCopy verifies the one-copy protocol on
 // disk: a chunk is readable from the open container as soon as its
-// upload returns and has no sealed locator yet; after a seal it has one,
-// and the directory never holds anything but containers and manifests.
+// upload returns, under the ID that container will seal as; after the
+// seal it is read from the sealed file, and the directory never holds
+// anything but containers and manifests.
 func TestOpenContainerIsTheOnlyCopy(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := NewServer(Config{Dir: dir, ContainerBytes: 2048})
@@ -132,8 +133,8 @@ func TestOpenContainerIsTheOnlyCopy(t *testing.T) {
 	storeChunks(t, srv, ids, payloads)
 
 	// 8 chunks at 3 per container: two sealed, two chunks still open.
-	if _, ok := srv.containers.locate(ids[7]); ok {
-		t.Fatal("chunk in the open container reported a sealed locator")
+	if loc, _ := srv.containers.locate(ids[7]); loc.Container != 3 {
+		t.Fatalf("chunk in the open container has locator %+v, want container 3", loc)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "containers", "open.cont")); err != nil {
 		t.Fatalf("no open container file: %v", err)
@@ -155,9 +156,8 @@ func TestOpenContainerIsTheOnlyCopy(t *testing.T) {
 	check("after the flush")
 
 	for i, id := range ids {
-		loc, ok := srv.containers.locate(id)
-		if !ok || loc.Container == 0 {
-			t.Fatalf("chunk %d has no sealed locator after the flush (%+v)", i, loc)
+		if loc, _ := srv.containers.locate(id); loc.Container != uint64(i/3+1) {
+			t.Fatalf("chunk %d has locator %+v after the flush, want container %d", i, loc, i/3+1)
 		}
 	}
 	if st := srv.Stats(); st.ContainersSealed != 3 {
@@ -366,8 +366,9 @@ func TestRestoreNamesCorruptContainer(t *testing.T) {
 }
 
 // TestRestoreDetectsCorruptOpenContainer flips a payload byte of an
-// unsealed chunk in the open container file; the fallback fetch path
-// verifies the content address and must surface ErrCorrupt.
+// unsealed chunk in the open container file; the restore checks the
+// open container's records as it does a sealed one's and must surface
+// ErrCorrupt.
 func TestRestoreDetectsCorruptOpenContainer(t *testing.T) {
 	dir := t.TempDir()
 	cl, _ := startCloud(t, Config{Dir: dir})
@@ -394,18 +395,20 @@ func TestRestoreDetectsCorruptOpenContainer(t *testing.T) {
 
 // TestOpenContainerPayloadsStayValid holds payload slices served from
 // the in-memory open container while further uploads grow its buffer
-// and seal it: the slices alias the container and must not change.
+// and seal it: the slices alias the container and must not change, and
+// the stream restores the same before and after the seal.
 func TestOpenContainerPayloadsStayValid(t *testing.T) {
 	cl, srv := startCloud(t, Config{ContainerBytes: 64 << 10})
 	ctx := context.Background()
 
 	first := make([]chunk.Chunk, 4)
+	ids := make([]chunk.ID, len(first))
 	held := make([][]byte, len(first))
 	for i := range first {
 		id, data := mkPayload(int64(700+i), 1000)
-		first[i] = chunk.Chunk{ID: id, Data: data}
+		first[i], ids[i] = chunk.Chunk{ID: id, Data: data}, id
 	}
-	if _, err := cl.BatchUpload(ctx, first); err != nil {
+	if _, err := cl.Commit(ctx, "first", ids, first); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range first {
@@ -415,33 +418,36 @@ func TestOpenContainerPayloadsStayValid(t *testing.T) {
 		}
 		held[i] = p
 	}
+	restore := func(when string) {
+		t.Helper()
+		got, err := cl.Restore(ctx, "first")
+		if err != nil {
+			t.Fatalf("restore %s: %v", when, err)
+		}
+		if !bytes.Equal(got, flatten(first)) {
+			t.Fatalf("restore %s differs", when)
+		}
+	}
+	restore("from the open container")
 	// 100 KB more: the 64 KiB container's buffer is regrown several
 	// times, seals, and a second one starts.
 	uploadStream(t, cl, "filler", 71, 100_000)
 	if srv.Stats().ContainersSealed == 0 {
 		t.Fatal("setup: the container never sealed")
 	}
-	ids := make([]chunk.ID, len(first))
 	for i, c := range first {
-		ids[i] = c.ID
 		if !bytes.Equal(held[i], c.Data) {
 			t.Fatalf("payload %d changed under a held slice", i)
 		}
 	}
-	got, err := cl.GetChunks(ctx, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range first {
-		if !bytes.Equal(got[i], first[i].Data) {
-			t.Fatalf("GetChunks payload %d differs after the seal", i)
-		}
-	}
+	restore("after the seal")
 }
 
 // TestConcurrentUploadsAndReads has several clients upload overlapping
-// chunk sets while others probe, fetch and restore, on both kinds of
-// container log (run under -race): every distinct chunk is stored once.
+// chunk sets while others probe and restore them — out of open
+// containers that appends grow and seals install meanwhile — on both
+// kinds of container log (run under -race): every distinct chunk is
+// stored once.
 func TestConcurrentUploadsAndReads(t *testing.T) {
 	for _, mode := range []string{"memory", "disk"} {
 		t.Run(mode, func(t *testing.T) {
@@ -475,15 +481,23 @@ func TestConcurrentUploadsAndReads(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						got, err := cl.GetChunks(ctx, ids[start:start+10])
+						for i, ok := range has {
+							if !ok {
+								t.Errorf("chunk %d not found after its upload", start+i)
+							}
+						}
+						name := fmt.Sprintf("w%d-%d", w, start)
+						if err := cl.PutManifest(ctx, name, ids[start:start+10]); err != nil {
+							t.Error(err)
+							return
+						}
+						got, err := cl.Restore(ctx, name)
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						for i := range got {
-							if !has[i] || !bytes.Equal(got[i], all[start+i].Data) {
-								t.Errorf("chunk %d: has=%v, payload intact=%v", start+i, has[i], bytes.Equal(got[i], all[start+i].Data))
-							}
+						if !bytes.Equal(got, flatten(all[start:start+10])) {
+							t.Errorf("restore of chunks %d-%d differs", start, start+9)
 						}
 					}
 				}(w)

@@ -56,7 +56,7 @@ func NewDiskStore(root string) (*DiskStore, error) {
 }
 
 // containerPath returns the path of a sealed container, or of the open
-// one for container 0.
+// one for the log's container 0.
 func (d *DiskStore) containerPath(id uint64) string {
 	name := "open.cont"
 	if id != 0 {

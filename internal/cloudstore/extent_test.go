@@ -206,63 +206,73 @@ func TestRestoreFetchesOnlyNeededRecords(t *testing.T) {
 	}
 }
 
-// TestGetContainerRejectsHostileExtents drives the handler directly: an
-// extent list the container cannot serve in less than its own size is a
-// protocol error, and no reply is larger than the container.
+// TestGetContainerRejectsHostileExtents drives the handler directly,
+// against a sealed container and the open one: an extent list the
+// container cannot serve in less than its own size is a protocol error,
+// and no reply is larger than the container.
 func TestGetContainerRejectsHostileExtents(t *testing.T) {
 	onBothLogs(t, Config{}, func(t *testing.T, cl *Client, srv *Server, dir string) {
-		packContainers(t, cl, srv, rand.New(rand.NewSource(47)), 8, 1000, 1001)
-		whole, err := srv.handleGetContainer(encodeContainerRequest(1, nil))
-		if err != nil {
-			t.Fatal(err)
+		rng := rand.New(rand.NewSource(47))
+		packContainers(t, cl, srv, rng, 8, 1000, 1001)
+		for _, id := range []uint64{0, 2, 1 << 40} { // no container, open without records, unknown
+			_, err := srv.handleGetContainer(encodeContainerRequest(id, []Extent{{Off: 8, Len: 1}}))
+			if !errors.Is(err, ErrNotFound) {
+				t.Errorf("container %d: err = %v, want ErrNotFound", id, err)
+			}
 		}
-		size := uint32(len(whole))
+		for i := 0; i < 4; i++ {
+			data := make([]byte, 1000)
+			rng.Read(data)
+			upload1(t, cl, chunk.Chunk{ID: chunk.Sum(data), Data: data})
+		}
 
-		flood := make([]Extent, 5000)
-		for i := range flood {
-			flood[i] = Extent{Off: 0, Len: size}
-		}
-		hostile := map[string][]Extent{
-			"overlapping":    {{Off: 8, Len: 100}, {Off: 107, Len: 100}},
-			"descending":     {{Off: 500, Len: 10}, {Off: 8, Len: 10}},
-			"repeated":       {{Off: 8, Len: 10}, {Off: 8, Len: 10}},
-			"zero length":    {{Off: 8, Len: 0}},
-			"past end":       {{Off: size - 1, Len: 2}},
-			"starts past":    {{Off: size + 10, Len: 1}},
-			"u32 overflow":   {{Off: 16, Len: 1<<32 - 8}},
-			"max everything": {{Off: 1<<32 - 1, Len: 1<<32 - 1}},
-			"flood":          flood,
-		}
-		for name, extents := range hostile {
-			resp, err := srv.handleGetContainer(encodeContainerRequest(1, extents))
-			if !errors.Is(err, ErrProto) || resp != nil {
-				t.Errorf("%s: %d bytes, err = %v; want ErrProto", name, len(resp), err)
+		for _, id := range []uint64{1, 2} { // sealed, open
+			whole, err := srv.handleGetContainer(encodeContainerRequest(id, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			size := uint32(len(whole))
+
+			flood := make([]Extent, 5000)
+			for i := range flood {
+				flood[i] = Extent{Off: 0, Len: size}
+			}
+			hostile := map[string][]Extent{
+				"overlapping":    {{Off: 8, Len: 100}, {Off: 107, Len: 100}},
+				"descending":     {{Off: 500, Len: 10}, {Off: 8, Len: 10}},
+				"repeated":       {{Off: 8, Len: 10}, {Off: 8, Len: 10}},
+				"zero length":    {{Off: 8, Len: 0}},
+				"past end":       {{Off: size - 1, Len: 2}},
+				"starts past":    {{Off: size + 10, Len: 1}},
+				"u32 overflow":   {{Off: 16, Len: 1<<32 - 8}},
+				"max everything": {{Off: 1<<32 - 1, Len: 1<<32 - 1}},
+				"flood":          flood,
+			}
+			for name, extents := range hostile {
+				resp, err := srv.handleGetContainer(encodeContainerRequest(id, extents))
+				if !errors.Is(err, ErrProto) || resp != nil {
+					t.Errorf("container %d, %s: %d bytes, err = %v; want ErrProto", id, name, len(resp), err)
+				}
+			}
+
+			served := []Extent{{Off: 0, Len: 8}, {Off: 8, Len: 40}, {Off: size - 5, Len: 5}}
+			resp, err := srv.handleGetContainer(encodeContainerRequest(id, served))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append(append(append([]byte(nil), whole[:8]...), whole[8:48]...), whole[size-5:]...)
+			if !bytes.Equal(resp, want) {
+				t.Fatalf("container %d: extents are not the container's bytes in request order", id)
+			}
+			resp, err = srv.handleGetContainer(encodeContainerRequest(id, []Extent{{Off: 0, Len: size}}))
+			if err != nil || !bytes.Equal(resp, whole) {
+				t.Fatalf("container %d: whole-container extent: %d bytes, %v", id, len(resp), err)
 			}
 		}
 		for _, n := range []int{0, 7, 9, 12, 15, 23} {
 			if _, err := srv.handleGetContainer(make([]byte, n)); !errors.Is(err, ErrProto) {
 				t.Errorf("body of %d bytes: err = %v, want ErrProto", n, err)
 			}
-		}
-		for _, id := range []uint64{0, 2, 1 << 40} { // open, not yet sealed, unknown
-			_, err := srv.handleGetContainer(encodeContainerRequest(id, []Extent{{Off: 8, Len: 1}}))
-			if !errors.Is(err, ErrNotFound) {
-				t.Errorf("container %d: err = %v, want ErrNotFound", id, err)
-			}
-		}
-
-		served := []Extent{{Off: 0, Len: 8}, {Off: 8, Len: 40}, {Off: size - 5, Len: 5}}
-		resp, err := srv.handleGetContainer(encodeContainerRequest(1, served))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := append(append(append([]byte(nil), whole[:8]...), whole[8:48]...), whole[size-5:]...)
-		if !bytes.Equal(resp, want) {
-			t.Fatal("extents are not the container's bytes in request order")
-		}
-		resp, err = srv.handleGetContainer(encodeContainerRequest(1, []Extent{{Off: 0, Len: size}}))
-		if err != nil || !bytes.Equal(resp, whole) {
-			t.Fatalf("whole-container extent: %d bytes, %v", len(resp), err)
 		}
 	})
 }
@@ -272,7 +282,7 @@ func TestGetContainerRejectsHostileExtents(t *testing.T) {
 func damageRecord(t *testing.T, srv *Server, dir string, id chunk.ID) Locator {
 	t.Helper()
 	loc, ok := srv.containers.locate(id)
-	if !ok {
+	if !ok || loc.Container > uint64(srv.Stats().ContainersSealed) {
 		t.Fatalf("chunk %s is not in a sealed container", id)
 	}
 	at := loc.Offset + loc.Length/2
@@ -322,9 +332,12 @@ func TestRestoreChecksNeededRecords(t *testing.T) {
 
 // TestRestoreRejectsLyingRecipe makes the server's index lie about where
 // a chunk's record is: every such recipe ends in ErrCorrupt naming the
-// container — never a panic, never bytes from the wrong place.
+// container — never a panic, never bytes from the wrong place. A zero
+// locator, which a manifest naming a chunk the store lacks gets, names
+// no container: the restore fails naming the chunk before it writes.
 func TestRestoreRejectsLyingRecipe(t *testing.T) {
 	lies := map[string]func(l *Locator){
+		"zero locator":                func(l *Locator) { *l = Locator{} },
 		"offset in the magic":         func(l *Locator) { l.Offset = 4 },
 		"offset in the first header":  func(l *Locator) { l.Offset = uint32(len(containerMagic)) + containerRecordHeader - 1 },
 		"offset off by one":           func(l *Locator) { l.Offset++ },
@@ -358,11 +371,18 @@ func TestRestoreRejectsLyingRecipe(t *testing.T) {
 				srv.containers.loc[ids[which]] = l
 				srv.containers.mu.Unlock()
 
+				names := "container 1"
+				if l == (Locator{}) {
+					names = ids[which].String()
+				}
 				for _, manifest := range []string{"all", "one"} {
 					var buf bytes.Buffer
 					_, err := cl.RestoreTo(ctx, manifest, &buf, RestoreOptions{})
-					if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "container 1") {
-						t.Fatalf("%s: err = %v, want ErrCorrupt naming container 1", manifest, err)
+					if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), names) {
+						t.Fatalf("%s: err = %v, want ErrCorrupt naming %s", manifest, err, names)
+					}
+					if l == (Locator{}) && buf.Len() != 0 {
+						t.Fatalf("%s: %d bytes written before the zero locator failed the restore", manifest, buf.Len())
 					}
 				}
 			})
@@ -433,7 +453,7 @@ func TestSealedReadDoesNotHoldTheStoreLock(t *testing.T) {
 
 	read := make(chan error, 1)
 	go func() {
-		data, err := cs.readSealed(1, []Extent{{Off: uint32(len(containerMagic)), Len: containerRecordHeader + uint32(len(first.Data))}})
+		data, err := cs.read(1, []Extent{{Off: uint32(len(containerMagic)), Len: containerRecordHeader + uint32(len(first.Data))}})
 		if err == nil && !bytes.HasSuffix(data, first.Data) {
 			err = errors.New("extent is not the record")
 		}
@@ -520,7 +540,8 @@ func TestRestoresRunBesideUploadsAndSeals(t *testing.T) {
 }
 
 // TestGetRecipeIsOneIndexView checks locateAll against locate entry by
-// entry, sealed and unsealed chunks alike.
+// entry, sealed and unsealed chunks alike: only a chunk the store lacks
+// gets the zero locator.
 func TestGetRecipeIsOneIndexView(t *testing.T) {
 	cl, srv := startCloud(t, Config{ContainerBytes: 4 << 10})
 	chunks := packContainers(t, cl, srv, rand.New(rand.NewSource(67)), 20, 500, 900)
@@ -540,7 +561,113 @@ func TestGetRecipeIsOneIndexView(t *testing.T) {
 			t.Fatalf("entry %d = %+v, locate says %+v", i, e, want)
 		}
 	}
-	if entries[0].Loc != (Locator{}) || entries[1].Loc != (Locator{}) || entries[2].Loc.Container == 0 {
-		t.Fatalf("sealed/unsealed split wrong: %+v", entries[:3])
+	openID := uint64(srv.Stats().ContainersSealed) + 1
+	if entries[0].Loc.Container != openID || entries[1].Loc != (Locator{}) || entries[2].Loc.Container == 0 || entries[2].Loc.Container == openID {
+		t.Fatalf("open/missing/sealed locators wrong (open container %d): %+v", openID, entries[:3])
 	}
+}
+
+// TestRestoreSurvivesSealMidRestore takes a restore's plan while its
+// stream sits in the open container, then seals that container and
+// uploads a same-shaped stream whose records land at the same offsets of
+// the next one: the planned extents still read the first stream's bytes,
+// because a locator names the container by the ID it seals as. Then the
+// race runs for real, straight into the handler (run under -race):
+// readers fetch the open container while a writer appends to it and
+// seals it, and every reply is whole, intact records.
+func TestRestoreSurvivesSealMidRestore(t *testing.T) {
+	onBothLogs(t, Config{}, func(t *testing.T, cl *Client, srv *Server, dir string) {
+		ctx := context.Background()
+		data := uploadStream(t, cl, "first", 81, 40_000)
+		recipe, err := cl.GetRecipe(ctx, "first")
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := planExtents(recipe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan) != 1 || plan[1] == nil {
+			t.Fatalf("setup: the stream is planned from containers %v, want the open container 1", plan)
+		}
+
+		srv.FlushContainers()
+		uploadStream(t, cl, "second", 82, 40_000)
+		read := func(id uint64) []byte {
+			t.Helper()
+			raw, err := cl.GetContainer(ctx, id, plan[1]...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out []byte
+			if err := parseRecords(raw, func(_ chunk.ID, payload []byte) { out = append(out, payload...) }); err != nil {
+				t.Fatalf("container %d: %v", id, err)
+			}
+			return out
+		}
+		if got := read(1); !bytes.Equal(got, data) {
+			t.Fatal("the planned extents of the sealed container no longer read the first stream")
+		}
+		if got := read(2); len(got) != len(data) || bytes.Equal(got, data) {
+			t.Fatal("setup: the second stream's records are not at the first stream's offsets")
+		}
+
+		var buf bytes.Buffer
+		st, err := cl.RestoreTo(ctx, "first", &buf, RestoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) || st.ContainersTouched != 1 {
+			t.Fatalf("restore after the seal: identical=%v, %d containers touched", bytes.Equal(buf.Bytes(), data), st.ContainersTouched)
+		}
+
+		stop := make(chan struct{})
+		readers := make(chan error, 2)
+		for r := 0; r < cap(readers); r++ {
+			go func() {
+				for {
+					select {
+					case <-stop:
+						readers <- nil
+						return
+					default:
+					}
+					id := uint64(srv.Stats().ContainersSealed) + 1
+					raw, err := srv.handleGetContainer(encodeContainerRequest(id, nil))
+					if errors.Is(err, ErrNotFound) {
+						continue // empty, or sealed past since
+					}
+					if err == nil {
+						err = walkContainer(raw, func(cid chunk.ID, _ uint32, payload []byte) error {
+							if chunk.Sum(payload) != cid {
+								return fmt.Errorf("chunk %s corrupt", cid)
+							}
+							return nil
+						})
+					}
+					if err != nil {
+						readers <- fmt.Errorf("container %d: %w", id, err)
+						return
+					}
+				}
+			}()
+		}
+		rng := rand.New(rand.NewSource(83))
+		for i := 0; i < 200; i++ {
+			data := make([]byte, 200)
+			rng.Read(data)
+			if _, err := srv.containers.put([]chunk.Chunk{{ID: chunk.Sum(data), Data: data}}); err != nil {
+				t.Fatal(err)
+			}
+			if i%20 == 19 {
+				srv.FlushContainers()
+			}
+		}
+		close(stop)
+		for r := 0; r < cap(readers); r++ {
+			if err := <-readers; err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }

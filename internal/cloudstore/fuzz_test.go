@@ -10,27 +10,33 @@ import (
 
 // FuzzHandlers throws arbitrary request bodies at every cloud-store RPC
 // handler: none may panic, regardless of input. The server holds one
-// sealed container, so that extent requests get past "not found" to the
-// range checks: whatever they ask for, the reply is a protocol error or
-// no larger than the container. A commit the server acks names only
-// chunks it stores.
+// sealed container and one open container with one record, so that
+// extent requests get past "not found" to the range checks: whatever
+// they ask of either, the reply is a protocol error or no larger than
+// the container. A commit the server acks names only chunks it stores.
 func FuzzHandlers(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1})
 	f.Add(make([]byte, 40))
 	id, data := mkPayload(1, 64)
+	openID, openData := mkPayload(2, 48)
 	valid := append(append([]byte{}, id[:]...), data...)
 	f.Add(valid)
-	f.Add(encodeContainerRequest(1, nil))
-	f.Add(encodeContainerRequest(1, []Extent{{Off: 8, Len: containerRecordHeader + 64}}))
-	f.Add(encodeContainerRequest(1, []Extent{{Off: 8, Len: 40}, {Off: 40, Len: 1 << 31}}))
+	size := map[uint64]int{ // container ID → its bytes; 1 is sealed, 2 open
+		1: len(containerMagic) + containerRecordHeader + len(data),
+		2: len(containerMagic) + containerRecordHeader + len(openData),
+	}
+	for _, c := range []uint64{1, 2} {
+		f.Add(encodeContainerRequest(c, nil))
+		f.Add(encodeContainerRequest(c, []Extent{{Off: 8, Len: uint32(size[c] - 8)}}))
+		f.Add(encodeContainerRequest(c, []Extent{{Off: 8, Len: 40}, {Off: 40, Len: 1 << 31}}))
+	}
 	tail := mkChunk("tail")
 	for _, ids := range [][]chunk.ID{{id}, {id, tail.ID}, {tail.ID, chunk.Sum(nil)}} {
 		if body, err := encodeCommit("f", []chunk.Chunk{tail}, ids); err == nil {
 			f.Add(body)
 		}
 	}
-	sealedBytes := len(containerMagic) + containerRecordHeader + len(data)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		srv, err := NewServer(Config{})
 		if err != nil {
@@ -41,15 +47,18 @@ func FuzzHandlers(f *testing.F) {
 			t.Fatal(err)
 		}
 		srv.FlushContainers()
+		if _, err := srv.containers.put([]chunk.Chunk{{ID: openID, Data: openData}}); err != nil {
+			t.Fatal(err)
+		}
+		container, _, _ := decodeContainerRequest(body)
 		resp, err := srv.handleGetContainer(body)
-		if len(resp) > sealedBytes || (err != nil && !errors.Is(err, ErrProto) && !errors.Is(err, ErrNotFound)) {
-			t.Fatalf("getcontainer(%x) = %d bytes of a %d-byte container, %v", body, len(resp), sealedBytes, err)
+		if len(resp) > size[container] || (err != nil && !errors.Is(err, ErrProto) && !errors.Is(err, ErrNotFound)) {
+			t.Fatalf("getcontainer(%x) = %d bytes of a %d-byte container, %v", body, len(resp), size[container], err)
 		}
 		handlers := []func([]byte) ([]byte, error){
 			srv.handleBatchUpload,
 			srv.handleBatchHas,
 			srv.handleUploadRaw,
-			srv.handleGetChunks,
 			srv.handleGetRecipe,
 			srv.handleGetContainer,
 			srv.handleStats,
@@ -84,7 +93,7 @@ func FuzzCloudCodecs(f *testing.F) {
 		f.Add(body)
 	}
 	f.Add(encodeRecipe([]RecipeEntry{{ID: ck.ID, Loc: Locator{Container: 1, Offset: 2, Length: 3}}}))
-	f.Add(encodeChunkData([][]byte{[]byte("one"), []byte("two")}))
+	f.Add(encodeRecipe([]RecipeEntry{{ID: ck.ID}})) // a chunk the store lacks
 	f.Add(encodeContainerRequest(1, []Extent{{Off: 8, Len: 40}, {Off: 48, Len: 1<<32 - 1}}))
 	f.Add(encodeStats(Stats{UniqueChunks: 1}))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}) // hostile count prefix
@@ -112,8 +121,6 @@ func FuzzCloudCodecs(f *testing.F) {
 		}
 		_, err = decodeRecipe(data)
 		check("decodeRecipe", err)
-		_, err = decodeChunkData(data, 3)
-		check("decodeChunkData", err)
 		_, err = decodeStats(data)
 		check("decodeStats", err)
 		id, extents, err := decodeContainerRequest(data)

@@ -8,9 +8,8 @@ package cloudstore
 //
 //  1. fetches the manifest's *recipe* (chunk IDs + container locators),
 //  2. groups consecutive recipe entries into runs — chunks that live in
-//     the same sealed container, or locator-less chunks batched for the
-//     getchunks fallback,
-//  3. plans, per sealed container, the byte extents of the records the
+//     the same container, sealed or still open,
+//  3. plans, per container, the byte extents of the records the
 //     stream needs from it — whole records, sorted, coalesced — so that
 //     what a fetch moves scales with the bytes the stream needs, not
 //     with the size of the containers dedup scattered them over,
@@ -50,20 +49,15 @@ const (
 	// DefaultRestoreCacheContainers is the read-ahead cache capacity in
 	// containers (soft: pinned in-flight entries never evict).
 	DefaultRestoreCacheContainers = 8
-	// DefaultRestoreFallbackBatch caps how many locator-less chunks are
-	// fetched per cloud.getchunks fallback RPC.
-	DefaultRestoreFallbackBatch = 64
 )
 
 // RestoreOptions tunes the streaming restore pipeline. The zero value
 // picks the defaults above.
 type RestoreOptions struct {
-	// ReadAhead is the number of parallel container/fallback fetches.
+	// ReadAhead is the number of parallel container fetches.
 	ReadAhead int
 	// CacheContainers is the container cache capacity.
 	CacheContainers int
-	// FallbackBatch caps chunks per getchunks fallback RPC.
-	FallbackBatch int
 }
 
 func (o RestoreOptions) withDefaults() RestoreOptions {
@@ -73,9 +67,6 @@ func (o RestoreOptions) withDefaults() RestoreOptions {
 	if o.CacheContainers <= 0 {
 		o.CacheContainers = DefaultRestoreCacheContainers
 	}
-	if o.FallbackBatch <= 0 {
-		o.FallbackBatch = DefaultRestoreFallbackBatch
-	}
 	return o
 }
 
@@ -84,7 +75,7 @@ type RestoreStats struct {
 	// Bytes and Chunks are the reassembled stream totals.
 	Bytes  int64
 	Chunks int
-	// ContainersTouched is the number of distinct sealed containers the
+	// ContainersTouched is the number of distinct containers the
 	// stream's recipe references — the fragmentation measure (a freshly
 	// packed stream touches few; a heavily deduplicated one, many).
 	ContainersTouched int
@@ -92,18 +83,17 @@ type RestoreStats struct {
 	// one cloud.getcontainer RPC.
 	CacheHits   int64
 	CacheMisses int64
-	// FallbackChunks counts chunks fetched via the batched getchunks
-	// path because no sealed container held them yet.
+	// Deprecated: FallbackChunks is always 0. Every chunk is read from
+	// its container, open or sealed.
 	FallbackChunks int
-	// FetchedBytes counts the response bytes of the container and
-	// fallback reads; over Bytes it is the restore's fetch amplification.
+	// FetchedBytes counts the response bytes of the container reads;
+	// over Bytes it is the restore's fetch amplification.
 	FetchedBytes int64
 }
 
 // RecipeEntry is one chunk of a manifest's restore recipe: its content
-// address plus the sealed-container copy to read it from. A zero
-// Loc.Container means no sealed copy exists and the chunk must be
-// fetched individually.
+// address plus the container copy to read it from. A zero Loc.Container
+// means the store holds no copy.
 type RecipeEntry struct {
 	ID  chunk.ID
 	Loc Locator
@@ -122,7 +112,7 @@ func (c *Client) GetRecipe(ctx context.Context, name string) ([]RecipeEntry, err
 	return out, nil
 }
 
-// GetContainer fetches the given extents of a sealed container,
+// GetContainer fetches the given extents of a sealed or open container,
 // concatenated — they must be ascending and must not overlap — or, for
 // none, the container's raw CRC-framed bytes.
 func (c *Client) GetContainer(ctx context.Context, id uint64, extents ...Extent) ([]byte, error) {
@@ -131,19 +121,6 @@ func (c *Client) GetContainer(ctx context.Context, id uint64, extents ...Extent)
 		return nil, classifyRemote(err)
 	}
 	return resp, nil
-}
-
-// GetChunks fetches many chunk payloads in one RPC, in request order.
-func (c *Client) GetChunks(ctx context.Context, ids []chunk.ID) ([][]byte, error) {
-	resp, err := c.call(ctx, methodGetChunks, encodeIDList(ids))
-	if err != nil {
-		return nil, classifyRemote(err)
-	}
-	out, err := decodeChunkData(resp, len(ids))
-	if err != nil {
-		return nil, fmt.Errorf("cloudstore: chunks response: %w", err)
-	}
-	return out, nil
 }
 
 // --- read-ahead container cache ---------------------------------------
@@ -176,7 +153,7 @@ type containerCache struct {
 	lru     []uint64 // least recently used first
 
 	hits, misses atomic.Int64
-	fetched      atomic.Int64 // response bytes, fallback reads included
+	fetched      atomic.Int64 // response bytes
 }
 
 func newContainerCache(client *Client, capacity int, extents map[uint64][]Extent) *containerCache {
@@ -305,34 +282,24 @@ func (cc *containerCache) release(e *cacheEntry) {
 // --- ordered restore pipeline -----------------------------------------
 
 // restoreRun is one unit of restore work: a maximal run of consecutive
-// recipe entries served by a single container (or one fallback batch).
-// done is the ordering token: buffered so a fetcher can finish without a
-// rendezvous, closed-over by the assembler which consumes runs in FIFO
-// recipe order.
+// recipe entries served by a single container. done is the ordering
+// token: buffered so a fetcher can finish without a rendezvous,
+// closed-over by the assembler which consumes runs in FIFO recipe order.
 type restoreRun struct {
 	entries   []RecipeEntry
-	container uint64 // 0 = getchunks fallback batch
+	container uint64
 	payloads  [][]byte
 	err       error
 	done      chan struct{}
 }
 
-// planRuns groups a recipe into restore runs and counts the distinct
-// containers the stream touches.
-func planRuns(recipe []RecipeEntry, fallbackBatch int) (runs []*restoreRun, containers int) {
-	touched := make(map[uint64]bool)
+// planRuns groups a recipe into restore runs.
+func planRuns(recipe []RecipeEntry) (runs []*restoreRun) {
 	for i := 0; i < len(recipe); {
 		j := i + 1
 		cid := recipe[i].Loc.Container
-		if cid == 0 {
-			for j < len(recipe) && recipe[j].Loc.Container == 0 && j-i < fallbackBatch {
-				j++
-			}
-		} else {
-			touched[cid] = true
-			for j < len(recipe) && recipe[j].Loc.Container == cid {
-				j++
-			}
+		for j < len(recipe) && recipe[j].Loc.Container == cid {
+			j++
 		}
 		runs = append(runs, &restoreRun{
 			entries:   recipe[i:j],
@@ -341,23 +308,20 @@ func planRuns(recipe []RecipeEntry, fallbackBatch int) (runs []*restoreRun, cont
 		})
 		i = j
 	}
-	return runs, len(touched)
+	return runs
 }
 
-// planExtents returns, per sealed container of a recipe, what to ask it
-// for: the records the stream needs — each whole, header included, so
-// the reply is checked as a container is — sorted, with duplicates and
+// planExtents returns, per container of a recipe, what to ask it for:
+// the records the stream needs — each whole, header included, so the
+// reply is checked as a container is — sorted, with duplicates and
 // neighbours merged into one extent. A locator that cannot address a
-// record fails here.
+// record, container 0 included, fails here.
 func planExtents(recipe []RecipeEntry) (map[uint64][]Extent, error) {
 	first := uint32(len(containerMagic) + containerRecordHeader) // a container's first payload
 	plan := make(map[uint64][]Extent)
 	for _, e := range recipe {
 		l := e.Loc
-		if l.Container == 0 {
-			continue
-		}
-		if l.Offset < first || uint64(l.Offset)+uint64(l.Length) > math.MaxUint32 {
+		if l.Container == 0 || l.Offset < first || uint64(l.Offset)+uint64(l.Length) > math.MaxUint32 {
 			return nil, fmt.Errorf("%w: chunk %s: recipe locator %d+%d is not a record of container %d", ErrCorrupt, e.ID, l.Offset, l.Length, l.Container)
 		}
 		plan[l.Container] = append(plan[l.Container], Extent{Off: l.Offset - containerRecordHeader, Len: l.Length + containerRecordHeader})
@@ -381,26 +345,6 @@ func planExtents(recipe []RecipeEntry) (map[uint64][]Extent, error) {
 // fetchRun materializes one run's payloads, verifying every chunk's
 // content address before it can reach the assembler.
 func (c *Client) fetchRun(ctx context.Context, cache *containerCache, run *restoreRun) error {
-	if run.container == 0 {
-		ids := make([]chunk.ID, len(run.entries))
-		for i, e := range run.entries {
-			ids[i] = e.ID
-		}
-		payloads, err := c.GetChunks(ctx, ids)
-		if err != nil {
-			return err
-		}
-		var fetched int64
-		for i, p := range payloads {
-			if chunk.Sum(p) != ids[i] {
-				return fmt.Errorf("%w: chunk %s corrupt in transit", ErrCorrupt, ids[i])
-			}
-			fetched += 4 + int64(len(p))
-		}
-		cache.fetched.Add(fetched)
-		run.payloads = payloads
-		return nil
-	}
 	entry, err := cache.get(ctx, run.container)
 	if err != nil {
 		return err
@@ -439,13 +383,13 @@ func (c *Client) RestoreTo(ctx context.Context, name string, w io.Writer, opts R
 	if err != nil {
 		return stats, fmt.Errorf("cloudstore: restore %s: %w", name, err)
 	}
-	runs, containers := planRuns(recipe, opts.FallbackBatch)
-	stats.ContainersTouched = containers
-	reg.Histogram("cloud_restore_containers_per_stream").Observe(int64(containers))
 	extents, err := planExtents(recipe)
 	if err != nil {
 		return stats, fmt.Errorf("cloudstore: restore %s: %w", name, err)
 	}
+	stats.ContainersTouched = len(extents)
+	reg.Histogram("cloud_restore_containers_per_stream").Observe(int64(len(extents)))
+	runs := planRuns(recipe)
 	cache := newContainerCache(c, opts.CacheContainers, extents)
 	// Registered before the pipeline's teardown so that it runs after it,
 	// on every return: a failed restore is the one whose numbers are asked for.
@@ -457,7 +401,6 @@ func (c *Client) RestoreTo(ctx context.Context, name string, w io.Writer, opts R
 		reg.Counter("cloud_restore_chunks_total").Add(int64(stats.Chunks))
 		reg.Counter("cloud_restore_cache_hits_total").Add(stats.CacheHits)
 		reg.Counter("cloud_restore_cache_misses_total").Add(stats.CacheMisses)
-		reg.Counter("cloud_restore_fallback_chunks_total").Add(int64(stats.FallbackChunks))
 		reg.Counter("cloud_restore_fetched_bytes_total").Add(stats.FetchedBytes)
 	}()
 	if len(runs) == 0 {
@@ -521,9 +464,6 @@ func (c *Client) RestoreTo(ctx context.Context, name string, w io.Writer, opts R
 			}
 			stats.Bytes += int64(n)
 			stats.Chunks++
-		}
-		if run.container == 0 {
-			stats.FallbackChunks += len(run.entries)
 		}
 		run.payloads = nil // let the container page age out of memory
 	}

@@ -67,31 +67,29 @@ func TestRestoreToStreamsFromContainers(t *testing.T) {
 	if st.CacheMisses != int64(st.ContainersTouched) {
 		t.Fatalf("CacheMisses = %d, want %d (one fetch per container)", st.CacheMisses, st.ContainersTouched)
 	}
-	if st.FallbackChunks != 0 {
-		t.Fatalf("FallbackChunks = %d, want 0", st.FallbackChunks)
-	}
 }
 
 func TestRestoreFallbackWithoutContainers(t *testing.T) {
-	// No flush: every chunk is still staged, the recipe carries no
-	// locators, and the whole restore rides the batched fallback.
-	cl, _ := startCloud(t, Config{})
-	data := uploadStream(t, cl, "unsealed", 11, 100_000)
+	// No flush: every chunk is still in the open container, which the
+	// restore reads like a sealed one — by extent, in one request.
+	onBothLogs(t, Config{}, func(t *testing.T, cl *Client, srv *Server, dir string) {
+		data := uploadStream(t, cl, "unsealed", 11, 100_000)
 
-	var buf bytes.Buffer
-	st, err := cl.RestoreTo(context.Background(), "unsealed", &buf, RestoreOptions{FallbackBatch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), data) {
-		t.Fatal("fallback restore differs")
-	}
-	if st.FallbackChunks != st.Chunks {
-		t.Fatalf("FallbackChunks = %d, want %d (all chunks)", st.FallbackChunks, st.Chunks)
-	}
-	if st.ContainersTouched != 0 || st.CacheMisses != 0 {
-		t.Fatalf("unexpected container traffic: %+v", st)
-	}
+		var buf bytes.Buffer
+		st, err := cl.RestoreTo(context.Background(), "unsealed", &buf, RestoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatal("restore from the open container differs")
+		}
+		if srv.Stats().ContainersSealed != 0 {
+			t.Fatal("setup: a container sealed")
+		}
+		if st.ContainersTouched != 1 || st.CacheMisses != 1 {
+			t.Fatalf("ContainersTouched = %d, CacheMisses = %d; want 1 and 1", st.ContainersTouched, st.CacheMisses)
+		}
+	})
 }
 
 // TestRestoreIdenticalAcrossPipelineShapes is the ordering property: any

@@ -25,11 +25,6 @@ type Config struct {
 	// concurrency in every testbed; zero keeps the agent defaults.
 	HashWorkers    int
 	LookupInflight int
-	// MaxStreams/ArenaBudgetBytes bound the agents' multi-stream
-	// admission (ext-ingest drives them directly); zero keeps the
-	// agent defaults.
-	MaxStreams       int
-	ArenaBudgetBytes int64
 }
 
 func (c Config) logf(format string, args ...any) {

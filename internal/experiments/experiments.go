@@ -26,7 +26,6 @@ func Registry() []struct {
 		{"fig7b", Fig7b},
 		{"ext-cdc", ExtChunking},
 		{"ext-erasure", ExtErasure},
-		{"ext-ingest", ExtIngest},
 	}
 }
 

@@ -38,7 +38,7 @@ func TestRunUnknownFigure(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"fig2", "fig3", "fig5a", "fig5b", "fig5c", "fig6a", "fig6b", "fig6c", "fig7a", "fig7b", "ext-cdc", "ext-erasure", "ext-ingest"}
+	want := []string{"fig2", "fig3", "fig5a", "fig5b", "fig5c", "fig6a", "fig6b", "fig6c", "fig7a", "fig7b", "ext-cdc", "ext-erasure"}
 	reg := Registry()
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(reg), len(want))
@@ -290,37 +290,6 @@ func TestExtErasureQuick(t *testing.T) {
 	for i, f := range rs.X {
 		if v, ok := repl.at(f); ok && rs.Y[i] >= v {
 			t.Errorf("RS at f=%v costs %.2fx, replication %.2fx", f, rs.Y[i], v)
-		}
-	}
-}
-
-func TestExtIngestQuick(t *testing.T) {
-	fig, err := ExtIngest(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := fig.Get("aggregate MB/s")
-	tail := fig.Get("p99/p50 latency")
-	if agg == nil || tail == nil {
-		t.Fatal("missing series")
-	}
-	if len(agg.Y) != 2 {
-		t.Fatalf("quick run measured %d stream counts, want 2", len(agg.Y))
-	}
-	for i, y := range agg.Y {
-		if y <= 0 {
-			t.Errorf("aggregate throughput at %v streams is %.2f, want > 0", agg.X[i], y)
-		}
-	}
-	// Shared pools must not collapse under fan-out: the highest stream
-	// count keeps at least a third of single-stream throughput (a very
-	// loose floor — CI machines are noisy, collapse is 10-100x).
-	if last := agg.Y[len(agg.Y)-1]; last < agg.Y[0]/3 {
-		t.Errorf("aggregate throughput collapsed under concurrency: %.1f -> %.1f MB/s", agg.Y[0], last)
-	}
-	for i, r := range tail.Y {
-		if r < 1 {
-			t.Errorf("p99/p50 at %v streams is %.2f, want >= 1", tail.X[i], r)
 		}
 	}
 }
