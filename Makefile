@@ -12,7 +12,7 @@ ci: build vet lint wire-lock-check test race fuzz-short chaos bench-smoke
 # Race-detect the resilience-critical packages only (quick local loop;
 # CI races the whole module).
 race-core:
-	$(GO) test -race ./internal/transport ./internal/reclog ./internal/kvstore ./internal/cloudstore ./internal/agent ./internal/faultnet ./internal/gossip ./internal/retrypolicy
+	$(GO) test -race ./internal/transport ./internal/reclog ./internal/kvstore ./internal/cloudstore ./internal/agent ./internal/netem ./internal/gossip ./internal/retrypolicy
 
 build:
 	$(GO) build ./...
@@ -77,10 +77,11 @@ fuzz-short:
 
 # Crash/recovery suite under the race detector: kill-restart-rejoin
 # e2e (torn WAL tail, anti-entropy convergence, membership growth), the
+# link-emulating conn's delivery goroutine racing cuts and Close, the
 # WAL/snapshot durability and repair unit tests, and container reads
 # racing the appends and seals of the open container.
 chaos:
-	$(GO) test -race -count=2 -run 'TestDurableRingSurvivesKillRestartRejoin|TestAgentSurvives|TestRestoreSurvives' ./internal/faultnet
+	$(GO) test -race -count=2 -run 'TestDurableRingSurvivesKillRestartRejoin|TestAgentSurvives|TestRestoreSurvives|TestShaped|TestPartition|TestIsolate|TestComposesWithNetem' ./internal/netem
 	$(GO) test -race -count=2 -run 'TestWAL|TestSnapshot|TestRepair|TestProbe' ./internal/kvstore
 	$(GO) test -race -count=2 -run 'TestConcurrentUploadsAndReads|TestRestoresRunBesideUploadsAndSeals|TestRestoreSurvivesSealMidRestore' ./internal/cloudstore
 

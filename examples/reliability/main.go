@@ -14,7 +14,7 @@
 // This example kills an index replica mid-run, grows the ring and
 // rebalances, stores chunks in an RS(4,2) sharded store and destroys two
 // disks, then partitions a ring-mode agent from its entire index through
-// the chaos fabric — everything keeps working: the agent downgrades to
+// the network topology — everything keeps working: the agent downgrades to
 // cloud-assisted lookups, recovers when the partition heals, and the
 // backup restores byte-identical.
 //
@@ -171,14 +171,14 @@ func run() error {
 
 // chaosStage runs a fresh ring-mode deployment through a scripted
 // partition: the agent loses its whole index mid-run, downgrades to
-// cloud-assisted lookups, and recovers once the fabric heals.
+// cloud-assisted lookups, and recovers once the network heals.
 func chaosStage(ctx context.Context) error {
 	mem := transport.NewMemNetwork()
-	fab := efdedup.NewChaosFabric(efdedup.ChaosConfig{Seed: 42})
-	defer fab.Close()
-	ringNW := fab.NetworkFor("ring", mem)
-	cloudNW := fab.NetworkFor("cloud", mem)
-	edgeNW := fab.NetworkFor("edge", mem)
+	topo := efdedup.NewTopology(efdedup.Link{})
+	defer topo.Close()
+	ringNW := topo.NetworkFor("ring", mem)
+	cloudNW := topo.NetworkFor("cloud", mem)
+	edgeNW := topo.NetworkFor("edge", mem)
 
 	cloudSrv, err := efdedup.NewCloudServer(efdedup.CloudServerConfig{})
 	if err != nil {
@@ -245,8 +245,8 @@ func chaosStage(ctx context.Context) error {
 	fmt.Printf("   healthy stream processed; degraded=%v\n", a.Degraded())
 
 	// Script the outage: cut edge↔ring now, heal in 300ms.
-	fab.PartitionBoth("edge", "ring")
-	fab.Schedule(300*time.Millisecond, func(f *efdedup.ChaosFabric) { f.HealAll() })
+	topo.PartitionBoth("edge", "ring")
+	topo.Schedule(300*time.Millisecond, func(f *efdedup.Topology) { f.HealAll() })
 
 	rep, err := a.ProcessBytes(ctx, "mid-partition", data[:128*1024])
 	if err != nil {

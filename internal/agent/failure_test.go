@@ -10,9 +10,9 @@ import (
 
 	"efdedup/internal/chunk"
 	"efdedup/internal/cloudstore"
-	"efdedup/internal/faultnet"
 	"efdedup/internal/kvstore"
 	"efdedup/internal/metrics"
+	"efdedup/internal/netem"
 	"efdedup/internal/retrypolicy"
 	"efdedup/internal/transport"
 )
@@ -172,7 +172,7 @@ func (g *gatedReader) Read(p []byte) (int, error) {
 func TestUploadFailureAccountingMatchesCloud(t *testing.T) {
 	ctx := context.Background()
 	nw := transport.NewMemNetwork()
-	fabric := faultnet.NewFabric(faultnet.Config{Seed: 1})
+	fabric := netem.NewTopology(netem.Link{})
 	defer fabric.Close()
 	fnw := fabric.NetworkFor("edge", nw)
 

@@ -9,9 +9,9 @@ import (
 
 	"efdedup/internal/chunk"
 	"efdedup/internal/cloudstore"
-	"efdedup/internal/faultnet"
 	"efdedup/internal/kvstore"
 	"efdedup/internal/metrics"
+	"efdedup/internal/netem"
 	"efdedup/internal/retrypolicy"
 	"efdedup/internal/transport"
 )
@@ -105,7 +105,7 @@ func TestPipelineEquivalenceAcrossConcurrency(t *testing.T) {
 func TestMidStreamRingOutageWithInflightLookups(t *testing.T) {
 	ctx := context.Background()
 	nw := transport.NewMemNetwork()
-	fabric := faultnet.NewFabric(faultnet.Config{Seed: 3})
+	fabric := netem.NewTopology(netem.Link{})
 	defer fabric.Close()
 	fnw := fabric.NetworkFor("edge", nw)
 

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"efdedup/internal/faultnet"
+	"efdedup/internal/netem"
 	"efdedup/internal/retrypolicy"
 	"efdedup/internal/transport"
 )
@@ -17,13 +17,14 @@ import (
 // it must be routed around once its breaker trips, and recovery must
 // route lookups back.
 
-// probeBed builds a two-node ring behind a chaos fabric and a coordinator
-// that prefers kv-0, the node under test, reaching both through the
-// fabric. kv-1 is the backup lookups fall back to.
-func probeBed(t *testing.T, cfg faultnet.Config, attemptTimeout time.Duration) (*Cluster, *faultnet.Fabric, string) {
+// probeBed builds a two-node ring behind a fault-injecting topology and a
+// coordinator that prefers kv-0, the node under test, reaching both
+// through it. kv-1 is the backup lookups fall back to.
+func probeBed(t *testing.T, faults netem.Faults, attemptTimeout time.Duration) (*Cluster, *netem.Topology, string) {
 	t.Helper()
 	mem := transport.NewMemNetwork()
-	fab := faultnet.NewFabric(cfg)
+	fab := netem.NewTopology(netem.Link{})
+	fab.SetFaults(faults)
 	t.Cleanup(fab.Close)
 	ringNW := fab.NetworkFor("ring", mem)
 	edgeNW := fab.NetworkFor("edge", mem)
@@ -70,7 +71,7 @@ func TestProbeToleratesStallBelowPingTimeout(t *testing.T) {
 	// Every request write stalls 30ms — a slow node, not a dead one. With
 	// a 500ms per-attempt timeout every call answers, the breaker never
 	// trips and lookups stay local.
-	c, _, addr := probeBed(t, faultnet.Config{
+	c, _, addr := probeBed(t, netem.Faults{
 		Seed:      1,
 		StallProb: 1,
 		StallFor:  30 * time.Millisecond,
@@ -92,7 +93,7 @@ func TestProbeDeclaresDeadPastPingTimeout(t *testing.T) {
 	// Every request write stalls 300ms against a 50ms per-attempt
 	// timeout: no call to the node can answer in time, so its breaker
 	// trips and lookups stop going to it.
-	c, _, addr := probeBed(t, faultnet.Config{
+	c, _, addr := probeBed(t, netem.Faults{
 		Seed:      1,
 		StallProb: 1,
 		StallFor:  300 * time.Millisecond,
@@ -115,7 +116,7 @@ func TestProbeDeclaresDeadPastPingTimeout(t *testing.T) {
 }
 
 func TestProbeRecoversAfterIsolation(t *testing.T) {
-	c, fab, addr := probeBed(t, faultnet.Config{Seed: 1}, 100*time.Millisecond)
+	c, fab, addr := probeBed(t, netem.Faults{}, 100*time.Millisecond)
 
 	waitRouted := func(wantLocal bool, what string) {
 		t.Helper()

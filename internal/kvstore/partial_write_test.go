@@ -7,20 +7,20 @@ import (
 	"testing"
 	"time"
 
-	"efdedup/internal/faultnet"
+	"efdedup/internal/netem"
 	"efdedup/internal/retrypolicy"
 	"efdedup/internal/transport"
 )
 
 // TestBatchPutPartialFailureNamesFailedKeys: with one of two RF=1 nodes
-// isolated by the chaos fabric, a batch write must (a) apply the live
+// isolated by the network topology, a batch write must (a) apply the live
 // node's key subset durably, and (b) return a PartialWriteError naming
 // exactly the dead node's keys — not a bare error that makes the caller
 // treat the whole batch as lost (the bug behind over-counted
 // IndexInsertFailures).
 func TestBatchPutPartialFailureNamesFailedKeys(t *testing.T) {
 	nw := transport.NewMemNetwork()
-	fabric := faultnet.NewFabric(faultnet.Config{Seed: 1})
+	fabric := netem.NewTopology(netem.Link{})
 	defer fabric.Close()
 	fnw := fabric.NetworkFor("edge", nw)
 

@@ -1,33 +1,45 @@
-// Package netem emulates wide-area network conditions for the EF-dedup
-// testbed, standing in for the NetEm-based traffic control the paper used
-// on its OpenStack/EC2 deployment.
+// Package netem emulates the network the EF-dedup testbed runs on: the
+// NetEm-shaped links of the paper's OpenStack/EC2 deployment, and the
+// partitions and flaky connections its reliability claims (Sec. IV/V) are
+// tested against.
 //
-// A Link describes one logical path (propagation delay plus a serialization
-// bandwidth). Shape wraps a net.Conn so everything written to it is
-// delivered only after the link's delay, with writes serialized at the
-// link's bandwidth — the classic store-and-forward link model:
+// A Topology groups node addresses into named sites and assigns a Link per
+// directed site pair. Every connection dialed through a site's view
+// (Topology.NetworkFor) counts the bytes it writes under its site pair
+// and, when the pair's link is not zero, delivers them store-and-forward:
 //
-//	txStart   = max(now, end of previous transmission)
+//	txStart   = max(now, end of previous transmission on the pair)
 //	txEnd     = txStart + bytes/bandwidth
 //	deliverAt = txEnd + delay
 //
-// A Topology groups node addresses into named sites (edge clouds, the
-// central cloud) and assigns a Link per site pair. Topology.NetworkFor
-// returns a transport.Network view for one site: connections dialed
-// through it are shaped with the site-pair link, with the full round-trip
-// delay charged on the request direction — the right model for RPC, where
-// a call cannot complete before request and response both cross the WAN.
-// Per-site-pair byte counters make measured network cost observable.
+// Connections crossing one directed pair share its serialization state:
+// many edge nodes pushing through one provisioned uplink. The link's full
+// round-trip delay is charged on the request direction, since a call
+// cannot complete before request and response both cross the WAN.
+// Responses cross unshaped and uncounted, so they pay no bandwidth.
+//
+// Faults come in two flavours, each failure wrapping ErrInjected:
+//
+//   - Scripted: Partition/Heal cut a directed site pair, Isolate/Restore
+//     one address; new dials across a cut are refused and established
+//     connections reset. Schedule scripts "partition ring A from node 2
+//     for 500ms, then heal" while a workload runs through it.
+//   - Stochastic but deterministic: SetFaults probabilities inject dial
+//     refusals, mid-stream resets and write stalls from a seeded PRNG, so
+//     a chaos run is reproducible from its seed.
 package netem
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"efdedup/internal/metrics"
 	"efdedup/internal/transport"
 )
 
@@ -40,201 +52,66 @@ type Link struct {
 	Bandwidth float64
 }
 
-// queue sizing for shaped connections: a bounded in-flight buffer models a
-// socket send buffer and provides back-pressure.
-const shapedQueueLen = 256
-
-type packet struct {
-	data      []byte
-	deliverAt time.Time
+// Faults tunes the stochastic fault injectors. All probabilities are in
+// [0,1]; the zero value injects nothing.
+type Faults struct {
+	Seed         int64         // PRNG seed; the same seed, zero included, replays the same faults
+	DialFailProb float64       // probability that a dial is refused
+	ResetProb    float64       // per-write probability of a mid-stream reset
+	StallProb    float64       // per-write probability of a stall before the bytes move
+	StallFor     time.Duration // stall duration; 20ms when zero and StallProb is set
 }
 
-// linkState is the serialization state of one physical link. Connections
-// sharing a linkState contend for its bandwidth — the model of many edge
-// nodes pushing through one provisioned uplink.
+var (
+	// ErrUnknownSite is returned when an address was never registered.
+	ErrUnknownSite = errors.New("netem: unknown site")
+	// ErrInjected marks every failure a Topology fabricates, so tests and
+	// retry classifiers can tell injected faults from real ones.
+	ErrInjected = errors.New("netem: injected fault")
+)
+
+// injected counts one fabricated fault of kind (dial-cut, dial-refused,
+// reset, stall or partition-reset): how much adversity a run faced.
+func injected(kind string) {
+	metrics.Default().Counter("netem_faults_injected_total", "kind", kind).Inc()
+}
+
+// linkState is the shared state of one directed site pair: when its link
+// finishes the current transmission, and the bytes written across it.
 type linkState struct {
 	mu       sync.Mutex
-	nextFree time.Time // when the link finishes its current transmission
+	nextFree time.Time
+	bytes    atomic.Int64
 }
 
-// shapedConn delays and rate-limits writes to the underlying connection.
-type shapedConn struct {
-	net.Conn
-	link  Link
-	state *linkState // shared across conns on the same physical link
-
-	mu      sync.Mutex
-	sendErr error
-
-	queue chan packet
-	done  chan struct{}
-	wg    sync.WaitGroup
-
-	onBytes func(int) // optional byte counter callback
-}
-
-// Shape wraps conn so that writes experience the link's delay and
-// bandwidth (private to this connection). Reads pass through untouched.
-// Closing the returned connection flushes nothing: in-flight shaped data
-// is dropped, mimicking a failing link.
-func Shape(conn net.Conn, link Link) net.Conn {
-	return shapeWithCounter(conn, link, &linkState{}, nil)
-}
-
-func shapeWithCounter(conn net.Conn, link Link, state *linkState, onBytes func(int)) net.Conn {
-	if link.Delay <= 0 && link.Bandwidth <= 0 {
-		if onBytes == nil {
-			return conn
-		}
-		return &countingConn{Conn: conn, onBytes: onBytes}
-	}
-	if state == nil {
-		state = &linkState{}
-	}
-	s := &shapedConn{
-		Conn:    conn,
-		link:    link,
-		state:   state,
-		queue:   make(chan packet, shapedQueueLen),
-		done:    make(chan struct{}),
-		onBytes: onBytes,
-	}
-	s.wg.Add(1)
-	go s.pump()
-	return s
-}
-
-func (s *shapedConn) pump() {
-	defer s.wg.Done()
-	for {
-		select {
-		case p := <-s.queue:
-			if wait := time.Until(p.deliverAt); wait > 0 {
-				timer := time.NewTimer(wait)
-				select {
-				case <-timer.C:
-				case <-s.done:
-					timer.Stop()
-					return
-				}
-			}
-			if _, err := s.Conn.Write(p.data); err != nil {
-				s.mu.Lock()
-				if s.sendErr == nil {
-					s.sendErr = err
-				}
-				s.mu.Unlock()
-				return
-			}
-		case <-s.done:
-			return
-		}
-	}
-}
-
-// Write implements net.Conn. It returns immediately once the data is
-// accepted into the shaped queue (back-pressure applies when the queue is
-// full) and reports any asynchronous delivery failure on a later call.
-func (s *shapedConn) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	if s.sendErr != nil {
-		err := s.sendErr
-		s.mu.Unlock()
-		return 0, err
-	}
-	s.mu.Unlock()
-	now := time.Now()
-	txDur := time.Duration(0)
-	if s.link.Bandwidth > 0 {
-		txDur = time.Duration(float64(len(p)) / s.link.Bandwidth * float64(time.Second))
-	}
-	s.state.mu.Lock()
-	txStart := s.state.nextFree
-	if txStart.Before(now) {
-		txStart = now
-	}
-	txEnd := txStart.Add(txDur)
-	s.state.nextFree = txEnd
-	s.state.mu.Unlock()
-
-	data := make([]byte, len(p))
-	copy(data, p)
-	select {
-	case s.queue <- packet{data: data, deliverAt: txEnd.Add(s.link.Delay)}:
-	case <-s.done:
-		return 0, net.ErrClosed
-	}
-	if s.onBytes != nil {
-		s.onBytes(len(p))
-	}
-	return len(p), nil
-}
-
-// Close implements net.Conn.
-func (s *shapedConn) Close() error {
-	s.mu.Lock()
-	select {
-	case <-s.done:
-		s.mu.Unlock()
-		return nil
-	default:
-		close(s.done)
-	}
-	s.mu.Unlock()
-	err := s.Conn.Close()
-	s.wg.Wait()
-	return err
-}
-
-// countingConn only counts written bytes.
-type countingConn struct {
-	net.Conn
-	onBytes func(int)
-}
-
-func (c *countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	if n > 0 {
-		c.onBytes(n)
-	}
-	return n, err
-}
-
-// ErrUnknownSite is returned when an address or site was never registered.
-var ErrUnknownSite = errors.New("netem: unknown site")
-
-// Topology assigns node addresses to sites and links to site pairs.
-// It is safe for concurrent use.
+// Topology assigns node addresses to sites, links to site pairs, and
+// holds the fault state. It is safe for concurrent use.
 type Topology struct {
 	mu       sync.Mutex
-	siteOf   map[string]string  // listen address -> site name
-	links    map[[2]string]Link // (fromSite, toSite) -> link
 	fallback Link
-	bytes    map[[2]string]int64 // observed bytes per (fromSite, toSite)
-	// shapers holds one serialization state per directed site pair, so
-	// every connection crossing the same pair contends for the link's
-	// bandwidth (a shared uplink), instead of each connection enjoying a
-	// private link.
-	shapers map[[2]string]*linkState
+	siteOf   map[string]string        // listen address -> site name
+	links    map[[2]string]Link       // (fromSite, toSite) -> link
+	pairs    map[[2]string]*linkState // (fromSite, toSite) -> shared state
+	cutSites map[[2]string]bool       // directed (fromSite, toSite) cuts
+	cutNodes map[string]bool          // isolated addresses
+	conns    map[*conn]bool           // open dialed conns, for cuts to reset
+	closed   bool                     // every path is cut
+	rng      *rand.Rand               // set with faults
+	faults   atomic.Pointer[Faults]   // nil until SetFaults
 }
 
 // NewTopology returns a topology whose unspecified site pairs use the
 // fallback link. A zero fallback means unshaped.
 func NewTopology(fallback Link) *Topology {
 	return &Topology{
+		fallback: fallback,
 		siteOf:   make(map[string]string),
 		links:    make(map[[2]string]Link),
-		bytes:    make(map[[2]string]int64),
-		shapers:  make(map[[2]string]*linkState),
-		fallback: fallback,
+		pairs:    make(map[[2]string]*linkState),
+		cutSites: make(map[[2]string]bool),
+		cutNodes: make(map[string]bool),
+		conns:    make(map[*conn]bool),
 	}
-}
-
-// SetFallback replaces the default link used for unspecified site pairs.
-func (t *Topology) SetFallback(l Link) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.fallback = l
 }
 
 // SetLink sets the link used from site a to site b (one direction).
@@ -248,14 +125,6 @@ func (t *Topology) SetLink(from, to string, l Link) {
 func (t *Topology) SetSymmetricLink(a, b string, l Link) {
 	t.SetLink(a, b, l)
 	t.SetLink(b, a, l)
-}
-
-// Register maps a listen address to its site. The cluster harness calls
-// this when it places a service.
-func (t *Topology) Register(addr, site string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.siteOf[addr] = site
 }
 
 // Site returns the site a registered address belongs to.
@@ -283,29 +152,24 @@ func (t *Topology) LinkBetween(from, to string) Link {
 	return t.fallback
 }
 
-func (t *Topology) addBytes(from, to string, n int) {
-	t.mu.Lock()
-	t.bytes[[2]string{from, to}] += int64(n)
-	t.mu.Unlock()
-}
-
-// BytesSent reports the bytes observed from one site to another through
-// shaped dials.
+// BytesSent reports the bytes dialed conns wrote from one site to another.
 func (t *Topology) BytesSent(from, to string) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.bytes[[2]string{from, to}]
+	if s := t.pairs[[2]string{from, to}]; s != nil {
+		return s.bytes.Load()
+	}
+	return 0
 }
 
-// TotalInterSiteBytes sums observed traffic whose endpoints are in
-// different sites.
+// TotalInterSiteBytes sums the bytes written between different sites.
 func (t *Topology) TotalInterSiteBytes() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var total int64
-	for key, n := range t.bytes {
+	for key, s := range t.pairs {
 		if key[0] != key[1] {
-			total += n
+			total += s.bytes.Load()
 		}
 	}
 	return total
@@ -315,62 +179,321 @@ func (t *Topology) TotalInterSiteBytes() int64 {
 func (t *Topology) ResetCounters() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.bytes = make(map[[2]string]int64)
+	for _, s := range t.pairs {
+		s.bytes.Store(0)
+	}
 }
 
-// Network is a site-local view of an underlying transport network: dials
-// are shaped by the topology's site-pair links.
+// SetFaults arms the stochastic fault injectors and seeds their PRNG.
+func (t *Topology) SetFaults(f Faults) {
+	if f.StallProb > 0 && f.StallFor <= 0 {
+		f.StallFor = 20 * time.Millisecond
+	}
+	t.mu.Lock()
+	t.rng = rand.New(rand.NewSource(f.Seed))
+	t.mu.Unlock()
+	t.faults.Store(&f)
+}
+
+// roll draws one uniform [0,1) variate from the fault PRNG.
+func (t *Topology) roll() float64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.rng.Float64()
+}
+
+// cutLocked reports whether a cut stands on a site pair to addr. Hold mu.
+func (t *Topology) cutLocked(pair [2]string, addr string) bool {
+	return t.closed || t.cutNodes[addr] || t.cutSites[pair]
+}
+
+// setCuts applies change to the cut state and resets the conns it severs.
+func (t *Topology) setCuts(change func()) {
+	var victims []*conn
+	t.mu.Lock()
+	change()
+	for c := range t.conns {
+		if t.cutLocked(c.pair, c.raddr) {
+			victims = append(victims, c)
+		}
+	}
+	t.mu.Unlock()
+	for _, c := range victims {
+		injected("partition-reset")
+		c.fail(fmt.Errorf("%w: connection reset by partition", ErrInjected))
+	}
+}
+
+// Partition cuts traffic from one site to another, one way: new dials
+// across the cut are refused and conns dialed across it are reset.
+func (t *Topology) Partition(from, to string) {
+	t.setCuts(func() { t.cutSites[[2]string{from, to}] = true })
+}
+
+// PartitionBoth cuts a site pair in both directions.
+func (t *Topology) PartitionBoth(a, b string) {
+	t.Partition(a, b)
+	t.Partition(b, a)
+}
+
+// Heal removes a directed site cut.
+func (t *Topology) Heal(from, to string) {
+	t.setCuts(func() { delete(t.cutSites, [2]string{from, to}) })
+}
+
+// Isolate cuts one address off: dials to it are refused, its conns reset.
+func (t *Topology) Isolate(addr string) {
+	t.setCuts(func() { t.cutNodes[addr] = true })
+}
+
+// Restore lifts an Isolate.
+func (t *Topology) Restore(addr string) {
+	t.setCuts(func() { delete(t.cutNodes, addr) })
+}
+
+// HealAll removes every site and address cut.
+func (t *Topology) HealAll() {
+	t.setCuts(func() {
+		clear(t.cutSites)
+		clear(t.cutNodes)
+	})
+}
+
+// Schedule runs step against the topology after d unless it is closed by
+// then: chain calls to script "partition at t=100ms, heal at t=600ms".
+func (t *Topology) Schedule(d time.Duration, step func(*Topology)) {
+	time.AfterFunc(d, func() {
+		t.mu.Lock()
+		closed := t.closed
+		t.mu.Unlock()
+		if !closed {
+			step(t)
+		}
+	})
+}
+
+// Close cancels pending scheduled steps and cuts every path for good: open
+// connections are reset and later dials refused.
+func (t *Topology) Close() {
+	t.setCuts(func() { t.closed = true })
+}
+
+// Network is one site's view of an inner transport network.
 type Network struct {
 	topo  *Topology
 	site  string
 	inner transport.Network
 }
 
-// NetworkFor returns the shaped network view for a node located at the
-// given site.
+// NetworkFor returns the view for services located at site.
 func (t *Topology) NetworkFor(site string, inner transport.Network) *Network {
 	return &Network{topo: t, site: site, inner: inner}
 }
 
-// Listen binds addr on the inner network and registers it at this view's
-// site.
+// Listen binds addr on the inner network and registers it at this site.
 func (n *Network) Listen(addr string) (net.Listener, error) {
 	l, err := n.inner.Listen(addr)
 	if err != nil {
 		return nil, err
 	}
-	n.topo.Register(l.Addr().String(), n.site)
+	addr = l.Addr().String()
+	n.topo.mu.Lock()
+	n.topo.siteOf[addr] = n.site
+	n.topo.mu.Unlock()
 	return l, nil
 }
 
-// Dial connects to addr, shaping the connection with the link between this
-// view's site and the target's site. The link's full round-trip delay is
-// charged on the request path.
+// Dial connects to addr unless a cut or an injected refusal stands in the
+// way, and wraps the connection in the link from this site to addr's.
 func (n *Network) Dial(ctx context.Context, addr string) (net.Conn, error) {
-	toSite, err := n.topo.Site(addr)
+	t := n.topo
+	to, err := t.Site(addr)
 	if err != nil {
 		return nil, err
 	}
-	conn, err := n.inner.Dial(ctx, addr)
+	t.mu.Lock()
+	cut := t.cutLocked([2]string{n.site, to}, addr)
+	t.mu.Unlock()
+	if cut {
+		injected("dial-cut")
+		return nil, fmt.Errorf("%w: dial %q: partitioned from %q", ErrInjected, addr, n.site)
+	}
+	if f := t.faults.Load(); f != nil && f.DialFailProb > 0 && t.roll() < f.DialFailProb {
+		injected("dial-refused")
+		return nil, fmt.Errorf("%w: dial %q: connection refused", ErrInjected, addr)
+	}
+	inner, err := n.inner.Dial(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
-	link := n.topo.LinkBetween(n.site, toSite)
-	from, to := n.site, toSite
-	state := n.topo.shaperFor(from, to)
-	return shapeWithCounter(conn, link, state, func(b int) { n.topo.addBytes(from, to, b) }), nil
+	return t.shape(inner, n.site, to, addr), nil
 }
 
-// shaperFor returns the shared serialization state of a directed site
-// pair, creating it on first use.
-func (t *Topology) shaperFor(from, to string) *linkState {
+// shapedQueueLen bounds a shaped conn's queued writes like a socket send
+// buffer, so a full queue pushes back on the writer.
+const shapedQueueLen = 256
+
+type packet struct {
+	data      []byte
+	deliverAt time.Time
+}
+
+// conn is a connection dialed through a topology: it counts written bytes,
+// delivers them store-and-forward on a non-zero link, and carries injected
+// faults. Once ended, every Write and failing Read returns what ended it.
+type conn struct {
+	net.Conn
+	topo  *Topology
+	pair  [2]string // (fromSite, toSite)
+	raddr string
+	link  Link
+	state *linkState    // shared by every conn on the same site pair
+	queue chan packet   // nil on a zero link: writes go straight through
+	done  chan struct{} // closed when the conn ends; nil on a zero link
+	wg    sync.WaitGroup
+	err   atomic.Pointer[error] // what ended the conn: injected reset, failed delivery or net.ErrClosed
+}
+
+// shape wraps inner, dialed from one site to raddr at another, in the
+// pair's link and tracks it for cuts. Only a non-zero link starts a pump.
+func (t *Topology) shape(inner net.Conn, from, to, raddr string) *conn {
+	c := &conn{Conn: inner, topo: t, pair: [2]string{from, to}, raddr: raddr, link: t.LinkBetween(from, to)}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	key := [2]string{from, to}
-	s, ok := t.shapers[key]
-	if !ok {
-		s = &linkState{}
-		t.shapers[key] = s
+	if c.state = t.pairs[c.pair]; c.state == nil {
+		c.state = &linkState{}
+		t.pairs[c.pair] = c.state
 	}
-	return s
+	t.conns[c] = true
+	t.mu.Unlock()
+	if c.link.Delay > 0 || c.link.Bandwidth > 0 {
+		c.queue = make(chan packet, shapedQueueLen)
+		c.done = make(chan struct{})
+		c.wg.Add(1)
+		go c.pump()
+	}
+	return c
+}
+
+func (c *conn) pump() {
+	defer c.wg.Done()
+	for {
+		select {
+		case p := <-c.queue:
+			if wait := time.Until(p.deliverAt); wait > 0 {
+				timer := time.NewTimer(wait)
+				select {
+				case <-timer.C:
+				case <-c.done:
+					timer.Stop()
+					return
+				}
+			}
+			if _, err := c.Conn.Write(p.data); err != nil {
+				c.fail(err)
+				return
+			}
+		case <-c.done:
+			return
+		}
+	}
+}
+
+// errOr returns the error that ended the conn, or err while none has.
+func (c *conn) errOr(err error) error {
+	if ended := c.err.Load(); ended != nil {
+		return *ended
+	}
+	return err
+}
+
+// Write applies the injected faults, then writes p through on a zero link
+// or queues it for delivery, blocking only while the queue is full.
+func (c *conn) Write(p []byte) (int, error) {
+	if f := c.topo.faults.Load(); f != nil {
+		if err := c.inject(f); err != nil {
+			return 0, err
+		}
+	}
+	if c.queue == nil {
+		n, err := c.Conn.Write(p)
+		c.state.bytes.Add(int64(n))
+		if err != nil {
+			err = c.errOr(err)
+		}
+		return n, err
+	}
+	if err := c.errOr(nil); err != nil {
+		return 0, err
+	}
+	txDur := time.Duration(0)
+	if c.link.Bandwidth > 0 {
+		txDur = time.Duration(float64(len(p)) / c.link.Bandwidth * float64(time.Second))
+	}
+	c.state.mu.Lock()
+	txStart := c.state.nextFree
+	if now := time.Now(); txStart.Before(now) {
+		txStart = now
+	}
+	c.state.nextFree = txStart.Add(txDur)
+	deliverAt := c.state.nextFree.Add(c.link.Delay)
+	c.state.mu.Unlock()
+
+	data := make([]byte, len(p))
+	copy(data, p)
+	select {
+	case c.queue <- packet{data: data, deliverAt: deliverAt}:
+	case <-c.done:
+		return 0, c.errOr(net.ErrClosed)
+	}
+	c.state.bytes.Add(int64(len(p)))
+	return len(p), nil
+}
+
+// inject rolls f's per-write faults: a reset ends the conn, a stall waits.
+func (c *conn) inject(f *Faults) error {
+	if err := c.errOr(nil); err != nil {
+		return err
+	}
+	if f.ResetProb > 0 && c.topo.roll() < f.ResetProb {
+		injected("reset")
+		err := fmt.Errorf("%w: connection reset mid-stream", ErrInjected)
+		c.fail(err)
+		return err
+	}
+	if f.StallProb > 0 && c.topo.roll() < f.StallProb {
+		injected("stall")
+		time.Sleep(f.StallFor)
+	}
+	return nil
+}
+
+// Read delegates, surfacing the error that ended the conn on failure.
+func (c *conn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if err != nil {
+		err = c.errOr(err)
+	}
+	return n, err
+}
+
+// fail ends the conn with err, once: it stops delivery, closes the inner
+// conn so blocked readers and the peer see the end, and untracks it.
+func (c *conn) fail(err error) error {
+	if !c.err.CompareAndSwap(nil, &err) {
+		return nil
+	}
+	if c.done != nil {
+		close(c.done)
+	}
+	c.topo.mu.Lock()
+	delete(c.topo.conns, c)
+	c.topo.mu.Unlock()
+	return c.Conn.Close()
+}
+
+// Close implements net.Conn, dropping queued data like a failing link.
+func (c *conn) Close() error {
+	err := c.fail(net.ErrClosed)
+	c.wg.Wait()
+	return err
 }

@@ -3,6 +3,7 @@ package netem
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net"
 	"testing"
@@ -11,10 +12,10 @@ import (
 	"efdedup/internal/transport"
 )
 
-// pipePair returns a connected pipe with the writer side shaped.
-func pipePair(link Link) (shaped net.Conn, peer net.Conn) {
+// pipePair returns a connected pipe whose writer side is wrapped in link.
+func pipePair(link Link) (shaped *conn, peer net.Conn) {
 	a, b := net.Pipe()
-	return Shape(a, link), b
+	return NewTopology(link).shape(a, "a", "b", "b"), b
 }
 
 func TestShapeDelaysDelivery(t *testing.T) {
@@ -87,13 +88,33 @@ func TestShapePreservesContentAndOrder(t *testing.T) {
 }
 
 func TestShapeZeroLinkPassThrough(t *testing.T) {
-	a, b := net.Pipe()
-	defer b.Close()
-	s := Shape(a, Link{})
-	if s != a {
-		t.Fatal("zero link should return the original conn")
+	s, peer := pipePair(Link{})
+	defer peer.Close()
+	defer s.Close()
+	if s.queue != nil {
+		t.Fatal("zero link started a delivery queue")
 	}
-	a.Close()
+	go s.Write([]byte("hi")) //nolint:errcheck
+	buf := make([]byte, 2)
+	if _, err := io.ReadFull(peer, buf); err != nil || string(buf) != "hi" {
+		t.Fatalf("read %q, %v; want the write passed through", buf, err)
+	}
+}
+
+// TestShapedWriteAfterCloseFails: every write after Close fails with
+// net.ErrClosed, shaped link or not — none may report success and drop
+// the bytes.
+func TestShapedWriteAfterCloseFails(t *testing.T) {
+	for _, link := range []Link{{Delay: time.Hour}, {}} {
+		shaped, peer := pipePair(link)
+		shaped.Close()
+		for i := 0; i < 100; i++ {
+			if n, err := shaped.Write([]byte("x")); !errors.Is(err, net.ErrClosed) {
+				t.Fatalf("link %+v: write %d after Close = %d, %v; want net.ErrClosed", link, i, n, err)
+			}
+		}
+		peer.Close()
+	}
 }
 
 func TestShapedCloseUnblocksWriters(t *testing.T) {
@@ -140,7 +161,11 @@ func TestTopologyLinkLookup(t *testing.T) {
 
 func TestTopologySiteRegistration(t *testing.T) {
 	topo := NewTopology(Link{})
-	topo.Register("addr1", "siteX")
+	l, err := topo.NetworkFor("siteX", transport.NewMemNetwork()).Listen("addr1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
 	s, err := topo.Site("addr1")
 	if err != nil || s != "siteX" {
 		t.Fatalf("Site = %q, %v", s, err)

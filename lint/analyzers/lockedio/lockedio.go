@@ -6,7 +6,7 @@
 // it, then dial or issue the RPC. Holding a mutex across a Dial or a
 // conn Read/Write serializes the whole D2-ring fan-out behind one slow
 // peer and is how distributed stores deadlock under partitions — the
-// chaos tests (internal/faultnet) stall connections for seconds on
+// chaos tests (internal/netem) stall connections for seconds on
 // purpose, so a lock held across I/O turns a single injected stall
 // into a node-wide freeze. A blocked remote call inside a helper stalls
 // every goroutine contending for the lock just the same, so a call made

@@ -7,7 +7,6 @@ import (
 	"efdedup/internal/chunk"
 	"efdedup/internal/cloudstore"
 	"efdedup/internal/cluster"
-	"efdedup/internal/faultnet"
 	"efdedup/internal/kvstore"
 	"efdedup/internal/netem"
 	"efdedup/internal/retrypolicy"
@@ -123,7 +122,8 @@ func DialCloud(ctx context.Context, d Dialer, addr string) (*CloudClient, error)
 type (
 	// Link is a delay+bandwidth path description.
 	Link = netem.Link
-	// Topology maps node addresses to sites and site pairs to links.
+	// Topology maps node addresses to sites and site pairs to links, and
+	// scripts partitions and node isolation (Partition, Isolate, Schedule).
 	Topology = netem.Topology
 )
 
@@ -132,7 +132,7 @@ type (
 func NewTopology(fallback Link) *Topology { return netem.NewTopology(fallback) }
 
 // Resilience types: the retry/backoff/circuit-breaker layer under every
-// RPC path and the chaos fabric that exercises it.
+// RPC path.
 type (
 	// RetryPolicy tunes capped exponential backoff with jitter.
 	RetryPolicy = retrypolicy.Policy
@@ -140,19 +140,7 @@ type (
 	BreakerConfig = retrypolicy.BreakerConfig
 	// BreakerState is closed / open / half-open.
 	BreakerState = retrypolicy.BreakerState
-	// ChaosFabric injects scripted partitions and seeded stochastic
-	// faults into any Listen/Dial network.
-	ChaosFabric = faultnet.Fabric
-	// ChaosConfig tunes the fabric's stochastic injectors.
-	ChaosConfig = faultnet.Config
 )
-
-// ErrChaosInjected marks every failure a ChaosFabric fabricates.
-var ErrChaosInjected = faultnet.ErrInjected
-
-// NewChaosFabric builds an empty chaos fabric; wrap networks with
-// NetworkFor and script faults with Partition/Schedule.
-func NewChaosFabric(cfg ChaosConfig) *ChaosFabric { return faultnet.NewFabric(cfg) }
 
 // DialCloudWithPolicy connects a cloud client with explicit retry and
 // breaker settings.
