@@ -12,7 +12,7 @@ ci: build vet lint wire-lock-check test race fuzz-short chaos bench-smoke
 # Race-detect the resilience-critical packages only (quick local loop;
 # CI races the whole module).
 race-core:
-	$(GO) test -race ./internal/transport ./internal/reclog ./internal/kvstore ./internal/cloudstore ./internal/agent ./internal/netem ./internal/gossip ./internal/retrypolicy
+	$(GO) test -race ./internal/transport ./internal/reclog ./internal/kvstore ./internal/cloudstore ./internal/agent ./internal/netem ./internal/retrypolicy
 
 build:
 	$(GO) build ./...
@@ -72,7 +72,6 @@ fuzz-short:
 	$(GO) test ./internal/kvstore -fuzz 'FuzzRepairCodecs$$' -fuzztime 10s
 	$(GO) test ./internal/cloudstore -fuzz 'FuzzCloudCodecs$$' -fuzztime 10s
 	$(GO) test ./internal/cloudstore -fuzz 'FuzzHandlers$$' -fuzztime 10s
-	$(GO) test ./internal/gossip -fuzz 'FuzzGossipTable$$' -fuzztime 10s
 	$(GO) test -bench=. -benchtime=1x ./internal/chunk
 
 # Crash/recovery suite under the race detector: kill-restart-rejoin

@@ -85,7 +85,7 @@ func run() error {
 		fmt.Fprintln(out, f.Format())
 	}
 	if *breakdown {
-		// Every agent, kv node, cloud store and gossiper the experiments
+		// Every agent, kv node and cloud store the experiments
 		// spun up recorded into the process-global registry; this is the
 		// run's own Fig. 5-style per-stage latency profile.
 		fmt.Fprintln(out, "per-stage breakdown (process-wide metrics registry):")

@@ -22,10 +22,8 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
-	"efdedup/internal/gossip"
 	"efdedup/internal/kvstore"
 	"efdedup/internal/metrics"
 	"efdedup/internal/transport"
@@ -39,7 +37,7 @@ func main() {
 
 // listenOrClose binds addr, closing owner when the bind fails: the
 // daemon exits on that path and nothing else would release the owner's
-// WAL, snapshot timer and gossip state.
+// WAL and snapshot timer.
 func listenOrClose(network transport.Network, addr string, owner io.Closer) (net.Listener, error) {
 	l, err := network.Listen(addr)
 	if err != nil {
@@ -58,8 +56,6 @@ func run() error {
 		snapshot     = flag.String("snapshot", "", "snapshot file path (default <wal>.snap)")
 		snapBytes    = flag.Int64("snapshot-bytes", kvstore.DefaultSnapshotBytes, "snapshot and truncate the WAL when it exceeds this size; negative disables")
 		snapEvery    = flag.Duration("snapshot-interval", 0, "additionally snapshot on this period (0 disables)")
-		gossipAddr   = flag.String("gossip", "", "optional gossip listen address (enables membership dissemination)")
-		gossipSeeds  = flag.String("gossip-seeds", "", "comma-separated gossip addresses of existing ring members")
 		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof/ on this address (empty disables)")
 	)
 	flag.Parse()
@@ -99,26 +95,6 @@ func run() error {
 	}
 	node.Serve(l)
 	log.Printf("efdedup-kvnode serving on %s (wal=%q sync=%s)", l.Addr(), *wal, syncPolicy)
-
-	if *gossipAddr != "" {
-		var seeds []string
-		for _, s := range strings.Split(*gossipSeeds, ",") {
-			if s = strings.TrimSpace(s); s != "" {
-				seeds = append(seeds, s)
-			}
-		}
-		g, err := gossip.Start(gossip.Config{
-			Addr:    *gossipAddr,
-			Network: transport.TCPNetwork{},
-			Seeds:   seeds,
-		})
-		if err != nil {
-			node.Close()
-			return err
-		}
-		defer g.Stop()
-		log.Printf("gossiping on %s (seeds=%v)", *gossipAddr, seeds)
-	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -11,7 +11,7 @@ type closeRecorder struct{ closed bool }
 func (c *closeRecorder) Close() error { c.closed = true; return nil }
 
 // A failed bind is the daemon's exit path: the node (and with it the
-// WAL, snapshot timer and gossip state) must be released, not leaked.
+// WAL and snapshot timer) must be released, not leaked.
 func TestListenFailureClosesNode(t *testing.T) {
 	m := transport.NewMemNetwork()
 	if _, err := m.Listen("busy"); err != nil {

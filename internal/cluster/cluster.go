@@ -80,11 +80,6 @@ type Config struct {
 	// agent.DefaultLookupInflight).
 	HashWorkers    int
 	LookupInflight int
-	// MaxStreams/ArenaBudgetBytes bound each agent's multi-stream
-	// admission: concurrent streams and pooled chunk-payload bytes.
-	// Zero takes the agent defaults; negative disables the bound.
-	MaxStreams       int
-	ArenaBudgetBytes int64
 	// StartStagger delays node i's processing by i×StartStagger during
 	// Run. Real data flows are not synchronized; without jitter,
 	// correlated nodes race each other's index inserts and upload the
@@ -317,16 +312,14 @@ func (c *Cluster) ApplyPartition(rings [][]int, mode agent.Mode) error {
 		clients = append(clients, cloudClient)
 
 		cfg := agent.Config{
-			Name:             n.Name,
-			Mode:             mode,
-			Chunker:          chunker,
-			Cloud:            cloudClient,
-			LookupBatch:      c.cfg.LookupBatch,
-			UploadBatch:      c.cfg.UploadBatch,
-			HashWorkers:      c.cfg.HashWorkers,
-			LookupInflight:   c.cfg.LookupInflight,
-			MaxStreams:       c.cfg.MaxStreams,
-			ArenaBudgetBytes: c.cfg.ArenaBudgetBytes,
+			Name:           n.Name,
+			Mode:           mode,
+			Chunker:        chunker,
+			Cloud:          cloudClient,
+			LookupBatch:    c.cfg.LookupBatch,
+			UploadBatch:    c.cfg.UploadBatch,
+			HashWorkers:    c.cfg.HashWorkers,
+			LookupInflight: c.cfg.LookupInflight,
 		}
 		if mode == agent.ModeRing {
 			idx, err := kvstore.NewCluster(kvstore.ClusterConfig{

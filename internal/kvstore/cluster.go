@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -80,10 +81,6 @@ type ClusterConfig struct {
 	// replicas that restarted from stale durable state or missed writes
 	// during a partition.
 	RepairInterval time.Duration
-	// Membership optionally supplies an external liveness view (e.g. a
-	// gossip node): lookups skip a peer it judges not alive, as they skip
-	// one whose circuit breaker is open.
-	Membership LivenessView
 	// Retry tunes the per-RPC retry/backoff schedule (transient faults
 	// are absorbed below the consistency layer instead of surfacing as
 	// ErrNoQuorum). Zero fields take retrypolicy defaults, except the
@@ -93,20 +90,18 @@ type ClusterConfig struct {
 	// failure detector: lookups route around a replica while its breaker
 	// is open and try it again once the cool-down half-opens it.
 	Breaker retrypolicy.BreakerConfig
-	// RetryBudget caps retry amplification across the whole coordinator;
-	// nil gets a default bucket (256 tokens, successes refill 0.5).
-	RetryBudget *retrypolicy.Budget
 	// Metrics receives the coordinator's instrumentation (per-method RPC
 	// latency histograms, breaker-state gauges, lookup counters).
 	// Nil records into metrics.Default().
 	Metrics *metrics.Registry
 }
 
-// LivenessView answers liveness queries for cluster members; the gossip
-// package's Node satisfies it.
-type LivenessView interface {
-	IsAlive(addr string) bool
-}
+// The coordinator-wide retry budget caps retry amplification: a bucket
+// of retryBudgetTokens, each successful call refilling retryBudgetRefill.
+const (
+	retryBudgetTokens = 256
+	retryBudgetRefill = 0.5
+)
 
 // ErrNoQuorum is returned when too few replicas acknowledged an operation.
 var ErrNoQuorum = errors.New("kvstore: not enough replicas responded")
@@ -129,6 +124,7 @@ type Cluster struct {
 	remoteLookups atomic.Int64
 	localLookups  atomic.Int64
 
+	reg *metrics.Registry // resolved cfg.Metrics; AddMember registers joiners' gauges
 	met clusterMetrics
 }
 
@@ -190,9 +186,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Retry.AttemptTimeout == 0 {
 		cfg.Retry.AttemptTimeout = 5 * time.Second
 	}
-	if cfg.RetryBudget == nil {
-		cfg.RetryBudget = retrypolicy.NewBudget(256, 0.5)
-	}
+	// The coordinator owns its member list: RemoveMember edits it in
+	// place, which must not reach the caller's (often shared) slice.
+	cfg.Members = slices.Clone(cfg.Members)
 	ring, err := hashring.New(cfg.VirtualNodes)
 	if err != nil {
 		return nil, err
@@ -215,17 +211,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{
 		cfg:   cfg,
 		ring:  ring,
-		peers: transport.NewPeers(cfg.Network, cfg.Retry, cfg.Breaker, cfg.RetryBudget),
+		peers: transport.NewPeers(cfg.Network, cfg.Retry, cfg.Breaker, retrypolicy.NewBudget(retryBudgetTokens, retryBudgetRefill)),
+		reg:   reg,
 		met:   newClusterMetrics(reg),
 	}
-	// Per-member live gauges. Registration replaces any previous cluster's
-	// callback under the same series, so a recreated coordinator (common
-	// in tests; daemons build exactly one) reports its own state.
 	for _, addr := range cfg.Members {
-		addr := addr
-		reg.GaugeFunc("kvstore_breaker_state", func() float64 {
-			return float64(c.peers.Breaker(addr).State())
-		}, "addr", addr)
+		c.registerBreakerGauge(addr)
 	}
 	c.versionCounter.Store(uint64(time.Now().UnixNano()))
 	if cfg.RepairInterval > 0 {
@@ -234,6 +225,16 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		go c.repairLoop()
 	}
 	return c, nil
+}
+
+// registerBreakerGauge exports addr's breaker state as a live gauge.
+// Registration replaces any previous cluster's callback under the same
+// series, so a recreated coordinator (common in tests; daemons build
+// exactly one) reports its own state.
+func (c *Cluster) registerBreakerGauge(addr string) {
+	c.reg.GaugeFunc("kvstore_breaker_state", func() float64 {
+		return float64(c.peers.Breaker(addr).State())
+	}, "addr", addr)
 }
 
 // Close stops the repair loop and tears down connections. It is
@@ -282,14 +283,10 @@ func (c *Cluster) replicas(key []byte, local string) []string {
 }
 
 // skip reports whether lookups should route around addr: its circuit
-// breaker is open, or the external membership view says it is not alive.
-// The breaker is the one failure detector; it opens on consecutive failed
-// calls and half-opens after its cool-down, so a recovered replica is
-// tried again without any background probing.
+// breaker is open. The breaker is the one failure detector; it opens on
+// consecutive failed calls and half-opens after its cool-down, so a
+// recovered replica is tried again without any background probing.
 func (c *Cluster) skip(addr string) bool {
-	if c.cfg.Membership != nil && !c.cfg.Membership.IsAlive(addr) {
-		return true
-	}
 	return c.peers.Breaker(addr).State() == retrypolicy.Open
 }
 

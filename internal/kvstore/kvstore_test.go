@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"efdedup/internal/metrics"
 	"efdedup/internal/retrypolicy"
 	"efdedup/internal/transport"
 )
@@ -248,7 +249,8 @@ func TestBatchHasFallbackOnNodeFailure(t *testing.T) {
 			nd.Close()
 		}
 	}()
-	c := testCluster(t, nw, ClusterConfig{Members: addrs, ReplicationFactor: 2, WriteConsistency: All})
+	reg := metrics.NewRegistry()
+	c := testCluster(t, nw, ClusterConfig{Members: addrs, ReplicationFactor: 2, WriteConsistency: All, Metrics: reg})
 
 	ctx := context.Background()
 	var keys [][]byte
@@ -260,14 +262,21 @@ func TestBatchHasFallbackOnNodeFailure(t *testing.T) {
 		}
 	}
 	nodes[1].Close()
-	found, err := c.BatchHas(ctx, keys)
-	if err != nil {
-		t.Fatalf("BatchHas with dead node: %v", err)
-	}
-	for i, ok := range found {
-		if !ok {
-			t.Errorf("key %d reported missing after failover", i)
+	// The failed probes trip the dead node's breaker, the coordinator's
+	// one failure detector; every lookup until then falls back per key.
+	for i := 0; !c.skip(addrs[1]); i++ {
+		if i == 20 {
+			t.Fatal("dead node's breaker never opened")
 		}
+		assertAllFound(t, c, keys, "after failover")
+	}
+	// With the breaker open, lookups route around the dead node: no probe
+	// is sent to it, and every key still resolves on a surviving replica.
+	fails := reg.Counter("kvstore_client_rpc_failures_total", "method", methodBatchHas)
+	before := fails.Value()
+	assertAllFound(t, c, keys, "with the dead node's breaker open")
+	if got := fails.Value() - before; got != 0 {
+		t.Errorf("%d probes failed with the dead node's breaker open, want 0", got)
 	}
 }
 

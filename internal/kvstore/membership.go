@@ -3,6 +3,7 @@ package kvstore
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"efdedup/internal/transport"
 )
@@ -23,14 +24,14 @@ func (c *Cluster) AddMember(addr string) error {
 		return fmt.Errorf("%w: empty member address", ErrConfig)
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, m := range c.cfg.Members {
-		if m == addr {
-			return fmt.Errorf("%w: member %q already present", ErrConfig, addr)
-		}
+	if slices.Contains(c.cfg.Members, addr) {
+		c.mu.Unlock()
+		return fmt.Errorf("%w: member %q already present", ErrConfig, addr)
 	}
 	c.cfg.Members = append(c.cfg.Members, addr)
 	c.ring.Add(addr)
+	c.mu.Unlock()
+	c.registerBreakerGauge(addr) // outside the lock, like Forget below
 	return nil
 }
 

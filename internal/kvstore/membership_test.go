@@ -3,8 +3,10 @@ package kvstore
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
+	"efdedup/internal/metrics"
 	"efdedup/internal/transport"
 )
 
@@ -33,6 +35,29 @@ func TestAddMemberValidation(t *testing.T) {
 	}
 	if err := c.AddMember(addrs[0]); err == nil {
 		t.Error("duplicate member accepted")
+	}
+}
+
+// TestMembershipChangeLeavesSharedSliceAlone builds two coordinators from
+// one member slice, as every agent of a ring is built: a RemoveMember on
+// one must not shift the caller's slice or the other coordinator's ring.
+func TestMembershipChangeLeavesSharedSliceAlone(t *testing.T) {
+	nw := transport.NewMemNetwork()
+	members := testRing(t, nw, 3)
+	want := slices.Clone(members)
+	a := testCluster(t, nw, ClusterConfig{Members: members})
+	b := testCluster(t, nw, ClusterConfig{Members: members})
+	if err := a.RemoveMember(members[0]); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(members, want) {
+		t.Errorf("caller's slice = %v after RemoveMember, want %v", members, want)
+	}
+	if got := b.Members(); !slices.Equal(got, want) {
+		t.Errorf("untouched coordinator's members = %v, want %v", got, want)
+	}
+	if err := b.RemoveMember(want[0]); err != nil {
+		t.Errorf("untouched coordinator cannot remove its own member %s: %v", want[0], err)
 	}
 }
 
@@ -68,13 +93,14 @@ func putAll(t *testing.T, c *Cluster, keys [][]byte) {
 }
 
 // TestAddMemberAndRebalance grows the ring and verifies the new node ends
-// up holding its share of the keys.
+// up holding its share of the keys and exports its breaker state.
 func TestAddMemberAndRebalance(t *testing.T) {
 	nw := transport.NewMemNetwork()
 	addrs, nodes := repairRing(t, nw, 3)
 	byAddr := nodesByAddr(addrs, nodes)
+	reg := metrics.NewRegistry()
 	c := testCluster(t, nw, ClusterConfig{
-		Members: addrs, ReplicationFactor: 2, WriteConsistency: All,
+		Members: addrs, ReplicationFactor: 2, WriteConsistency: All, Metrics: reg,
 	})
 	ctx := context.Background()
 	keys := rebalanceKeys(200)
@@ -87,6 +113,17 @@ func TestAddMemberAndRebalance(t *testing.T) {
 	}
 	if len(c.Members()) != 4 {
 		t.Fatalf("members = %v", c.Members())
+	}
+	// The breaker is the only failure detector, so every member's state,
+	// the joiner's included, must be scrapeable.
+	gauges := make(map[string]bool)
+	for _, s := range reg.Snapshots() {
+		gauges[s.Key] = true
+	}
+	for _, m := range c.Members() {
+		if !gauges[metrics.Key("kvstore_breaker_state", "addr", m)] {
+			t.Errorf("no kvstore_breaker_state series for member %s", m)
+		}
 	}
 	// Lookups keep working before any data movement: no probe fails, and
 	// the only misses are keys whose new primary is the empty joiner (a

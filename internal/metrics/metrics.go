@@ -8,9 +8,9 @@
 // U(P), throughput under WAN latency. This package makes those same
 // quantities observable on a *running* system instead of only as
 // end-of-run Report totals: every hot path (agent pipeline stages,
-// kvstore client/server RPCs, cloud uploads, breakers, gossip, chaos
-// injection) records into a process-global registry that can be scraped
-// as Prometheus text or JSON (see http.go) and printed as a per-stage
+// kvstore client/server RPCs, cloud uploads, breakers, chaos injection)
+// records into a process-global registry that can be scraped as
+// Prometheus text or JSON (see http.go) and printed as a per-stage
 // breakdown (WriteBreakdown).
 //
 // Conventions (see DESIGN.md §8):

@@ -11,7 +11,7 @@ import (
 )
 
 // Peers is the client side of every EF-dedup RPC path: the index
-// coordinator, the cloud client and gossip. It keeps one multiplexed
+// coordinator and the cloud client. It keeps one multiplexed
 // Client per address, dialed on first use. A call runs under the
 // caller's retry policy, the address's circuit breaker and an optional
 // retry budget; a transport failure drops exactly the connection that

@@ -3,7 +3,7 @@
 // each return a cancel func that releases the context's timer and
 // subtree registration; a path that returns without calling it leaks
 // those until the parent context ends — in a daemon whose parent is
-// Background, forever. The retry/gossip/cluster hot paths create one
+// Background, forever. The retry/cluster hot paths create one
 // context per attempt, so a missed cancel is a per-RPC leak, which is
 // why the invariant is worth a path-sensitive check rather than a
 // code-review habit.

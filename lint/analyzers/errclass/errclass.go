@@ -34,7 +34,6 @@ var TransportPackages = []string{
 	"internal/cloudstore",
 	"internal/agent",
 	"internal/transport",
-	"internal/gossip",
 }
 
 // Analyzer is the errclass pass.

@@ -1,7 +1,7 @@
 // Package goleak checks that goroutines spawned by the daemons have a
 // shutdown path.
 //
-// Every long-lived goroutine in the system — gossip rounds, WAL
+// Every long-lived goroutine in the system — repair rounds, WAL
 // flushers, hint replayers, metric servers — follows the same shape: an
 // infinite loop that selects on work and on a stop/done channel (or
 // ctx.Done()), returning when asked. A goroutine whose infinite loop

@@ -1,7 +1,7 @@
 // Package lockedio flags network I/O performed while a sync.Mutex or
 // sync.RWMutex is held, directly or through any chain of calls.
 //
-// The kvstore, cloudstore, gossip and agent layers all follow the same
+// The kvstore, cloudstore and agent layers all follow the same
 // discipline: take the lock to read or mutate connection tables, RELEASE
 // it, then dial or issue the RPC. Holding a mutex across a Dial or a
 // conn Read/Write serializes the whole D2-ring fan-out behind one slow

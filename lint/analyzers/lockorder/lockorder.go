@@ -4,8 +4,8 @@
 // any chain of synchronous calls) and reports every cycle with its full
 // acquisition chain. A cycle means two executions can acquire the same
 // mutexes in opposite orders and block each other forever — the classic
-// distributed-index deadlock the D2-ring KV store and gossip membership
-// must never reintroduce.
+// distributed-index deadlock the D2-ring KV store must never
+// reintroduce.
 //
 // Only mutexes with a stable module-wide identity participate:
 // struct-field mutexes ("(kvstore.Cluster).mu") and package-level

@@ -47,7 +47,7 @@ func TestProductionLayouts(t *testing.T) {
 	}
 
 	methods := ix.Methods()
-	if len(methods) < 13 {
+	if len(methods) < 12 {
 		t.Errorf("only %d RPC methods indexed: %v", len(methods), methods)
 	}
 

@@ -8,8 +8,8 @@ import (
 )
 
 // This file exposes the observability layer: the process-global metrics
-// registry every component (agents, kv nodes, cloud store, gossip,
-// netem) records into, and the HTTP surface the daemons mount on
+// registry every component (agents, kv nodes, cloud store, netem)
+// records into, and the HTTP surface the daemons mount on
 // -metrics-addr. Embedders use it to scrape their own processes or to
 // print per-stage breakdowns after a run, the way efdedup-bench does.
 
