@@ -51,7 +51,7 @@ func run() error {
 		statsEach   = flag.Duration("stats-interval", time.Minute, "how often to log store statistics (0 disables)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof/ on this address (empty disables)")
 
-		containerBytes = flag.Int("container-bytes", cloudstore.DefaultContainerBytes, "target sealed locality-container size")
+		containerBytes = flag.Int("container-bytes", cloudstore.DefaultContainerBytes, "target sealed locality-container size, at most 1 GiB (1073741824)")
 		dupFraction    = flag.Float64("dup-fraction", cloudstore.DefaultDupFraction, "selective-duplication byte budget as a fraction of unique bytes (0 disables repacking)")
 		sparseRefs     = flag.Int("sparse-ref-limit", cloudstore.DefaultSparseRefLimit, "a manifest referencing a container for at most this many chunks marks it fragmenting")
 	)

@@ -5,8 +5,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"efdedup/internal/chunk"
@@ -80,9 +78,10 @@ func TestStreamEndsInOneCommit(t *testing.T) {
 }
 
 // TestCommitFailureLeavesNoTrace fails the commit after the cloud stored
-// the tail: its manifest write hits a broken disk. The stream fails with
-// no manifest, the report counts only the full batch the cloud acked,
-// and the ring index names none of the tail's chunks.
+// the tail: its manifest names a chunk the ring index claims but the
+// cloud never stored. The stream fails with no manifest, the report
+// counts only the full batch the cloud acked, and the ring index names
+// none of the tail's chunks.
 func TestCommitFailureLeavesNoTrace(t *testing.T) {
 	tb := newTestbed(t, 3)
 	dir := t.TempDir()
@@ -101,14 +100,6 @@ func TestCommitFailureLeavesNoTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cloud.Close() })
-	// A file where the manifests directory was: every manifest write fails.
-	manifests := filepath.Join(dir, "manifests")
-	if err := os.RemoveAll(manifests); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(manifests, []byte("not a directory"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 
 	idx := tb.ringIndex(t, 0)
 	a, err := New(Config{Name: "doomed", Mode: ModeRing, Index: idx, Cloud: cloud})
@@ -117,9 +108,15 @@ func TestCommitFailureLeavesNoTrace(t *testing.T) {
 	}
 	const fresh = DefaultUploadBatch + 6 // one full batch and a tail
 	data := freshData(5, fresh)
-	rep, err := a.ProcessBytes(context.Background(), "f", data)
-	if err == nil {
-		t.Fatal("stream succeeded although its commit failed")
+	// The stream ends in a chunk the index claims and the cloud lacks.
+	ghost := freshData(6, 1)
+	ghostID := chunk.Sum(ghost)
+	if err := idx.BatchPut(context.Background(), [][]byte{ghostID[:]}, [][]byte{[]byte("elsewhere")}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := a.ProcessBytes(context.Background(), "f", append(data[:len(data):len(data)], ghost...))
+	if !errors.Is(err, cloudstore.ErrNotFound) {
+		t.Fatalf("stream = %v, want its commit's ErrNotFound", err)
 	}
 	if rep.UploadedChunks != DefaultUploadBatch || rep.UploadedBytes != DefaultUploadBatch*chunk.DefaultFixedSize {
 		t.Errorf("report uploaded %d chunks / %d bytes, want only the acked full batch", rep.UploadedChunks, rep.UploadedBytes)

@@ -3,11 +3,9 @@ package cloudstore
 // Regression tests for the restore-path satellite bugfixes. Each test
 // fails on the pre-fix code:
 //
-//   - escapeName used to leave '%' unescaped, so "a%2Fb" and "a/b"
-//     collided on disk and ManifestNames un-escaped literal "%2F";
 //   - the manifest handler and the raw-upload manifest path used to
-//     update the in-memory catalog before the durable disk write,
-//     advertising manifests a restart would not have;
+//     update the in-memory catalog before the durable write, advertising
+//     manifests a restart would not have;
 //   - the server accepted empty / "." / ".." manifest names;
 //   - a chunk the disk refused was reported as a duplicate, so the
 //     upload RPC succeeded for a chunk the cloud did not hold.
@@ -15,93 +13,12 @@ package cloudstore
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"efdedup/internal/chunk"
 )
-
-func TestEscapeNamePercentCollisionRegression(t *testing.T) {
-	// The exact pre-fix collision: both names escaped to "a%2Fb".
-	if escapeName("a%2Fb") == escapeName("a/b") {
-		t.Fatalf("escapeName is not injective: %q and %q collide at %q",
-			"a%2Fb", "a/b", escapeName("a/b"))
-	}
-	// A literal-percent name must round-trip exactly.
-	for _, name := range []string{"a%2Fb", "100%", "%", "%%25", "a%5Cb:c", "%2F%2F"} {
-		if got := unescapeName(escapeName(name)); got != name {
-			t.Errorf("round trip %q -> %q -> %q", name, escapeName(name), got)
-		}
-	}
-}
-
-// TestEscapeNameInjectiveProperty drives random names over the hostile
-// alphabet and checks (1) exact round trips, (2) no two distinct names
-// share an escaped form, (3) escaped forms contain no path separators.
-func TestEscapeNameInjectiveProperty(t *testing.T) {
-	alphabet := []rune{'a', 'b', '%', '/', '\\', ':', '2', '5', 'F', 'C', 'A', '.', '-', 'é'}
-	rng := rand.New(rand.NewSource(42))
-	seen := make(map[string]string)
-	for i := 0; i < 5000; i++ {
-		n := rng.Intn(12)
-		var sb strings.Builder
-		for j := 0; j < n; j++ {
-			sb.WriteRune(alphabet[rng.Intn(len(alphabet))])
-		}
-		name := sb.String()
-		esc := escapeName(name)
-		if got := unescapeName(esc); got != name {
-			t.Fatalf("round trip %q -> %q -> %q", name, esc, got)
-		}
-		if strings.ContainsAny(esc, "/\\") {
-			t.Fatalf("escaped form %q still has a path separator", esc)
-		}
-		if prev, ok := seen[esc]; ok && prev != name {
-			t.Fatalf("collision: %q and %q both escape to %q", prev, name, esc)
-		}
-		seen[esc] = name
-	}
-}
-
-// TestManifestNamesPreservesLiteralEscapes stores two once-colliding
-// names through a real DiskStore and checks both files exist and list
-// back exactly.
-func TestManifestNamesPreservesLiteralEscapes(t *testing.T) {
-	d, err := NewDiskStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := []chunk.ID{chunk.Sum([]byte("x"))}
-	ids2 := []chunk.ID{chunk.Sum([]byte("y"))}
-	if err := d.PutManifest("a/b", ids); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.PutManifest("a%2Fb", ids2); err != nil {
-		t.Fatal(err)
-	}
-	got1, err := d.GetManifest("a/b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := d.GetManifest("a%2Fb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got1[0] != ids[0] || got2[0] != ids2[0] {
-		t.Fatal("colliding names overwrote each other")
-	}
-	names, err := d.ManifestNames()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{"a/b": true, "a%2Fb": true}
-	if len(names) != 2 || !want[names[0]] || !want[names[1]] {
-		t.Fatalf("ManifestNames = %v", names)
-	}
-}
 
 func TestServerRejectsInvalidManifestNames(t *testing.T) {
 	cl, srv := startCloud(t, Config{})
@@ -122,11 +39,9 @@ func TestServerRejectsInvalidManifestNames(t *testing.T) {
 	}
 }
 
-// breakManifestDir replaces the store's manifests directory with a plain
-// file so every subsequent durable manifest write fails (works even as
-// root, where permission bits would not).
-func breakManifestDir(t *testing.T, dir string) { breakStoreDir(t, dir, "manifests") }
-
+// breakStoreDir replaces a directory of the store with a plain file, so
+// that creating a file in it fails (works even as root, where permission
+// bits would not).
 func breakStoreDir(t *testing.T, dir, sub string) {
 	t.Helper()
 	mdir := filepath.Join(dir, sub)
@@ -138,47 +53,51 @@ func breakStoreDir(t *testing.T, dir, sub string) {
 	}
 }
 
-// TestPutManifestDurableFirst injects a disk failure into the manifest
-// write and asserts the server does NOT advertise the manifest from
-// memory — the durable write must come first — whether the commit
-// carries no tail or a tail that was stored before the manifest write
-// failed.
+// TestPutManifestDurableFirst fails the container-log sync that would
+// make a commit's manifest record durable and asserts the server does
+// NOT advertise the manifest from memory — whether the commit carries no
+// tail or a tail that shares the failed sync.
 func TestPutManifestDurableFirst(t *testing.T) {
-	dir := t.TempDir()
-	cl, srv := startCloud(t, Config{Dir: dir})
 	ctx := context.Background()
-
 	c, tail := mkChunk("manifest body chunk"), mkChunk("tail chunk")
-	upload1(t, cl, c)
-	breakManifestDir(t, dir)
+	commits := map[string]func(cl *Client) error{
+		"phantom": func(cl *Client) error { return cl.PutManifest(ctx, "phantom", []chunk.ID{c.ID}) },
+		"phantom-tail": func(cl *Client) error {
+			_, err := cl.Commit(ctx, "phantom-tail", []chunk.ID{c.ID, tail.ID}, []chunk.Chunk{tail})
+			return err
+		},
+	}
+	for name, commit := range commits {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cl, srv := startCloud(t, Config{Dir: dir})
+			upload1(t, cl, c)
+			srv.FlushContainers() // the next record starts a new open.cont, which cannot be created
+			breakStoreDir(t, dir, "containers")
 
-	if err := cl.PutManifest(ctx, "phantom", []chunk.ID{c.ID}); err == nil {
-		t.Fatal("PutManifest succeeded with a broken disk")
-	}
-	if _, err := cl.Commit(ctx, "phantom-tail", []chunk.ID{c.ID, tail.ID}, []chunk.Chunk{tail}); err == nil {
-		t.Fatal("Commit succeeded with a broken disk")
-	}
-	for _, name := range []string{"phantom", "phantom-tail"} {
-		if _, err := cl.GetManifest(ctx, name); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("failed durable write still advertised: GetManifest(%s) = %v, want ErrNotFound", name, err)
-		}
-	}
-	if st := srv.Stats(); st.Manifests != 0 || st.UniqueChunks != 2 {
-		t.Fatalf("stats after failed manifest writes: %+v, want 0 manifests and both chunks", st)
+			if err := commit(cl); err == nil {
+				t.Fatal("commit succeeded with a broken disk")
+			}
+			if _, err := cl.GetManifest(ctx, name); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("failed durable write still advertised: GetManifest(%s) = %v, want ErrNotFound", name, err)
+			}
+			if st := srv.Stats(); st.Manifests != 0 || st.UniqueChunks != 1 {
+				t.Fatalf("stats after a failed commit: %+v, want 0 manifests and only the chunk acked before", st)
+			}
+		})
 	}
 }
 
-// TestUploadRawManifestDurableFirst covers the same ordering bug on the
-// mixed raw-upload path: chunks may land, but a manifest whose durable
-// write failed must not exist.
+// TestUploadRawManifestDurableFirst covers the same ordering on the raw
+// upload path: a manifest whose sync failed must not exist.
 func TestUploadRawManifestDurableFirst(t *testing.T) {
 	dir := t.TempDir()
 	cl, srv := startCloud(t, Config{Dir: dir})
 	ctx := context.Background()
 
-	breakManifestDir(t, dir)
+	breakStoreDir(t, dir, "containers")
 	if _, err := cl.UploadRaw(ctx, "phantom-raw", []byte("some raw stream data")); err == nil {
-		t.Fatal("UploadRaw succeeded with a broken manifest dir")
+		t.Fatal("UploadRaw succeeded with a broken container log")
 	}
 	if _, err := cl.GetManifest(ctx, "phantom-raw"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("failed durable write still advertised: %v", err)
@@ -240,12 +159,12 @@ func TestSyncFailurePublishesNothing(t *testing.T) {
 	log := &syncFailLog{memLog: newMemLog()}
 	cs := newContainerStore(log, 1<<20, 0, DefaultSparseRefLimit)
 	kept, lost, later := mkChunk("kept"), mkChunk("lost"), mkChunk("later")
-	if n, err := cs.put([]chunk.Chunk{kept}); n != 1 || err != nil {
+	if n, err := cs.put([]chunk.Chunk{kept}, "", nil); n != 1 || err != nil {
 		t.Fatalf("put = %d, %v", n, err)
 	}
 
 	log.err = errors.New("fsync: input/output error")
-	if n, err := cs.put([]chunk.Chunk{kept, lost}); n != 0 || !errors.Is(err, log.err) {
+	if n, err := cs.put([]chunk.Chunk{kept, lost}, "", nil); n != 0 || !errors.Is(err, log.err) {
 		t.Fatalf("put over a failing sync = %d, %v; want 0 and the sync error", n, err)
 	}
 	if has := cs.has([]chunk.ID{kept.ID, lost.ID}); has[0] != 1 || has[1] != 0 {
@@ -258,7 +177,7 @@ func TestSyncFailurePublishesNothing(t *testing.T) {
 	}
 
 	log.err = nil
-	if _, err := cs.put([]chunk.Chunk{later}); err == nil {
+	if _, err := cs.put([]chunk.Chunk{later}, "", nil); err == nil {
 		t.Fatal("writer accepted an upload after its log failed")
 	}
 	if got, err := cs.readChunk(kept.ID); err != nil || string(got) != "kept" {

@@ -14,14 +14,15 @@
 // Manifests map a file name to its chunk sequence so any stored stream
 // can be restored and verified end to end. Both edge roles end a stream
 // with one Commit: its last, partial upload batch and its manifest in
-// one round trip. The server records the manifest only once every chunk
-// it names is stored, so an acked manifest always restores.
+// one round trip. The server records the manifest only if every chunk it
+// names is stored, so an acked manifest always restores.
 //
 // Fresh chunks are packed in upload order into locality-preserving
-// containers (container.go), the only place a payload is kept; a restore
-// reads the records it needs out of each container — sealed or still
-// open — with one RPC, through a read-ahead cache, instead of one RPC per
-// chunk.
+// containers (container.go), the only place a payload is kept; each
+// manifest is a record in the same container log, written behind its
+// stream's tail and made durable by the same sync. A restore reads the
+// records it needs out of each container — sealed or still open — with
+// one RPC, through a read-ahead cache, instead of one RPC per chunk.
 package cloudstore
 
 import (
@@ -29,7 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
+	"sync/atomic"
 
 	"efdedup/internal/chunk"
 	"efdedup/internal/metrics"
@@ -90,12 +91,8 @@ type Stats struct {
 type Server struct {
 	chunker chunk.Chunker
 
-	mu        sync.RWMutex
-	manifests map[string][]chunk.ID
-	disk      *DiskStore // nil for the in-memory store
-	stats     Stats      // LogicalBytes, RawUploads, Manifests; containers owns the rest
-
-	containers *containerStore // the chunk index and every payload
+	logicalBytes, rawUploads atomic.Int64    // Stats counters; containers owns the rest
+	containers               *containerStore // the chunk index, the manifest catalog and every payload
 
 	rpc      *transport.Server
 	listener net.Listener
@@ -106,12 +103,12 @@ type Config struct {
 	// Chunker is used to split raw (cloud-only) uploads. Defaults to an
 	// 8 KiB fixed chunker, matching the edge agents.
 	Chunker chunk.Chunker
-	// Dir, when set, persists containers and manifests under this
-	// directory; the server rebuilds its index from them on startup.
-	// Empty keeps everything in memory.
+	// Dir, when set, persists the container log — chunks and manifests —
+	// under this directory; the server rebuilds its index and catalog from
+	// it on startup. Empty keeps everything in memory.
 	Dir string
-	// ContainerBytes is the target sealed-container size. Defaults to
-	// DefaultContainerBytes (4 MiB).
+	// ContainerBytes is the target sealed-container size, at most 1 GiB.
+	// Defaults to DefaultContainerBytes (4 MiB).
 	ContainerBytes int
 	// DupFraction caps selective-duplication bytes at this fraction of
 	// the unique bytes packed into containers. Zero disables duplication
@@ -126,6 +123,9 @@ type Config struct {
 
 // NewServer builds an empty cloud store.
 func NewServer(cfg Config) (*Server, error) {
+	if cfg.ContainerBytes > transport.MaxFrameSize {
+		return nil, fmt.Errorf("%w: container size %d exceeds %d", ErrConfig, cfg.ContainerBytes, transport.MaxFrameSize)
+	}
 	c := cfg.Chunker
 	if c == nil {
 		fc, err := chunk.NewFixedChunker(chunk.DefaultFixedSize)
@@ -134,11 +134,7 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		c = fc
 	}
-	s := &Server{
-		chunker:   c,
-		manifests: make(map[string][]chunk.ID),
-		rpc:       transport.NewServer(),
-	}
+	s := &Server{chunker: c, rpc: transport.NewServer()}
 	if cfg.Dir == "" {
 		s.containers = newContainerStore(newMemLog(), cfg.ContainerBytes, cfg.DupFraction, cfg.SparseRefLimit)
 	} else if err := s.openDir(cfg); err != nil {
@@ -164,32 +160,23 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// openDir makes the store disk-backed: one scan of the containers under
-// cfg.Dir rebuilds the chunk index and its counters, and the manifests
-// directory refills the catalog.
+// openDir makes the store disk-backed: one scan of cfg.Dir rebuilds the
+// index, the catalog and their counters. An open container ending in a
+// manifest a crash tore is sealed, so no later part can extend it.
 func (s *Server) openDir(cfg Config) error {
 	disk, err := NewDiskStore(cfg.Dir)
 	if err != nil {
 		return err
 	}
-	s.disk = disk
-	s.containers = newContainerStore(disk, cfg.ContainerBytes, cfg.DupFraction, cfg.SparseRefLimit)
-	if s.containers.openID, err = disk.load(s.containers.replay); err != nil {
+	cs := newContainerStore(disk, cfg.ContainerBytes, cfg.DupFraction, cfg.SparseRefLimit)
+	if cs.openID, err = disk.load(cs.replay); err != nil {
 		return fmt.Errorf("cloudstore: rebuild index: %w", err)
 	}
-	names, err := disk.ManifestNames()
-	if err != nil {
-		return fmt.Errorf("cloudstore: list manifests: %w", err)
+	if cs.replayingName != "" && cs.replaying.Container == cs.openID {
+		cs.flush()
 	}
-	for _, name := range names {
-		ids, err := disk.GetManifest(name)
-		if err != nil {
-			return err
-		}
-		s.manifests[name] = ids
-		s.stats.Manifests++
-	}
-	return nil
+	s.containers = cs
+	return cs.logErr
 }
 
 // handle registers a handler wrapped with serve-latency and failure
@@ -239,9 +226,7 @@ func (s *Server) FlushContainers() {
 
 // Stats returns a snapshot of the store's counters.
 func (s *Server) Stats() Stats {
-	s.mu.RLock()
-	st := s.stats
-	s.mu.RUnlock()
+	st := Stats{LogicalBytes: s.logicalBytes.Load(), RawUploads: s.rawUploads.Load()}
 	s.containers.addStats(&st)
 	return st
 }
@@ -267,39 +252,23 @@ func verifyChunks(chunks []chunk.Chunk) error {
 	return nil
 }
 
-// recordManifest stores a manifest durable-first — a manifest the disk
-// refused is never advertised from the in-memory catalog, the ordering a
-// kvstore put handler once got wrong (apply, then fail to log) — and
-// then repacks the chunks it references sparsely.
-func (s *Server) recordManifest(name string, ids []chunk.ID) error {
-	if s.disk != nil {
-		if err := s.disk.PutManifest(name, ids); err != nil {
-			return fmt.Errorf("cloudstore: persist manifest %q: %w", name, err)
-		}
-	}
-	s.mu.Lock()
-	if _, ok := s.manifests[name]; !ok {
-		s.stats.Manifests++
-	}
-	s.manifests[name] = ids
-	s.mu.Unlock()
-	s.repackSparse(ids)
-	return nil
-}
-
-// countLogical adds the payload bytes a client asked the cloud to store.
-func (s *Server) countLogical(chunks []chunk.Chunk) {
-	var n int64
+// store counts and stores chunks, for a non-empty name records ids as its
+// manifest, and repacks what that references sparsely; the response is
+// u32 chunks that were new.
+func (s *Server) store(chunks []chunk.Chunk, name string, ids []chunk.ID) ([]byte, error) {
 	for _, ck := range chunks {
-		n += int64(len(ck.Data))
+		s.logicalBytes.Add(int64(len(ck.Data)))
 	}
-	s.mu.Lock()
-	s.stats.LogicalBytes += n
-	s.mu.Unlock()
+	stored, err := s.containers.put(chunks, name, ids)
+	if err != nil {
+		return nil, err
+	}
+	s.repackSparse(ids)
+	return binary.BigEndian.AppendUint32(nil, uint32(stored)), nil
 }
 
 // repackSparse applies bounded selective duplication after a manifest is
-// stored: chunks this manifest references in containers it touches only
+// recorded: chunks this manifest references in containers it touches only
 // sparsely are copied into the open container, so future restores of
 // this stream (and its successors) read dense containers instead of a
 // few chunks from each of many old ones.
@@ -343,12 +312,7 @@ func (s *Server) handleBatchUpload(body []byte) ([]byte, error) {
 	if err := verifyChunks(chunks); err != nil {
 		return nil, err
 	}
-	s.countLogical(chunks)
-	stored, err := s.containers.put(chunks)
-	if err != nil {
-		return nil, err
-	}
-	return binary.BigEndian.AppendUint32(nil, uint32(stored)), nil
+	return s.store(chunks, "", nil)
 }
 
 // batchhas body: u32 count | (32-byte ID)*; response: one byte per ID.
@@ -367,49 +331,32 @@ func (s *Server) handleUploadRaw(body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if name != "" {
-		if err := validManifestName(name); err != nil {
-			return nil, err
-		}
-	}
-
 	chunks, err := chunk.SplitBytes(s.chunker, payload)
 	if err != nil {
 		return nil, err
 	}
-	s.countLogical(chunks)
-	stored, err := s.containers.put(chunks)
-	if err != nil {
-		return nil, err
-	}
+	var ids []chunk.ID
 	if name != "" {
-		ids := make([]chunk.ID, len(chunks))
+		if err := validManifestName(name); err != nil {
+			return nil, err
+		}
+		ids = make([]chunk.ID, len(chunks))
 		for i, c := range chunks {
 			ids[i] = c.ID
 		}
-		if err := s.recordManifest(name, ids); err != nil {
-			return nil, err
-		}
 	}
-	s.mu.Lock()
-	s.stats.RawUploads++
-	s.mu.Unlock()
-	return binary.BigEndian.AppendUint32(nil, uint32(stored)), nil
+	resp, err := s.store(chunks, name, ids)
+	if err == nil {
+		s.rawUploads.Add(1)
+	}
+	return resp, err
 }
 
 // getrecipe body: manifest name; response: u32 count | per chunk:
 // 32-byte ID | u64 container | u32 offset | u32 length. The container is
-// the sealed or open one holding the chunk's newest copy; 0 means the
-// store holds no copy, which only a manifest recorded before commits
-// checked their chunks can name.
+// the sealed or open one holding the chunk's newest copy.
 func (s *Server) handleGetRecipe(body []byte) ([]byte, error) {
-	s.mu.RLock()
-	ids, ok := s.manifests[string(body)]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return encodeRecipe(s.containers.locateAll(ids)), nil
+	return s.containers.recipe(string(body))
 }
 
 // getcontainer body: u64 container ID | (u32 offset | u32 length)*;
@@ -426,11 +373,11 @@ func (s *Server) handleGetContainer(body []byte) ([]byte, error) {
 
 // commit body: u16 name length | name | u32 count | (32-byte ID | u32 len |
 // payload)* | (32-byte ID)*; response: u32 tail chunks that were new.
-// It ends a stream in one round trip: the tail batch is stored as a batch
-// upload would store it (append, one sync, publish), and only then, if
-// every chunk the manifest names is stored, is the manifest recorded — an
-// acked manifest always restores. A manifest naming a missing chunk is an
-// ErrNotFound and records nothing.
+// It ends a stream in one round trip: the tail's fresh records and, if
+// every chunk the manifest names is stored or in the tail, the manifest's
+// records are appended, synced once and only then published — an acked
+// manifest always restores. A manifest naming a missing chunk is an
+// ErrNotFound and records nothing; the tail is still stored.
 func (s *Server) handleCommit(body []byte) ([]byte, error) {
 	name, chunks, ids, err := decodeCommit(body)
 	if err != nil {
@@ -442,20 +389,7 @@ func (s *Server) handleCommit(body []byte) ([]byte, error) {
 	if err := verifyChunks(chunks); err != nil {
 		return nil, err
 	}
-	s.countLogical(chunks)
-	stored, err := s.containers.put(chunks)
-	if err != nil {
-		return nil, err
-	}
-	for i, ok := range s.containers.has(ids) {
-		if ok == 0 {
-			return nil, fmt.Errorf("%w: manifest %q entry %d names chunk %s, which is not stored", ErrNotFound, name, i, ids[i])
-		}
-	}
-	if err := s.recordManifest(name, ids); err != nil {
-		return nil, err
-	}
-	return binary.BigEndian.AppendUint32(nil, uint32(stored)), nil
+	return s.store(chunks, name, ids)
 }
 
 func (s *Server) handleStats([]byte) ([]byte, error) {

@@ -172,8 +172,34 @@ func decodeNamedBlob(body []byte) (string, []byte, error) {
 	return string(body[2 : 2+nameLen]), body[2+nameLen:], nil
 }
 
-// encodeManifestIDs builds a manifest file: a bare 32-byte ID
-// concatenation, as in the suffix of a commit body.
+// encodeManifestPart builds the data of one manifest record, behind its
+// zero tag: u16 name length | name | u8 more parts follow | (32-byte ID)*.
+// Names reach the store in u16-length fields, so the length fits.
+func encodeManifestPart(name string, more bool, ids []chunk.ID) []byte {
+	flag := byte(0)
+	if more {
+		flag = 1
+	}
+	out := binary.BigEndian.AppendUint16(nil, uint16(len(name)))
+	out = append(append(out, name...), flag)
+	return append(out, encodeManifestIDs(ids)...)
+}
+
+// decodeManifestPart parses the data of one manifest record.
+func decodeManifestPart(data []byte) (name string, more bool, ids []chunk.ID, err error) {
+	name, rest, err := decodeNamedBlob(data)
+	if err != nil {
+		return "", false, nil, err
+	}
+	if len(rest) == 0 || rest[0] > 1 {
+		return "", false, nil, fmt.Errorf("%w: manifest %q part lacks its more-parts flag", ErrProto, name)
+	}
+	ids, err = decodeManifestIDs(rest[1:])
+	return name, rest[0] == 1, ids, err
+}
+
+// encodeManifestIDs builds a bare 32-byte ID concatenation, as in the
+// suffix of a commit body or of a manifest record.
 func encodeManifestIDs(ids []chunk.ID) []byte {
 	out := make([]byte, 0, len(ids)*chunk.IDSize)
 	for _, id := range ids {

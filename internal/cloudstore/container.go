@@ -15,26 +15,29 @@ package cloudstore
 //
 // Container format (file "<root>/containers/<%016x>.cont" once sealed,
 // "<root>/containers/open.cont" while open, or byte slices for Dir-less
-// servers): the magic "EFCONT2\n", then one reclog frame per chunk whose
-// payload is
+// servers): the magic "EFCONT3\n", then one reclog frame per record,
 //
-//	32-byte chunk ID | data
+//	chunk:    32-byte chunk ID | data
+//	manifest: 32 zero bytes | u16 name length | name | u8 more parts follow | (32-byte ID)*
 //
-// The frame CRC covers ID and data, so a torn or bit-flipped container
-// is detected at parse time, and every payload is still content-addressed
-// by its chunk ID, so readers verify end to end.
+// No chunk's SHA-256 is zero, so the zero ID tags a manifest; one too
+// long for a record spans consecutive parts. The frame CRC covers the
+// payload, so a torn or bit-flipped container is detected at parse time,
+// and every chunk is content-addressed, so readers verify end to end.
 //
 // Durability protocol: the open container is the write-ahead log. An
-// upload appends its fresh records, syncs the open container once, and
-// only then enters the chunks in the index and replies, so a chunk the
-// index advertises — to its uploader or to anyone's BatchHas — is
-// durable. Sealing is an atomic install (reclog's SealAs), so a sealed
-// container is never torn: damage to one is data loss (ErrCorrupt),
-// while a torn tail of the open container is a crash artifact holding
-// only unacknowledged records and is cut off at startup. The first
-// append, sync or seal failure stops the writer (as a failed fsync stops
-// the kvstore WAL): the file's state is unknown, so uploads fail until a
-// restart has recovered the durable prefix; reads keep working.
+// upload appends its fresh records — a commit its manifest's right
+// behind them — syncs the open container once, and only then enters them
+// in the index and the catalog and replies, so whatever the store
+// advertises is durable. Sealing is an atomic install (reclog's SealAs),
+// so a sealed container is never torn: damage to one is data loss
+// (ErrCorrupt), while a torn tail of the open container is a crash
+// artifact holding only unacknowledged records and is cut off at
+// startup. The first append, sync or seal failure stops the writer (as a
+// failed fsync stops the kvstore WAL): the file's state is unknown, so
+// uploads fail until a restart has recovered the durable prefix; reads
+// keep working. Only chunk records count toward a container's target
+// size; see makeRoom for its bound.
 //
 // One index maps every chunk to its newest durable copy, by the ID its
 // container has or will seal as. The open container is read under the
@@ -53,6 +56,8 @@ package cloudstore
 // configured amount.
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -60,6 +65,7 @@ import (
 	"efdedup/internal/chunk"
 	"efdedup/internal/metrics"
 	"efdedup/internal/reclog"
+	"efdedup/internal/transport"
 )
 
 // Container geometry and duplication defaults.
@@ -76,8 +82,15 @@ const (
 )
 
 // containerMagic identifies a container file and its format version.
-// (EFCONT1 put the chunk ID in front of the frame header.)
-var containerMagic = []byte("EFCONT2\n")
+// (EFCONT1 put the chunk ID in front of the frame header; EFCONT2 had no
+// manifest records.)
+var containerMagic = []byte("EFCONT3\n")
+
+// manifestTag is the ID of every manifest record.
+var manifestTag chunk.ID
+
+// maxContainerBytes bounds a container to one getcontainer reply's body.
+const maxContainerBytes = transport.MaxFrameSize - 10
 
 // containerRecordHeader is the per-record overhead: a Locator's Offset
 // is this far into its record.
@@ -139,7 +152,7 @@ func splitRecord(payload []byte) (id chunk.ID, data []byte, ok bool) {
 
 // parseRecords walks a run of whole records — the extents of a restore
 // fetch, or a sealed container minus its magic — verifying the frame
-// CRCs, and hands each chunk to fn; data is a sub-slice of b. The run
+// CRCs, and hands each record to fn; data is a sub-slice of b. The run
 // was cut at record boundaries, so anything but a clean end is
 // ErrCorrupt.
 func parseRecords(b []byte, fn func(id chunk.ID, data []byte)) error {
@@ -164,8 +177,8 @@ func parseRecords(b []byte, fn func(id chunk.ID, data []byte)) error {
 // container; a sealed container is immutable and is read concurrently
 // with anything.
 type containerLog interface {
-	// append frames one chunk at the end of the open container and
-	// returns its payload's offset. The record may be lost in a crash
+	// append frames one record at the end of the open container and
+	// returns its data's offset. The record may be lost in a crash
 	// until sync returns.
 	append(id chunk.ID, data []byte) (uint32, error)
 	// sync makes every appended record durable.
@@ -230,9 +243,11 @@ func (m *memLog) read(container uint64, extents []Extent) ([]byte, error) {
 	return out, nil
 }
 
+// seal keeps an exact-size copy of the open container, which append grew.
 func (m *memLog) seal(id uint64) error {
+	sealed := bytes.Clone(m.open)
 	m.mu.Lock()
-	m.sealed[id] = m.open
+	m.sealed[id] = sealed
 	m.mu.Unlock()
 	m.open = nil
 	return nil
@@ -244,9 +259,9 @@ type dupCopy struct {
 	loc Locator
 }
 
-// containerStore is the chunk store: the index of every stored chunk
-// plus the writer that packs chunks into the open container and seals
-// containers at targetBytes.
+// containerStore is the chunk store: the index of every stored chunk,
+// the catalog of every manifest, and the writer that packs both into the
+// open container and seals containers at targetBytes.
 type containerStore struct {
 	log            containerLog
 	targetBytes    int64
@@ -255,10 +270,15 @@ type containerStore struct {
 
 	mu        sync.RWMutex
 	loc       map[chunk.ID]Locator // newest durable copy of every stored chunk
+	catalog   map[string]Locator   // part records of each manifest's newest durable version
 	openID    uint64               // ID the open container will seal as
-	openBytes int64                // record bytes in the open container
+	openSize  int64                // record bytes in the open container
+	openBytes int64                // chunk-record bytes in the open container
 	openDups  []dupCopy            // supersede loc when the open container seals
 	logErr    error                // first log failure; sticky
+
+	replaying     Locator // the manifest whose parts startup is collecting
+	replayingName string
 
 	uniqueBytes int64 // first-copy payload bytes stored
 	dupBytes    int64 // duplicated payload bytes stored
@@ -288,6 +308,7 @@ func newContainerStore(log containerLog, targetBytes int, dupFraction float64, s
 		sparseRefLimit: sparseRefLimit,
 		openID:         1,
 		loc:            make(map[chunk.ID]Locator),
+		catalog:        make(map[string]Locator),
 		sealedTotal:    reg.Counter("cloud_server_containers_sealed_total"),
 		sealFailures:   reg.Counter("cloud_server_container_seal_failures_total"),
 		repackChunks:   reg.Counter("cloud_server_repacked_chunks_total"),
@@ -295,11 +316,38 @@ func newContainerStore(log containerLog, targetBytes int, dupFraction float64, s
 	}
 }
 
-// replay indexes one record found at startup; records arrive in
-// container order, the open container last. The first copy of a chunk is
-// the stored one; any later copy is a repack and supersedes it under the
-// writer's rule — once its container is sealed.
-func (cs *containerStore) replay(l Locator, id chunk.ID, open bool) {
+// replay indexes a record found at startup and reports whether it parses;
+// records arrive in container order, the open one last. The first copy of
+// a chunk is the stored one; a later copy is a repack and supersedes it
+// once its container is sealed. A manifest is catalogued, over any older
+// version, once its last part is in.
+func (cs *containerStore) replay(container uint64, off uint32, payload []byte, open bool) bool {
+	id, data, ok := splitRecord(payload)
+	if !ok {
+		return false
+	}
+	size := int64(reclog.HeaderSize + len(payload))
+	if open {
+		cs.openSize += size
+		if id != manifestTag {
+			cs.openBytes += size
+		}
+	}
+	if id == manifestTag {
+		name, more, _, err := decodeManifestPart(data)
+		if err != nil {
+			return false
+		}
+		m := &cs.replaying
+		if cs.replayingName != name || m.Container != container || m.Offset+m.Length != off {
+			cs.replayingName, *m = name, Locator{Container: container, Offset: off} // a first part
+		}
+		if m.Length += uint32(size); !more {
+			cs.catalog[name], cs.replayingName = *m, ""
+		}
+		return true
+	}
+	l := Locator{Container: container, Offset: off + containerRecordHeader, Length: uint32(len(data))}
 	_, known := cs.loc[id]
 	switch {
 	case !known:
@@ -312,17 +360,15 @@ func (cs *containerStore) replay(l Locator, id chunk.ID, open bool) {
 		cs.dupBytes += int64(l.Length)
 		cs.loc[id] = l
 	}
-	if open {
-		cs.openBytes += containerRecordHeader + int64(l.Length)
-	}
+	return true
 }
 
-// put stores the chunks the index lacks and returns how many those
-// were. Their records are appended — sealing containers as they fill —
-// and synced, one fsync per call on disk, before the index advertises
-// any of them; on failure none is advertised and the error is the
-// caller's to report.
-func (cs *containerStore) put(chunks []chunk.Chunk) (int, error) {
+// put stores the chunks the index lacks, and for a non-empty name ids as
+// its manifest, and returns how many chunks were fresh, appending and
+// syncing (one fsync on disk) before the index or catalog advertises any.
+// A manifest naming a chunk neither stored nor in chunks is ErrNotFound
+// and is not recorded; the fresh chunks still are.
+func (cs *containerStore) put(chunks []chunk.Chunk, name string, ids []chunk.ID) (int, error) {
 	for _, ck := range chunks {
 		if len(ck.Data) > maxChunkBytes {
 			return 0, fmt.Errorf("%w: chunk %s is %d bytes, a record holds %d", ErrProto, ck.ID, len(ck.Data), maxChunkBytes)
@@ -332,29 +378,48 @@ func (cs *containerStore) put(chunks []chunk.Chunk) (int, error) {
 	defer cs.mu.Unlock()
 	var fresh map[chunk.ID]Locator
 	for i, ck := range chunks {
-		if cs.logErr != nil {
-			break // stopped earlier, or a seal in this loop failed
+		if _, ok := cs.loc[ck.ID]; ok || fresh[ck.ID].Container != 0 {
+			continue // stored, or earlier in this batch
 		}
-		if _, ok := cs.loc[ck.ID]; ok {
-			continue
-		}
-		if _, ok := fresh[ck.ID]; ok {
-			continue
-		}
-		off, err := cs.log.append(ck.ID, ck.Data)
+		cs.makeRoom(containerRecordHeader + len(ck.Data))
+		l, err := cs.appendRecord(ck.ID, ck.Data)
 		if err != nil {
-			return 0, cs.fail(err)
+			return 0, err
 		}
 		if fresh == nil {
 			fresh = make(map[chunk.ID]Locator, len(chunks)-i)
 		}
-		fresh[ck.ID] = Locator{Container: cs.openID, Offset: off, Length: uint32(len(ck.Data))}
-		cs.recordAppended(len(ck.Data))
+		fresh[ck.ID] = l
 	}
-	if cs.logErr != nil {
-		return 0, cs.logErr
+	var missing error
+	for i, id := range ids {
+		if _, ok := cs.loc[id]; !ok && fresh[id].Container == 0 {
+			missing = fmt.Errorf("%w: manifest %q entry %d names chunk %s, which is not stored", ErrNotFound, name, i, id)
+			break
+		}
 	}
-	if len(fresh) > 0 {
+	var ref Locator // the manifest's part records: one run in one container
+	if name != "" && missing == nil {
+		per := (reclog.MaxRecord - chunk.IDSize - 3 - len(name)) / chunk.IDSize // IDs one part holds
+		// Room for every part first, so that no seal splits them.
+		cs.makeRoom(max(1, (len(ids)+per-1)/per)*(containerRecordHeader+3+len(name)) + len(ids)*chunk.IDSize)
+		for rest := ids; ; {
+			n := min(len(rest), per)
+			part := encodeManifestPart(name, n < len(rest), rest[:n])
+			l, err := cs.appendRecord(manifestTag, part)
+			if err != nil {
+				return 0, err
+			}
+			if ref.Length == 0 {
+				ref = Locator{Container: l.Container, Offset: l.Offset - containerRecordHeader}
+			}
+			ref.Length += containerRecordHeader + uint32(len(part))
+			if rest = rest[n:]; len(rest) == 0 {
+				break
+			}
+		}
+	}
+	if len(fresh) > 0 || ref.Length > 0 {
 		if err := cs.log.sync(); err != nil {
 			return 0, cs.fail(err)
 		}
@@ -363,7 +428,10 @@ func (cs *containerStore) put(chunks []chunk.Chunk) (int, error) {
 		cs.loc[id] = l
 		cs.uniqueBytes += int64(l.Length)
 	}
-	return len(fresh), nil
+	if ref.Length > 0 {
+		cs.catalog[name] = ref
+	}
+	return len(fresh), missing
 }
 
 // repack appends a selective-duplication copy of a stored chunk to the
@@ -373,19 +441,18 @@ func (cs *containerStore) put(chunks []chunk.Chunk) (int, error) {
 func (cs *containerStore) repack(id chunk.ID, data []byte) bool {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if cs.logErr != nil || float64(cs.dupBytes+int64(len(data))) > cs.dupFraction*float64(cs.uniqueBytes) {
+	if float64(cs.dupBytes+int64(len(data))) > cs.dupFraction*float64(cs.uniqueBytes) {
 		return false
 	}
-	off, err := cs.log.append(id, data)
+	cs.makeRoom(containerRecordHeader + len(data))
+	l, err := cs.appendRecord(id, data)
 	if err != nil {
-		cs.fail(err)
 		return false
 	}
 	cs.dupBytes += int64(len(data))
 	cs.repackChunks.Inc()
 	cs.repackBytes.Add(int64(len(data)))
-	cs.openDups = append(cs.openDups, dupCopy{id, Locator{Container: cs.openID, Offset: off, Length: uint32(len(data))}})
-	cs.recordAppended(len(data))
+	cs.openDups = append(cs.openDups, dupCopy{id, l})
 	return true
 }
 
@@ -398,13 +465,32 @@ func (cs *containerStore) fail(err error) error {
 	return cs.logErr
 }
 
-// recordAppended accounts one record of n payload bytes in the open
-// container and seals the container once it reaches the target size.
-func (cs *containerStore) recordAppended(n int) {
-	cs.openBytes += containerRecordHeader + int64(n)
-	if cs.openBytes >= cs.targetBytes {
+// makeRoom seals the open container if n more bytes would overflow it.
+func (cs *containerStore) makeRoom(n int) {
+	if cs.openSize > 0 && int64(len(containerMagic))+cs.openSize+int64(n) > maxContainerBytes {
 		cs.sealLocked()
 	}
+}
+
+// appendRecord appends one record to the open container and returns where
+// its data landed; a chunk record reaching the target size seals it.
+func (cs *containerStore) appendRecord(id chunk.ID, data []byte) (Locator, error) {
+	if cs.logErr != nil {
+		return Locator{}, cs.logErr // stopped earlier, or a seal failed
+	}
+	off, err := cs.log.append(id, data)
+	if err != nil {
+		return Locator{}, cs.fail(err)
+	}
+	l := Locator{Container: cs.openID, Offset: off, Length: uint32(len(data))}
+	size := int64(containerRecordHeader + len(data))
+	cs.openSize += size
+	if id != manifestTag {
+		if cs.openBytes += size; cs.openBytes >= cs.targetBytes {
+			cs.sealLocked()
+		}
+	}
+	return l, cs.logErr
 }
 
 // flush seals the open container regardless of fill level.
@@ -419,7 +505,7 @@ func (cs *containerStore) flush() {
 // container supersedes older copies. A store whose log has failed is
 // left as it is for the next startup to recover.
 func (cs *containerStore) sealLocked() {
-	if cs.openBytes == 0 || cs.logErr != nil {
+	if cs.openSize == 0 || cs.logErr != nil {
 		return
 	}
 	if err := cs.log.seal(cs.openID); err != nil {
@@ -432,7 +518,7 @@ func (cs *containerStore) sealLocked() {
 	}
 	cs.openDups = cs.openDups[:0]
 	cs.openID++
-	cs.openBytes = 0
+	cs.openSize, cs.openBytes = 0, 0
 	cs.sealedTotal.Inc()
 }
 
@@ -444,6 +530,7 @@ func (cs *containerStore) addStats(st *Stats) {
 	st.UniqueBytes = cs.uniqueBytes
 	st.ContainersSealed = int64(cs.openID - 1)
 	st.DuplicatedBytes = cs.dupBytes
+	st.Manifests = int64(len(cs.catalog))
 }
 
 // has reports, per ID, whether the chunk is stored.
@@ -467,10 +554,35 @@ func (cs *containerStore) locate(id chunk.ID) (Locator, bool) {
 	return l, ok
 }
 
+// recipe reads the named manifest's part records, checking their CRCs
+// (they parsed when the catalog took them in), and returns the getrecipe
+// response locating its chunks. Damage is ErrCorrupt naming the container.
+func (cs *containerStore) recipe(name string) ([]byte, error) {
+	cs.mu.RLock()
+	ref, ok := cs.catalog[name]
+	cs.mu.RUnlock()
+	if !ok {
+		return nil, ErrNotFound
+	}
+	raw, err := cs.read(ref.Container, []Extent{{Off: ref.Offset, Len: ref.Length}})
+	var ids []chunk.ID
+	var bad error
+	if err == nil {
+		err = parseRecords(raw, func(_ chunk.ID, data []byte) {
+			_, _, part, perr := decodeManifestPart(data)
+			ids, bad = append(ids, part...), cmp.Or(bad, perr)
+		})
+	}
+	if err = cmp.Or(err, bad); err != nil {
+		return nil, fmt.Errorf("%w: manifest %q in container %d: %v", ErrCorrupt, name, ref.Container, err)
+	}
+	return encodeRecipe(cs.locateAll(ids)), nil
+}
+
 // locateAll is locate for a whole manifest under one hold of the lock:
 // the recipe is one view of the index (no seal lands between two of its
 // entries) and a long recipe queues behind a waiting uploader once, not
-// once per chunk. A zero locator means the chunk is not stored.
+// once per chunk.
 func (cs *containerStore) locateAll(ids []chunk.ID) []RecipeEntry {
 	entries := make([]RecipeEntry, len(ids))
 	cs.mu.RLock()
@@ -499,7 +611,7 @@ func (cs *containerStore) read(id uint64, extents []Extent) ([]byte, error) {
 		end = uint64(e.Off) + uint64(e.Len)
 	}
 	cs.mu.RLock()
-	open := id == cs.openID && cs.openBytes > 0
+	open := id == cs.openID && cs.openSize > 0
 	sealed := id != 0 && id < cs.openID
 	from := id
 	if open {

@@ -16,7 +16,8 @@ import (
 )
 
 // walkContainer walks a whole container — magic, then records — and
-// hands fn every chunk with its data's offset in raw.
+// hands fn every chunk with its data's offset in raw, skipping manifest
+// records.
 func walkContainer(raw []byte, fn func(id chunk.ID, off uint32, payload []byte) error) error {
 	if !bytes.HasPrefix(raw, containerMagic) {
 		return fmt.Errorf("%w: container missing magic", ErrCorrupt)
@@ -24,7 +25,7 @@ func walkContainer(raw []byte, fn func(id chunk.ID, off uint32, payload []byte) 
 	var ferr error
 	off := uint32(len(containerMagic))
 	err := parseRecords(raw[len(containerMagic):], func(id chunk.ID, data []byte) {
-		if ferr == nil {
+		if ferr == nil && id != manifestTag {
 			ferr = fn(id, off+containerRecordHeader, data)
 		}
 		off += containerRecordHeader + uint32(len(data))
@@ -101,7 +102,7 @@ func storeChunks(t *testing.T, srv *Server, ids []chunk.ID, payloads [][]byte) {
 	for i := range ids {
 		chunks[i] = chunk.Chunk{ID: ids[i], Data: payloads[i]}
 	}
-	stored, err := srv.containers.put(chunks)
+	stored, err := srv.containers.put(chunks, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func storeChunks(t *testing.T, srv *Server, ids []chunk.ID, payloads [][]byte) {
 // disk: a chunk is readable from the open container as soon as its
 // upload returns, under the ID that container will seal as; after the
 // seal it is read from the sealed file, and the directory never holds
-// anything but containers and manifests.
+// anything but containers.
 func TestOpenContainerIsTheOnlyCopy(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := NewServer(Config{Dir: dir, ContainerBytes: 2048})
@@ -168,7 +169,7 @@ func TestOpenContainerIsTheOnlyCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if e.Name() != "containers" && e.Name() != "manifests" {
+		if e.Name() != "containers" {
 			t.Errorf("unexpected %q in the store directory", e.Name())
 		}
 	}
@@ -234,7 +235,7 @@ func TestSelectiveDuplicationBudget(t *testing.T) {
 	cs := newContainerStore(newMemLog(), 1<<20, 0.10, DefaultSparseRefLimit)
 	put := func(id chunk.ID, data []byte) {
 		t.Helper()
-		if n, err := cs.put([]chunk.Chunk{{ID: id, Data: data}}); n != 1 || err != nil {
+		if n, err := cs.put([]chunk.Chunk{{ID: id, Data: data}}, "", nil); n != 1 || err != nil {
 			t.Fatalf("unique put stored %d chunks, err %v", n, err)
 		}
 	}
@@ -329,39 +330,48 @@ func flatten(chunks []chunk.Chunk) []byte {
 	return out
 }
 
-// TestRestoreNamesCorruptContainer flips one payload byte inside a
-// sealed container on disk and asserts the restore fails with ErrCorrupt
-// naming the damaged container.
+// TestRestoreNamesCorruptContainer flips one byte inside a sealed
+// container on disk — of a chunk record, or of the manifest record — and
+// asserts the restore fails with ErrCorrupt naming the damaged container.
 func TestRestoreNamesCorruptContainer(t *testing.T) {
-	dir := t.TempDir()
-	cl, srv := startCloud(t, Config{Dir: dir, ContainerBytes: 1 << 20})
-	ctx := context.Background()
+	for _, record := range []string{"chunk", "manifest"} {
+		t.Run(record, func(t *testing.T) {
+			dir := t.TempDir()
+			cl, srv := startCloud(t, Config{Dir: dir, ContainerBytes: 1 << 20})
+			ctx := context.Background()
 
-	data := bytes.Repeat([]byte("corrupt-me 0123456789"), 3000)
-	if _, err := cl.UploadRaw(ctx, "victim", data); err != nil {
-		t.Fatal(err)
-	}
-	srv.FlushContainers()
+			data := bytes.Repeat([]byte("corrupt-me 0123456789"), 3000)
+			if _, err := cl.UploadRaw(ctx, "victim", data); err != nil {
+				t.Fatal(err)
+			}
+			srv.FlushContainers()
+			recipe, err := cl.GetRecipe(ctx, "victim")
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := recipe[0].Loc.Offset + recipe[0].Loc.Length - 1
+			if record == "manifest" {
+				ref := srv.containers.catalog["victim"]
+				at = ref.Offset + ref.Length - 1
+			}
 
-	conts, err := filepath.Glob(filepath.Join(dir, "containers", "*.cont"))
-	if err != nil || len(conts) == 0 {
-		t.Fatalf("no container files (err=%v)", err)
-	}
-	raw, err := os.ReadFile(conts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-1] ^= 0xFF
-	if err := os.WriteFile(conts[0], raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			path := filepath.Join(dir, "containers", "0000000000000001.cont")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, flipByte(raw, int(at)), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	_, err = cl.Restore(ctx, "victim")
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("restore over corrupt container = %v, want ErrCorrupt", err)
-	}
-	if !strings.Contains(err.Error(), "container 1") {
-		t.Fatalf("error does not name the container: %v", err)
+			_, err = cl.Restore(ctx, "victim")
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("restore over corrupt container = %v, want ErrCorrupt", err)
+			}
+			if !strings.Contains(err.Error(), "container 1") {
+				t.Fatalf("error does not name the container: %v", err)
+			}
+		})
 	}
 }
 

@@ -1,35 +1,28 @@
 package cloudstore
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
-	"sync"
 
 	"efdedup/internal/chunk"
 	"efdedup/internal/reclog"
 )
 
-// DiskStore keeps containers and manifests under a directory, making the
+// DiskStore keeps the container log under a directory, making the
 // central store durable across restarts:
 //
 //	<root>/containers/open.cont        (the open container: the append log)
 //	<root>/containers/<%016x>.cont     (sealed locality containers)
-//	<root>/manifests/<escaped name>    (sequence of 32-byte chunk IDs)
 //
 // It is the file implementation of containerLog: open.cont is a
-// reclog.Log (one write and one fsync per upload; sealing renames the
-// synced file to its container ID) and manifests are installed with
-// reclog.WriteFileAtomic. What this file adds is the directory layout,
-// manifest naming, ranged reads and the startup scan. Payloads stay on
-// disk; only the index (which IDs exist and where their newest copy
-// lives) is held in memory.
+// reclog.Log (one write and one fsync per upload or commit; sealing
+// renames the synced file to its container ID). What this file adds is
+// the directory layout, ranged reads and the startup scan; chunks and
+// manifests stay on disk, and only where they lie is held in memory.
 type DiskStore struct {
 	root string
-	mu   sync.Mutex // serializes manifest writes
 
 	// Guarded by the containerStore's lock.
 	open  *reclog.Log // the open container; load opens it
@@ -37,20 +30,20 @@ type DiskStore struct {
 }
 
 // NewDiskStore creates (if needed) the directory layout under root. A
-// root written by the old two-copy layout (staged chunks/ files that
-// startup no longer reads) is refused rather than silently opened
-// without those chunks.
+// root holding staged chunks/ or manifests/ files of an older layout is
+// refused rather than silently opened without them; an empty manifests/
+// directory holds nothing to lose.
 func NewDiskStore(root string) (*DiskStore, error) {
 	if root == "" {
 		return nil, fmt.Errorf("%w: empty disk store root", ErrConfig)
 	}
-	if staged, _ := filepath.Glob(filepath.Join(root, "chunks", "*", "*.chunk")); len(staged) > 0 {
-		return nil, fmt.Errorf("%w: %s holds %d staged chunk files of the old layout", ErrConfig, root, len(staged))
-	}
-	for _, dir := range []string{root, filepath.Join(root, "containers"), filepath.Join(root, "manifests")} {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("cloudstore: create %s: %w", dir, err)
+	for _, layout := range []string{"chunks/*/*.chunk", "manifests/*"} {
+		if old, _ := filepath.Glob(filepath.Join(root, layout)); len(old) > 0 {
+			return nil, fmt.Errorf("%w: %s holds %s of an older layout", ErrConfig, root, old[0])
 		}
+	}
+	if err := os.MkdirAll(filepath.Join(root, "containers"), 0o755); err != nil {
+		return nil, fmt.Errorf("cloudstore: create %s: %w", root, err)
 	}
 	return &DiskStore{root: root}, nil
 }
@@ -63,26 +56,6 @@ func (d *DiskStore) containerPath(id uint64) string {
 		name = fmt.Sprintf("%016x.cont", id)
 	}
 	return filepath.Join(d.root, "containers", name)
-}
-
-// Manifest names are percent-escaped into single filesystem names. The
-// escaper must be injective — distinct names must never share a file —
-// so '%' itself is escaped (listed first: strings.Replacer is a single
-// non-overlapping pass, so "%2F" in a raw name becomes "%252F", not a
-// fake separator), and the unescaper decodes longest sequences before
-// the bare "%25".
-var (
-	manifestEscaper   = strings.NewReplacer("%", "%25", "/", "%2F", "\\", "%5C", ":", "%3A")
-	manifestUnescaper = strings.NewReplacer("%2F", "/", "%5C", "\\", "%3A", ":", "%25", "%")
-)
-
-// escapeName makes a manifest name filesystem-safe; unescapeName inverts
-// it exactly (round-trip property-tested).
-func escapeName(name string) string   { return manifestEscaper.Replace(name) }
-func unescapeName(name string) string { return manifestUnescaper.Replace(name) }
-
-func (d *DiskStore) manifestPath(name string) string {
-	return filepath.Join(d.root, "manifests", escapeName(name))
 }
 
 func (d *DiskStore) append(id chunk.ID, data []byte) (uint32, error) {
@@ -112,7 +85,7 @@ func (d *DiskStore) read(id uint64, extents []Extent) ([]byte, error) {
 		return nil, err
 	}
 	if len(extents) == 0 {
-		extents = []Extent{{Len: uint32(st.Size())}} // offsets are u32: a container is under 4 GiB
+		extents = []Extent{{Len: uint32(st.Size())}} // maxContainerBytes fits a u32
 	}
 	n, err := extentBytes(extents, st.Size())
 	if err != nil {
@@ -129,40 +102,15 @@ func (d *DiskStore) read(id uint64, extents []Extent) ([]byte, error) {
 	return buf, nil
 }
 
-// PutManifest stores a file's chunk sequence.
-func (d *DiskStore) PutManifest(name string, ids []chunk.ID) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return reclog.WriteFileAtomic(d.manifestPath(name), func(w *bufio.Writer) error {
-		_, err := w.Write(encodeManifestIDs(ids))
-		return err
-	})
-}
-
-// GetManifest reads a file's chunk sequence.
-func (d *DiskStore) GetManifest(name string) ([]chunk.ID, error) {
-	data, err := os.ReadFile(d.manifestPath(name))
-	if os.IsNotExist(err) {
-		return nil, ErrNotFound
-	}
-	if err != nil {
-		return nil, err
-	}
-	ids, err := decodeManifestIDs(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w: manifest %q on disk: %v", ErrCorrupt, name, err)
-	}
-	return ids, nil
-}
-
 // load scans the sealed containers in ID order and then the open one,
-// handing every record's locator to fn, opens the open container for
-// appending, and returns the ID it will seal as. A damaged sealed
-// container fails the load loudly — they are installed atomically, so
-// damage is data loss, not a crash artifact — while the open container
-// is cut back to its last intact record: the tail a crash tore was never
-// synced, so never acknowledged.
-func (d *DiskStore) load(fn func(l Locator, id chunk.ID, open bool)) (openID uint64, err error) {
+// handing fn every record's container, start and payload (false rejects
+// it as damaged), opens the open container for appending, and returns
+// the ID it will seal as. A damaged sealed container fails the load
+// loudly — they are installed atomically, so damage is data loss, not a
+// crash artifact — while the open container is cut back to its last
+// intact record: the tail a crash tore was never synced, so never
+// acknowledged.
+func (d *DiskStore) load(fn func(container uint64, off uint32, payload []byte, open bool) bool) (openID uint64, err error) {
 	openID = 1
 	entries, err := os.ReadDir(filepath.Join(d.root, "containers"))
 	if err != nil {
@@ -173,12 +121,9 @@ func (d *DiskStore) load(fn func(l Locator, id chunk.ID, open bool)) (openID uin
 	records := func(id uint64, open bool) func(payload []byte) bool {
 		off := len(containerMagic)
 		return func(payload []byte) bool {
-			cid, data, ok := splitRecord(payload)
-			if ok {
-				fn(Locator{Container: id, Offset: uint32(off + containerRecordHeader), Length: uint32(len(data))}, cid, open)
-				off += reclog.HeaderSize + len(payload)
-			}
-			return ok
+			at := off
+			off += reclog.HeaderSize + len(payload)
+			return fn(id, uint32(at), payload, open)
 		}
 	}
 	for _, e := range entries {
@@ -200,20 +145,4 @@ func (d *DiskStore) load(fn func(l Locator, id chunk.ID, open bool)) (openID uin
 		err = fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return openID, err
-}
-
-// ManifestNames lists stored manifest names.
-func (d *DiskStore) ManifestNames() ([]string, error) {
-	entries, err := os.ReadDir(filepath.Join(d.root, "manifests"))
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if e.IsDir() || strings.HasPrefix(e.Name(), ".tmp-") {
-			continue
-		}
-		names = append(names, unescapeName(e.Name()))
-	}
-	return names, nil
 }

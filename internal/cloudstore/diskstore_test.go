@@ -9,39 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"efdedup/internal/chunk"
 	"efdedup/internal/transport"
 )
-
-func TestDiskStoreManifests(t *testing.T) {
-	d, err := NewDiskStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := []chunk.ID{chunk.Sum([]byte("a")), chunk.Sum([]byte("b"))}
-	// Names with path separators must be escaped safely.
-	name := "edge-0/file:1\\x"
-	if err := d.PutManifest(name, ids); err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.GetManifest(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != ids[0] || got[1] != ids[1] {
-		t.Fatalf("manifest round trip: %v", got)
-	}
-	names, err := d.ManifestNames()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 || names[0] != name {
-		t.Fatalf("ManifestNames = %v", names)
-	}
-	if _, err := d.GetManifest("missing"); err != ErrNotFound {
-		t.Fatalf("GetManifest(missing) = %v", err)
-	}
-}
 
 // TestServerDiskPersistenceAcrossRestart uploads through the RPC surface,
 // restarts the server on the same directory and verifies the index, the
@@ -118,6 +87,11 @@ func TestNewDiskStoreValidation(t *testing.T) {
 	if _, err := NewDiskStore(""); err == nil {
 		t.Fatal("empty root accepted")
 	}
+	// Past 1 GiB a container outgrows one getcontainer reply, and past
+	// 4 GiB its u32 record offsets would wrap.
+	if _, err := NewServer(Config{ContainerBytes: 1 << 32}); !errors.Is(err, ErrConfig) {
+		t.Fatalf("NewServer with 4 GiB containers = %v, want ErrConfig", err)
+	}
 }
 
 // serveDir starts a disk-backed cloud on dir without registering a
@@ -128,6 +102,12 @@ func serveDir(t *testing.T, cfg Config) (*Client, *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serve(t, srv), srv
+}
+
+// serve starts srv on a fresh memory network and returns a client.
+func serve(t *testing.T, srv *Server) *Client {
+	t.Helper()
 	nw := transport.NewMemNetwork()
 	l, err := nw.Listen("cloud")
 	if err != nil {
@@ -139,7 +119,7 @@ func serveDir(t *testing.T, cfg Config) (*Client, *Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	return cl, srv
+	return cl
 }
 
 // crash ends a server the way a killed process does: no flush, no seal,
@@ -258,21 +238,35 @@ func TestOpenContainerTornTailIsCutAtStartup(t *testing.T) {
 	}
 }
 
-// TestOldLayoutDirIsRefused: a directory with staged flat chunk files
-// was written by the two-copy layout; opening it would silently drop
-// those chunks, so it is a configuration error.
+// TestOldLayoutDirIsRefused: a root written by an older layout — staged
+// flat chunk files, manifest files, or containers of an older format —
+// holds state startup no longer reads; opening it would silently drop
+// that state, so startup fails.
 func TestOldLayoutDirIsRefused(t *testing.T) {
-	dir := t.TempDir()
 	id, data := mkPayload(5, 100)
-	fan := filepath.Join(dir, "chunks", id.String()[:2])
-	if err := os.MkdirAll(fan, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(fan, id.String()+".chunk"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewServer(Config{Dir: dir}); !errors.Is(err, ErrConfig) {
-		t.Fatalf("NewServer on an old-layout dir = %v, want ErrConfig", err)
+	for name, c := range map[string]struct {
+		path    string
+		content []byte
+		want    error
+	}{
+		"staged chunk":      {filepath.Join("chunks", id.String()[:2], id.String()+".chunk"), data, ErrConfig},
+		"manifest file":     {filepath.Join("manifests", "backup"), id[:], ErrConfig},
+		"EFCONT2 sealed":    {filepath.Join("containers", "0000000000000001.cont"), appendContainerRecord([]byte("EFCONT2\n"), id, data), ErrCorrupt},
+		"EFCONT2 open.cont": {filepath.Join("containers", "open.cont"), appendContainerRecord([]byte("EFCONT2\n"), id, data), ErrCorrupt},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, c.path)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, c.content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := NewServer(Config{Dir: dir}); !errors.Is(err, c.want) {
+				t.Fatalf("NewServer on a root holding %s = %v, want %v", c.path, err, c.want)
+			}
+		})
 	}
 }
 

@@ -446,7 +446,7 @@ func TestSealedReadDoesNotHoldTheStoreLock(t *testing.T) {
 	log := &parkedLog{memLog: newMemLog(), reading: make(chan struct{}), release: make(chan struct{})}
 	cs := newContainerStore(log, 1<<20, 0, DefaultSparseRefLimit)
 	first, second := mkChunk("sealed"), mkChunk("uploaded during the read")
-	if _, err := cs.put([]chunk.Chunk{first}); err != nil {
+	if _, err := cs.put([]chunk.Chunk{first}, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	cs.flush()
@@ -463,7 +463,7 @@ func TestSealedReadDoesNotHoldTheStoreLock(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := cs.put([]chunk.Chunk{second})
+		_, err := cs.put([]chunk.Chunk{second}, "", nil)
 		if has := cs.has([]chunk.ID{first.ID, second.ID}); err == nil && (has[0] != 1 || has[1] != 1) {
 			err = fmt.Errorf("has = %v", has)
 		}
@@ -656,7 +656,7 @@ func TestRestoreSurvivesSealMidRestore(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			data := make([]byte, 200)
 			rng.Read(data)
-			if _, err := srv.containers.put([]chunk.Chunk{{ID: chunk.Sum(data), Data: data}}); err != nil {
+			if _, err := srv.containers.put([]chunk.Chunk{{ID: chunk.Sum(data), Data: data}}, "", nil); err != nil {
 				t.Fatal(err)
 			}
 			if i%20 == 19 {

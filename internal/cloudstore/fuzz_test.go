@@ -13,7 +13,8 @@ import (
 // sealed container and one open container with one record, so that
 // extent requests get past "not found" to the range checks: whatever
 // they ask of either, the reply is a protocol error or no larger than
-// the container. A commit the server acks names only chunks it stores.
+// the container. A commit the server acks names only chunks it stores,
+// and its name's recipe lists exactly the committed IDs.
 func FuzzHandlers(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1})
@@ -43,11 +44,11 @@ func FuzzHandlers(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		if _, err := srv.containers.put([]chunk.Chunk{{ID: id, Data: data}}); err != nil {
+		if _, err := srv.containers.put([]chunk.Chunk{{ID: id, Data: data}}, "", nil); err != nil {
 			t.Fatal(err)
 		}
 		srv.FlushContainers()
-		if _, err := srv.containers.put([]chunk.Chunk{{ID: openID, Data: openData}}); err != nil {
+		if _, err := srv.containers.put([]chunk.Chunk{{ID: openID, Data: openData}}, "", nil); err != nil {
 			t.Fatal(err)
 		}
 		container, _, _ := decodeContainerRequest(body)
@@ -73,13 +74,24 @@ func FuzzHandlers(f *testing.F) {
 					t.Fatalf("acked commit %q names unstored chunk %d", name, i)
 				}
 			}
+			resp, err := srv.handleGetRecipe([]byte(name))
+			recipe, derr := decodeRecipe(resp)
+			if err != nil || derr != nil || len(recipe) != len(ids) {
+				t.Fatalf("recipe of acked commit %q: %d entries for %d IDs, %v, %v", name, len(recipe), len(ids), err, derr)
+			}
+			for i, e := range recipe {
+				if e.ID != ids[i] {
+					t.Fatalf("recipe of acked commit %q: entry %d is %s, committed %s", name, i, e.ID, ids[i])
+				}
+			}
 		}
 	})
 }
 
-// FuzzCloudCodecs drives every cloud.* body decoder with arbitrary
-// bytes: each must either decode or return ErrProto — never panic, and
-// never size an allocation from an unvalidated wire count.
+// FuzzCloudCodecs drives every cloud.* body decoder, and the manifest
+// record decoder, with arbitrary bytes: each must either decode or
+// return ErrProto — never panic, and never size an allocation from an
+// unvalidated wire count.
 func FuzzCloudCodecs(f *testing.F) {
 	ck := chunk.Chunk{ID: chunk.Sum([]byte("seed")), Data: []byte("seed")}
 	f.Add([]byte{})
@@ -96,7 +108,11 @@ func FuzzCloudCodecs(f *testing.F) {
 	f.Add(encodeRecipe([]RecipeEntry{{ID: ck.ID}})) // a chunk the store lacks
 	f.Add(encodeContainerRequest(1, []Extent{{Off: 8, Len: 40}, {Off: 48, Len: 1<<32 - 1}}))
 	f.Add(encodeStats(Stats{UniqueChunks: 1}))
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}) // hostile count prefix
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})                  // hostile count prefix
+	f.Add(encodeManifestPart("name", false, []chunk.ID{ck.ID, ck.ID})) // a one-part manifest
+	f.Add(encodeManifestPart("name", true, []chunk.ID{ck.ID}))         // the first of two parts
+	f.Add(encodeManifestPart("empty", false, nil))
+	f.Add(encodeManifestPart(string(bytes.Repeat([]byte("n"), 65535)), false, []chunk.ID{ck.ID}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(what string, err error) {
 			t.Helper()
@@ -118,6 +134,11 @@ func FuzzCloudCodecs(f *testing.F) {
 			if re, err := encodeCommit(name, tail, ids); err != nil || !bytes.Equal(re, data) {
 				t.Fatalf("commit body %x does not re-encode to itself: %v", data, err)
 			}
+		}
+		name, more, ids, err := decodeManifestPart(data)
+		check("decodeManifestPart", err)
+		if err == nil && !bytes.Equal(encodeManifestPart(name, more, ids), data) {
+			t.Fatalf("manifest record %x does not re-encode to itself", data)
 		}
 		_, err = decodeRecipe(data)
 		check("decodeRecipe", err)

@@ -92,8 +92,7 @@ type RestoreStats struct {
 }
 
 // RecipeEntry is one chunk of a manifest's restore recipe: its content
-// address plus the container copy to read it from. A zero Loc.Container
-// means the store holds no copy.
+// address plus the container copy to read it from.
 type RecipeEntry struct {
 	ID  chunk.ID
 	Loc Locator

@@ -1,6 +1,6 @@
 // Package reclog is the crash-safe file layer under every durable file
-// in the module: the kvstore WAL and snapshot, the cloud's container log
-// and manifests, and the restore tool's output. It owns three decisions:
+// in the module: the kvstore WAL and snapshot, the cloud's container log,
+// and the restore tool's output. It owns three decisions:
 //
 //   - the frame: how one record is delimited and checksummed
 //     (BeginFrame/EndFrame write it, Next parses it);

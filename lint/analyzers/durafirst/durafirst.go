@@ -2,7 +2,7 @@
 // kvstore/cloudstore handler methods — a bug class this code base has
 // shipped and then fixed by hand twice (a kvstore put handler, since
 // deleted, applying to the table before the WAL append landed; the cloud's
-// manifest handler registering the manifest before the disk write). The
+// manifest handler registering the manifest before its durable write). The
 // invariant comes straight from the paper's collaborative index: once a
 // handler acks success, a crash must not forget state the ack promised,
 // and the index must never reference chunks the durable store lacks. So
@@ -19,22 +19,22 @@
 // A success-acking return (its final result is a literal nil error)
 // reached while some path is dirty reports at the offending mutation.
 // Durable calls are wal.Append (or its batch form appendFrames) /
-// disk.Put* / containerLog.sync / reclog.WriteFileAtomic, directly or
-// one call level down: pass.Summaries resolves the callee body, so
-// `n.applyPut(...)` style helpers contribute their mutations and
-// `n.persist(...)` style helpers their durable write at the call site. A
-// helper that writes durably and then mutates, like `containerStore.put`
-// (append, sync, index), orders its own state and contributes nothing: it
-// vouches for no later mutation, so a handler that stores chunks and then
-// records a manifest still needs the manifest's own durable write before
-// the catalog write. Mutations are writes to receiver-rooted fields, map
-// entries and slices inside a mutex-held region — unlocked writes are a
-// different analyzer's problem.
+// containerLog.sync / reclog.WriteFileAtomic, directly or one call level
+// down: pass.Summaries resolves the callee body, so `n.applyPut(...)`
+// style helpers contribute their mutations and `n.persist(...)` style
+// helpers their durable write at the call site. A helper that writes
+// durably and then mutates, like `containerStore.put` (append the tail
+// and the manifest, sync, then index and catalog), orders its own state
+// and contributes nothing: it vouches for no later mutation, so anything
+// a handler records after it needs a durable write of its own.
+// Mutations are writes to receiver-rooted fields, map entries and slices
+// inside a mutex-held region — unlocked writes are a different
+// analyzer's problem.
 //
 // Edge refinement keeps the in-memory-only configuration clean: on
-// the arm where the durability facility is known nil (`n.wal == nil`,
-// `s.disk == nil`) there is nothing to order against, and the path is
-// exempt (the state machine jumps straight to durable).
+// the arm where the durability facility is known nil (`n.wal == nil`)
+// there is nothing to order against, and the path is exempt (the state
+// machine jumps straight to durable).
 package durafirst
 
 import (
@@ -51,7 +51,7 @@ import (
 // Analyzer is the durafirst pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "durafirst",
-	Doc:  "in kvstore/cloudstore handlers, mutex-guarded receiver mutations must be preceded by the durable call (wal.Append/disk.Put*/containerLog.sync/reclog.WriteFileAtomic) on every success-acking path",
+	Doc:  "in kvstore/cloudstore handlers, mutex-guarded receiver mutations must be preceded by the durable call (wal.Append/containerLog.sync/reclog.WriteFileAtomic) on every success-acking path",
 	Run:  run,
 }
 
@@ -293,7 +293,7 @@ func selfOrdered(evs []event) bool {
 }
 
 // refine exempts the arm where the durability facility is known nil:
-// `if n.wal == nil` / `if s.disk != nil`'s false arm — nothing to
+// `if n.wal == nil`, or `if n.wal != nil`'s false arm — nothing to
 // order against, the path jumps to durable.
 func refine(pass *analysis.Pass, e *cfg.Edge, f state, recv types.Object) state {
 	if e.Cond == nil {
@@ -327,28 +327,26 @@ func refine(pass *analysis.Pass, e *cfg.Edge, f state, recv types.Object) state 
 }
 
 // isFacility matches a receiver-rooted durability facility selector:
-// a field whose type is named WAL/DiskStore or whose name is wal/disk.
+// a field whose type is named WAL or whose name is wal.
 func isFacility(info *types.Info, e ast.Expr, recv types.Object) bool {
 	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok || !rootedAt(info, sel.X, recv) {
 		return false
 	}
-	if name := sel.Sel.Name; name == "wal" || name == "disk" {
+	if sel.Sel.Name == "wal" {
 		return true
 	}
 	if tv, ok := info.Types[e]; ok {
 		if named, ok := deref(tv.Type).(*types.Named); ok {
-			if n := named.Obj().Name(); n == "WAL" || n == "DiskStore" {
-				return true
-			}
+			return named.Obj().Name() == "WAL"
 		}
 	}
 	return false
 }
 
 // isDurableCall matches the durable sinks: (*WAL).Append and its batch
-// form appendFrames, any (*DiskStore).Put*, the cloud container log's
-// sync, and reclog.WriteFileAtomic.
+// form appendFrames, the cloud container log's sync, and
+// reclog.WriteFileAtomic.
 func isDurableCall(info *types.Info, call *ast.CallExpr) bool {
 	if fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		name := fun.Sel.Name
@@ -368,8 +366,6 @@ func isDurableCall(info *types.Info, call *ast.CallExpr) bool {
 		switch named.Obj().Name() {
 		case "WAL":
 			return name == "Append" || name == "appendFrames"
-		case "DiskStore":
-			return strings.HasPrefix(name, "Put")
 		case "containerLog":
 			return name == "sync"
 		}

@@ -13,9 +13,9 @@ import (
 
 var errRejected = errors.New("rejected")
 
-// WAL, DiskStore and containerLog mirror the real durability facilities
-// by name — the analyzer matches (*WAL).Append and appendFrames,
-// (*DiskStore).Put*, containerLog.sync and reclog.WriteFileAtomic.
+// WAL and containerLog mirror the real durability facilities by name —
+// the analyzer matches (*WAL).Append and appendFrames, containerLog.sync
+// and reclog.WriteFileAtomic.
 type containerLog interface {
 	append(rec []byte) error
 	sync() error
@@ -27,18 +27,11 @@ func (w *WAL) Append(rec []byte) error { return nil }
 
 func (w *WAL) appendFrames(frames []byte) error { return nil }
 
-type DiskStore struct{}
-
-func (d *DiskStore) PutChunk(id string, b []byte) error { return nil }
-
-func (d *DiskStore) PutManifest(name string, ids []string) error { return nil }
-
 type nodeStats struct{ puts int }
 
 type Node struct {
 	mu      sync.Mutex
 	wal     *WAL
-	disk    *DiskStore
 	log     containerLog
 	table   map[string][]byte
 	catalog map[string][]string
@@ -151,18 +144,19 @@ func (n *Node) handleDeferDirty(k string, v []byte) ([]byte, error) {
 }
 
 // The commit shape: the tail chunks are durable, but the manifest is
-// advertised before its own disk write.
+// advertised before the sync that makes its record durable.
 func (n *Node) handleCatalogBeforeManifest(k string, v []byte, ids []string) ([]byte, error) {
 	if err := n.store(k, v); err != nil {
 		return nil, err
 	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
+	if err := n.log.append(v); err != nil {
+		return nil, err
+	}
 	n.catalog[k] = ids // want `mutated before the durable write`
-	n.mu.Unlock()
-	if n.disk != nil {
-		if err := n.disk.PutManifest(k, ids); err != nil {
-			return nil, err
-		}
+	if err := n.log.sync(); err != nil {
+		return nil, err
 	}
 	return v, nil
 }
@@ -248,20 +242,21 @@ func (n *Node) handleViaPersist(k string, v []byte) ([]byte, error) {
 	return v, nil
 }
 
-// The commit order: store the tail, persist the manifest, then
-// advertise it.
+// The commit order: store the tail, append the manifest's record and
+// sync it, then advertise it.
 func (n *Node) handleCommit(k string, v []byte, ids []string) ([]byte, error) {
 	if err := n.store(k, v); err != nil {
 		return nil, err
 	}
-	if n.disk != nil {
-		if err := n.disk.PutManifest(k, ids); err != nil {
-			return nil, err
-		}
-	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
+	if err := n.log.append(v); err != nil {
+		return nil, err
+	}
+	if err := n.log.sync(); err != nil {
+		return nil, err
+	}
 	n.catalog[k] = ids
-	n.mu.Unlock()
 	return v, nil
 }
 
