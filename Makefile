@@ -10,9 +10,10 @@ all: build test
 ci: build vet lint wire-lock-check test race fuzz-short chaos bench-smoke
 
 # Race-detect the resilience-critical packages only (quick local loop;
-# CI races the whole module).
+# CI races the whole module). The agent's tests include TestBudgetProperty,
+# the byte-budget property test.
 race-core:
-	$(GO) test -race ./internal/transport ./internal/reclog ./internal/kvstore ./internal/cloudstore ./internal/agent ./internal/netem ./internal/retrypolicy
+	$(GO) test -race ./internal/codec ./internal/transport ./internal/reclog ./internal/kvstore ./internal/cloudstore ./internal/agent ./internal/netem ./internal/retrypolicy
 
 build:
 	$(GO) build ./...
@@ -60,7 +61,7 @@ wire-lock-check:
 	@rm -f .wire.lock.tmp
 
 # Short coverage-guided fuzz pass over the chunker, record-log open, wire
-# codec and cloud handler invariants (the seed corpora alone run in every `make test`),
+# codec, transport frame and cloud handler invariants (the seed corpora alone run in every `make test`),
 # plus a one-iteration bench smoke so bit-rot in the chunk benchmarks
 # surfaces here, not in the nightly full bench.
 fuzz-short:
@@ -72,6 +73,8 @@ fuzz-short:
 	$(GO) test ./internal/kvstore -fuzz 'FuzzRepairCodecs$$' -fuzztime 10s
 	$(GO) test ./internal/cloudstore -fuzz 'FuzzCloudCodecs$$' -fuzztime 10s
 	$(GO) test ./internal/cloudstore -fuzz 'FuzzHandlers$$' -fuzztime 10s
+	$(GO) test ./internal/transport -fuzz 'FuzzDecodeRequest$$' -fuzztime 10s
+	$(GO) test ./internal/transport -fuzz 'FuzzDecodeResponse$$' -fuzztime 10s
 	$(GO) test -bench=. -benchtime=1x ./internal/chunk
 
 # Crash/recovery suite under the race detector: kill-restart-rejoin

@@ -55,7 +55,9 @@ package agent
 // in bytes by Config.ArenaBudgetBytes: every payload's capacity is
 // acquired from the scheduler's byte budget before it enters hashOrder
 // and released with the payload, so aggregate pipeline memory stays
-// bounded no matter how many streams are admitted.
+// bounded no matter how many streams are admitted. A chunker that has to
+// wait for bytes first flushes its stream's partial batches (admit), so
+// no stream waits on bytes it parks itself.
 
 import (
 	"bytes"
@@ -91,6 +93,8 @@ const hashOrderSlack = 62
 type hashJob struct {
 	c    chunk.Chunk
 	done chan struct{}
+	// flush marks an in-band marker that carries no chunk (see admit).
+	flush bool
 }
 
 var hashJobPool = sync.Pool{New: func() any { return &hashJob{done: make(chan struct{}, 1)} }}
@@ -102,6 +106,9 @@ type lookupJob struct {
 	known []bool
 	err   error
 	done  chan struct{}
+	// flush asks the router to queue its partial upload batch once it
+	// has routed this one.
+	flush bool
 }
 
 var lookupJobPool = sync.Pool{New: func() any { return &lookupJob{done: make(chan struct{}, 1)} }}
@@ -270,7 +277,7 @@ func (p *pipeline) addRaw(raw chunk.Raw) error {
 		raw.Release()
 		return p.fatal()
 	}
-	p.a.sched.budget.acquire(int64(cap(raw.Data)))
+	p.admit(int64(cap(raw.Data)))
 	job := hashJobPool.Get().(*hashJob)
 	job.c = chunk.Chunk{Offset: raw.Offset, Data: raw.Data}
 	if p.inlineHash {
@@ -286,12 +293,31 @@ func (p *pipeline) addRaw(raw chunk.Raw) error {
 	return nil
 }
 
+// admit takes n payload bytes from the agent-wide budget. The collector
+// and the router park partial batches until later chunks of the stream
+// fill them, so a chunker that waited while its own stream parked the
+// bytes it waits for would wait for good. Before it waits, it sends an
+// in-band flush marker down hashOrder: the collector dispatches its
+// partial lookup batch and the router queues its partial upload batch,
+// which the uploader releases once the cloud acks. Batches shrink only
+// while the budget is short; stream order is unchanged.
+func (p *pipeline) admit(n int64) {
+	if p.a.sched.budget.tryAcquire(n) {
+		return
+	}
+	marker := hashJobPool.Get().(*hashJob)
+	marker.flush = true
+	marker.done <- struct{}{}
+	p.hashOrder <- marker
+	p.a.sched.budget.acquire(n)
+}
+
 // addHashed receives one pre-hashed chunk from a legacy Chunker.
 func (p *pipeline) addHashed(c chunk.Chunk) error {
 	if p.aborted() {
 		return p.fatal()
 	}
-	p.a.sched.budget.acquire(int64(cap(c.Data)))
+	p.admit(int64(cap(c.Data)))
 	job := hashJobPool.Get().(*hashJob)
 	job.c = c
 	job.done <- struct{}{}
@@ -306,9 +332,13 @@ func (p *pipeline) collect() {
 	defer close(p.collectDone)
 	for job := range p.hashOrder {
 		<-job.done
-		c := job.c
-		job.c = chunk.Chunk{}
+		c, flush := job.c, job.flush
+		job.c, job.flush = chunk.Chunk{}, false
 		hashJobPool.Put(job)
+		if flush {
+			p.flushLookup()
+			continue
+		}
 
 		p.a.met.chunkProduce.ObserveDuration(time.Since(p.lastArrive))
 		p.lastArrive = time.Now()
@@ -362,18 +392,33 @@ func (p *pipeline) dispatchLookup() {
 	p.a.sched.submitLookup(p.slot, job)
 }
 
+// flushLookup dispatches the partial batch marked as a flush, or, with
+// nothing to look up, passes a bare marker straight to the router.
+func (p *pipeline) flushLookup() {
+	if p.cur != nil {
+		p.cur.flush = true
+		p.dispatchLookup()
+		return
+	}
+	marker := lookupJobPool.Get().(*lookupJob)
+	marker.flush = true
+	marker.done <- struct{}{}
+	p.lookupOrder <- marker
+}
+
 func putLookupJob(job *lookupJob) {
 	job.batch = job.batch[:0]
 	job.known = nil
 	job.err = nil
+	job.flush = false
 	lookupJobPool.Put(job)
 }
 
 // route consumes resolved batches in stream order, suppresses
 // index-known duplicates and feeds the uploader full batches. It owns the
 // uploads channel and closes it on the way out. The partial tail batch
-// stays in pendingUpload: finish commits it with the manifest, or
-// releases it if the stream failed.
+// stays in pendingUpload, unless a flush marker queues it early: finish
+// commits it with the manifest, or releases it if the stream failed.
 func (p *pipeline) route() {
 	defer close(p.routeDone)
 	for job := range p.lookupOrder {
@@ -397,6 +442,13 @@ func (p *pipeline) route() {
 					p.queueUpload()
 				}
 			}
+		}
+		if job.flush {
+			if p.aborted() {
+				p.releaseAll(p.pendingUpload)
+				p.pendingUpload = p.pendingUpload[:0]
+			}
+			p.queueUpload()
 		}
 		putLookupJob(job)
 	}

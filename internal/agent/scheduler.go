@@ -277,8 +277,27 @@ func newByteBudget(total int64, met *agentMetrics) *byteBudget {
 	return &byteBudget{total: total, met: met}
 }
 
+// tryAcquire takes n bytes if they fit now without queueing behind an
+// earlier waiter, and reports whether it did.
+func (b *byteBudget) tryAcquire(n int64) bool {
+	if b == nil {
+		return true
+	}
+	n = min(n, b.total)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.waiters) > 0 || b.used+n > b.total {
+		return false
+	}
+	b.used += n
+	b.met.arenaInuse.Set(b.used)
+	return true
+}
+
 // acquire blocks until n bytes fit. Requests larger than the whole
-// budget are clamped — they admit alone rather than deadlock.
+// budget are clamped — they admit alone rather than deadlock within one
+// chunk; a stream never waits on bytes it parks itself because its
+// chunker flushes its partial batches before it waits (pipeline.admit).
 func (b *byteBudget) acquire(n int64) {
 	if b == nil {
 		return

@@ -2,7 +2,6 @@ package cloudstore
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -88,10 +87,7 @@ func (c *Client) BatchUpload(ctx context.Context, chunks []chunk.Chunk) (stored 
 	if err != nil {
 		return 0, err
 	}
-	if len(resp) != 4 {
-		return 0, fmt.Errorf("%w: malformed batch upload response", ErrProto)
-	}
-	return int(binary.BigEndian.Uint32(resp)), nil
+	return decodeCount(resp)
 }
 
 // BatchHas asks the cloud's global index which of the given chunk IDs it
@@ -122,10 +118,7 @@ func (c *Client) UploadRaw(ctx context.Context, name string, data []byte) (store
 	if err != nil {
 		return 0, classifyRemote(err)
 	}
-	if len(resp) != 4 {
-		return 0, fmt.Errorf("%w: malformed raw upload response", ErrProto)
-	}
-	return int(binary.BigEndian.Uint32(resp)), nil
+	return decodeCount(resp)
 }
 
 // Commit ends a stream in one round trip: it stores the stream's tail
@@ -142,10 +135,7 @@ func (c *Client) Commit(ctx context.Context, name string, ids []chunk.ID, chunks
 	if err != nil {
 		return 0, classifyRemote(err)
 	}
-	if len(resp) != 4 {
-		return 0, fmt.Errorf("%w: malformed commit response", ErrProto)
-	}
-	return int(binary.BigEndian.Uint32(resp)), nil
+	return decodeCount(resp)
 }
 
 // PutManifest records the chunk sequence of a named file: a Commit with

@@ -26,7 +26,6 @@
 package cloudstore
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -264,7 +263,7 @@ func (s *Server) store(chunks []chunk.Chunk, name string, ids []chunk.ID) ([]byt
 		return nil, err
 	}
 	s.repackSparse(ids)
-	return binary.BigEndian.AppendUint32(nil, uint32(stored)), nil
+	return encodeCount(stored), nil
 }
 
 // repackSparse applies bounded selective duplication after a manifest is

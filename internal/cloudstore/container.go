@@ -63,6 +63,7 @@ import (
 	"sync"
 
 	"efdedup/internal/chunk"
+	"efdedup/internal/codec"
 	"efdedup/internal/metrics"
 	"efdedup/internal/reclog"
 	"efdedup/internal/transport"
@@ -134,8 +135,7 @@ func extentBytes(extents []Extent, size int64) (int, error) {
 // starts containerRecordHeader bytes into the record.
 func appendContainerRecord(buf []byte, id chunk.ID, data []byte) []byte {
 	start := len(buf)
-	buf = reclog.BeginFrame(buf)
-	buf = append(buf, id[:]...)
+	buf = codec.ID(reclog.BeginFrame(buf), id)
 	buf = append(buf, data...)
 	reclog.EndFrame(buf[start:])
 	return buf
@@ -143,11 +143,9 @@ func appendContainerRecord(buf []byte, id chunk.ID, data []byte) []byte {
 
 // splitRecord splits a record's payload into chunk ID and data.
 func splitRecord(payload []byte) (id chunk.ID, data []byte, ok bool) {
-	if len(payload) < chunk.IDSize {
-		return id, nil, false
-	}
-	copy(id[:], payload)
-	return id, payload[chunk.IDSize:], true
+	r := codec.NewReader(payload, ErrCorrupt)
+	id, data = r.ID(), r.Rest()
+	return id, data, r.Err() == nil
 }
 
 // parseRecords walks a run of whole records — the extents of a restore

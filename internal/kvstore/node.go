@@ -1,13 +1,13 @@
 package kvstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"efdedup/internal/codec"
 	"efdedup/internal/metrics"
 	"efdedup/internal/reclog"
 	"efdedup/internal/transport"
@@ -384,25 +384,20 @@ func (n *Node) handleBatchHas(body []byte) ([]byte, error) {
 // SyncAlways, one fsync — and only then apply it to the table. Decoding
 // the body twice is cheaper than holding it decoded.
 func (n *Node) handleBatchPut(body []byte) ([]byte, error) {
-	if len(body) < 4 {
-		return nil, fmt.Errorf("%w: truncated batch", ErrProto)
-	}
-	count := binary.BigEndian.Uint32(body)
+	r := codec.NewReader(body, ErrProto)
+	count := r.Count(16) // an entry is at least two length prefixes and a version
 	var frames []byte
 	if n.wal != nil {
-		// One header per entry, of which the body holds at most len/16.
-		frames = make([]byte, 0, len(body)+reclog.HeaderSize*int(min(uint64(count), uint64(len(body)/16))))
+		frames = make([]byte, 0, len(body)+reclog.HeaderSize*count)
 	}
-	src := body[4:]
-	for i := uint32(0); i < count; i++ {
-		key, e, rest, err := decodeEntry(src)
-		if err != nil {
-			return nil, fmt.Errorf("kvstore: batch record %d: %w", i, err)
-		}
+	for range count {
+		key, e := readEntry(&r)
 		if n.wal != nil {
 			frames = appendRecord(frames, key, e)
 		}
-		src = rest
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("kvstore: batch: %w", err)
 	}
 	n.putMu.RLock()
 	if n.wal != nil {
@@ -411,14 +406,10 @@ func (n *Node) handleBatchPut(body []byte) ([]byte, error) {
 			return nil, err
 		}
 	}
-	src = body[4:]
-	for i := uint32(0); i < count; i++ {
-		key, e, rest, err := decodeEntry(src)
-		if err != nil {
-			break // unreachable: the pass above decoded these bytes
-		}
-		n.applyPut(key, e)
-		src = rest
+	r = codec.NewReader(body, ErrProto)
+	r.Count(16) // the pass above checked every entry
+	for range count {
+		n.applyPut(readEntry(&r))
 	}
 	n.putMu.RUnlock()
 	n.puts.Add(int64(count))
@@ -434,23 +425,22 @@ func (n *Node) handleStats([]byte) ([]byte, error) {
 // decodeStats reads back.
 func encodeStats(s NodeStats) []byte {
 	out := make([]byte, 0, 40)
-	out = binary.BigEndian.AppendUint64(out, uint64(s.Gets))
-	out = binary.BigEndian.AppendUint64(out, uint64(s.Puts))
-	out = binary.BigEndian.AppendUint64(out, uint64(s.Hits))
-	out = binary.BigEndian.AppendUint64(out, uint64(s.Misses))
-	out = binary.BigEndian.AppendUint64(out, uint64(s.Entries))
+	out = codec.U64(out, uint64(s.Gets))
+	out = codec.U64(out, uint64(s.Puts))
+	out = codec.U64(out, uint64(s.Hits))
+	out = codec.U64(out, uint64(s.Misses))
+	out = codec.U64(out, uint64(s.Entries))
 	return out
 }
 
 func decodeStats(body []byte) (NodeStats, error) {
-	if len(body) != 40 {
-		return NodeStats{}, fmt.Errorf("%w: stats payload of %d bytes, want 40", ErrProto, len(body))
+	r := codec.NewReader(body, ErrProto)
+	st := NodeStats{
+		Gets:    int64(r.U64()),
+		Puts:    int64(r.U64()),
+		Hits:    int64(r.U64()),
+		Misses:  int64(r.U64()),
+		Entries: int64(r.U64()),
 	}
-	return NodeStats{
-		Gets:    int64(binary.BigEndian.Uint64(body[0:])),
-		Puts:    int64(binary.BigEndian.Uint64(body[8:])),
-		Hits:    int64(binary.BigEndian.Uint64(body[16:])),
-		Misses:  int64(binary.BigEndian.Uint64(body[24:])),
-		Entries: int64(binary.BigEndian.Uint64(body[32:])),
-	}, nil
+	return st, r.End()
 }

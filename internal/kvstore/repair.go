@@ -2,11 +2,12 @@ package kvstore
 
 import (
 	"bytes"
+	"cmp"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"time"
 
+	"efdedup/internal/codec"
 	"efdedup/internal/hashring"
 )
 
@@ -53,68 +54,36 @@ type digestReq struct {
 
 // encodeDigestReq serializes the scope filter.
 func encodeDigestReq(rf, vnodes int, members, scope []string) []byte {
-	out := binary.BigEndian.AppendUint32(nil, uint32(rf))
-	out = binary.BigEndian.AppendUint32(out, uint32(vnodes))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(members)))
+	out := codec.U32(nil, uint32(rf))
+	out = codec.U32(out, uint32(vnodes))
+	out = codec.U32(out, uint32(len(members)))
 	for _, m := range members {
-		out = appendBytes(out, []byte(m))
+		out = codec.Bytes32(out, m)
 	}
-	out = binary.BigEndian.AppendUint32(out, uint32(len(scope)))
+	out = codec.U32(out, uint32(len(scope)))
 	for _, s := range scope {
-		out = appendBytes(out, []byte(s))
+		out = codec.Bytes32(out, s)
 	}
 	return out
 }
 
-// decodeDigestReq parses and validates a scope filter.
-func decodeDigestReq(src []byte) (digestReq, []byte, error) {
-	var req digestReq
-	if len(src) < 12 {
-		return req, nil, fmt.Errorf("%w: truncated digest request", ErrProto)
+// readDigestReq reads and validates a scope filter off r.
+func readDigestReq(r *codec.Reader) (req digestReq, err error) {
+	req.rf = int(r.U32())
+	req.vnodes = int(r.U32())
+	req.members = readBlobs(r)
+	req.scope = readBlobs(r)
+	switch {
+	case r.Err() != nil:
+		return req, fmt.Errorf("kvstore: digest request: %w", r.Err())
+	case req.rf <= 0 || req.rf > 1024 || req.vnodes <= 0 || req.vnodes > 4096:
+		return req, fmt.Errorf("%w: digest request rf=%d vnodes=%d out of range", ErrProto, req.rf, req.vnodes)
+	case len(req.members) == 0:
+		return req, fmt.Errorf("%w: digest request without members", ErrProto)
+	case len(req.scope) == 0:
+		return req, fmt.Errorf("%w: digest request without scope", ErrProto)
 	}
-	req.rf = int(binary.BigEndian.Uint32(src))
-	req.vnodes = int(binary.BigEndian.Uint32(src[4:]))
-	if req.rf <= 0 || req.rf > 1024 || req.vnodes <= 0 || req.vnodes > 4096 {
-		return req, nil, fmt.Errorf("%w: digest request rf=%d vnodes=%d out of range", ErrProto, req.rf, req.vnodes)
-	}
-	var err error
-	src = src[8:]
-	if req.members, src, err = readBytesList(src); err != nil {
-		return req, nil, fmt.Errorf("kvstore: digest request members: %w", err)
-	}
-	if len(req.members) == 0 {
-		return req, nil, fmt.Errorf("%w: digest request without members", ErrProto)
-	}
-	if req.scope, src, err = readBytesList(src); err != nil {
-		return req, nil, fmt.Errorf("kvstore: digest request scope: %w", err)
-	}
-	if len(req.scope) == 0 {
-		return req, nil, fmt.Errorf("%w: digest request without scope", ErrProto)
-	}
-	return req, src, nil
-}
-
-// readBytesList consumes a count-prefixed list of blobs.
-func readBytesList(src []byte) ([][]byte, []byte, error) {
-	if len(src) < 4 {
-		return nil, nil, fmt.Errorf("%w: truncated list", ErrProto)
-	}
-	n := binary.BigEndian.Uint32(src)
-	src = src[4:]
-	if uint64(n) > uint64(len(src))/4+1 {
-		return nil, nil, fmt.Errorf("%w: list count %d exceeds payload", ErrProto, n)
-	}
-	out := make([][]byte, 0, n)
-	for i := uint32(0); i < n; i++ {
-		var b []byte
-		var err error
-		b, src, err = readBytes(src)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, b)
-	}
-	return out, src, nil
+	return req, nil
 }
 
 // ring builds the consistent-hash ring the request describes. Both sides
@@ -169,7 +138,7 @@ func entryDigest(key string, e Entry) (bucket int, hash uint64) {
 	kh := fnvMix(fnvOffset, []byte(key))
 	bucket = int(kh % digestBuckets)
 	var v [8]byte
-	binary.BigEndian.PutUint64(v[:], e.Version)
+	codec.U64(v[:0], e.Version) // fills v in place
 	hash = fnvMix(fnvMix(kh, v[:]), e.Value)
 	return bucket, hash
 }
@@ -196,10 +165,10 @@ func digestTable(req digestReq, ring *hashring.Ring, table map[string]Entry) [di
 
 // encodeDigestResp serializes the 256 bucket digests.
 func encodeDigestResp(d [digestBuckets]bucketDigest) []byte {
-	out := binary.BigEndian.AppendUint32(nil, digestBuckets)
+	out := codec.U32(make([]byte, 0, 4+digestBuckets*12), digestBuckets)
 	for _, b := range d {
-		out = binary.BigEndian.AppendUint64(out, b.hash)
-		out = binary.BigEndian.AppendUint32(out, b.count)
+		out = codec.U64(out, b.hash)
+		out = codec.U32(out, b.count)
 	}
 	return out
 }
@@ -207,19 +176,15 @@ func encodeDigestResp(d [digestBuckets]bucketDigest) []byte {
 // decodeDigestResp parses a kv.digest response.
 func decodeDigestResp(src []byte) ([digestBuckets]bucketDigest, error) {
 	var out [digestBuckets]bucketDigest
-	if len(src) != 4+digestBuckets*12 {
-		return out, fmt.Errorf("%w: digest response of %d bytes", ErrProto, len(src))
+	r := codec.NewReader(src, ErrProto)
+	if n := r.Count(12); n != digestBuckets && r.Err() == nil {
+		return out, fmt.Errorf("%w: digest fanout %d, want %d", ErrProto, n, digestBuckets)
 	}
-	if binary.BigEndian.Uint32(src) != digestBuckets {
-		return out, fmt.Errorf("%w: digest fanout mismatch", ErrProto)
-	}
-	src = src[4:]
 	for i := range out {
-		out[i].hash = binary.BigEndian.Uint64(src)
-		out[i].count = binary.BigEndian.Uint32(src[8:])
-		src = src[12:]
+		out[i].hash = r.U64()
+		out[i].count = r.U32()
 	}
-	return out, nil
+	return out, r.End()
 }
 
 // bucketSet is a bitmap over the digest fanout.
@@ -229,24 +194,19 @@ func (s *bucketSet) add(b int)      { s[b/8] |= 1 << (b % 8) }
 func (s *bucketSet) has(b int) bool { return s[b/8]&(1<<(b%8)) != 0 }
 func (s *bucketSet) empty() bool    { return *s == bucketSet{} }
 
-// encodePullReq appends the wanted-bucket bitmap to a digest request.
+// encodePullReq appends the wanted-bucket bitmap, which is ID-sized, to
+// a digest request.
 func encodePullReq(rf, vnodes int, members, scope []string, want bucketSet) []byte {
 	out := encodeDigestReq(rf, vnodes, members, scope)
-	return append(out, want[:]...)
+	return codec.ID(out, want)
 }
 
 // decodePullReq parses a kv.pull request.
 func decodePullReq(src []byte) (digestReq, bucketSet, error) {
-	var want bucketSet
-	req, rest, err := decodeDigestReq(src)
-	if err != nil {
-		return req, want, err
-	}
-	if len(rest) != len(want) {
-		return req, want, fmt.Errorf("%w: pull bitmap of %d bytes, want %d", ErrProto, len(rest), len(want))
-	}
-	copy(want[:], rest)
-	return req, want, nil
+	r := codec.NewReader(src, ErrProto)
+	req, err := readDigestReq(&r)
+	want := bucketSet(r.ID())
+	return req, want, cmp.Or(err, r.End())
 }
 
 // --- node handlers ------------------------------------------------------
@@ -254,12 +214,10 @@ func decodePullReq(src []byte) (digestReq, bucketSet, error) {
 // handleDigest computes this replica's bucket digests for the requested
 // scope.
 func (n *Node) handleDigest(body []byte) ([]byte, error) {
-	req, rest, err := decodeDigestReq(body)
-	if err != nil {
+	r := codec.NewReader(body, ErrProto)
+	req, err := readDigestReq(&r)
+	if err = cmp.Or(err, r.End()); err != nil {
 		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after digest request", ErrProto, len(rest))
 	}
 	ring, err := req.ring()
 	if err != nil {
@@ -297,7 +255,7 @@ func (n *Node) handlePull(body []byte) ([]byte, error) {
 		out = encodeEntry(out, []byte(k), e)
 		count++
 	}
-	binary.BigEndian.PutUint32(out, count)
+	codec.U32(out[:0], count) // fills the count the scan left blank
 	return out, nil
 }
 

@@ -3,10 +3,10 @@ package kvstore
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"os"
 
+	"efdedup/internal/codec"
 	"efdedup/internal/reclog"
 )
 
@@ -26,15 +26,12 @@ import (
 // snapshotMagic identifies a snapshot file and its format version.
 var snapshotMagic = []byte("EFSNAP1\n")
 
-const (
-	snapshotHeader    = 8 + 4                  // magic plus record count
-	minSnapshotRecord = reclog.HeaderSize + 16 // a frame around an empty key and value
-)
+const minSnapshotRecord = reclog.HeaderSize + 16 // a frame around an empty key and value
 
 // writeSnapshot durably installs table as the snapshot at path.
 func writeSnapshot(path string, table map[string]Entry) error {
 	err := reclog.WriteFileAtomic(path, func(w *bufio.Writer) error {
-		hdr := binary.BigEndian.AppendUint32(bytes.Clone(snapshotMagic), uint32(len(table)))
+		hdr := codec.U32(bytes.Clone(snapshotMagic), uint32(len(table)))
 		if _, err := w.Write(hdr); err != nil {
 			return err
 		}
@@ -68,11 +65,12 @@ func loadSnapshot(path string) (map[string]Entry, error) {
 	if !bytes.HasPrefix(data, snapshotMagic) {
 		return nil, fmt.Errorf("%w: snapshot %s: bad magic", ErrCorrupt, path)
 	}
-	if len(data) < snapshotHeader {
-		return nil, fmt.Errorf("%w: snapshot %s: truncated count", ErrCorrupt, path)
+	r := codec.NewReader(data[len(snapshotMagic):], ErrCorrupt)
+	count := r.U32()
+	data = r.Rest()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("snapshot %s: record count: %w", path, err)
 	}
-	count := binary.BigEndian.Uint32(data[len(snapshotMagic):])
-	data = data[snapshotHeader:]
 	// No CRC covers the count: size the table by what the file can hold.
 	table := make(map[string]Entry, min(uint64(count), uint64(len(data)/minSnapshotRecord)))
 	for i := uint32(0); i < count; i++ {

@@ -21,10 +21,10 @@
 package kvstore
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"slices"
+
+	"efdedup/internal/codec"
 )
 
 // ErrProto marks malformed or truncated wire payloads: the peer sent
@@ -57,22 +57,14 @@ type Entry struct {
 
 // --- wire helpers -----------------------------------------------------
 
-// appendBytes appends a u32 length prefix plus the data.
-func appendBytes(dst, b []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
-	return append(dst, b...)
-}
-
-// readBytes consumes one length-prefixed blob.
-func readBytes(src []byte) (val, rest []byte, err error) {
-	if len(src) < 4 {
-		return nil, nil, fmt.Errorf("%w: truncated length prefix", ErrProto)
+// readBlobs reads a count-prefixed list of u32-length-prefixed blobs.
+func readBlobs(r *codec.Reader) [][]byte {
+	n := r.Count(4)
+	out := make([][]byte, 0, n)
+	for range n {
+		out = append(out, r.Bytes32())
 	}
-	n := binary.BigEndian.Uint32(src)
-	if uint64(len(src)-4) < uint64(n) {
-		return nil, nil, fmt.Errorf("%w: blob of %d bytes exceeds remaining %d", ErrProto, n, len(src)-4)
-	}
-	return src[4 : 4+n], src[4+n:], nil
+	return out
 }
 
 // keyedEntry is one key with its entry: an element of a kv.batchput
@@ -85,27 +77,25 @@ type keyedEntry struct {
 // encodeEntry serializes key+entry for batchput bodies, pull replies and
 // WAL/snapshot records.
 func encodeEntry(dst []byte, key []byte, e Entry) []byte {
-	dst = appendBytes(dst, key)
-	dst = binary.BigEndian.AppendUint64(dst, e.Version)
-	dst = appendBytes(dst, e.Value)
+	dst = codec.Bytes32(dst, key)
+	dst = codec.U64(dst, e.Version)
+	dst = codec.Bytes32(dst, e.Value)
 	return dst
+}
+
+// readEntry reads one encoded key+entry off r.
+func readEntry(r *codec.Reader) (key []byte, e Entry) {
+	key = r.Bytes32()
+	e.Version = r.U64()
+	e.Value = r.Bytes32()
+	return key, e
 }
 
 // decodeEntry consumes one encoded key+entry.
 func decodeEntry(src []byte) (key []byte, e Entry, rest []byte, err error) {
-	key, src, err = readBytes(src)
-	if err != nil {
-		return nil, Entry{}, nil, err
-	}
-	if len(src) < 8 {
-		return nil, Entry{}, nil, fmt.Errorf("%w: truncated version", ErrProto)
-	}
-	e.Version = binary.BigEndian.Uint64(src)
-	e.Value, rest, err = readBytes(src[8:])
-	if err != nil {
-		return nil, Entry{}, nil, err
-	}
-	return key, e, rest, nil
+	r := codec.NewReader(src, ErrProto)
+	key, e = readEntry(&r)
+	return key, e, r.Rest(), r.Err()
 }
 
 // appendScan appends the count-prefixed entry sequence decodeScan reads:
@@ -116,7 +106,7 @@ func appendScan(dst []byte, ents []keyedEntry) []byte {
 		size += 16 + len(kv.key) + len(kv.e.Value)
 	}
 	dst = slices.Grow(dst, size)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ents)))
+	dst = codec.U32(dst, uint32(len(ents)))
 	for _, kv := range ents {
 		dst = encodeEntry(dst, kv.key, kv.e)
 	}
@@ -125,59 +115,28 @@ func appendScan(dst []byte, ents []keyedEntry) []byte {
 
 // decodeScan parses a count-prefixed entry sequence.
 func decodeScan(body []byte) ([]keyedEntry, error) {
-	if len(body) < 4 {
-		return nil, fmt.Errorf("%w: truncated entry sequence", ErrProto)
-	}
-	count := int(binary.BigEndian.Uint32(body))
-	src := body[4:]
-	// Each record costs at least 16 bytes (two length prefixes + version);
-	// reject counts the payload cannot hold before allocating.
-	if count > len(src)/16+1 {
-		return nil, fmt.Errorf("%w: entry count %d exceeds payload", ErrProto, count)
-	}
-	out := make([]keyedEntry, 0, count)
-	for i := 0; i < count; i++ {
-		key, e, rest, err := decodeEntry(src)
-		if err != nil {
-			return nil, fmt.Errorf("kvstore: entry %d: %w", i, err)
-		}
+	r := codec.NewReader(body, ErrProto)
+	n := r.Count(16) // two length prefixes and a version
+	out := make([]keyedEntry, 0, n)
+	for range n {
+		key, e := readEntry(&r)
 		out = append(out, keyedEntry{key: key, e: e})
-		src = rest
 	}
-	return out, nil
+	return out, r.Err()
 }
 
 // encodeKeyList serializes a count-prefixed list of keys.
 func encodeKeyList(keys [][]byte) []byte {
-	out := binary.BigEndian.AppendUint32(nil, uint32(len(keys)))
+	out := codec.U32(nil, uint32(len(keys)))
 	for _, k := range keys {
-		out = appendBytes(out, k)
+		out = codec.Bytes32(out, k)
 	}
 	return out
 }
 
 // decodeKeyList parses a count-prefixed list of keys.
 func decodeKeyList(src []byte) ([][]byte, error) {
-	if len(src) < 4 {
-		return nil, fmt.Errorf("%w: truncated key list", ErrProto)
-	}
-	n := binary.BigEndian.Uint32(src)
-	src = src[4:]
-	// Each key costs at least a 4-byte length prefix; a count that could
-	// not possibly fit the remaining bytes is corrupt (and must not drive
-	// the allocation below).
-	if uint64(n) > uint64(len(src))/4+1 {
-		return nil, fmt.Errorf("%w: key list count %d exceeds payload", ErrProto, n)
-	}
-	keys := make([][]byte, 0, n)
-	for i := uint32(0); i < n; i++ {
-		var k []byte
-		var err error
-		k, src, err = readBytes(src)
-		if err != nil {
-			return nil, err
-		}
-		keys = append(keys, k)
-	}
-	return keys, nil
+	r := codec.NewReader(src, ErrProto)
+	keys := readBlobs(&r)
+	return keys, r.Err()
 }

@@ -58,7 +58,10 @@ func EndFrame(frame []byte) {
 }
 
 // Next parses the frame at the start of b. On OK, payload is a sub-slice
-// of b and n the bytes the frame occupies.
+// of b and n the bytes the frame occupies. The header is read here
+// rather than through internal/codec, like every other byte format: it
+// is parsed without allocating, next to the CRC check it feeds, and it
+// frames payloads instead of being one.
 func Next(b []byte) (payload []byte, n int, st Status) {
 	if len(b) == 0 {
 		return nil, 0, EOF

@@ -101,7 +101,7 @@ func (b *Breaker) State() BreakerState {
 
 // Allow reports whether an attempt may proceed now. While half-open it
 // admits at most HalfOpenProbes concurrent trial calls; every admitted
-// call must be concluded with Success or Failure.
+// call must be concluded with Success, Failure or Abandon.
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -150,6 +150,17 @@ func (b *Breaker) Failure() {
 		b.state = Open
 		b.openedAt = b.cfg.Clock()
 		b.probes = 0
+	}
+}
+
+// Abandon concludes an admitted call whose caller gave up before it
+// ended: the call says nothing about the peer, so it counts neither as a
+// failure nor as a success, and only frees its half-open probe.
+func (b *Breaker) Abandon() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == HalfOpen && b.probes > 0 {
+		b.probes--
 	}
 }
 

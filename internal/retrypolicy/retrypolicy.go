@@ -174,13 +174,17 @@ func (r *Retrier) Do(ctx context.Context, br *Breaker, bud *Budget, retryable fu
 			}
 			return err
 		}
+		if ctx.Err() != nil {
+			// The caller gave up, which says nothing about the peer.
+			if br != nil {
+				br.Abandon()
+			}
+			return err
+		}
 		if br != nil {
 			br.Failure()
 		}
 		lastErr = err
-		if ctx.Err() != nil {
-			return lastErr
-		}
 		if attempt >= r.p.MaxAttempts {
 			return lastErr
 		}

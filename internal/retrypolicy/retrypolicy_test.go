@@ -306,3 +306,26 @@ func TestBreakerStateString(t *testing.T) {
 		}
 	}
 }
+
+// TestCallerCancellationIsNoVerdict: calls whose caller gave up neither
+// trip a closed breaker nor keep a half-open probe slot.
+func TestCallerCancellationIsNoVerdict(t *testing.T) {
+	clk := newFakeClock()
+	b := breakerWith(clk, BreakerConfig{FailureThreshold: 2, OpenFor: time.Second, HalfOpenProbes: 1})
+	r := New(Policy{MaxAttempts: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 5; i++ {
+		_ = r.Do(ctx, b, nil, nil, func(ctx context.Context) error { return ctx.Err() })
+	}
+	if st := b.State(); st != Closed {
+		t.Fatalf("cancelled calls tripped the breaker: %v", st)
+	}
+	b.Failure()
+	b.Failure()
+	clk.Advance(time.Second)
+	_ = r.Do(ctx, b, nil, nil, func(ctx context.Context) error { return ctx.Err() })
+	if !b.Allow() {
+		t.Fatal("an abandoned half-open probe kept its slot")
+	}
+}

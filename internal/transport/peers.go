@@ -49,8 +49,10 @@ func (p *Peers) BreakerStates() map[string]retrypolicy.BreakerState { return p.b
 // Call issues one RPC to addr. A RemoteError returns at once, keeps the
 // connection and counts as a breaker success: it proves the transport
 // works. Any other failure drops the connection and is retried over a
-// fresh dial. After Close, Call fails with ErrClientClosed without
-// dialing, retrying or touching the breaker.
+// fresh dial, except that a caller giving up while awaiting its reply
+// leaves the connection to the calls sharing it. After Close, Call
+// fails with ErrClientClosed without dialing, retrying or touching the
+// breaker.
 func (p *Peers) Call(ctx context.Context, addr, method string, body []byte) ([]byte, error) {
 	if p.closed.Load() {
 		return nil, fmt.Errorf("transport: %s to %s: %w", method, addr, ErrClientClosed)
@@ -58,15 +60,28 @@ func (p *Peers) Call(ctx context.Context, addr, method string, body []byte) ([]b
 	var resp []byte
 	err := p.retrier.Do(ctx, p.breakers.For(addr), p.budget, p.retryable,
 		func(actx context.Context) error {
-			cl, err := p.client(actx, addr)
-			if err != nil {
-				return err
+			for rerun := true; ; rerun = false {
+				cl, err := p.client(actx, addr)
+				if err != nil {
+					return err
+				}
+				resp, err = cl.Call(actx, method, body)
+				if err == nil || IsRemoteError(err) {
+					return err
+				}
+				// A caller that gave up while awaiting its reply leaves
+				// the connection whole; anything else, an expired
+				// attempt included, ends it.
+				if ctx.Err() == nil || cl.failed() {
+					p.drop(addr, cl)
+				}
+				// Another caller's cut send ended the connection under
+				// this call, which says nothing about the peer: run it
+				// once more on a fresh one.
+				if !rerun || !errors.Is(err, errSendCut) || actx.Err() != nil {
+					return err
+				}
 			}
-			resp, err = cl.Call(actx, method, body)
-			if err != nil && !IsRemoteError(err) {
-				p.drop(addr, cl)
-			}
-			return err
 		})
 	return resp, err
 }

@@ -18,13 +18,14 @@ package transport
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"time"
+
+	"efdedup/internal/codec"
 )
 
 // aLongTimeAgo unblocks an in-flight Write when its context fires.
@@ -48,6 +49,10 @@ const (
 
 // ErrClientClosed is returned by Call after Close.
 var ErrClientClosed = errors.New("transport: client closed")
+
+// errSendCut ends a connection whose caller gave up in the middle of
+// sending a frame: the frame stream cannot be parsed past it.
+var errSendCut = fmt.Errorf("%w: a cancelled send cut a frame short", ErrClientClosed)
 
 // ErrProto marks malformed, truncated or over-limit frames: the peer is
 // speaking a different protocol (or corrupting data), so retrying the
@@ -92,7 +97,7 @@ func writeFrame(w io.Writer, payload []byte) error {
 		return fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProto, len(payload))
 	}
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
+	codec.U32(hdr[:0], uint32(len(payload))) // fills hdr in place
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -106,7 +111,8 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	hr := codec.NewReader(hdr[:], ErrProto)
+	n := hr.U32()
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProto, n)
 	}
@@ -138,61 +144,49 @@ func encodeRequest(id uint64, method string, body []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: method name %q too long", ErrProto, method)
 	}
 	buf := make([]byte, 0, 10+len(method)+len(body))
-	buf = append(buf, frameRequest)
-	buf = binary.BigEndian.AppendUint64(buf, id)
-	buf = append(buf, byte(len(method)))
-	buf = append(buf, method...)
+	buf = codec.U8(buf, frameRequest)
+	buf = codec.U64(buf, id)
+	buf = codec.Bytes8(buf, method)
 	buf = append(buf, body...)
 	return buf, nil
 }
 
 func decodeRequest(p []byte) (id uint64, method string, body []byte, err error) {
-	if len(p) < 10 || p[0] != frameRequest {
-		return 0, "", nil, fmt.Errorf("%w: malformed request frame", ErrProto)
+	r := codec.NewReader(p, ErrProto)
+	kind, id, m, body := r.U8(), r.U64(), r.Bytes8(), r.Rest()
+	if kind != frameRequest && r.Err() == nil {
+		return 0, "", nil, fmt.Errorf("%w: frame type %d is not a request", ErrProto, kind)
 	}
-	id = binary.BigEndian.Uint64(p[1:9])
-	ml := int(p[9])
-	if len(p) < 10+ml {
-		return 0, "", nil, fmt.Errorf("%w: truncated request frame", ErrProto)
-	}
-	return id, string(p[10 : 10+ml]), p[10+ml:], nil
+	return id, string(m), body, r.Err()
 }
 
 func encodeResponse(id uint64, body []byte, remoteErr string) []byte {
 	buf := make([]byte, 0, 14+len(remoteErr)+len(body))
-	buf = append(buf, frameResponse)
-	buf = binary.BigEndian.AppendUint64(buf, id)
+	buf = codec.U8(buf, frameResponse)
+	buf = codec.U64(buf, id)
 	if remoteErr != "" {
-		buf = append(buf, statusError)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(remoteErr)))
-		buf = append(buf, remoteErr...)
-		return buf
+		buf = codec.U8(buf, statusError)
+		return codec.Bytes32(buf, remoteErr)
 	}
-	buf = append(buf, statusOK)
-	buf = append(buf, body...)
-	return buf
+	buf = codec.U8(buf, statusOK)
+	return append(buf, body...)
 }
 
 func decodeResponse(p []byte) (id uint64, body []byte, remoteErr string, err error) {
-	if len(p) < 10 || p[0] != frameResponse {
-		return 0, nil, "", fmt.Errorf("%w: malformed response frame", ErrProto)
+	r := codec.NewReader(p, ErrProto)
+	kind, id, status := r.U8(), r.U64(), r.U8()
+	switch {
+	case r.Err() != nil:
+		return 0, nil, "", r.Err()
+	case kind != frameResponse:
+		return 0, nil, "", fmt.Errorf("%w: frame type %d is not a response", ErrProto, kind)
+	case status == statusOK:
+		return id, r.Rest(), "", nil
+	case status == statusError:
+		msg := r.Bytes32()
+		return id, nil, string(msg), r.Err()
 	}
-	id = binary.BigEndian.Uint64(p[1:9])
-	switch p[9] {
-	case statusOK:
-		return id, p[10:], "", nil
-	case statusError:
-		if len(p) < 14 {
-			return 0, nil, "", fmt.Errorf("%w: truncated error frame", ErrProto)
-		}
-		el := int(binary.BigEndian.Uint32(p[10:14]))
-		if len(p) < 14+el {
-			return 0, nil, "", fmt.Errorf("%w: truncated error frame", ErrProto)
-		}
-		return id, nil, string(p[14 : 14+el]), nil
-	default:
-		return 0, nil, "", fmt.Errorf("%w: unknown status %d", ErrProto, p[9])
-	}
+	return 0, nil, "", fmt.Errorf("%w: unknown status %d", ErrProto, status)
 }
 
 // HandlerFunc processes one request body and returns a response body.
@@ -439,13 +433,28 @@ func (c *Client) Call(ctx context.Context, method string, body []byte) ([]byte, 
 	//lint:ignore lockedio writeMu exists to serialize request frames on this conn; it guards the write itself
 	err = writeFrame(c.conn, req)
 	stop()
+	cause := err
+	if err != nil {
+		// No frame may follow one cut short, so the connection ends here.
+		if ctx.Err() != nil {
+			cause = errSendCut
+		}
+		c.mu.Lock()
+		if c.err == nil {
+			c.err = cause
+		}
+		cause = c.err
+		c.mu.Unlock()
+		//lint:ignore lockedio closing under writeMu is what keeps any frame from following the cut one
+		c.conn.Close()
+	}
 	c.writeMu.Unlock()
 	if err != nil {
 		c.abandon(id)
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, ctxErr
 		}
-		return nil, fmt.Errorf("transport: send %s: %w", method, err)
+		return nil, fmt.Errorf("transport: send %s: %w", method, cause)
 	}
 
 	select {
@@ -467,6 +476,13 @@ func (c *Client) Call(ctx context.Context, method string, body []byte) ([]byte, 
 		c.abandon(id)
 		return nil, ctx.Err()
 	}
+}
+
+// failed reports whether the connection has ended.
+func (c *Client) failed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err != nil
 }
 
 // abandon forgets a pending request (response, if any, is dropped).

@@ -53,7 +53,7 @@ type Pass struct {
 	// built once per lint run. Nil only if the driver opts out.
 	CFGs *cfg.Store
 
-	// Wire is the module-wide RPC surface and symbolic codec layouts
+	// Wire is the module-wide RPC surface and codec layouts
 	// (registrations, call sites, extracted field layouts) built once
 	// per lint run over the universe. The wire-protocol analyzers
 	// (rpcpair, codecpair, lenguard, wirelock) consume it; nil only if

@@ -1,9 +1,9 @@
 // Package codecpair checks encode/decode function pairs field-for-field
-// against each other using the symbolic wire layouts extracted by
-// lint/internal/wire. A pair is two functions in one package whose
-// names share a suffix under the codec prefixes (encode/append/marshal
-// vs decode/read/parse/unmarshal): encodeEntry pairs with decodeEntry,
-// appendBytes with readBytes, (*Node).encodeTable with decodeTable. When
+// against each other using the wire layouts lint/internal/wire reads off
+// their internal/codec calls. A pair is two functions in one package
+// whose names share a suffix under the codec prefixes
+// (encode/append/marshal vs decode/read/parse/unmarshal): encodeEntry
+// pairs with decodeEntry, appendChunkList with readChunkList. When
 // a suffix has several encoders or decoders — a whole-body codec and the
 // append/read helper it shares — each decoder pairs with the encoder of
 // its own family: encodeX with decodeX, appendX with readX.
@@ -12,10 +12,9 @@
 // disagreement — width, prefix size, list element shape, extra or
 // missing fields — is reported with both layouts printed, so the
 // diagnostic shows the wire formats side by side instead of making the
-// reader re-derive them. Functions the extractor cannot fully follow
-// stay opaque past the extracted prefix and are compared only over the
-// prefix both sides agree on, so unrecognized code is silence, never a
-// false mismatch.
+// reader re-derive them. Pairs are compared only over the fields before
+// the first "?" (what the extractor cannot read), so unrecognized code
+// is silence, never a false mismatch.
 package codecpair
 
 import (

@@ -1,631 +1,98 @@
-// Package lenguard hardens the decode side of the wire protocol: any
-// function that parses a []byte reachable from a transport handler must
-// never trust the input's length. Three classes of finding:
+// Package lenguard confines byte-format reads to internal/codec. A
+// hostile body must surface as the package's protocol error, never as an
+// index-out-of-range panic or a length check that wraps in 32 bits, and
+// internal/codec's Reader is the one place that checks lengths. So in
+// every package that owns a wire layout — one with an RPC registration
+// or call site, or a codec the wire index reads — non-test code may not:
 //
-//   - Unguarded reads (path-sensitive, via the dataflow solver): a
-//     fixed-width read of the input — src[i], src[:k],
-//     binary.BigEndian.UintN(src) — must be dominated on every path by
-//     a remaining-length check guaranteeing that many bytes. A
-//     reslice src = src[k:] consumes k bytes of the guarantee; a path
-//     that joins a weaker guarantee keeps only the minimum. Malformed
-//     input must surface as an error, not an index-out-of-range panic.
+//   - import encoding/binary: fixed-width fields go through codec's
+//     appenders and Reader; or
+//   - index or slice a request body: the []byte parameter of a
+//     registered handler or of a decode*/read*/handle* function is read
+//     through a codec.Reader only.
 //
-//   - Overflowing length comparisons: guarding with sub-64-bit
-//     arithmetic (uint32(len(src)) < n+8) wraps around on adversarial
-//     values, letting a hostile length through the guard and into a
-//     panicking slice expression. Compare in 64 bits.
-//
-//   - Silent truncation: a decoder with no error result that bails out
-//     of a length guard with a bare return swallows malformed input
-//     entirely — the caller can't distinguish "applied" from
-//     "dropped". Decoders must return an error wrapping ErrProto.
-//
-// Scope: functions with a []byte parameter whose name marks them as
-// protocol surface (decode*/read*/parse*/unmarshal*/merge*/handle*)
-// and that are reachable from a registered RPC handler per the call
-// graph, plus everything in the transport package itself. Helpers only
-// ever fed trusted, locally-built buffers stay out of scope.
+// Byte formats outside those packages (reclog's frame, hashing) are not
+// request bodies.
 package lenguard
 
 import (
 	"go/ast"
-	"go/constant"
-	"go/token"
 	"go/types"
+	"slices"
+	"strconv"
 	"strings"
 
 	"efdedup/lint/analysis"
-	"efdedup/lint/internal/cfg"
-	"efdedup/lint/internal/dataflow"
-	"efdedup/lint/internal/summary"
 	"efdedup/lint/internal/wire"
 )
 
-// Analyzer detects decoder reads not dominated by length checks.
+// Analyzer confines body reads to the codec package.
 var Analyzer = &analysis.Analyzer{
 	Name: "lenguard",
-	Doc:  "handler-reachable decoders must bounds-check before reading and must error on malformed input",
+	Doc:  "packages with wire layouts read bodies through internal/codec only: no encoding/binary, no slicing a request body",
 	Run:  run,
 }
 
-var scopePrefixes = []string{"decode", "read", "parse", "unmarshal", "merge", "handle"}
-
 func run(pass *analysis.Pass) error {
 	ix := pass.Wire
-	if ix == nil || pass.Summaries == nil || pass.CFGs == nil {
+	if ix == nil || !slices.Contains(ix.Pkgs(), pass.Pkg.Path()) {
 		return nil
 	}
-	var roots []string
-	seen := make(map[string]bool)
+	handlers := make(map[string]bool)
 	for _, s := range ix.Sites {
-		if s.Kind == wire.Registration && s.HandlerID != "" && !seen[s.HandlerID] {
-			seen[s.HandlerID] = true
-			roots = append(roots, s.HandlerID)
+		if s.Kind == wire.Registration {
+			handlers[s.HandlerID] = true
 		}
 	}
-	reach := pass.Summaries.ReachableFrom(roots, summary.ReachOptions{FollowAsync: true, FollowRefs: true})
-	inTransport := pass.Pkg.Name() == "transport"
 	for _, f := range pass.Files {
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); path == "encoding/binary" {
+				pass.Reportf(imp.Pos(), "%s owns a wire layout: read and write fields with internal/codec, not encoding/binary", pass.Pkg.Name())
+			}
+		}
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !nameInScope(fd.Name.Name) {
+			if !ok || fd.Body == nil {
 				continue
 			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
+			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			if fn == nil || !(handlers[fn.FullName()] || bodyReader(fd.Name.Name)) {
 				continue
 			}
-			param := byteSliceParam(pass, fd)
-			if param == nil {
-				continue
-			}
-			if !inTransport && reach.Path(fn.FullName()) == nil {
-				continue
-			}
-			checkOverflow(pass, fd)
-			checkSilentDrop(pass, fd, fn)
-			checkBounds(pass, fd, param)
+			checkBodies(pass, fd)
 		}
 	}
 	return nil
 }
 
-func nameInScope(name string) bool {
-	lower := strings.ToLower(name)
-	for _, p := range scopePrefixes {
-		if strings.HasPrefix(lower, p) {
-			return true
-		}
-	}
-	return false
+func bodyReader(name string) bool {
+	name = strings.ToLower(name)
+	return strings.HasPrefix(name, "decode") || strings.HasPrefix(name, "read") || strings.HasPrefix(name, "handle")
 }
 
-// byteSliceParam returns the object of the first []byte parameter.
-func byteSliceParam(pass *analysis.Pass, fd *ast.FuncDecl) types.Object {
+// checkBodies flags every index or slice of fd's []byte parameters.
+func checkBodies(pass *analysis.Pass, fd *ast.FuncDecl) {
+	params := make(map[types.Object]bool)
 	for _, field := range fd.Type.Params.List {
 		for _, name := range field.Names {
-			obj := pass.TypesInfo.Defs[name]
-			if obj != nil && isByteSlice(obj.Type()) {
-				return obj
+			if obj := pass.TypesInfo.Defs[name]; obj != nil && wire.IsByteSlice(obj.Type()) {
+				params[obj] = true
 			}
 		}
-	}
-	return nil
-}
-
-func isByteSlice(t types.Type) bool {
-	s, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Byte
-}
-
-// ---------------------------------------------------------------------
-// Overflowing length comparisons
-// ---------------------------------------------------------------------
-
-// checkOverflow flags comparisons where len() of a byte slice is
-// narrowed below 64 bits against a non-constant bound: the narrowing
-// (or the narrow arithmetic it forces on the other side) wraps on
-// adversarial input, defeating the guard.
-func checkOverflow(pass *analysis.Pass, fd *ast.FuncDecl) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok || !isComparison(be.Op) {
-			return true
-		}
-		for _, pair := range [2][2]ast.Expr{{be.X, be.Y}, {be.Y, be.X}} {
-			lenSide, other := pair[0], pair[1]
-			bits := narrowLenConversion(pass, lenSide)
-			if bits == 0 {
-				continue
-			}
-			if tv, ok := pass.TypesInfo.Types[other]; ok && tv.Value != nil {
-				continue // constant bound: wrong only for >4GiB inputs, not attacker-controlled
-			}
-			pass.Reportf(be.Pos(), "length guard compares %d-bit uint(len(...)) against a value from the wire: the narrow arithmetic wraps on adversarial input; compare with uint64 and return an error wrapping ErrProto", bits)
-			return true
-		}
-		return true
-	})
-}
-
-func isComparison(op token.Token) bool {
-	switch op {
-	case token.LSS, token.LEQ, token.GTR, token.GEQ:
-		return true
-	}
-	return false
-}
-
-// narrowLenConversion reports the width of a sub-64-bit unsigned
-// conversion whose operand involves len() of a byte slice, or 0.
-func narrowLenConversion(pass *analysis.Pass, e ast.Expr) int {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || len(call.Args) != 1 {
-		return 0
-	}
-	tv, ok := pass.TypesInfo.Types[call.Fun]
-	if !ok || !tv.IsType() {
-		return 0
-	}
-	b, ok := tv.Type.Underlying().(*types.Basic)
-	if !ok {
-		return 0
-	}
-	var bits int
-	switch b.Kind() {
-	case types.Uint8:
-		bits = 8
-	case types.Uint16:
-		bits = 16
-	case types.Uint32:
-		bits = 32
-	default:
-		return 0
-	}
-	if !mentionsByteLen(pass, call.Args[0]) {
-		return 0
-	}
-	return bits
-}
-
-// mentionsByteLen reports whether e contains len(<byte slice>).
-func mentionsByteLen(pass *analysis.Pass, e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) != 1 {
-			return true
-		}
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "len" {
-			if _, isBuiltin := pass.ObjectOf(id).(*types.Builtin); isBuiltin {
-				if tv, ok := pass.TypesInfo.Types[call.Args[0]]; ok && isByteSlice(tv.Type) {
-					found = true
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// ---------------------------------------------------------------------
-// Silent truncation
-// ---------------------------------------------------------------------
-
-// checkSilentDrop flags length guards that bail out of an error-less
-// decoder with a bare return: the malformed input vanishes.
-func checkSilentDrop(pass *analysis.Pass, fd *ast.FuncDecl, fn *types.Func) {
-	if returnsError(fn) {
-		return
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok {
-			return true
-		}
-		if !isLenComparison(pass, ifs.Cond) {
-			return true
-		}
-		for _, s := range ifs.Body.List {
-			if _, isRet := s.(*ast.ReturnStmt); isRet {
-				pass.Reportf(ifs.Pos(), "%s drops malformed input silently: this length guard returns without an error and the function has no error result; return an error wrapping ErrProto so callers see the truncation", fd.Name.Name)
-				return true
-			}
-		}
-		return true
-	})
-}
-
-func returnsError(fn *types.Func) bool {
-	res := fn.Type().(*types.Signature).Results()
-	for i := 0; i < res.Len(); i++ {
-		if named, ok := res.At(i).Type().(*types.Named); ok && named.Obj().Name() == "error" && named.Obj().Pkg() == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// isLenComparison reports whether cond (possibly under !/&&/||)
-// compares len of a byte slice against something.
-func isLenComparison(pass *analysis.Pass, cond ast.Expr) bool {
-	switch e := ast.Unparen(cond).(type) {
-	case *ast.UnaryExpr:
-		if e.Op == token.NOT {
-			return isLenComparison(pass, e.X)
-		}
-	case *ast.BinaryExpr:
-		if e.Op == token.LAND || e.Op == token.LOR {
-			return isLenComparison(pass, e.X) || isLenComparison(pass, e.Y)
-		}
-		switch e.Op {
-		case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
-			return mentionsByteLen(pass, e.X) || mentionsByteLen(pass, e.Y)
-		}
-	}
-	return false
-}
-
-// ---------------------------------------------------------------------
-// Path-sensitive bounds checking
-// ---------------------------------------------------------------------
-
-// state is the dataflow fact: the guaranteed minimum of len(param) on
-// this path. tracked goes false when the parameter is reassigned to
-// something other than a reslice of itself — past that point reads are
-// not the original input and stay unchecked.
-type state struct {
-	reached bool
-	tracked bool
-	bound   int64
-}
-
-func checkBounds(pass *analysis.Pass, fd *ast.FuncDecl, param types.Object) {
-	g := pass.CFGs.For(fd)
-	c := &boundsChecker{pass: pass, param: param}
-	res := dataflow.Solve(g, dataflow.Analysis[state]{
-		Dir:      dataflow.Forward,
-		Bottom:   func() state { return state{} },
-		Boundary: func() state { return state{reached: true, tracked: true} },
-		Join: func(a, b state) state {
-			if !a.reached {
-				return b
-			}
-			if !b.reached {
-				return a
-			}
-			bound := a.bound
-			if b.bound < bound {
-				bound = b.bound
-			}
-			return state{reached: true, tracked: a.tracked && b.tracked, bound: bound}
-		},
-		Equal: func(a, b state) bool { return a == b },
-		Transfer: func(b *cfg.Block, in state) state {
-			return c.transfer(b, in, false)
-		},
-		FlowEdge: c.refine,
-	})
-	// Replay each block from its fixed-point entry fact, this time
-	// reporting reads that outrun the guarantee.
-	c.reported = make(map[token.Pos]bool)
-	for _, b := range g.Blocks {
-		c.transfer(b, res.In[b], true)
-	}
-}
-
-type boundsChecker struct {
-	pass     *analysis.Pass
-	param    types.Object
-	reported map[token.Pos]bool
-}
-
-// transfer interprets one block. With report set it also flags reads
-// whose requirement exceeds the current guarantee.
-func (c *boundsChecker) transfer(b *cfg.Block, in state, report bool) state {
-	st := in
-	if !st.reached {
-		return st
-	}
-	for _, n := range b.Nodes {
-		if st.tracked && report {
-			c.checkReads(n, st.bound)
-		}
-		st = c.effect(n, st)
-	}
-	return st
-}
-
-// effect applies a node's change to the guarantee.
-func (c *boundsChecker) effect(n ast.Node, st state) state {
-	as, ok := n.(*ast.AssignStmt)
-	if !ok {
-		return st
-	}
-	for i, lhs := range as.Lhs {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
-		if !ok || c.pass.ObjectOf(id) != c.param {
-			continue
-		}
-		// param = param[k:] consumes k bytes of the guarantee; any
-		// other assignment makes the variable something else.
-		if len(as.Lhs) == 1 && len(as.Rhs) == 1 {
-			if sl, ok := ast.Unparen(as.Rhs[0]).(*ast.SliceExpr); ok && c.isParam(sl.X) && sl.High == nil && sl.Slice3 == false {
-				if k, ok := c.intConst(sl.Low); ok {
-					st.bound -= k
-					if st.bound < 0 {
-						st.bound = 0
-					}
-				} else {
-					st.bound = 0
-				}
-				return st
-			}
-		}
-		_ = i
-		st.tracked = false
-		st.bound = 0
-	}
-	return st
-}
-
-// checkReads flags fixed-requirement reads of param exceeding bound.
-// Short-circuit operators refine the bound mid-expression: in
-// `len(p) < 10 || p[0] != x` the index read only executes once the
-// length check has passed.
-func (c *boundsChecker) checkReads(n ast.Node, bound int64) {
-	ast.Inspect(n, func(x ast.Node) bool {
-		switch e := x.(type) {
-		case *ast.BinaryExpr:
-			if e.Op == token.LAND || e.Op == token.LOR {
-				c.checkReads(e.X, bound)
-				c.checkReads(e.Y, c.refineCond(e.X, e.Op == token.LAND, bound))
-				return false
-			}
-		case *ast.CallExpr:
-			// Skip len(param)/cap(param) — not reads.
-			if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
-				if _, isBuiltin := c.pass.ObjectOf(id).(*types.Builtin); isBuiltin {
-					return false
-				}
-			}
-			if need, pos, ok := c.binaryReadNeed(e); ok {
-				c.flag(pos, need, bound)
-				return false
-			}
+		var x ast.Expr
+		switch n := n.(type) {
 		case *ast.IndexExpr:
-			if c.isParam(e.X) {
-				if i, ok := c.intConst(e.Index); ok {
-					c.flag(e.Pos(), i+1, bound)
-				}
-			}
+			x = n.X
 		case *ast.SliceExpr:
-			if c.isParam(e.X) {
-				if e.High != nil {
-					if hi, ok := c.intConst(e.High); ok {
-						c.flag(e.Pos(), hi, bound)
-						return true
-					}
-				}
-				if e.Low != nil {
-					if lo, ok := c.intConst(e.Low); ok {
-						c.flag(e.Pos(), lo, bound)
-					}
-				}
-			}
+			x = n.X
+		default:
+			return true
+		}
+		if id, ok := ast.Unparen(x).(*ast.Ident); ok && params[pass.TypesInfo.Uses[id]] {
+			pass.Reportf(n.Pos(), "%s slices its body %s by hand: read it through a codec.Reader, which checks every length", fd.Name.Name, id.Name)
 		}
 		return true
 	})
-}
-
-// binaryReadNeed recognizes binary.BigEndian/LittleEndian.UintN(param)
-// and UintN(param[lo:]) reads, returning the byte requirement.
-func (c *boundsChecker) binaryReadNeed(call *ast.CallExpr) (int64, token.Pos, bool) {
-	fn, ok := c.pass.CalleeObject(call).(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "encoding/binary" || len(call.Args) == 0 {
-		return 0, token.NoPos, false
-	}
-	var width int64
-	switch fn.Name() {
-	case "Uint16":
-		width = 2
-	case "Uint32":
-		width = 4
-	case "Uint64":
-		width = 8
-	default:
-		return 0, token.NoPos, false
-	}
-	arg := ast.Unparen(call.Args[0])
-	if c.isParam(arg) {
-		return width, call.Pos(), true
-	}
-	if sl, ok := arg.(*ast.SliceExpr); ok && c.isParam(sl.X) && sl.High == nil {
-		if sl.Low == nil {
-			return width, call.Pos(), true
-		}
-		if lo, ok := c.intConst(sl.Low); ok {
-			return lo + width, call.Pos(), true
-		}
-	}
-	return 0, token.NoPos, false
-}
-
-func (c *boundsChecker) flag(pos token.Pos, need, bound int64) {
-	if need <= bound || c.reported[pos] {
-		return
-	}
-	c.reported[pos] = true
-	c.pass.Reportf(pos, "read of %s needs at least %d byte(s) but only %d are guaranteed by length checks on this path; guard the remaining length and return an error wrapping ErrProto", c.param.Name(), need, bound)
-}
-
-func (c *boundsChecker) isParam(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && c.pass.ObjectOf(id) == c.param
-}
-
-func (c *boundsChecker) intConst(e ast.Expr) (int64, bool) {
-	if e == nil {
-		return 0, false
-	}
-	tv, ok := c.pass.TypesInfo.Types[e]
-	if !ok || tv.Value == nil {
-		return 0, false
-	}
-	v := constant.ToInt(tv.Value)
-	if v.Kind() != constant.Int {
-		return 0, false
-	}
-	return constant.Int64Val(v)
-}
-
-// refine tightens the guarantee across a branch edge using the branch
-// condition: the false arm of `if len(src) < 8` guarantees 8 bytes.
-func (c *boundsChecker) refine(e *cfg.Edge, f state) state {
-	if !f.reached || e.Cond == nil {
-		return f
-	}
-	f.bound = c.refineCond(e.Cond, !e.Negate, f.bound)
-	return f
-}
-
-func (c *boundsChecker) refineCond(cond ast.Expr, taken bool, bound int64) int64 {
-	switch e := ast.Unparen(cond).(type) {
-	case *ast.UnaryExpr:
-		if e.Op == token.NOT {
-			return c.refineCond(e.X, !taken, bound)
-		}
-	case *ast.BinaryExpr:
-		switch e.Op {
-		case token.LAND:
-			if taken { // both conjuncts hold
-				return c.refineCond(e.Y, true, c.refineCond(e.X, true, bound))
-			}
-		case token.LOR:
-			if !taken { // both disjuncts fail
-				return c.refineCond(e.Y, false, c.refineCond(e.X, false, bound))
-			}
-		case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
-			if lower, ok := c.lowerBoundFrom(e, taken); ok && lower > bound {
-				return lower
-			}
-		}
-	}
-	return bound
-}
-
-// lowerBoundFrom extracts a lower bound on len(param) from a
-// comparison known to be true (taken) or false.
-func (c *boundsChecker) lowerBoundFrom(e *ast.BinaryExpr, taken bool) (int64, bool) {
-	op := e.Op
-	lenC, lhsIsLen := c.lenTerm(e.X)
-	other := e.Y
-	if !lhsIsLen {
-		lenC, lhsIsLen = c.lenTerm(e.Y)
-		if !lhsIsLen {
-			return 0, false
-		}
-		other = e.X
-		// Mirror: K op len → len (reverse op) K.
-		switch op {
-		case token.LSS:
-			op = token.GTR
-		case token.LEQ:
-			op = token.GEQ
-		case token.GTR:
-			op = token.LSS
-		case token.GEQ:
-			op = token.LEQ
-		}
-	}
-	k, ok := c.intConst(other)
-	if !ok {
-		return 0, false
-	}
-	// The comparison is (len(param) + lenC) op k. Normalize the known
-	// outcome to a lower bound on len(param).
-	if !taken {
-		switch op {
-		case token.LSS:
-			op, taken = token.GEQ, true
-		case token.LEQ:
-			op, taken = token.GTR, true
-		case token.GTR:
-			op, taken = token.LEQ, true
-		case token.GEQ:
-			op, taken = token.LSS, true
-		case token.EQL:
-			op, taken = token.NEQ, true
-		case token.NEQ:
-			op, taken = token.EQL, true
-		}
-	}
-	switch op {
-	case token.GEQ: // len + c >= k
-		return k - lenC, true
-	case token.GTR: // len + c > k
-		return k - lenC + 1, true
-	case token.EQL: // len + c == k
-		return k - lenC, true
-	case token.NEQ: // len + c != k: only useful against zero
-		if k-lenC == 0 {
-			return 1, true
-		}
-	}
-	return 0, false
-}
-
-// lenTerm recognizes len(param) possibly offset by a constant and
-// wrapped in integer conversions: len(p), uint32(len(p)),
-// uint64(len(p)-4), len(p)+8. Returns the constant offset c such that
-// the term equals len(param)+c.
-func (c *boundsChecker) lenTerm(e ast.Expr) (int64, bool) {
-	e = ast.Unparen(e)
-	// Peel conversions.
-	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 1 {
-		if tv, ok := c.pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
-			return c.lenTerm(call.Args[0])
-		}
-	}
-	if be, ok := e.(*ast.BinaryExpr); ok && (be.Op == token.ADD || be.Op == token.SUB) {
-		if off, ok := c.lenTermBase(be.X); ok {
-			if k, kok := c.intConst(be.Y); kok {
-				if be.Op == token.SUB {
-					k = -k
-				}
-				return off + k, true
-			}
-			return 0, false
-		}
-		if be.Op == token.ADD {
-			if off, ok := c.lenTermBase(be.Y); ok {
-				if k, kok := c.intConst(be.X); kok {
-					return off + k, true
-				}
-			}
-		}
-		return 0, false
-	}
-	return c.lenTermBase(e)
-}
-
-// lenTermBase recognizes a bare (possibly converted) len(param) call.
-func (c *boundsChecker) lenTermBase(e ast.Expr) (int64, bool) {
-	e = ast.Unparen(e)
-	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 1 {
-		if tv, ok := c.pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
-			return c.lenTermBase(call.Args[0])
-		}
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "len" {
-			if _, isBuiltin := c.pass.ObjectOf(id).(*types.Builtin); isBuiltin && c.isParam(call.Args[0]) {
-				return 0, true
-			}
-		}
-	}
-	return 0, false
 }

@@ -1,13 +1,12 @@
-// Fixtures for the lenguard analyzer: handler-reachable decoders must
-// bounds-check before fixed-width reads, must not narrow length
-// comparisons below 64 bits against wire-controlled values, and must
-// surface malformed input as an error.
+// Fixtures for the lenguard analyzer: a package with wire layouts reads
+// request bodies through the codec package only.
 package lenguard
 
 import (
-	"encoding/binary"
+	"encoding/binary" // want `lenguard owns a wire layout: read and write fields with internal/codec, not encoding/binary`
 	"errors"
 
+	"codec"
 	"transport"
 )
 
@@ -17,114 +16,39 @@ var table = map[uint64]bool{}
 
 func register(s *transport.Server) {
 	s.Handle("len.naked", handleNaked)
-	s.Handle("len.guarded", handleGuarded)
-	s.Handle("len.shifted", handleShifted)
-	s.Handle("len.narrow", handleNarrow)
-	s.Handle("len.merge", handleMerge)
-	s.Handle("len.loop", handleLoop)
-	s.Handle("len.exact", handleExact)
+	s.Handle("len.cursor", handleCursor)
+	s.Handle("len.literal", func(body []byte) ([]byte, error) { return nil, nil })
 }
 
 // --- positives -------------------------------------------------------
 
-// The plain panic: no length check at all before an 8-byte read.
+// A handler that slices its body by hand.
 func handleNaked(body []byte) ([]byte, error) {
-	v := binary.BigEndian.Uint64(body) // want `needs at least 8 byte\(s\) but only 0 are guaranteed`
-	table[v] = true
-	return nil, nil
-}
-
-// A reslice consumes the guarantee: 8 checked, 4 consumed, 8 more read.
-func handleShifted(body []byte) ([]byte, error) {
 	if len(body) < 8 {
 		return nil, errProto
 	}
-	a := binary.BigEndian.Uint32(body)
-	body = body[4:]
-	b := binary.BigEndian.Uint64(body) // want `needs at least 8 byte\(s\) but only 4 are guaranteed`
-	_ = a
-	table[b] = true
+	table[binary.BigEndian.Uint64(body[:8])] = true // want `handleNaked slices its body body by hand`
 	return nil, nil
 }
 
-// Narrow guard arithmetic wraps: uint32(len)+n overflows for hostile n.
-func handleNarrow(body []byte) ([]byte, error) {
-	return nil, decodeNarrow(body)
-}
-
-func decodeNarrow(src []byte) error {
-	if len(src) < 4 {
-		return errProto
+// A decoder that indexes its input.
+func decodeFlag(src []byte) (bool, error) {
+	if len(src) == 0 {
+		return false, errProto
 	}
-	n := binary.BigEndian.Uint32(src)
-	if uint32(len(src)) < n+4 { // want `32-bit uint\(len\(\.\.\.\)\) against a value from the wire`
-		return errProto
-	}
-	_ = src[4:]
-	return nil
-}
-
-// No error result: truncated input is silently swallowed.
-func handleMerge(body []byte) ([]byte, error) {
-	mergeTable(body)
-	return nil, nil
-}
-
-func mergeTable(src []byte) {
-	if len(src) < 8 { // want `mergeTable drops malformed input silently`
-		return
-	}
-	table[binary.BigEndian.Uint64(src)] = true
+	return src[0] == 1, nil // want `decodeFlag slices its body src by hand`
 }
 
 // --- negatives -------------------------------------------------------
 
-// Fully guarded fixed reads.
-func handleGuarded(body []byte) ([]byte, error) {
-	if len(body) < 12 {
-		return nil, errProto
-	}
-	a := binary.BigEndian.Uint32(body)
-	b := binary.BigEndian.Uint64(body[4:])
-	table[uint64(a)] = true
-	table[b] = true
-	return nil, nil
+// The cursor owns every length check.
+func handleCursor(body []byte) ([]byte, error) {
+	r := codec.NewReader(body, errProto)
+	table[r.U64()] = true
+	return nil, r.End()
 }
 
-// A per-iteration guard re-establishes the guarantee after each
-// variable-length consume; 64-bit comparison vs a wire value is fine.
-func handleLoop(body []byte) ([]byte, error) {
-	if len(body) < 4 {
-		return nil, errProto
-	}
-	count := binary.BigEndian.Uint32(body)
-	body = body[4:]
-	for i := uint32(0); i < count; i++ {
-		if len(body) < 12 {
-			return nil, errProto
-		}
-		n := binary.BigEndian.Uint32(body)
-		if uint64(len(body)) < 12+uint64(n) {
-			return nil, errProto
-		}
-		table[binary.BigEndian.Uint64(body[4:])] = true
-		body = body[12:]
-		body = body[n:]
-	}
-	return nil, nil
-}
+func encodeItem(v uint64) []byte { return codec.U64(nil, v) }
 
-// Equality pins the exact size.
-func handleExact(body []byte) ([]byte, error) {
-	if len(body) != 8 {
-		return nil, errProto
-	}
-	table[binary.BigEndian.Uint64(body)] = true
-	return nil, nil
-}
-
-// Not reachable from any registered handler: out of scope even though
-// the name and signature match.
-func decodeUnreachable(src []byte) uint64 {
-	return binary.BigEndian.Uint64(src)
-}
+// Slicing a buffer that is not a request body is fine.
+func splitHalves(b []byte) ([]byte, []byte) { return b[:len(b)/2], b[len(b)/2:] }

@@ -3,9 +3,9 @@
 package wirelockclean
 
 import (
-	"encoding/binary"
 	"errors"
 
+	"codec"
 	"transport"
 )
 
@@ -20,12 +20,10 @@ func invoke(c *transport.Client) {
 }
 
 func encodeItem(dst []byte, v uint64) []byte {
-	return binary.BigEndian.AppendUint64(dst, v)
+	return codec.U64(dst, v)
 }
 
 func decodeItem(src []byte) (uint64, error) {
-	if len(src) < 8 {
-		return 0, errProto
-	}
-	return binary.BigEndian.Uint64(src), nil
+	r := codec.NewReader(src, errProto)
+	return r.U64(), r.End()
 }

@@ -4,9 +4,9 @@
 package wirelockstale // want `wire\.lock is stale: method stale\.gone \(pkg=wirelockstale\) is locked but no longer appears in the code` `wire\.lock is stale: layout encode wirelockstale\.encodeItem changed: lock has "u32", code has "u64"` `wire\.lock is stale: layout encode wirelockstale\.encodeExtra \("u32 \| u32"\) is new and not in wire\.lock`
 
 import (
-	"encoding/binary"
 	"errors"
 
+	"codec"
 	"transport"
 )
 
@@ -21,18 +21,16 @@ func invoke(c *transport.Client) {
 }
 
 func encodeItem(dst []byte, v uint64) []byte {
-	return binary.BigEndian.AppendUint64(dst, v)
+	return codec.U64(dst, v)
 }
 
 func decodeItem(src []byte) (uint64, error) {
-	if len(src) < 8 {
-		return 0, errProto
-	}
-	return binary.BigEndian.Uint64(src), nil
+	r := codec.NewReader(src, errProto)
+	return r.U64(), r.End()
 }
 
 func encodeExtra(dst []byte, a, b uint32) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, a)
-	dst = binary.BigEndian.AppendUint32(dst, b)
+	dst = codec.U32(dst, a)
+	dst = codec.U32(dst, b)
 	return dst
 }

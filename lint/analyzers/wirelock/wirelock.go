@@ -40,7 +40,7 @@ func run(pass *analysis.Pass) error {
 	if ix == nil || len(pass.Files) == 0 {
 		return nil
 	}
-	if anchor := ix.AnchorPkg(); anchor == "" || pass.Pkg.Path() != anchor {
+	if pkgs := ix.Pkgs(); len(pkgs) == 0 || pass.Pkg.Path() != pkgs[0] {
 		return nil
 	}
 	got := wire.NewLock(ix, LintModulePrefix)

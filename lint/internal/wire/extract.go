@@ -2,15 +2,14 @@ package wire
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 
 	"efdedup/lint/internal/load"
 )
 
-// Extractor lowers codec function bodies into abstract layouts, with
-// memoization so helper splices (encodeEntry calling appendBytes,
-// decodeScan calling decodeEntry) are extracted once.
+// Extractor reads codec functions into layouts, with memoization so a
+// codec that calls another (encodeEntry from appendScan, readEntry from
+// decodeScan) is read once.
 type Extractor struct {
 	funcs   map[string]*funcSrc
 	layouts map[extractKey]*Layout
@@ -28,8 +27,7 @@ type extractKey struct {
 	dir Dir
 }
 
-// NewExtractor indexes every declared function in pkgs for extraction
-// and helper-splice resolution.
+// NewExtractor indexes every declared function in pkgs.
 func NewExtractor(pkgs []*load.Package) *Extractor {
 	ex := &Extractor{
 		funcs:   make(map[string]*funcSrc),
@@ -43,13 +41,10 @@ func NewExtractor(pkgs []*load.Package) *Extractor {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				fid := obj.FullName()
-				if _, dup := ex.funcs[fid]; !dup {
-					ex.funcs[fid] = &funcSrc{decl: fd, pkg: pkg, fn: obj}
+				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					if _, dup := ex.funcs[obj.FullName()]; !dup {
+						ex.funcs[obj.FullName()] = &funcSrc{decl: fd, pkg: pkg, fn: obj}
+					}
 				}
 			}
 		}
@@ -57,10 +52,11 @@ func NewExtractor(pkgs []*load.Package) *Extractor {
 	return ex
 }
 
-// Layout extracts (or returns the memoized) layout of the function with
-// the given FuncID in the given direction. Returns nil when the
-// function is unknown or structurally not a codec (no builder found, no
-// []byte input).
+// Layout returns the (memoized) layout of the function with the given
+// FuncID in the given direction, or nil when the function is unknown or
+// is not a codec in that direction: an encoder returns a []byte and a
+// decoder reads a []byte or *codec.Reader parameter through a
+// codec.Reader.
 func (ex *Extractor) Layout(fid string, dir Dir) *Layout {
 	key := extractKey{fid, dir}
 	if l, ok := ex.layouts[key]; ok {
@@ -71,15 +67,276 @@ func (ex *Extractor) Layout(fid string, dir Dir) *Layout {
 		return nil
 	}
 	ex.inwork[key] = true
-	var l *Layout
-	if dir == Encode {
-		l = extractEncode(ex, src)
-	} else {
-		l = extractDecode(ex, src)
-	}
+	l := ex.extract(src, dir)
 	delete(ex.inwork, key)
 	ex.layouts[key] = l
 	return l
+}
+
+func (ex *Extractor) extract(src *funcSrc, dir Dir) *Layout {
+	sig := src.fn.Type().(*types.Signature)
+	w := &walker{ex: ex, info: src.pkg.Info, dir: dir}
+	switch {
+	case dir == Encode && (sig.Results().Len() == 0 || !IsByteSlice(sig.Results().At(0).Type())):
+		return nil
+	case dir == Decode:
+		params := sig.Params()
+		input := false
+		for i := 0; i < params.Len(); i++ {
+			t := params.At(i).Type()
+			_, ptr := t.(*types.Pointer)
+			w.rest = w.rest || ptr && isReader(t) // the caller reads on after this helper
+			input = input || w.rest || IsByteSlice(t)
+		}
+		if !input {
+			return nil
+		}
+	}
+	w.stmts(src.decl.Body.List)
+	if dir == Decode && len(w.fields) == 0 && !w.rest {
+		return nil
+	}
+	return &Layout{FuncID: src.fn.FullName(), Pkg: src.pkg.PkgPath, Dir: dir, Fields: w.fields, Rest: w.rest}
+}
+
+// walker collects one function's codec calls in evaluation order.
+type walker struct {
+	ex     *Extractor
+	info   *types.Info
+	dir    Dir
+	fields []Field
+	rest   bool
+	// count marks the last field as a u32 that counts the loop right
+	// after it: a Reader.Count, or an encoder's U32.
+	count bool
+}
+
+func (w *walker) emit(fs ...Field) {
+	w.fields = append(w.fields, fs...)
+	w.count = false
+}
+
+// sub walks s in a fresh walker and returns its fields, and whether it
+// leaves the rest of the body to the caller.
+func (w *walker) sub(s ast.Stmt) ([]Field, bool) {
+	v := &walker{ex: w.ex, info: w.info, dir: w.dir}
+	v.stmt(s)
+	return v.fields, v.rest
+}
+
+func (w *walker) stmts(list []ast.Stmt) {
+	for _, s := range list {
+		w.stmt(s)
+	}
+}
+
+func (w *walker) stmt(s ast.Stmt) {
+	switch s := s.(type) {
+	case *ast.BlockStmt:
+		w.stmts(s.List)
+	case *ast.CaseClause:
+		w.stmts(s.Body)
+	case *ast.CommClause:
+		w.stmts(s.Body)
+	case *ast.RangeStmt:
+		w.expr(s.X)
+		w.loop(s.Body)
+	case *ast.ForStmt:
+		w.stmt(s.Init)
+		w.loop(s.Body)
+	case *ast.IfStmt:
+		w.stmt(s.Init)
+		w.expr(s.Cond)
+		w.branches(s.Body, s.Else)
+	case *ast.SwitchStmt:
+		w.stmt(s.Init)
+		w.expr(s.Tag)
+		w.branches(s.Body)
+	case *ast.TypeSwitchStmt:
+		w.branches(s.Body)
+	case *ast.SelectStmt:
+		w.branches(s.Body)
+	case nil:
+	default:
+		w.expr(s)
+	}
+}
+
+// loop reads a loop body: a count right before it makes it a list32,
+// anything else a repeat. A loop without codec calls is not a field.
+func (w *walker) loop(body *ast.BlockStmt) {
+	elem, rest := w.sub(body)
+	w.rest = w.rest || rest
+	if len(elem) == 0 {
+		return
+	}
+	f := Field{Kind: KList, Elem: elem}
+	if w.count {
+		w.fields = w.fields[:len(w.fields)-1]
+		f.Prefix = KU32
+	}
+	w.emit(f)
+}
+
+// branches makes code that runs conditionally one opaque field, if it
+// reads or writes the body at all.
+func (w *walker) branches(stmts ...ast.Stmt) {
+	for _, s := range stmts {
+		if fields, rest := w.sub(s); len(fields) > 0 || rest {
+			w.emit(Field{Kind: KOpaque})
+			return
+		}
+	}
+}
+
+// expr visits the calls in n, each after its arguments.
+func (w *walker) expr(n ast.Node) {
+	if n == nil {
+		return
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false // runs later, if at all
+		case *ast.CallExpr:
+			if w.restSplice(n) {
+				return false
+			}
+			w.expr(n.Fun)
+			for _, a := range n.Args {
+				w.expr(a)
+			}
+			w.call(n)
+			return false
+		}
+		return true
+	})
+}
+
+// restSplice reads decodeX(r.Rest()) — a decoder handed the rest of the
+// body — as decodeX's fields.
+func (w *walker) restSplice(call *ast.CallExpr) bool {
+	if w.dir != Decode || len(call.Args) != 1 {
+		return false
+	}
+	arg, ok := ast.Unparen(call.Args[0]).(*ast.CallExpr)
+	if !ok || readerMethod(w.info, arg) != "Rest" {
+		return false
+	}
+	fn := calleeFunc(w.info, call)
+	if fn == nil {
+		return false
+	}
+	l := w.ex.Layout(fn.FullName(), Decode)
+	if l == nil {
+		return false
+	}
+	w.emit(l.Fields...)
+	return true
+}
+
+// call adds what one call contributes to the layout.
+func (w *walker) call(call *ast.CallExpr) {
+	if w.dir == Decode {
+		w.decodeCall(call)
+		return
+	}
+	if isBuiltin(w.info, call, "append") {
+		switch {
+		case !call.Ellipsis.IsValid():
+			w.emit(Field{Kind: KOpaque}) // raw bytes: not a codec field
+		case w.encoderLayout(call.Args[len(call.Args)-1]) == nil:
+			w.emit(Field{Kind: KTail})
+		}
+		return
+	}
+	if fn := calleeFunc(w.info, call); fn != nil && isCodecPkg(fn.Pkg()) {
+		if f, ok := codecFields[fn.Name()]; ok {
+			w.emit(f)
+			w.count = f.Kind == KU32
+		}
+	} else if l := w.encoderLayout(call); l != nil && len(l.Fields) > 0 {
+		w.emit(l.Fields...)
+	} else if l != nil {
+		w.emit(Field{Kind: KOpaque}) // builds bytes some other way
+	}
+}
+
+// encoderLayout returns the layout of the module function returning a
+// []byte that e calls, if it calls one.
+func (w *walker) encoderLayout(e ast.Expr) *Layout {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return nil
+	}
+	if fn := calleeFunc(w.info, call); fn != nil {
+		return w.ex.Layout(fn.FullName(), Encode)
+	}
+	return nil
+}
+
+func (w *walker) decodeCall(call *ast.CallExpr) {
+	switch m := readerMethod(w.info, call); m {
+	case "":
+	case "Rest":
+		w.rest = true
+		return
+	case "Count":
+		w.emit(Field{Kind: KU32})
+		w.count = true
+		return
+	default:
+		if f, ok := codecFields[m]; ok {
+			w.emit(f)
+		}
+		return
+	}
+	// A helper handed the reader reads on from where this function is.
+	fn := calleeFunc(w.info, call)
+	if fn == nil {
+		return
+	}
+	for _, a := range call.Args {
+		if _, ptr := w.info.TypeOf(a).(*types.Pointer); ptr && isReader(w.info.TypeOf(a)) {
+			if l := w.ex.Layout(fn.FullName(), Decode); l != nil {
+				w.emit(l.Fields...)
+			}
+			return
+		}
+	}
+}
+
+// codecFields maps codec appenders and Reader methods to their fields.
+var codecFields = map[string]Field{
+	"U8": {Kind: KU8}, "U16": {Kind: KU16}, "U32": {Kind: KU32}, "U64": {Kind: KU64},
+	"ID":      {Kind: KArray, Size: 32},
+	"Bytes8":  {Kind: KBytes, Prefix: KU8},
+	"Bytes16": {Kind: KBytes, Prefix: KU16},
+	"Bytes32": {Kind: KBytes, Prefix: KU32},
+}
+
+// isCodecPkg recognizes the codec package by name, so fixtures can stub
+// it.
+func isCodecPkg(p *types.Package) bool { return p != nil && p.Name() == "codec" }
+
+// isReader reports whether t is codec.Reader or a pointer to one.
+func isReader(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Reader" && isCodecPkg(named.Obj().Pkg())
+}
+
+// readerMethod returns the name of the codec.Reader method call calls,
+// or "".
+func readerMethod(info *types.Info, call *ast.CallExpr) string {
+	if fn := calleeFunc(info, call); fn != nil {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && isReader(recv.Type()) {
+			return fn.Name()
+		}
+	}
+	return ""
 }
 
 // ---------------------------------------------------------------------
@@ -87,7 +344,11 @@ func (ex *Extractor) Layout(fid string, dir Dir) *Layout {
 // ---------------------------------------------------------------------
 
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	if ix, ok := fun.(*ast.IndexExpr); ok { // an explicit instantiation
+		fun = ix.X
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		fn, _ := info.Uses[fun].(*types.Func)
 		return fn
@@ -111,85 +372,10 @@ func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 	return ok
 }
 
-// isConversion reports whether the call is a type conversion.
-func isConversion(info *types.Info, call *ast.CallExpr) bool {
-	tv, ok := info.Types[call.Fun]
-	return ok && tv.IsType()
-}
+// IsByteSlice reports whether t is a []byte.
+func IsByteSlice(t types.Type) bool { return types.Identical(t.Underlying(), byteSlice) }
 
-// binaryWidth maps an encoding/binary function name to a fixed-width
-// kind; varints map to KVarint.
-func binaryWidth(name string) (Kind, bool) {
-	switch name {
-	case "Uint16", "AppendUint16", "PutUint16":
-		return KU16, true
-	case "Uint32", "AppendUint32", "PutUint32":
-		return KU32, true
-	case "Uint64", "AppendUint64", "PutUint64":
-		return KU64, true
-	case "Uvarint", "AppendUvarint", "PutUvarint", "Varint", "AppendVarint", "PutVarint":
-		return KVarint, true
-	}
-	return KInvalid, false
-}
-
-// binaryCall classifies calls into the encoding/binary package (either
-// package functions or ByteOrder methods on binary.BigEndian /
-// binary.LittleEndian).
-func binaryCall(info *types.Info, call *ast.CallExpr) (name string, kind Kind, ok bool) {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "encoding/binary" {
-		return "", KInvalid, false
-	}
-	k, ok := binaryWidth(fn.Name())
-	if !ok {
-		return "", KInvalid, false
-	}
-	return fn.Name(), k, true
-}
-
-func kindBytes(k Kind) int {
-	switch k {
-	case KU8:
-		return 1
-	case KU16:
-		return 2
-	case KU32:
-		return 4
-	case KU64:
-		return 8
-	}
-	return 0
-}
-
-func intConst(info *types.Info, e ast.Expr) (int64, bool) {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
-		return 0, false
-	}
-	return constant.Int64Val(tv.Value)
-}
-
-func isByteSlice(t types.Type) bool {
-	s, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && (b.Kind() == types.Byte || b.Kind() == types.Uint8)
-}
-
-func byteArrayLen(t types.Type) (int, bool) {
-	a, ok := t.Underlying().(*types.Array)
-	if !ok {
-		return 0, false
-	}
-	b, ok := a.Elem().Underlying().(*types.Basic)
-	if !ok || (b.Kind() != types.Byte && b.Kind() != types.Uint8) {
-		return 0, false
-	}
-	return int(a.Len()), true
-}
+var byteSlice = types.NewSlice(types.Typ[types.Byte])
 
 func identObj(info *types.Info, e ast.Expr) types.Object {
 	id, ok := ast.Unparen(e).(*ast.Ident)
@@ -200,80 +386,4 @@ func identObj(info *types.Info, e ast.Expr) types.Object {
 		return o
 	}
 	return info.Uses[id]
-}
-
-// mentions reports whether node references obj.
-func mentions(info *types.Info, node ast.Node, obj types.Object) bool {
-	if obj == nil || node == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(node, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			if info.Uses[id] == obj || info.Defs[id] == obj {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// peelConversions strips nested type conversions: int(uint32(x)) → x.
-func peelConversions(info *types.Info, e ast.Expr) ast.Expr {
-	for {
-		e = ast.Unparen(e)
-		call, ok := e.(*ast.CallExpr)
-		if !ok || len(call.Args) != 1 || !isConversion(info, call) {
-			return e
-		}
-		e = call.Args[0]
-	}
-}
-
-// lenOperand decodes (a conversion of) len(E), returning E.
-func lenOperand(info *types.Info, e ast.Expr) (ast.Expr, bool) {
-	e = peelConversions(info, e)
-	call, ok := e.(*ast.CallExpr)
-	if !ok || len(call.Args) != 1 || !isBuiltin(info, call, "len") {
-		return nil, false
-	}
-	return call.Args[0], true
-}
-
-// canon is the canonical spelling of an expression, used to match a
-// length-prefix write with the blob append that follows it.
-func canon(e ast.Expr) string { return types.ExprString(ast.Unparen(e)) }
-
-// allReturns reports whether every statement in the block is a return —
-// the shape of a validation guard body.
-func allReturns(body *ast.BlockStmt) bool {
-	if body == nil || len(body.List) == 0 {
-		return false
-	}
-	for _, s := range body.List {
-		if _, ok := s.(*ast.ReturnStmt); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// firstByteSliceParam returns the object of the first []byte parameter.
-func firstByteSliceParam(info *types.Info, fd *ast.FuncDecl) types.Object {
-	if fd.Type.Params == nil {
-		return nil
-	}
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			obj := info.Defs[name]
-			if obj != nil && isByteSlice(obj.Type()) {
-				return obj
-			}
-		}
-	}
-	return nil
 }

@@ -77,42 +77,26 @@ func (ix *Index) Methods() []string {
 	return out
 }
 
-// AnchorPkg is the deterministic home for module-wide wirelock
-// diagnostics: the lexically first package containing a wire entity.
-func (ix *Index) AnchorPkg() string {
-	anchor := ""
-	consider := func(p string) {
-		if p != "" && (anchor == "" || p < anchor) {
-			anchor = p
-		}
-	}
+// Pkgs returns the packages holding a wire entity — an RPC site or a
+// codec layout — sorted. The first is the deterministic home for
+// module-wide wirelock diagnostics.
+func (ix *Index) Pkgs() []string {
+	seen := make(map[string]bool)
 	for _, s := range ix.Sites {
-		consider(s.PkgPath)
+		seen[s.PkgPath] = true
 	}
-	for fid := range ix.Encodes {
-		consider(layoutPkg(fid))
-	}
-	for fid := range ix.Decodes {
-		consider(layoutPkg(fid))
-	}
-	return anchor
-}
-
-// layoutPkg recovers the package path from a FuncID:
-// "efdedup/internal/kvstore.readBytes" and
-// "(*efdedup/internal/kvstore.Cluster).call" both map to
-// "efdedup/internal/kvstore".
-func layoutPkg(fid string) string {
-	s := strings.TrimPrefix(fid, "(")
-	s = strings.TrimPrefix(s, "*")
-	if i := strings.LastIndex(s, "/"); i >= 0 {
-		if j := strings.Index(s[i:], "."); j >= 0 {
-			return s[:i+j]
+	for _, m := range []map[string]*Layout{ix.Encodes, ix.Decodes} {
+		for _, l := range m {
+			seen[l.Pkg] = true
 		}
-	} else if j := strings.Index(s, "."); j >= 0 {
-		return s[:j]
 	}
-	return ""
+	delete(seen, "")
+	out := make([]string, 0, len(seen))
+	for p := range seen {
+		out = append(out, p)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // sink is a function known to forward one of its string parameters as

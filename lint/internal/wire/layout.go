@@ -1,21 +1,20 @@
-// Package wire extracts symbolic wire layouts from the module's
-// hand-rolled codec functions and indexes the RPC surface (method
-// registrations and call sites). It is the substrate of the
-// protocol-conformance analyzers (rpcpair, codecpair, lenguard,
-// wirelock): the store's collaborative index only works if every edge
-// agent, KV node and the cloud store agree byte-for-byte on the frame
-// format, and nothing in the type system checks that — encode and
-// decode are two independent pieces of straight-line byte shuffling.
+// Package wire reads the wire layouts of the module's codecs and indexes
+// its RPC surface (method registrations and call sites). It is the
+// substrate of the protocol-conformance analyzers (rpcpair, codecpair,
+// lenguard, wirelock): the store's collaborative index only works if
+// every edge agent, KV node and the cloud store agree byte-for-byte on
+// the frame format, and nothing in the type system checks that.
 //
-// The extractor walks encode/decode function bodies as a small abstract
-// interpreter and lowers the sequence of fixed-width writes
-// (binary.BigEndian.AppendUint32/PutUint64/...), varints,
-// length-prefixed blobs and count-prefixed lists into an abstract
-// field-layout per function. Extraction is best-effort by design: the
-// first construct the interpreter does not recognize marks the layout
-// opaque from that point, and consumers compare only the trusted
-// prefix — an unrecognized codec produces silence, never a false
-// mismatch.
+// Every byte format is built with internal/codec's appenders and read
+// back through its Reader, so a codec's layout is the sequence of codec
+// calls its function makes, in evaluation order: U32 reads as u32, ID as
+// array32, Bytes16 as bytes16, a Count (or, when encoding, a U32) right
+// before a loop as list32<the loop's fields>, any other loop of codec
+// calls as repeat<…>, and a call of another codec function as that
+// function's fields. What the extractor cannot read — a codec call under
+// a condition, a foreign buffer transform — is a "?" field, and
+// consumers compare only the fields before the first "?": an
+// unrecognized codec produces silence, never a false mismatch.
 package wire
 
 import (
@@ -34,62 +33,29 @@ const (
 	KU16
 	KU32
 	KU64
-	// KVarint is an unsigned LEB128 varint (binary.AppendUvarint).
-	KVarint
 	// KBytes is a length-prefixed blob; Field.Prefix holds the width of
 	// the length prefix.
 	KBytes
 	// KArray is a fixed-size byte array (Field.Size bytes), e.g. a
 	// 32-byte content hash.
 	KArray
-	// KList is a count-prefixed repetition of Field.Elem; Field.Prefix
-	// holds the width of the count prefix.
+	// KList is a repetition of Field.Elem; Field.Prefix holds the width
+	// of its count prefix, or KInvalid for a repetition that runs to the
+	// end of the body.
 	KList
 	// KTail is the unprefixed remainder of the payload.
 	KTail
+	// KOpaque is a stretch the extractor cannot read.
+	KOpaque
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KU8:
-		return "u8"
-	case KU16:
-		return "u16"
-	case KU32:
-		return "u32"
-	case KU64:
-		return "u64"
-	case KVarint:
-		return "varint"
-	case KBytes:
-		return "bytes"
-	case KArray:
-		return "array"
-	case KList:
-		return "list"
-	case KTail:
-		return "tail"
-	}
-	return "invalid"
-}
+var kindNames = [...]string{"invalid", "u8", "u16", "u32", "u64", "bytes", "array", "list", "tail", "?"}
+
+func (k Kind) String() string { return kindNames[k] }
 
 // prefixDigits renders the width of a bytes/list prefix for layout
-// strings: bytes8/bytes16/bytes32/bytes64 or bytesv (varint).
-func prefixDigits(k Kind) string {
-	switch k {
-	case KU8:
-		return "8"
-	case KU16:
-		return "16"
-	case KU32:
-		return "32"
-	case KU64:
-		return "64"
-	case KVarint:
-		return "v"
-	}
-	return "?"
-}
+// strings: the 32 of bytes32.
+func prefixDigits(k Kind) string { return strings.TrimPrefix(k.String(), "u") }
 
 // Field is one abstract wire field.
 type Field struct {
@@ -103,8 +69,8 @@ type Field struct {
 }
 
 // String renders the canonical single-token form used in layout strings
-// and in wire.lock: u8 u16 u32 u64 varint bytes32 array16 tail
-// list32<u64 | bytes32>.
+// and in wire.lock: u8 u16 u32 u64 bytes32 array16 tail ?
+// list32<u64 | bytes32> repeat<array32>.
 func (f Field) String() string {
 	switch f.Kind {
 	case KBytes:
@@ -115,6 +81,9 @@ func (f Field) String() string {
 		elems := make([]string, len(f.Elem))
 		for i, e := range f.Elem {
 			elems[i] = e.String()
+		}
+		if f.Prefix == KInvalid {
+			return "repeat<" + strings.Join(elems, " | ") + ">"
 		}
 		return "list" + prefixDigits(f.Prefix) + "<" + strings.Join(elems, " | ") + ">"
 	}
@@ -135,13 +104,15 @@ func (f Field) Equal(g Field) bool {
 	return true
 }
 
-// Dir distinguishes the two interpreter modes.
+// Dir distinguishes the two sides of a codec.
 type Dir int
 
 const (
-	// Encode layouts come from functions that build a []byte.
+	// Encode layouts come from functions that return a []byte built
+	// with codec appenders.
 	Encode Dir = iota
-	// Decode layouts come from functions that consume a []byte.
+	// Decode layouts come from functions that read a []byte parameter,
+	// or a *codec.Reader parameter, through a codec.Reader.
 	Decode
 )
 
@@ -156,55 +127,55 @@ func (d Dir) String() string {
 type Layout struct {
 	// FuncID is the stable cross-package key (types.Func.FullName).
 	FuncID string
+	Pkg    string // the declaring package's path
 	Dir    Dir
-	// Fields is the trusted extracted prefix of the wire format.
 	Fields []Field
-	// Opaque marks extraction that stopped before the end of the
-	// function: Fields is a prefix, and everything after it is unknown.
-	Opaque bool
-	// OpaqueReason says what stopped extraction (diagnostics only).
-	OpaqueReason string
-	// RestResult is the index of the decode function's result that
-	// returns the unconsumed remainder of the input for the caller to
-	// keep parsing (-1 when the function consumes the whole payload).
-	// A rest result matches either a trailing KTail on the encode side
+	// Rest marks a decoder that leaves the bytes after its fields to its
+	// caller: it returns Reader.Rest, or it reads off a *codec.Reader it
+	// was handed. It matches either a trailing KTail on the encode side
 	// (the remainder is a payload field) or nothing (the decoder is a
-	// splice helper).
-	RestResult int
+	// helper the caller splices).
+	Rest bool
 }
 
-// String renders the layout: "u32 | list32<bytes32> | tail", with a
-// trailing "?" marking an opaque suffix and "; rest" marking a
-// rest-returning decoder.
+// String renders the layout: "u32 | list32<bytes32> | tail", with
+// "; rest" marking a rest-leaving decoder.
 func (l *Layout) String() string {
-	parts := make([]string, 0, len(l.Fields)+1)
+	parts := make([]string, 0, len(l.Fields))
 	for _, f := range l.Fields {
 		parts = append(parts, f.String())
-	}
-	if l.Opaque {
-		parts = append(parts, "?")
 	}
 	s := strings.Join(parts, " | ")
 	if s == "" {
 		s = "empty"
 	}
-	if l.RestResult >= 0 {
+	if l.Rest {
 		s += " ; rest"
 	}
 	return s
 }
 
+// readable returns the fields before the first KOpaque, and whether
+// that is all of them.
+func (l *Layout) readable() ([]Field, bool) {
+	for i, f := range l.Fields {
+		if f.Kind == KOpaque {
+			return l.Fields[:i], false
+		}
+	}
+	return l.Fields, true
+}
+
 // Compare checks two layouts of one encode/decode pair field-for-field
-// over the prefix both sides extracted. It returns a human-readable
+// over the fields both sides read. It returns a human-readable
 // description of the first disagreement, or "" when the layouts are
-// consistent. A decoder's rest result absorbs a trailing KTail on the
-// encode side (the encoder's unprefixed remainder is exactly what the
-// decoder hands back).
+// consistent. A decoder that leaves the rest to its caller absorbs a
+// trailing KTail on the encode side (the encoder's unprefixed remainder
+// is exactly what the decoder hands back).
 func Compare(enc, dec *Layout) string {
-	ef, df := enc.Fields, dec.Fields
-	// A trailing encode-side tail pairs with the decoder returning the
-	// remainder instead of materializing a field.
-	if dec.RestResult >= 0 && len(ef) == len(df)+1 && ef[len(ef)-1].Kind == KTail {
+	ef, eAll := enc.readable()
+	df, dAll := dec.readable()
+	if dec.Rest && eAll && len(ef) == len(df)+1 && ef[len(ef)-1].Kind == KTail {
 		ef = ef[:len(ef)-1]
 	}
 	n := min(len(ef), len(df))
@@ -214,19 +185,12 @@ func Compare(enc, dec *Layout) string {
 		}
 	}
 	// Length disagreement only counts when the shorter side is fully
-	// extracted — an opaque suffix can hide any number of fields.
-	if len(ef) > n && !dec.Opaque {
+	// read — a "?" can hide any number of fields.
+	if len(ef) > n && dAll {
 		return fmt.Sprintf("encoder writes %d field(s) the decoder never reads (first extra: %s)", len(ef)-n, ef[n])
 	}
-	if len(df) > n && !enc.Opaque {
+	if len(df) > n && eAll {
 		return fmt.Sprintf("decoder reads %d field(s) the encoder never writes (first extra: %s)", len(df)-n, df[n])
 	}
 	return ""
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

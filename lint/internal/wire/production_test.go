@@ -8,8 +8,8 @@ import (
 	"efdedup/lint/internal/load"
 )
 
-// TestProductionLayouts extracts the real module's codecs and pins the
-// layouts the lockfile will carry. A failure here means either a wire
+// TestProductionLayouts extracts the real module's codecs and pins some
+// of the layouts the lockfile carries. A failure here means either a wire
 // format change (update the expectations and `make wire-lock`) or an
 // extractor regression.
 func TestProductionLayouts(t *testing.T) {
@@ -21,15 +21,20 @@ func TestProductionLayouts(t *testing.T) {
 	ix := BuildIndex(fset, pkgs)
 
 	want := map[string]string{
-		LayoutKey(Encode, "efdedup/internal/kvstore.appendBytes"):   "bytes32",
-		LayoutKey(Decode, "efdedup/internal/kvstore.readBytes"):     "bytes32 ; rest",
-		LayoutKey(Encode, "efdedup/internal/kvstore.encodeEntry"):   "bytes32 | u64 | bytes32",
-		LayoutKey(Decode, "efdedup/internal/kvstore.decodeEntry"):   "bytes32 | u64 | bytes32 ; rest",
-		LayoutKey(Encode, "efdedup/internal/kvstore.encodeKeyList"): "list32<bytes32>",
-		LayoutKey(Decode, "efdedup/internal/kvstore.decodeKeyList"): "list32<bytes32>",
-		LayoutKey(Decode, "efdedup/internal/kvstore.readBytesList"): "list32<bytes32> ; rest",
+		LayoutKey(Encode, "efdedup/internal/kvstore.encodeEntry"):     "bytes32 | u64 | bytes32",
+		LayoutKey(Decode, "efdedup/internal/kvstore.decodeEntry"):     "bytes32 | u64 | bytes32 ; rest",
+		LayoutKey(Decode, "efdedup/internal/kvstore.readEntry"):       "bytes32 | u64 | bytes32 ; rest",
+		LayoutKey(Encode, "efdedup/internal/kvstore.encodeKeyList"):   "list32<bytes32>",
+		LayoutKey(Decode, "efdedup/internal/kvstore.decodeKeyList"):   "list32<bytes32>",
+		LayoutKey(Decode, "efdedup/internal/kvstore.readBlobs"):       "list32<bytes32> ; rest",
+		LayoutKey(Decode, "efdedup/internal/kvstore.readDigestReq"):   "u32 | u32 | list32<bytes32> | list32<bytes32> ; rest",
+		LayoutKey(Encode, "efdedup/internal/kvstore.appendRecord"):    "? | bytes32 | u64 | bytes32",
 		LayoutKey(Encode, "efdedup/internal/transport.encodeRequest"): "u8 | u64 | bytes8 | tail",
 		LayoutKey(Decode, "efdedup/internal/transport.decodeRequest"): "u8 | u64 | bytes8 ; rest",
+		LayoutKey(Encode, "efdedup/internal/cloudstore.encodeCommit"): "bytes16 | list32<array32 | bytes32> | repeat<array32>",
+		LayoutKey(Decode, "efdedup/internal/cloudstore.decodeCommit"): "bytes16 | list32<array32 | bytes32> | repeat<array32>",
+		LayoutKey(Encode, "efdedup/internal/cloudstore.encodeCount"):  "u32",
+		LayoutKey(Decode, "efdedup/internal/cloudstore.decodeCount"):  "u32",
 	}
 	got := make(map[string]string)
 	for fid, l := range ix.Encodes {

@@ -10,289 +10,277 @@ import (
 	"efdedup/lint/internal/load"
 )
 
-// buildPkg type-checks one synthetic package (stdlib imports allowed)
-// and returns it wrapped for extraction.
-func buildPkg(t *testing.T, src string) (*token.FileSet, *load.Package) {
+// codecSrc stubs internal/codec: the extractor recognizes it by package
+// name.
+const codecSrc = `package codec
+
+func U8(dst []byte, v uint8) []byte       { return dst }
+func U16(dst []byte, v uint16) []byte     { return dst }
+func U32(dst []byte, v uint32) []byte     { return dst }
+func U64(dst []byte, v uint64) []byte     { return dst }
+func ID(dst []byte, id [32]byte) []byte   { return dst }
+func Bytes16(dst []byte, s string) []byte { return dst }
+func Bytes32(dst []byte, s []byte) []byte { return dst }
+
+type Reader struct{ buf []byte }
+
+func NewReader(b []byte, proto error) Reader { return Reader{buf: b} }
+
+func (r *Reader) Len() int             { return 0 }
+func (r *Reader) Err() error           { return nil }
+func (r *Reader) End() error           { return nil }
+func (r *Reader) U8() uint8            { return 0 }
+func (r *Reader) U16() uint16          { return 0 }
+func (r *Reader) U32() uint32          { return 0 }
+func (r *Reader) U64() uint64          { return 0 }
+func (r *Reader) ID() (id [32]byte)    { return id }
+func (r *Reader) Bytes16() []byte      { return nil }
+func (r *Reader) Bytes32() []byte      { return nil }
+func (r *Reader) Rest() []byte         { return nil }
+func (r *Reader) Count(min uint64) int { return 0 }
+`
+
+// buildPkgs type-checks the codec stub and one package p importing it.
+func buildPkgs(t *testing.T, src string) []*load.Package {
 	t.Helper()
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
+	var pkgs []*load.Package
+	imp := &overlayImporter{pkgs: map[string]*types.Package{}}
+	for _, s := range []struct{ path, src string }{{"codec", codecSrc}, {"p", src}} {
+		f, err := parser.ParseFile(fset, s.path+".go", s.src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info := load.NewInfo()
+		tpkg, err := (&types.Config{Importer: imp}).Check(s.path, fset, []*ast.File{f}, info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imp.pkgs[s.path] = tpkg
+		pkgs = append(pkgs, &load.Package{PkgPath: s.path, Files: []*ast.File{f}, Types: tpkg, Info: info})
 	}
-	var imports []string
-	for _, im := range f.Imports {
-		imports = append(imports, im.Path.Value[1:len(im.Path.Value)-1])
-	}
-	exports, err := load.StdlibExports(".", imports)
-	if err != nil {
-		t.Fatalf("listing stdlib exports: %v", err)
-	}
-	info := load.NewInfo()
-	conf := types.Config{Importer: load.NewExportImporter(fset, exports)}
-	tpkg, err := conf.Check("p", fset, []*ast.File{f}, info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fset, &load.Package{PkgPath: "p", Files: []*ast.File{f}, Types: tpkg, Info: info}
+	return pkgs
 }
 
-// layoutString extracts fn in the given direction and renders it.
-func layoutString(t *testing.T, pkg *load.Package, fn string, dir Dir) string {
+// layouts extracts each "dir name" of p from src and renders it.
+func layouts(t *testing.T, src string, want map[string]string) {
 	t.Helper()
-	ex := NewExtractor([]*load.Package{pkg})
-	l := ex.Layout("p."+fn, dir)
-	if l == nil {
-		return "<nil>"
+	ex := NewExtractor(buildPkgs(t, src))
+	for key, w := range want {
+		dir := Encode
+		name := key[len("encode "):]
+		if key[:len("decode")] == "decode" {
+			dir = Decode
+		}
+		got := "<nil>"
+		if l := ex.Layout("p."+name, dir); l != nil {
+			got = l.String()
+		}
+		if got != w {
+			t.Errorf("%s = %q, want %q", key, got, w)
+		}
 	}
-	return l.String()
 }
 
-const fixedSrc = `package p
+const fieldsSrc = `package p
 
-import "encoding/binary"
+import "codec"
 
-func encodeFixed(a uint32, b uint64, c uint16) []byte {
-	out := make([]byte, 0, 14)
-	out = binary.BigEndian.AppendUint32(out, a)
-	out = binary.BigEndian.AppendUint64(out, b)
-	return binary.BigEndian.AppendUint16(out, c)
+var errProto error
+
+func encodeAll(a uint8, b uint16, c uint32, d uint64, id [32]byte, name string, blob []byte) []byte {
+	out := codec.U8(nil, a)
+	out = codec.U16(out, b)
+	out = codec.U32(out, c)
+	out = codec.U64(codec.U64(out, d), 0)
+	out = codec.ID(out, id)
+	out = codec.Bytes16(out, name)
+	return codec.Bytes32(out, blob)
 }
 
-func decodeFixed(src []byte) (uint32, uint64, uint16, error) {
-	if len(src) < 14 {
-		return 0, 0, 0, nil
+func decodeAll(src []byte) (uint8, error) {
+	r := codec.NewReader(src, errProto)
+	a, _, _ := r.U8(), r.U16(), r.U32()
+	if r.U64() != r.U64() {
+		return 0, errProto
 	}
-	a := binary.BigEndian.Uint32(src)
-	b := binary.BigEndian.Uint64(src[4:])
-	c := binary.BigEndian.Uint16(src[12:])
-	return a, b, c, nil
+	_ = r.ID()
+	name := string(r.Bytes16())
+	_ = name
+	return a, r.End()
 }
 
-func encodePut(a uint64, b uint32) []byte {
-	out := make([]byte, 12)
-	binary.BigEndian.PutUint64(out, a)
-	binary.BigEndian.PutUint32(out[8:], b)
-	return out
+// Not codecs: no []byte result, no []byte input.
+func encodeNothing(dst []byte) (uint32, error) { return uint32(len(codec.U32(dst, 1))), nil }
+func decodeNothing(n int) uint32 {
+	r := codec.NewReader(nil, errProto)
+	return r.U32()
 }
 `
 
 func TestFixedWidthLayouts(t *testing.T) {
-	_, pkg := buildPkg(t, fixedSrc)
-	if got := layoutString(t, pkg, "encodeFixed", Encode); got != "u32 | u64 | u16" {
-		t.Errorf("encodeFixed = %q", got)
-	}
-	if got := layoutString(t, pkg, "decodeFixed", Decode); got != "u32 | u64 | u16" {
-		t.Errorf("decodeFixed = %q", got)
-	}
-	if got := layoutString(t, pkg, "encodePut", Encode); got != "u64 | u32" {
-		t.Errorf("encodePut = %q", got)
-	}
+	layouts(t, fieldsSrc, map[string]string{
+		"encode encodeAll":     "u8 | u16 | u32 | u64 | u64 | array32 | bytes16 | bytes32",
+		"decode decodeAll":     "u8 | u16 | u32 | u64 | u64 | array32 | bytes16",
+		"encode encodeNothing": "<nil>",
+		"decode decodeNothing": "<nil>",
+	})
 }
 
-const varintSrc = `package p
+const listSrc = `package p
 
-import "encoding/binary"
+import "codec"
 
-func encodeBlob(data []byte) []byte {
-	out := make([]byte, 0, 10+len(data))
-	out = binary.AppendUvarint(out, uint64(len(data)))
-	return append(out, data...)
+var errProto error
+
+type rec struct {
+	key  []byte
+	vals []uint64
 }
 
-func decodeBlob(src []byte) ([]byte, error) {
-	n, w := binary.Uvarint(src)
-	if w <= 0 {
-		return nil, nil
+func appendRec(dst []byte, r rec) []byte {
+	dst = codec.Bytes32(dst, r.key)
+	dst = codec.U32(dst, uint32(len(r.vals)))
+	for _, v := range r.vals {
+		dst = codec.U64(dst, v)
 	}
-	src = src[w:]
-	if uint64(len(src)) < n {
-		return nil, nil
-	}
-	return src[:n], nil
-}
-`
-
-func TestVarintLayouts(t *testing.T) {
-	_, pkg := buildPkg(t, varintSrc)
-	if got := layoutString(t, pkg, "encodeBlob", Encode); got != "bytesv" {
-		t.Errorf("encodeBlob = %q", got)
-	}
-	if got := layoutString(t, pkg, "decodeBlob", Decode); got != "bytesv" {
-		t.Errorf("decodeBlob = %q", got)
-	}
+	return dst
 }
 
-const nestedSrc = `package p
-
-import "encoding/binary"
-
-func appendB(dst, b []byte) []byte {
-	dst = append(dst, byte(len(b)))
-	return append(dst, b...)
-}
-
-func readB(src []byte) ([]byte, []byte, error) {
-	if len(src) < 1 {
-		return nil, nil, nil
+func encodeRecs(recs []rec, ids [][32]byte) []byte {
+	size := 0
+	for range recs {
+		size += 8 // no codec call: not a field
 	}
-	n := src[0]
-	if int(n) > len(src)-1 {
-		return nil, nil, nil
+	out := codec.U32(make([]byte, 0, size), uint32(len(recs)))
+	for _, r := range recs {
+		out = appendRec(out, r)
 	}
-	return src[1 : 1+n], src[1+n:], nil
-}
-
-func encodeNested(groups [][]string) []byte {
-	out := binary.BigEndian.AppendUint32(nil, uint32(len(groups)))
-	for _, g := range groups {
-		out = binary.BigEndian.AppendUint16(out, uint16(len(g)))
-		for _, s := range g {
-			out = appendB(out, []byte(s))
-		}
+	for _, id := range ids {
+		out = codec.ID(out, id)
 	}
 	return out
 }
 
-func decodeNested(src []byte) ([][]string, error) {
-	count := binary.BigEndian.Uint32(src)
-	src = src[4:]
-	out := make([][]string, 0, count)
-	for i := uint32(0); i < count; i++ {
-		inner := binary.BigEndian.Uint16(src)
-		src = src[2:]
-		var g []string
-		for j := uint16(0); j < inner; j++ {
-			b, rest, err := readB(src)
-			if err != nil {
-				return nil, err
-			}
-			g = append(g, string(b))
-			src = rest
-		}
-		out = append(out, g)
+func readRec(r *codec.Reader) rec {
+	out := rec{key: r.Bytes32()}
+	for range r.Count(8) {
+		out.vals = append(out.vals, r.U64())
 	}
-	return out, nil
+	return out
+}
+
+func decodeIDs(src []byte) ([][32]byte, error) {
+	r := codec.NewReader(src, errProto)
+	var ids [][32]byte
+	for r.Len() > 0 {
+		ids = append(ids, r.ID())
+	}
+	return ids, r.Err()
+}
+
+func decodeRecs(src []byte) ([]rec, [][32]byte, error) {
+	r := codec.NewReader(src, errProto)
+	n := r.Count(12)
+	recs := make([]rec, 0, n)
+	for i := 0; i < n; i++ {
+		recs = append(recs, readRec(&r))
+	}
+	ids, err := decodeIDs(r.Rest())
+	return recs, ids, err
 }
 `
 
-func TestNestedListLayouts(t *testing.T) {
-	_, pkg := buildPkg(t, nestedSrc)
-	if got := layoutString(t, pkg, "appendB", Encode); got != "bytes8" {
-		t.Errorf("appendB = %q", got)
-	}
-	if got := layoutString(t, pkg, "readB", Decode); got != "bytes8 ; rest" {
-		t.Errorf("readB = %q", got)
-	}
-	want := "list32<list16<bytes8>>"
-	if got := layoutString(t, pkg, "encodeNested", Encode); got != want {
-		t.Errorf("encodeNested = %q, want %q", got, want)
-	}
-	if got := layoutString(t, pkg, "decodeNested", Decode); got != want {
-		t.Errorf("decodeNested = %q, want %q", got, want)
-	}
-}
-
-const asymSrc = `package p
-
-import "encoding/binary"
-
-func encodeAsym(a uint32, b uint64) []byte {
-	out := binary.BigEndian.AppendUint32(nil, a)
-	return binary.BigEndian.AppendUint64(out, b)
-}
-
-func decodeAsym(src []byte) (uint32, uint32) {
-	a := binary.BigEndian.Uint32(src)
-	b := binary.BigEndian.Uint32(src[4:])
-	return a, b
-}
-`
-
-// TestAsymmetricPairDiagnostic pins the exact Compare text codecpair
-// prints for a width mismatch.
-func TestAsymmetricPairDiagnostic(t *testing.T) {
-	_, pkg := buildPkg(t, asymSrc)
-	ex := NewExtractor([]*load.Package{pkg})
-	enc := ex.Layout("p.encodeAsym", Encode)
-	dec := ex.Layout("p.decodeAsym", Decode)
-	if enc == nil || dec == nil {
-		t.Fatalf("extraction failed: enc=%v dec=%v", enc, dec)
-	}
-	want := "field 2: encoder writes u64, decoder reads u32"
-	if got := Compare(enc, dec); got != want {
-		t.Errorf("Compare = %q, want %q", got, want)
-	}
+// TestListLayouts pins counts before loops as list32, other loops as
+// repeat, and calls of other codecs — by buffer, by *Reader or by the
+// rest of the body — as their fields.
+func TestListLayouts(t *testing.T) {
+	layouts(t, listSrc, map[string]string{
+		"encode appendRec":  "bytes32 | list32<u64>",
+		"decode readRec":    "bytes32 | list32<u64> ; rest",
+		"encode encodeRecs": "list32<bytes32 | list32<u64>> | repeat<array32>",
+		"decode decodeRecs": "list32<bytes32 | list32<u64>> | repeat<array32>",
+		"decode decodeIDs":  "repeat<array32>",
+	})
 }
 
 const tailSrc = `package p
 
-import "encoding/binary"
+import "codec"
 
-const frameReq = 0x01
+var errProto error
 
-func encodeReq(id uint64, method string, body []byte) ([]byte, error) {
-	b := make([]byte, 0, 10+len(method)+len(body))
-	b = append(b, frameReq)
-	b = binary.BigEndian.AppendUint64(b, id)
-	b = append(b, byte(len(method)))
-	b = append(b, method...)
-	b = append(b, body...)
-	return b, nil
+const frameReq = 1
+
+func frame(dst []byte) []byte { return append(dst, 0, 0) }
+
+func encodeReq(id uint64, method string, body []byte) []byte {
+	buf := codec.U8(nil, frameReq)
+	buf = codec.U64(buf, id)
+	buf = codec.Bytes16(buf, method)
+	return append(buf, body...)
 }
 
-func decodeReq(p []byte) (uint64, string, []byte, error) {
-	if len(p) < 10 || p[0] != frameReq {
-		return 0, "", nil, nil
+func decodeReq(p []byte) (uint64, []byte, error) {
+	r := codec.NewReader(p, errProto)
+	kind, id, _, body := r.U8(), r.U64(), r.Bytes16(), r.Rest()
+	if kind != frameReq {
+		return 0, nil, errProto
 	}
-	id := binary.BigEndian.Uint64(p[1:9])
-	ml := int(p[9])
-	if len(p) < 10+ml {
-		return 0, "", nil, nil
-	}
-	return id, string(p[10 : 10+ml]), p[10+ml:], nil
+	return id, body, r.Err()
 }
 
-func encodeArr(h [32]byte, extra []byte) []byte {
-	out := binary.BigEndian.AppendUint32(nil, uint32(len(extra)))
-	out = append(out, extra...)
-	return append(out, h[:]...)
+func encodeFramed(id [32]byte, data []byte) []byte {
+	buf := codec.ID(frame(nil), id)
+	return append(buf, data...)
 }
 
-func decodeArr(src []byte) ([32]byte, []byte, error) {
-	var h [32]byte
-	n := binary.BigEndian.Uint32(src)
-	if uint32(len(src)-4) < n {
-		return h, nil, nil
+func encodeResp(id uint64, err string, body []byte) []byte {
+	buf := codec.U64(nil, id)
+	if err != "" {
+		return codec.Bytes16(codec.U8(buf, 1), err)
 	}
-	extra := src[4 : 4+n]
-	src = src[4+n:]
-	if len(src) != len(h) {
-		return h, nil, nil
+	return append(codec.U8(buf, 0), body...)
+}
+
+func decodeResp(p []byte) (uint64, []byte, error) {
+	r := codec.NewReader(p, errProto)
+	id, status := r.U64(), r.U8()
+	switch status {
+	case 0:
+		return id, r.Rest(), r.Err()
 	}
-	copy(h[:], src)
-	return h, extra, nil
+	return id, nil, r.Err()
 }
 `
 
-func TestTailAndArrayLayouts(t *testing.T) {
-	_, pkg := buildPkg(t, tailSrc)
-	if got := layoutString(t, pkg, "encodeReq", Encode); got != "u8 | u64 | bytes8 | tail" {
-		t.Errorf("encodeReq = %q", got)
+// TestTailAndOpaqueLayouts pins unprefixed payloads as tail, rest-
+// returning decoders, and "?" for a foreign buffer transform and for
+// codec calls under a condition.
+func TestTailAndOpaqueLayouts(t *testing.T) {
+	layouts(t, tailSrc, map[string]string{
+		"encode encodeReq":    "u8 | u64 | bytes16 | tail",
+		"decode decodeReq":    "u8 | u64 | bytes16 ; rest",
+		"encode encodeFramed": "? | array32 | tail",
+		"encode encodeResp":   "u64 | ? | u8 | tail",
+		"decode decodeResp":   "u64 | u8 | ?",
+	})
+	ex := NewExtractor(buildPkgs(t, tailSrc))
+	if msg := Compare(ex.Layout("p.encodeReq", Encode), ex.Layout("p.decodeReq", Decode)); msg != "" {
+		t.Errorf("a rest-returning decoder should absorb the tail: %s", msg)
 	}
-	if got := layoutString(t, pkg, "decodeReq", Decode); got != "u8 | u64 | bytes8 ; rest" {
-		t.Errorf("decodeReq = %q", got)
+	if msg := Compare(ex.Layout("p.encodeResp", Encode), ex.Layout("p.decodeResp", Decode)); msg != "" {
+		t.Errorf("fields after a ? should not be compared: %s", msg)
 	}
-	ex := NewExtractor([]*load.Package{pkg})
-	enc := ex.Layout("p.encodeReq", Encode)
-	dec := ex.Layout("p.decodeReq", Decode)
-	if msg := Compare(enc, dec); msg != "" {
-		t.Errorf("encodeReq/decodeReq should pair: %s", msg)
-	}
-	if got := layoutString(t, pkg, "encodeArr", Encode); got != "bytes32 | array32" {
-		t.Errorf("encodeArr = %q", got)
-	}
-	if got := layoutString(t, pkg, "decodeArr", Decode); got != "bytes32 | array32" {
-		t.Errorf("decodeArr = %q", got)
+}
+
+// TestAsymmetricPairDiagnostic pins the mismatch report.
+func TestAsymmetricPairDiagnostic(t *testing.T) {
+	enc := &Layout{Fields: []Field{{Kind: KU32}, {Kind: KList, Prefix: KU32, Elem: []Field{{Kind: KU64}}}}}
+	dec := &Layout{Fields: []Field{{Kind: KU32}, {Kind: KList, Prefix: KU32, Elem: []Field{{Kind: KU32}}}}}
+	want := "field 2: encoder writes list32<u64>, decoder reads list32<u32>"
+	if got := Compare(enc, dec); got != want {
+		t.Errorf("Compare = %q, want %q", got, want)
 	}
 }
 
