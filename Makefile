@@ -30,17 +30,22 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# Project-specific static analysis (lint/): concurrency, determinism,
-# interprocedural (lock order, lost errors, hot-path allocation),
-# error-classification and metric-hygiene invariants. Fails on any
-# diagnostic. One invocation covers the main module AND the lint module
-# itself (self-lint); the `go list` load is cached per run, so the
-# second pattern costs one typecheck, not a second list. Also runs the
-# linter's own analyzer test suites. The on-disk listing cache (keyed
-# on go.sum + source content) is shared between the test step, the lint
-# step, and repeat runs.
+# Project-specific static analysis (lint/): the invariants no test,
+# fuzzer or `go vet` check catches — locks across I/O and lock order
+# (interprocedural), error classification, determinism, metric and
+# context hygiene, goroutine exits, fsync ordering, codec-only body reads
+# and the wire.lock pin (DESIGN.md §9's ledger names each one's
+# mutation). Fails on any diagnostic, on a //lint:ignore naming no
+# analyzer, and on any file gofmt would change (testdata included). One
+# invocation covers the main module AND the lint module itself
+# (self-lint); the `go list` load is cached per run, so the second
+# pattern costs one typecheck, not a second list. Also runs the linter's
+# own analyzer test suites. The on-disk listing cache (keyed on go.sum +
+# source content) is shared between the test step, the lint step, and
+# repeat runs.
 lint: export EFDEDUP_LINT_LISTCACHE ?= $(CURDIR)/.lint-listcache
 lint:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "gofmt: the files above are not formatted"; exit 1; }
 	$(GO) test ./lint/...
 	$(GO) run ./lint/cmd/efdedup-lint ./... ./lint/...
 

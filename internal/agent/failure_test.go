@@ -103,6 +103,10 @@ func TestIndexFailureDowngradesToCloud(t *testing.T) {
 	if rep.Downgrades == 0 || rep.DegradedLookups == 0 {
 		t.Fatalf("downgrade not recorded: %+v", rep)
 	}
+	// The dead ring refused every fresh chunk's insert; each one counts.
+	if rep.UploadedChunks == 0 || rep.IndexInsertFailures != rep.UploadedChunks {
+		t.Fatalf("IndexInsertFailures = %d, want one per uploaded chunk (%d)", rep.IndexInsertFailures, rep.UploadedChunks)
+	}
 	if !a.Degraded() {
 		t.Fatal("agent not marked degraded after ring outage")
 	}

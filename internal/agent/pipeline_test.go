@@ -213,3 +213,26 @@ func TestMidStreamRingOutageWithInflightLookups(t *testing.T) {
 		t.Fatal("degraded-mode restore is not byte-identical")
 	}
 }
+
+// TestPipelineQueuesAreBuffered: every queue between the stream-ordered
+// stages has slack, so one slow consumer does not stall every stage
+// upstream of it; an unbuffered queue turns each handoff into a
+// rendezvous.
+func TestPipelineQueuesAreBuffered(t *testing.T) {
+	tb := newTestbed(t, 0)
+	a, err := New(Config{Name: "queues", Mode: ModeCloudOnly, Cloud: tb.cloudClient(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := a.newPipeline(context.Background(), "queues")
+	defer p.finish(nil)
+	for name, c := range map[string]int{
+		"hashOrder":   cap(p.hashOrder),
+		"lookupOrder": cap(p.lookupOrder),
+		"uploads":     cap(p.uploads),
+	} {
+		if c == 0 {
+			t.Errorf("pipeline queue %s is unbuffered", name)
+		}
+	}
+}

@@ -522,7 +522,6 @@ func (c *Cluster) putEntries(ctx context.Context, ents []keyedEntry) error {
 	var failed [][]byte
 	for i, lacks := range short {
 		if lacks > 0 {
-			//lint:ignore hotalloc failure path only: stays nil when every replica acks, so the fast path never allocates
 			failed = append(failed, ents[i].key)
 		}
 	}

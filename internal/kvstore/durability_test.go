@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +10,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"efdedup/internal/transport"
 )
 
 func TestParseSyncPolicy(t *testing.T) {
@@ -431,6 +434,57 @@ func TestMalformedBatchPutAppliesNothing(t *testing.T) {
 	}
 	if got := node.wal.Size(); got != size {
 		t.Fatalf("a malformed batch grew the WAL from %d to %d bytes", size, got)
+	}
+}
+
+// TestBatchPutFailedWALAppliesNothing: a kv.batchput whose WAL append
+// fails is refused whole — no key of the batch reaches the table, so a
+// later kv.batchhas reports every key absent and the counters stay put.
+// Applying the batch before the append would leave in memory what a
+// restart forgets.
+func TestBatchPutFailedWALAppliesNothing(t *testing.T) {
+	node, err := NewNode(NodeConfig{WALPath: filepath.Join(t.TempDir(), "node.wal"), WALSync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	nw := transport.NewMemNetwork()
+	l, err := nw.Listen("kv0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.Serve(l)
+	conn, err := nw.Dial(context.Background(), "kv0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := transport.NewClient(conn)
+	defer cl.Close()
+
+	keys := [][]byte{[]byte("key0"), []byte("key1"), []byte("key2")}
+	var ents []keyedEntry
+	for _, k := range keys {
+		ents = append(ents, keyedEntry{key: k, e: Entry{Value: []byte("v"), Version: 1}})
+	}
+	node.wal.kill()
+	before := node.Stats()
+	if _, err := cl.Call(context.Background(), methodBatchPut, appendScan(nil, ents)); err == nil {
+		t.Fatal("kv.batchput succeeded on a dead WAL")
+	}
+	if after := node.Stats(); after != before {
+		t.Fatalf("a refused batch changed the stats: %+v -> %+v", before, after)
+	}
+	resp, err := cl.Call(context.Background(), methodBatchHas, encodeKeyList(keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp) != len(keys) {
+		t.Fatalf("kv.batchhas answered %d of %d keys", len(resp), len(keys))
+	}
+	for i, b := range resp {
+		if b != 0 {
+			t.Errorf("key %q of a refused batch is present", keys[i])
+		}
 	}
 }
 

@@ -246,7 +246,6 @@ func (n *Node) snapshotLoop(every time.Duration) {
 		select {
 		case <-ticker.C:
 			// Failures are counted; the loop's job is to keep trying.
-			//lint:ignore errlost failures recorded in kvstore_node_snapshot_failures_total; next tick retries
 			_ = n.Snapshot()
 		case <-n.snapStop:
 			return

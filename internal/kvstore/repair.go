@@ -438,7 +438,6 @@ func (c *Cluster) repairLoop() {
 			ctx, cancel := context.WithTimeout(context.Background(), c.repairTimeout())
 			// Failures are already counted per pair in the stats and
 			// metrics; the loop's job is to keep trying.
-			//lint:ignore errlost per-pair failures are recorded in kvstore_repair_pair_failures_total and retried next round
 			_, _ = c.RepairOnce(ctx)
 			cancel()
 		case <-c.stopRepair:

@@ -157,7 +157,6 @@ func (w *WAL) flushLoop(every time.Duration) {
 			// A no-op with nothing new appended. A failure is sticky in
 			// the log; the next Append surfaces it to a caller who can act
 			// on it.
-			//lint:ignore errlost the log keeps the failure for the next Append to return
 			_ = w.Sync()
 		case <-w.stop:
 			return
@@ -223,7 +222,7 @@ func (w *WAL) shutdown(graceful bool) {
 		defer w.mu.Unlock()
 		w.closed = true
 		if !graceful {
-			//lint:ignore errlost simulated crash: losing the close error is the point
+			// A simulated crash: losing the close error is the point.
 			_ = w.log.Abandon()
 		} else if err := w.log.Close(); err != nil {
 			w.closeErr = fmt.Errorf("kvstore: wal close: %w", err)

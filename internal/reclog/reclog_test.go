@@ -129,3 +129,80 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatalf("temp files left behind: %v", left)
 	}
 }
+
+// TestFileOpsReleaseDescriptors: every file this package opens is closed
+// again on every path out, the failing ones included — a descriptor
+// leaked per snapshot or seal exhausts the daemon's fd table during the
+// restart drills. Counted through /proc/self/fd, so Linux only.
+func TestFileOpsReleaseDescriptors(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd to count descriptors in")
+		}
+		return len(ents)
+	}
+	dir := t.TempDir()
+	magic := []byte("FDTEST1\n")
+	exercise := func() {
+		if err := SyncDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := SyncDir(filepath.Join(dir, "missing")); err == nil {
+			t.Fatal("SyncDir of a missing directory succeeded")
+		}
+		path := filepath.Join(dir, "atomic")
+		if err := WriteFileAtomic(path, func(w *bufio.Writer) error { _, err := w.WriteString("x"); return err }); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFileAtomic(path, func(*bufio.Writer) error { return io.ErrUnexpectedEOF }); err == nil {
+			t.Fatal("WriteFileAtomic ignored its fill's failure")
+		}
+		logPath := filepath.Join(dir, "log")
+		l, _, err := Open(logPath, magic, func([]byte) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append(frame(nil, []byte("payload"))); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.SealAs(filepath.Join(dir, "sealed")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append(frame(nil, []byte("payload"))); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// A torn tail: Open truncates it, then the log is abandoned.
+		f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = f.Write([]byte{1, 2, 3})
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l, _, err = Open(logPath, magic, func([]byte) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Abandon(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(logPath); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exercise() // the runtime opens its poller's descriptors on first use
+	before := openFDs()
+	for range 3 {
+		exercise()
+	}
+	if after := openFDs(); after != before {
+		t.Fatalf("%d descriptors open after the file operations, %d before", after, before)
+	}
+}

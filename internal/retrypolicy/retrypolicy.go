@@ -150,15 +150,7 @@ func (r *Retrier) Do(ctx context.Context, br *Breaker, bud *Budget, retryable fu
 			}
 			return ErrBreakerOpen
 		}
-		actx := ctx
-		var cancel context.CancelFunc
-		if r.p.AttemptTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, r.p.AttemptTimeout)
-		}
-		err := op(actx)
-		if cancel != nil {
-			cancel()
-		}
+		err := r.attempt(ctx, op)
 		if err == nil {
 			if br != nil {
 				br.Success()
@@ -199,6 +191,17 @@ func (r *Retrier) Do(ctx context.Context, br *Breaker, bud *Budget, retryable fu
 			return lastErr
 		}
 	}
+}
+
+// attempt runs op once, under a child context bounded by AttemptTimeout
+// when one is set.
+func (r *Retrier) attempt(ctx context.Context, op func(context.Context) error) error {
+	if r.p.AttemptTimeout <= 0 {
+		return op(ctx)
+	}
+	ctx, cancel := context.WithTimeout(ctx, r.p.AttemptTimeout)
+	defer cancel()
+	return op(ctx)
 }
 
 // Budget is a token bucket bounding retry amplification: each retry

@@ -290,7 +290,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			defer writeMu.Unlock()
 			// A write failure means the peer is gone; the read loop
 			// will terminate on its own.
-			//lint:ignore lockedio,errlost writeMu exists to serialize response frames on this conn; a failed response write means the peer is gone and the read loop exits on its own
+			//lint:ignore lockedio writeMu exists to serialize response frames on this conn; a failed response write means the peer is gone and the read loop exits on its own
 			_ = writeFrame(conn, encodeResponse(id, respBody, errMsg))
 		}()
 	}

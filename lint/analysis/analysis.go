@@ -15,7 +15,6 @@ import (
 	"go/token"
 	"go/types"
 
-	"efdedup/lint/internal/cfg"
 	"efdedup/lint/internal/summary"
 	"efdedup/lint/internal/wire"
 )
@@ -47,17 +46,10 @@ type Pass struct {
 	// lint run by the driver; nil only if the driver opts out.
 	Summaries *summary.Set
 
-	// CFGs memoizes per-function control-flow graphs across analyzers
-	// and passes: the path-sensitive checkers (resleak, durafirst,
-	// ctxcancel) ask it for the same function bodies, and the graph is
-	// built once per lint run. Nil only if the driver opts out.
-	CFGs *cfg.Store
-
 	// Wire is the module-wide RPC surface and codec layouts
 	// (registrations, call sites, extracted field layouts) built once
 	// per lint run over the universe. The wire-protocol analyzers
-	// (rpcpair, codecpair, lenguard, wirelock) consume it; nil only if
-	// the driver opts out.
+	// (lenguard, wirelock) consume it; nil only if the driver opts out.
 	Wire *wire.Index
 
 	// Report delivers one diagnostic. Filled in by the driver.

@@ -59,7 +59,7 @@ func (s *Store) AfterUnlock(b []byte) error {
 }
 
 // Async spawns the I/O helper in a goroutine: it does not run under
-// the caller's lock, so it stays silent (goleak territory).
+// the caller's lock, so it stays silent.
 func (s *Store) Async(b []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,33 +1,18 @@
 // Command efdedup-lint is the repository's invariant checker: a
 // multichecker running the custom analyzers that encode what the
-// compiler, go vet and -race cannot see — locks never held across
-// network I/O, directly or through any call chain (lockedio), no mutex
-// acquisition-order cycles anywhere in the module (lockorder), errors
-// classifiable at transport boundaries (errclass) and never silently
-// lost when they carry quorum sentinels (errlost), a bit-deterministic
-// model/sim/estimate/partition core (nodeterm), bounded constant metric
-// names (metricname), contexts in first position (ctxfirst), joinable
-// goroutines (goleak), no per-chunk allocations on the dedup pipeline
-// hot path (hotalloc), and atomic file installs fsynced before their
-// rename (fsyncrename).
+// compiler, go vet, -race and the test suite cannot see — locks never
+// held across network I/O, directly or through any call chain
+// (lockedio), no mutex acquisition-order cycles anywhere in the module
+// (lockorder), errors classifiable at transport boundaries (errclass),
+// bounded constant metric names (metricname), contexts in first
+// position (ctxfirst), atomic file installs fsynced before and after
+// their rename (fsyncrename), wire bodies read through internal/codec
+// only (lenguard), and an RPC surface and codec layouts that match the
+// checked-in lint/wire.lock schema lockfile (wirelock; regenerate with
+// -write-wire-lock or `make wire-lock`).
 //
-// Five analyzers are path-sensitive, built on the CFG + dataflow layer
-// (lint/internal/cfg, lint/internal/dataflow): resources must reach
-// Close on every path (resleak), context cancel funcs must be called
-// on every path (ctxcancel), store handlers must make state durable
-// before mutating memory on success paths (durafirst),
-// pipeline-reachable channels must carry explicit capacity
-// (chanbound), and wire-decoder reads must be guarded by 64-bit
-// remaining-length checks (lenguard).
-//
-// Four analyzers check wire-protocol conformance on the shared
-// lint/internal/wire index of RPC sites and symbolically extracted
-// codec layouts: every constant Client.Call method must be registered
-// by exactly one Server.Handle and vice versa (rpcpair), each
-// encodeX/decodeX pair must agree field-for-field (codecpair), decoder
-// bounds must hold on every path (lenguard), and the whole surface
-// must match the checked-in lint/wire.lock schema lockfile (wirelock;
-// regenerate with -write-wire-lock or `make wire-lock`).
+// DESIGN.md §9's analyzer ledger names the smallest mutation each one
+// flags and every other check that fails on it.
 //
 // Usage:
 //
@@ -56,23 +41,13 @@ import (
 	"time"
 
 	"efdedup/lint/analysis"
-	"efdedup/lint/analyzers/chanbound"
-	"efdedup/lint/analyzers/codecpair"
-	"efdedup/lint/analyzers/ctxcancel"
 	"efdedup/lint/analyzers/ctxfirst"
-	"efdedup/lint/analyzers/durafirst"
 	"efdedup/lint/analyzers/errclass"
-	"efdedup/lint/analyzers/errlost"
 	"efdedup/lint/analyzers/fsyncrename"
-	"efdedup/lint/analyzers/goleak"
-	"efdedup/lint/analyzers/hotalloc"
 	"efdedup/lint/analyzers/lenguard"
 	"efdedup/lint/analyzers/lockedio"
 	"efdedup/lint/analyzers/lockorder"
 	"efdedup/lint/analyzers/metricname"
-	"efdedup/lint/analyzers/nodeterm"
-	"efdedup/lint/analyzers/resleak"
-	"efdedup/lint/analyzers/rpcpair"
 	"efdedup/lint/analyzers/wirelock"
 	"efdedup/lint/internal/checker"
 	"efdedup/lint/internal/load"
@@ -80,23 +55,13 @@ import (
 )
 
 var all = []*analysis.Analyzer{
-	chanbound.Analyzer,
-	codecpair.Analyzer,
-	ctxcancel.Analyzer,
 	ctxfirst.Analyzer,
-	durafirst.Analyzer,
 	errclass.Analyzer,
-	errlost.Analyzer,
 	fsyncrename.Analyzer,
-	goleak.Analyzer,
-	hotalloc.Analyzer,
 	lenguard.Analyzer,
 	lockedio.Analyzer,
 	lockorder.Analyzer,
 	metricname.Analyzer,
-	nodeterm.Analyzer,
-	resleak.Analyzer,
-	rpcpair.Analyzer,
 	wirelock.Analyzer,
 }
 
@@ -171,6 +136,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "efdedup-lint: %v\n", err)
 		os.Exit(2)
 	}
+	diags = append(diags, checker.UnknownIgnores(fset, pkgs, all)...)
 	if *verbose {
 		fmt.Fprintf(os.Stderr, "efdedup-lint: %d packages: list %v, typecheck %v, analyze %v\n",
 			stats.Packages, stats.ListTime.Round(time.Millisecond),

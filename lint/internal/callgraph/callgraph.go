@@ -1,9 +1,9 @@
 // Package callgraph builds a module-wide static call graph over the
 // packages a lint run loaded. It is the substrate of the
-// interprocedural analyzers (lockorder, lockedio, errlost, hotalloc):
-// purely intra-procedural sweeps cannot see a deadlock whose two lock
-// acquisitions live in different functions, or a per-chunk allocation
-// three calls below the pipeline root.
+// interprocedural lock analyzers (lockorder, lockedio): a purely
+// intra-procedural sweep cannot see a deadlock whose two lock
+// acquisitions live in different functions, or a dial two helpers below
+// a held mutex.
 //
 // Resolution strategy, in decreasing precision:
 //
@@ -15,19 +15,13 @@
 //     possible callee. A call through an interface nobody in the
 //     universe implements contributes no edges (the callee is outside
 //     the analyzed world; analyzers treat it as unknown).
-//   - Function values referenced without being called (`Split(r,
-//     p.add)`) produce Ref edges: the receiver may invoke them, so
-//     reachability analyses that care about "may eventually run on
-//     this path" (hotalloc) follow them, while happens-while-holding
-//     analyses (lockedio, lockorder) do not.
 //
-// Calls anywhere under a `go` statement — including inside the spawned
-// function literal's body — are marked Async: they do not block the
-// caller, so a lock the caller holds is not held across them. Function
-// literal bodies outside `go` statements are attributed to the
+// Only calls that run on the caller's stack are edges: nothing under a
+// `go` statement (a lock the caller holds is not held across a spawned
+// goroutine), and no function value referenced without being called.
+// Function literal bodies outside `go` statements are attributed to the
 // enclosing declaration (a closure handed to a retrier or sort.Slice
-// runs synchronously in the common case; this is the conservative
-// choice for reachability).
+// runs synchronously in the common case).
 //
 // Nodes are keyed by types.Func full names rather than object identity
 // because the same function is represented by different *types.Func
@@ -63,26 +57,15 @@ type Node struct {
 	Decl *ast.FuncDecl
 	// Pkg is the package the function was loaded from.
 	Pkg *load.Package
-	// Out and In are the outgoing and incoming edges.
+	// Out are the outgoing edges.
 	Out []*Edge
-	In  []*Edge
 }
 
 // Edge is one possible caller→callee relationship.
 type Edge struct {
-	Caller *Node
 	Callee *Node
-	// Pos is the call (or reference) position in the caller.
+	// Pos is the call position in the caller.
 	Pos token.Pos
-	// Async marks calls under a `go` statement: they do not run on the
-	// caller's stack, so the caller's locks are not held across them.
-	Async bool
-	// Ref marks a function value reference rather than a call: the
-	// function escapes to whoever receives the value and may run later.
-	Ref bool
-	// Interface holds the interface method name ("Chunker.Split") when
-	// the edge came from the conservative interface-call fallback.
-	Interface string
 }
 
 // FuncID returns the stable identity of fn across source- and
@@ -135,7 +118,7 @@ func Build(fset *token.FileSet, pkgs []*load.Package) *Graph {
 					continue
 				}
 				b := &edgeBuilder{g: g, pkg: pkg, caller: caller, impls: impls}
-				b.walk(fd.Body, false)
+				b.walk(fd.Body)
 			}
 		}
 	}
@@ -175,63 +158,30 @@ type edgeBuilder struct {
 	impls  *implIndex
 }
 
-func (b *edgeBuilder) walk(n ast.Node, async bool) {
-	if n == nil {
-		return
-	}
+func (b *edgeBuilder) walk(n ast.Node) {
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch node := m.(type) {
 		case *ast.GoStmt:
 			// Everything below the go statement is detached from the
 			// caller's stack. (Argument expressions do evaluate
-			// synchronously; treating them as async only loses edges for
+			// synchronously; dropping them only loses edges for
 			// happens-while-holding analyses, which is the safe
 			// direction for a linter.)
-			b.walk(node.Call, true)
 			return false
 		case *ast.CallExpr:
-			b.call(node, async)
-			// Recurse manually so the Fun identifier is not re-visited
-			// as a value reference.
-			b.walkCallChildren(node, async)
-			return false
-		case *ast.Ident:
-			b.ref(node, node, async)
-			return false
-		case *ast.SelectorExpr:
-			b.ref(node, node.Sel, async)
-			// The receiver expression may itself contain calls.
-			b.walk(node.X, async)
-			return false
+			b.call(node)
 		}
 		return true
 	})
 }
 
-// walkCallChildren walks a call's operand subtrees, skipping the part
-// of Fun that names the callee (already handled as a call).
-func (b *edgeBuilder) walkCallChildren(call *ast.CallExpr, async bool) {
-	switch fn := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		// Nothing below.
-	case *ast.SelectorExpr:
-		b.walk(fn.X, async)
-	default:
-		// FuncLit called immediately, call returning a function, ...
-		b.walk(fn, async)
-	}
-	for _, arg := range call.Args {
-		b.walk(arg, async)
-	}
-}
-
 // call resolves one call expression to zero or more callees.
-func (b *edgeBuilder) call(call *ast.CallExpr, async bool) {
+func (b *edgeBuilder) call(call *ast.CallExpr) {
 	info := b.pkg.Info
 	switch fn := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if obj, ok := objectOf(info, fn).(*types.Func); ok {
-			b.addEdge(obj, call.Pos(), async, false, "")
+			b.addEdge(obj, call.Pos())
 		}
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[fn]; ok {
@@ -240,70 +190,26 @@ func (b *edgeBuilder) call(call *ast.CallExpr, async bool) {
 				return // field of function type: unresolvable statically
 			}
 			if recvIsInterface(callee) {
-				b.interfaceCall(sel.Recv(), callee, call.Pos(), async)
+				for _, impl := range b.impls.resolve(sel.Recv(), callee.Name()) {
+					b.addEdge(impl, call.Pos())
+				}
 				return
 			}
-			b.addEdge(callee, call.Pos(), async, false, "")
+			b.addEdge(callee, call.Pos())
 			return
 		}
 		// Package-qualified call (pkg.Func).
 		if obj, ok := objectOf(info, fn.Sel).(*types.Func); ok {
-			b.addEdge(obj, call.Pos(), async, false, "")
+			b.addEdge(obj, call.Pos())
 		}
 	}
-}
-
-// ref records a function value used outside call position.
-func (b *edgeBuilder) ref(expr ast.Expr, id *ast.Ident, async bool) {
-	fn, ok := objectOf(b.pkg.Info, id).(*types.Func)
-	if !ok {
-		return
-	}
-	if recvIsInterface(fn) {
-		// Method value through an interface: fall back like a call.
-		if sel, isSel := expr.(*ast.SelectorExpr); isSel {
-			if s, okSel := b.pkg.Info.Selections[sel]; okSel {
-				b.interfaceRef(s.Recv(), fn, expr.Pos(), async)
-			}
-		}
-		return
-	}
-	b.addEdge(fn, expr.Pos(), async, true, "")
-}
-
-// interfaceCall adds fallback edges for a call through an interface.
-func (b *edgeBuilder) interfaceCall(recv types.Type, method *types.Func, pos token.Pos, async bool) {
-	label := interfaceLabel(recv, method)
-	for _, impl := range b.impls.resolve(recv, method.Name()) {
-		b.addEdge(impl, pos, async, false, label)
-	}
-}
-
-// interfaceRef is the Ref-edge variant of interfaceCall.
-func (b *edgeBuilder) interfaceRef(recv types.Type, method *types.Func, pos token.Pos, async bool) {
-	label := interfaceLabel(recv, method)
-	for _, impl := range b.impls.resolve(recv, method.Name()) {
-		b.addEdge(impl, pos, async, true, label)
-	}
-}
-
-func interfaceLabel(recv types.Type, method *types.Func) string {
-	name := "interface"
-	if named, ok := deref(recv).(*types.Named); ok {
-		name = named.Obj().Name()
-	}
-	return name + "." + method.Name()
 }
 
 // addEdge links caller→callee when the callee has loaded source.
-func (b *edgeBuilder) addEdge(callee *types.Func, pos token.Pos, async, ref bool, iface string) {
-	target := b.g.Node(callee)
-	if target == nil {
-		return
+func (b *edgeBuilder) addEdge(callee *types.Func, pos token.Pos) {
+	if target := b.g.Node(callee); target != nil {
+		b.caller.Out = append(b.caller.Out, &Edge{Callee: target, Pos: pos})
 	}
-	e := &Edge{Caller: b.caller, Callee: target, Pos: pos, Async: async, Ref: ref, Interface: iface}
-	b.caller.Out = append(b.caller.Out, e)
-	target.In = append(target.In, e)
 }
 
 // implIndex resolves interface calls to concrete methods declared in

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"efdedup/lint/analysis"
-	"efdedup/lint/internal/cfg"
 	"efdedup/lint/internal/load"
 	"efdedup/lint/internal/summary"
 	"efdedup/lint/internal/wire"
@@ -56,7 +55,6 @@ func RunScoped(analyzers []*analysis.Analyzer, targets, universe []*load.Package
 // slowest first.
 func RunScopedTimed(analyzers []*analysis.Analyzer, targets, universe []*load.Package, fset *token.FileSet) ([]Diagnostic, []Timing, error) {
 	sums := summary.Build(fset, universe)
-	cfgs := cfg.NewStore()
 	wireIx := wire.BuildIndex(fset, universe)
 	var allFiles []*ast.File
 	for _, pkg := range universe {
@@ -74,7 +72,6 @@ func RunScopedTimed(analyzers []*analysis.Analyzer, targets, universe []*load.Pa
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
 				Summaries: sums,
-				CFGs:      cfgs,
 				Wire:      wireIx,
 			}
 			pass.Report = func(d analysis.Diagnostic) {
@@ -173,16 +170,10 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) ignoreIndex {
 		fileIdx := make(map[int][]string)
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				if !strings.HasPrefix(text, "lint:ignore ") {
-					continue
+				if names := ignoreNames(c.Text); names != nil {
+					pos := fset.Position(c.Pos())
+					fileIdx[pos.Line] = append(fileIdx[pos.Line], names...)
 				}
-				fields := strings.Fields(strings.TrimPrefix(text, "lint:ignore "))
-				if len(fields) < 2 {
-					continue // no reason given: directive not honoured
-				}
-				pos := fset.Position(c.Pos())
-				fileIdx[pos.Line] = append(fileIdx[pos.Line], strings.Split(fields[0], ",")...)
 			}
 		}
 		if len(fileIdx) == 0 {
@@ -192,6 +183,50 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) ignoreIndex {
 		idx[fset.Position(f.Pos()).Filename] = fileIdx
 	}
 	return idx
+}
+
+// ignoreNames returns the analyzer names a //lint:ignore comment
+// lists, or nil when the comment is no directive or gives no reason.
+func ignoreNames(comment string) []string {
+	text, ok := strings.CutPrefix(strings.TrimPrefix(comment, "//"), "lint:ignore ")
+	if !ok {
+		return nil
+	}
+	fields := strings.Fields(text)
+	if len(fields) < 2 {
+		return nil // no reason given: directive not honoured
+	}
+	return strings.Split(fields[0], ",")
+}
+
+// UnknownIgnores reports every //lint:ignore directive in the packages'
+// files that names an analyzer outside registered. Such a name
+// suppresses nothing — its analyzer was deleted or renamed — and tells
+// a reader that a check still guards the line.
+func UnknownIgnores(fset *token.FileSet, pkgs []*load.Package, registered []*analysis.Analyzer) []Diagnostic {
+	known := map[string]bool{"all": true}
+	for _, a := range registered {
+		known[a.Name] = true
+	}
+	var out []Diagnostic
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					for _, name := range ignoreNames(c.Text) {
+						if !known[name] {
+							out = append(out, Diagnostic{
+								Position: fset.Position(c.Pos()),
+								Analyzer: "ignore",
+								Message:  fmt.Sprintf("//lint:ignore names %q, which is not a registered analyzer: drop the name, and the directive once it names none", name),
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
 }
 
 // extendToStatements widens directive coverage over multi-line

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"efdedup/lint/analysis"
+	"efdedup/lint/internal/load"
 )
 
 func parseIgnores(t *testing.T, src string) (*token.FileSet, ignoreIndex) {
@@ -28,7 +29,7 @@ func TestIgnoreCoversMultiLineStatement(t *testing.T) {
 
 func f() []string {
 	var out []string
-	//lint:ignore hotalloc formatted per batch by design
+	//lint:ignore lockedio formatted per batch by design
 	out = append(out,
 		g(1),
 		g(2),
@@ -40,14 +41,14 @@ func g(int) string { return "" }
 `)
 	// The statement spans lines 6-9; the directive sits on line 5.
 	for line := 6; line <= 9; line++ {
-		if !idx.suppressed("hotalloc", token.Position{Filename: "x.go", Line: line}) {
+		if !idx.suppressed("lockedio", token.Position{Filename: "x.go", Line: line}) {
 			t.Errorf("line %d not covered by the directive", line)
 		}
 	}
-	if idx.suppressed("hotalloc", token.Position{Filename: "x.go", Line: 11}) {
+	if idx.suppressed("lockedio", token.Position{Filename: "x.go", Line: 11}) {
 		t.Error("line after the statement should not be covered")
 	}
-	if idx.suppressed("resleak", token.Position{Filename: "x.go", Line: 7}) {
+	if idx.suppressed("fsyncrename", token.Position{Filename: "x.go", Line: 7}) {
 		t.Error("a different analyzer should not be suppressed")
 	}
 }
@@ -59,7 +60,7 @@ func TestIgnoreTrailingFormExtends(t *testing.T) {
 
 func f() []string {
 	var out []string
-	out = append(out, //lint:ignore hotalloc one-shot formatting
+	out = append(out, //lint:ignore lockedio one-shot formatting
 		g(1),
 	)
 	return out
@@ -68,7 +69,7 @@ func f() []string {
 func g(int) string { return "" }
 `)
 	for line := 5; line <= 7; line++ {
-		if !idx.suppressed("hotalloc", token.Position{Filename: "x.go", Line: line}) {
+		if !idx.suppressed("lockedio", token.Position{Filename: "x.go", Line: line}) {
 			t.Errorf("line %d not covered by the trailing directive", line)
 		}
 	}
@@ -80,7 +81,7 @@ func TestIgnoreDoesNotExtendOverBlocks(t *testing.T) {
 	_, idx := parseIgnores(t, `package p
 
 func f(xs []int) {
-	//lint:ignore hotalloc should not cover the loop body
+	//lint:ignore lockedio should not cover the loop body
 	for range xs {
 		g(1)
 	}
@@ -90,16 +91,16 @@ func g(int) string { return "" }
 `)
 	// Line 5 (the for header) is the directive's next line: covered by
 	// the ordinary line-above rule. The body must stay uncovered.
-	if idx.suppressed("hotalloc", token.Position{Filename: "x.go", Line: 6}) {
+	if idx.suppressed("lockedio", token.Position{Filename: "x.go", Line: 6}) {
 		t.Error("loop body must not inherit the directive")
 	}
 }
 
 func TestPrintSARIF(t *testing.T) {
-	a := &analysis.Analyzer{Name: "resleak", Doc: "resources must reach Close"}
+	a := &analysis.Analyzer{Name: "demo", Doc: "resources must reach Close"}
 	diags := []Diagnostic{{
 		Position: token.Position{Filename: "/repo/pkg/file.go", Line: 7, Column: 3},
-		Analyzer: "resleak",
+		Analyzer: "demo",
 		Message:  "os.Open result is not closed on every path",
 	}}
 	var buf strings.Builder
@@ -109,8 +110,8 @@ func TestPrintSARIF(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		`"version": "2.1.0"`,
-		`"id": "resleak"`,
-		`"ruleId": "resleak"`,
+		`"id": "demo"`,
+		`"ruleId": "demo"`,
 		`"uri": "pkg/file.go"`,
 		`"startLine": 7`,
 		`"text": "os.Open result is not closed on every path"`,
@@ -118,5 +119,36 @@ func TestPrintSARIF(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("SARIF output missing %s\n%s", want, out)
 		}
+	}
+}
+
+// A directive naming an analyzer that is not registered is reported
+// once per unknown name, at the directive; registered names, "all" and
+// reasonless comments are not.
+func TestUnknownIgnores(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "x.go", `package p
+
+func f() {
+	//lint:ignore lockedio,retired the lock guards the write
+	g()
+	//lint:ignore all generated code
+	g()
+	//lint:ignore gone
+	g()
+}
+
+func g() {}
+`, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := []*load.Package{{PkgPath: "p", Files: []*ast.File{f}}}
+	diags := UnknownIgnores(fset, pkgs, []*analysis.Analyzer{{Name: "lockedio"}})
+	if len(diags) != 1 {
+		t.Fatalf("got %d diagnostics, want 1: %+v", len(diags), diags)
+	}
+	if d := diags[0]; d.Position.Line != 4 || !strings.Contains(d.Message, `"retired"`) {
+		t.Errorf("diagnostic = %+v, want line 4 naming \"retired\"", d)
 	}
 }

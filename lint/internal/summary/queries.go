@@ -24,8 +24,7 @@ type IOPath struct {
 // ReachesIO reports whether the function with the given ID performs
 // network I/O itself or through any chain of synchronous calls.
 // Interface fallback edges are followed (any implementation that dials
-// counts); async (go-spawned) and ref edges are not — they do not run
-// on the caller's stack, so a held lock is not held across them.
+// counts).
 func (s *Set) ReachesIO(id string) *IOPath {
 	if p, done := s.reachesIO[id]; done {
 		return p
@@ -42,9 +41,6 @@ func (s *Set) ReachesIO(id string) *IOPath {
 	}
 	if fs.Node != nil {
 		for _, e := range fs.Node.Out {
-			if e.Async || e.Ref {
-				continue
-			}
 			if sub := s.ReachesIO(e.Callee.ID); sub != nil {
 				p := &IOPath{
 					Chain: append([]string{displayName(id)}, sub.Chain...),
@@ -85,9 +81,6 @@ func (s *Set) TransitiveLocks(id string) map[string]token.Pos {
 	}
 	if fs.Node != nil {
 		for _, e := range fs.Node.Out {
-			if e.Async || e.Ref {
-				continue
-			}
 			for key, pos := range s.TransitiveLocks(e.Callee.ID) {
 				if _, ok := out[key]; !ok {
 					out[key] = pos
@@ -305,121 +298,6 @@ func shortestCycle(g *LockGraph, start string, inSCC map[string]bool) []string {
 		}
 	}
 	return nil
-}
-
-// ---------------------------------------------------------------------
-// Sentinel wrap chains (errlost)
-// ---------------------------------------------------------------------
-
-// WrapChain explains how a callee's error can carry a tracked sentinel.
-type WrapChain struct {
-	// Sentinel is the short sentinel name ("kvstore.ErrNoQuorum").
-	Sentinel string
-	// Chain lists display names from the queried function down to the
-	// one that wraps the sentinel.
-	Chain []string
-}
-
-// Sentinels returns, per tracked sentinel, how the function's returned
-// error can carry it — directly or through callees whose errors escape
-// into its return values. Nil when the function cannot produce one.
-func (s *Set) Sentinels(id string) map[string]*WrapChain {
-	if m, done := s.sentinels[id]; done {
-		return m
-	}
-	s.sentinels[id] = nil // cycle guard
-	fs := s.Funcs[id]
-	if fs == nil {
-		return nil
-	}
-	out := make(map[string]*WrapChain)
-	for _, w := range fs.Wraps {
-		if _, ok := out[w.Sentinel]; !ok {
-			out[w.Sentinel] = &WrapChain{Sentinel: w.Sentinel, Chain: []string{displayName(id)}}
-		}
-	}
-	for _, calleeID := range fs.ErrEscapes {
-		for name, sub := range s.Sentinels(calleeID) {
-			if _, ok := out[name]; !ok {
-				out[name] = &WrapChain{
-					Sentinel: name,
-					Chain:    append([]string{displayName(id)}, sub.Chain...),
-				}
-			}
-		}
-	}
-	if len(out) == 0 {
-		out = nil
-	}
-	s.sentinels[id] = out
-	return out
-}
-
-// ---------------------------------------------------------------------
-// Root reachability (hotalloc)
-// ---------------------------------------------------------------------
-
-// ReachOptions tunes a reachability sweep.
-type ReachOptions struct {
-	// FollowAsync follows go-spawned calls (the spawned work is still
-	// part of the pipeline's throughput budget).
-	FollowAsync bool
-	// FollowRefs follows function value references (callbacks handed to
-	// other components that may invoke them per item).
-	FollowRefs bool
-}
-
-// Reach holds the result of a reachability sweep: for every reachable
-// function ID, the call path (display names) from the nearest root.
-type Reach struct {
-	paths map[string][]string
-}
-
-// Path returns the root→function display chain, or nil when the
-// function is not reachable.
-func (r *Reach) Path(id string) []string { return r.paths[id] }
-
-// ReachableFrom runs a BFS from the given root IDs over the call graph.
-func (s *Set) ReachableFrom(rootIDs []string, opt ReachOptions) *Reach {
-	r := &Reach{paths: make(map[string][]string)}
-	sorted := append([]string(nil), rootIDs...)
-	sort.Strings(sorted)
-	var queue []string
-	for _, id := range sorted {
-		if _, ok := s.Funcs[id]; !ok {
-			continue
-		}
-		if _, seen := r.paths[id]; seen {
-			continue
-		}
-		r.paths[id] = []string{displayName(id)}
-		queue = append(queue, id)
-	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		fs := s.Funcs[id]
-		if fs == nil || fs.Node == nil {
-			continue
-		}
-		for _, e := range fs.Node.Out {
-			if e.Async && !opt.FollowAsync {
-				continue
-			}
-			if e.Ref && !opt.FollowRefs {
-				continue
-			}
-			if _, seen := r.paths[e.Callee.ID]; seen {
-				continue
-			}
-			base := r.paths[id]
-			path := make([]string, len(base), len(base)+1)
-			copy(path, base)
-			r.paths[e.Callee.ID] = append(path, displayName(e.Callee.ID))
-			queue = append(queue, e.Callee.ID)
-		}
-	}
-	return r
 }
 
 // ---------------------------------------------------------------------

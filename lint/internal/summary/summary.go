@@ -1,10 +1,8 @@
 // Package summary computes per-function facts over the whole loaded
-// universe and answers the transitive questions interprocedural
-// analyzers ask: which mutexes can this call chain acquire, does this
-// helper eventually touch the network, can this callee's error carry a
-// quorum sentinel, which functions are reachable from the dedup
-// pipeline roots. Facts are extracted once per lint run; transitive
-// queries are memoized on the Set.
+// universe and answers the two transitive questions the lock analyzers
+// ask: which mutexes can this call chain acquire, and does this helper
+// eventually touch the network. Facts are extracted once per lint run;
+// transitive queries are memoized on the Set.
 //
 // A summary is deliberately positional — the one lock-region sweep the
 // lockedio and lockorder analyzers share: Lock()/RLock() opens a held
@@ -16,7 +14,6 @@ package summary
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -25,18 +22,6 @@ import (
 	"efdedup/lint/internal/callgraph"
 	"efdedup/lint/internal/load"
 )
-
-// Sentinel errors whose loss at a call site the errlost analyzer
-// reports. Matched by (package-path suffix, name); PartialWriteError is
-// a type, the rest are variables.
-var trackedSentinels = []struct {
-	pkgSuffix string
-	name      string
-	isType    bool
-}{
-	{"internal/kvstore", "ErrNoQuorum", false},
-	{"internal/kvstore", "PartialWriteError", true},
-}
 
 // LockSite is one mutex acquisition inside a function.
 type LockSite struct {
@@ -50,8 +35,6 @@ type LockSite struct {
 	// diagnostics.
 	Expr string
 	Pos  token.Pos
-	// Async marks acquisitions under a `go` statement.
-	Async bool
 }
 
 // LockEdge records "Inner was acquired while Outer was held", both with
@@ -89,13 +72,6 @@ type IOUnderLock struct {
 	LockPos  token.Pos
 }
 
-// WrapSite is one place a tracked sentinel is wrapped into (or returned
-// as) an error.
-type WrapSite struct {
-	Sentinel string // short name, e.g. "kvstore.ErrNoQuorum"
-	Pos      token.Pos
-}
-
 // FuncSummary is the per-function fact sheet.
 type FuncSummary struct {
 	ID   string
@@ -106,25 +82,16 @@ type FuncSummary struct {
 	CallsUnderLock []CallUnderLock
 	IO             []IOSite // synchronous direct I/O only
 	IOUnderLock    []IOUnderLock
-	Wraps          []WrapSite
-	// ErrEscapes lists callee IDs whose error results can flow into
-	// this function's own return values.
-	ErrEscapes []string
-	// ReturnsError reports whether the signature includes an error
-	// result.
-	ReturnsError bool
 }
 
 // Set is the module-wide summary store plus memoized transitive
 // queries. Analyzers reach it through Pass.Summaries.
 type Set struct {
 	Fset  *token.FileSet
-	Graph *callgraph.Graph
 	Funcs map[string]*FuncSummary
 
 	reachesIO map[string]*IOPath
 	locksOf   map[string]map[string]token.Pos
-	sentinels map[string]map[string]*WrapChain
 	lockGraph *LockGraph
 }
 
@@ -133,11 +100,9 @@ func Build(fset *token.FileSet, pkgs []*load.Package) *Set {
 	g := callgraph.Build(fset, pkgs)
 	s := &Set{
 		Fset:      fset,
-		Graph:     g,
 		Funcs:     make(map[string]*FuncSummary, len(g.Nodes)),
 		reachesIO: make(map[string]*IOPath),
 		locksOf:   make(map[string]map[string]token.Pos),
-		sentinels: make(map[string]map[string]*WrapChain),
 	}
 	for _, node := range g.SortedNodes() {
 		s.Funcs[node.ID] = summarize(node)
@@ -159,18 +124,9 @@ func (s *Set) ForFunc(fn *types.Func) *FuncSummary {
 
 func summarize(node *callgraph.Node) *FuncSummary {
 	fs := &FuncSummary{ID: node.ID, Node: node}
-	sig, _ := node.Func.Type().(*types.Signature)
-	if sig != nil {
-		fs.ReturnsError = signatureReturnsError(sig)
+	if node.Decl != nil && node.Decl.Body != nil {
+		sweepLocks(fs, node, netConnInterface(node.Pkg.Types))
 	}
-	if node.Decl == nil || node.Decl.Body == nil {
-		return fs
-	}
-	info := node.Pkg.Info
-	conn := netConnInterface(node.Pkg.Types)
-
-	sweepLocks(fs, node, conn)
-	collectWrapsAndEscapes(fs, node, info)
 	return fs
 }
 
@@ -262,7 +218,7 @@ func sweepBody(fs *FuncSummary, node *callgraph.Node, block *ast.BlockStmt, asyn
 	for _, ev := range events {
 		switch ev.kind {
 		case evLock:
-			fs.Locks = append(fs.Locks, LockSite{Key: ev.key, Expr: ev.expr, Pos: ev.pos, Async: async})
+			fs.Locks = append(fs.Locks, LockSite{Key: ev.key, Expr: ev.expr, Pos: ev.pos})
 			for _, h := range held {
 				if h.key != "" && ev.key != "" {
 					fs.LockEdges = append(fs.LockEdges, LockEdge{Outer: h.key, Inner: ev.key, Pos: ev.pos})
@@ -341,136 +297,6 @@ func classify(info *types.Info, node *callgraph.Node, call *ast.CallExpr, conn *
 		return event{pos: call.Pos(), kind: evCall, key: id, expr: calleeDisplay(call, callee)}, true
 	}
 	return event{}, false
-}
-
-// collectWrapsAndEscapes fills Wraps and ErrEscapes.
-func collectWrapsAndEscapes(fs *FuncSummary, node *callgraph.Node, info *types.Info) {
-	if !fs.ReturnsError {
-		return
-	}
-	body := node.Decl.Body
-
-	// Identifiers that appear inside return statements (plus named
-	// error results, which return statements may name implicitly).
-	returned := make(map[types.Object]bool)
-	if sig, ok := node.Func.Type().(*types.Signature); ok {
-		res := sig.Results()
-		for i := 0; i < res.Len(); i++ {
-			if v := res.At(i); v.Name() != "" && isErrorType(v.Type()) {
-				returned[v] = true
-			}
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		for _, res := range ret.Results {
-			ast.Inspect(res, func(m ast.Node) bool {
-				if id, okID := m.(*ast.Ident); okID {
-					if obj := info.Uses[id]; obj != nil {
-						returned[obj] = true
-					}
-				}
-				return true
-			})
-		}
-		return true
-	})
-
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch nn := n.(type) {
-		case *ast.CallExpr:
-			// Sentinel wrapped with %w via fmt.Errorf.
-			if isPkgCall(info, nn, "fmt", "Errorf") && len(nn.Args) > 1 {
-				if tv, ok := info.Types[nn.Args[0]]; ok && tv.Value != nil && tv.Value.Kind() == constant.String &&
-					strings.Contains(constant.StringVal(tv.Value), "%w") {
-					for _, arg := range nn.Args[1:] {
-						if name, ok := sentinelRef(info, arg); ok {
-							fs.Wraps = append(fs.Wraps, WrapSite{Sentinel: name, Pos: nn.Pos()})
-						}
-					}
-				}
-			}
-			// Callee error escaping through a return statement or an
-			// assignment to a returned variable.
-			if callee := calleeFunc(info, nn); callee != nil && calleeReturnsError(callee) {
-				if !types.IsInterface(recvType(callee)) {
-					if escapes(info, body, nn, returned) {
-						fs.ErrEscapes = append(fs.ErrEscapes, callgraph.FuncID(callee))
-					}
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, res := range nn.Results {
-				if name, ok := sentinelRef(info, res); ok {
-					fs.Wraps = append(fs.Wraps, WrapSite{Sentinel: name, Pos: nn.Pos()})
-				}
-			}
-		case *ast.CompositeLit:
-			if name, ok := sentinelType(info, nn); ok {
-				fs.Wraps = append(fs.Wraps, WrapSite{Sentinel: name, Pos: nn.Pos()})
-			}
-		}
-		return true
-	})
-	fs.ErrEscapes = dedupe(fs.ErrEscapes)
-}
-
-// escapes reports whether the error result of call can flow into the
-// enclosing function's return values: the call sits inside a return
-// statement, or its error result is assigned to a variable that some
-// return statement mentions.
-func escapes(info *types.Info, body *ast.BlockStmt, call *ast.CallExpr, returned map[types.Object]bool) bool {
-	found := false
-	var visit func(n ast.Node) bool
-	visit = func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch nn := n.(type) {
-		case *ast.ReturnStmt:
-			if containsNode(nn, call) {
-				found = true
-				return false
-			}
-		case *ast.AssignStmt:
-			for _, rhs := range nn.Rhs {
-				if !containsNode(rhs, call) {
-					continue
-				}
-				for _, lhs := range nn.Lhs {
-					id, ok := lhs.(*ast.Ident)
-					if !ok {
-						continue
-					}
-					obj := info.Defs[id]
-					if obj == nil {
-						obj = info.Uses[id]
-					}
-					if obj != nil && isErrorType(obj.Type()) && returned[obj] {
-						found = true
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	ast.Inspect(body, visit)
-	return found
-}
-
-func containsNode(root ast.Node, target ast.Node) bool {
-	found := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == target {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // ---------------------------------------------------------------------
@@ -650,89 +476,6 @@ func recvType(fn *types.Func) types.Type {
 	return sig.Recv().Type()
 }
 
-func calleeReturnsError(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	return signatureReturnsError(sig)
-}
-
-func signatureReturnsError(sig *types.Signature) bool {
-	res := sig.Results()
-	for i := 0; i < res.Len(); i++ {
-		if isErrorType(res.At(i).Type()) {
-			return true
-		}
-	}
-	return false
-}
-
-func isErrorType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	return named.Obj().Name() == "error" && named.Obj().Pkg() == nil
-}
-
-// sentinelRef reports whether expr references a tracked sentinel
-// variable (possibly wrapped in unary/paren expressions).
-func sentinelRef(info *types.Info, expr ast.Expr) (string, bool) {
-	var id *ast.Ident
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.Ident:
-		id = e
-	case *ast.SelectorExpr:
-		id = e.Sel
-	default:
-		return "", false
-	}
-	obj := info.Uses[id]
-	if obj == nil || obj.Pkg() == nil {
-		return "", false
-	}
-	if _, isVar := obj.(*types.Var); !isVar {
-		return "", false
-	}
-	for _, s := range trackedSentinels {
-		if !s.isType && obj.Name() == s.name && strings.HasSuffix(obj.Pkg().Path(), s.pkgSuffix) {
-			return shortPkg(obj.Pkg().Path()) + "." + s.name, true
-		}
-	}
-	return "", false
-}
-
-// sentinelType reports whether lit constructs a tracked sentinel error
-// type (e.g. &PartialWriteError{...} — the & is the enclosing node).
-func sentinelType(info *types.Info, lit *ast.CompositeLit) (string, bool) {
-	tv, ok := info.Types[lit]
-	if !ok {
-		return "", false
-	}
-	named, ok := deref(tv.Type).(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return "", false
-	}
-	for _, s := range trackedSentinels {
-		if s.isType && named.Obj().Name() == s.name && strings.HasSuffix(named.Obj().Pkg().Path(), s.pkgSuffix) {
-			return shortPkg(named.Obj().Pkg().Path()) + "." + s.name, true
-		}
-	}
-	return "", false
-}
-
-func isPkgCall(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	obj := calleeObject(info, call)
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	if fn, ok := obj.(*types.Func); !ok || fn.Type().(*types.Signature).Recv() != nil {
-		return false
-	}
-	return obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
 func objectOf(info *types.Info, id *ast.Ident) types.Object {
 	if o := info.Uses[id]; o != nil {
 		return o
@@ -783,18 +526,6 @@ func netConnInterface(pkg *types.Package) *types.Interface {
 	}
 	iface, _ := obj.Type().Underlying().(*types.Interface)
 	return iface
-}
-
-func dedupe(in []string) []string {
-	seen := make(map[string]bool, len(in))
-	out := in[:0]
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // FmtPos renders a position as base file name plus line, compact

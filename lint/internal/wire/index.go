@@ -44,7 +44,7 @@ type Site struct {
 
 // Index is the module-wide wire surface: every RPC registration and
 // call site plus extracted codec layouts, built once per lint run and
-// shared by the rpcpair/codecpair/lenguard/wirelock analyzers.
+// shared by the lenguard and wirelock analyzers.
 type Index struct {
 	Sites []Site
 
@@ -56,11 +56,6 @@ type Index struct {
 
 	ex *Extractor
 }
-
-// Layout extracts (or returns the memoized) layout for any function in
-// the loaded universe, codec-named or not — codecpair uses it to chase
-// pairs the eager sweep skipped.
-func (ix *Index) Layout(fid string, dir Dir) *Layout { return ix.ex.Layout(fid, dir) }
 
 // Methods returns every distinct method name appearing at any site,
 // sorted.

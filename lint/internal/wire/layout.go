@@ -1,9 +1,10 @@
 // Package wire reads the wire layouts of the module's codecs and indexes
 // its RPC surface (method registrations and call sites). It is the
-// substrate of the protocol-conformance analyzers (rpcpair, codecpair,
-// lenguard, wirelock): the store's collaborative index only works if
-// every edge agent, KV node and the cloud store agree byte-for-byte on
-// the frame format, and nothing in the type system checks that.
+// substrate of the protocol analyzers (lenguard, wirelock) and of the
+// lint/wire.lock schema lockfile: the store's collaborative index only
+// works if every edge agent, KV node and the cloud store agree
+// byte-for-byte on the frame format, and nothing in the type system
+// checks that.
 //
 // Every byte format is built with internal/codec's appenders and read
 // back through its Reader, so a codec's layout is the sequence of codec
@@ -12,9 +13,7 @@
 // before a loop as list32<the loop's fields>, any other loop of codec
 // calls as repeat<…>, and a call of another codec function as that
 // function's fields. What the extractor cannot read — a codec call under
-// a condition, a foreign buffer transform — is a "?" field, and
-// consumers compare only the fields before the first "?": an
-// unrecognized codec produces silence, never a false mismatch.
+// a condition, a foreign buffer transform — is a "?" field.
 package wire
 
 import (
@@ -90,20 +89,6 @@ func (f Field) String() string {
 	return f.Kind.String()
 }
 
-// Equal reports structural equality (order, width, prefix kind, element
-// layout).
-func (f Field) Equal(g Field) bool {
-	if f.Kind != g.Kind || f.Prefix != g.Prefix || f.Size != g.Size || len(f.Elem) != len(g.Elem) {
-		return false
-	}
-	for i := range f.Elem {
-		if !f.Elem[i].Equal(g.Elem[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Dir distinguishes the two sides of a codec.
 type Dir int
 
@@ -132,9 +117,7 @@ type Layout struct {
 	Fields []Field
 	// Rest marks a decoder that leaves the bytes after its fields to its
 	// caller: it returns Reader.Rest, or it reads off a *codec.Reader it
-	// was handed. It matches either a trailing KTail on the encode side
-	// (the remainder is a payload field) or nothing (the decoder is a
-	// helper the caller splices).
+	// was handed.
 	Rest bool
 }
 
@@ -153,44 +136,4 @@ func (l *Layout) String() string {
 		s += " ; rest"
 	}
 	return s
-}
-
-// readable returns the fields before the first KOpaque, and whether
-// that is all of them.
-func (l *Layout) readable() ([]Field, bool) {
-	for i, f := range l.Fields {
-		if f.Kind == KOpaque {
-			return l.Fields[:i], false
-		}
-	}
-	return l.Fields, true
-}
-
-// Compare checks two layouts of one encode/decode pair field-for-field
-// over the fields both sides read. It returns a human-readable
-// description of the first disagreement, or "" when the layouts are
-// consistent. A decoder that leaves the rest to its caller absorbs a
-// trailing KTail on the encode side (the encoder's unprefixed remainder
-// is exactly what the decoder hands back).
-func Compare(enc, dec *Layout) string {
-	ef, eAll := enc.readable()
-	df, dAll := dec.readable()
-	if dec.Rest && eAll && len(ef) == len(df)+1 && ef[len(ef)-1].Kind == KTail {
-		ef = ef[:len(ef)-1]
-	}
-	n := min(len(ef), len(df))
-	for i := 0; i < n; i++ {
-		if !ef[i].Equal(df[i]) {
-			return fmt.Sprintf("field %d: encoder writes %s, decoder reads %s", i+1, ef[i], df[i])
-		}
-	}
-	// Length disagreement only counts when the shorter side is fully
-	// read — a "?" can hide any number of fields.
-	if len(ef) > n && dAll {
-		return fmt.Sprintf("encoder writes %d field(s) the decoder never reads (first extra: %s)", len(ef)-n, ef[n])
-	}
-	if len(df) > n && eAll {
-		return fmt.Sprintf("decoder reads %d field(s) the encoder never writes (first extra: %s)", len(df)-n, df[n])
-	}
-	return ""
 }

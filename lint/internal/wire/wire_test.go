@@ -265,23 +265,6 @@ func TestTailAndOpaqueLayouts(t *testing.T) {
 		"encode encodeResp":   "u64 | ? | u8 | tail",
 		"decode decodeResp":   "u64 | u8 | ?",
 	})
-	ex := NewExtractor(buildPkgs(t, tailSrc))
-	if msg := Compare(ex.Layout("p.encodeReq", Encode), ex.Layout("p.decodeReq", Decode)); msg != "" {
-		t.Errorf("a rest-returning decoder should absorb the tail: %s", msg)
-	}
-	if msg := Compare(ex.Layout("p.encodeResp", Encode), ex.Layout("p.decodeResp", Decode)); msg != "" {
-		t.Errorf("fields after a ? should not be compared: %s", msg)
-	}
-}
-
-// TestAsymmetricPairDiagnostic pins the mismatch report.
-func TestAsymmetricPairDiagnostic(t *testing.T) {
-	enc := &Layout{Fields: []Field{{Kind: KU32}, {Kind: KList, Prefix: KU32, Elem: []Field{{Kind: KU64}}}}}
-	dec := &Layout{Fields: []Field{{Kind: KU32}, {Kind: KList, Prefix: KU32, Elem: []Field{{Kind: KU32}}}}}
-	want := "field 2: encoder writes list32<u64>, decoder reads list32<u32>"
-	if got := Compare(enc, dec); got != want {
-		t.Errorf("Compare = %q, want %q", got, want)
-	}
 }
 
 const rpcSrc = `package p
