@@ -1,8 +1,8 @@
 // Command efdedup-restore downloads a stream previously deduplicated into
 // the central cloud store, reassembling it from its manifest and verifying
-// every chunk's content address. The restore reads the records it needs
-// out of each container, one request per container, through a read-ahead
-// cache — memory use is bounded by the cache, not the file — and the
+// every chunk's content address. The cloud assembles the stream a page
+// of chunks at a time, one request per page, and -read-ahead pages are in
+// flight — memory use is bounded by them, not by the file — and the
 // output file is installed atomically, so an interrupted restore never
 // leaves a half-written file at -out.
 //
@@ -39,8 +39,7 @@ func run() error {
 		out       = flag.String("out", "", "output path ('-' or empty writes to stdout)")
 		stats     = flag.Bool("stats", false, "print store statistics instead of restoring")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "overall deadline")
-		readAhead = flag.Int("read-ahead", cloudstore.DefaultRestoreReadAhead, "parallel container fetches")
-		cacheCap  = flag.Int("cache-containers", cloudstore.DefaultRestoreCacheContainers, "read-ahead container cache capacity")
+		readAhead = flag.Int("read-ahead", cloudstore.DefaultRestoreReadAhead, "pages in flight")
 	)
 	flag.Parse()
 
@@ -64,7 +63,7 @@ func run() error {
 	if *name == "" {
 		return fmt.Errorf("need -name (or -stats); usage: efdedup-restore -name <manifest>")
 	}
-	opts := cloudstore.RestoreOptions{ReadAhead: *readAhead, CacheContainers: *cacheCap}
+	opts := cloudstore.RestoreOptions{ReadAhead: *readAhead}
 
 	if *out == "" || *out == "-" {
 		_, err := client.RestoreTo(ctx, *name, os.Stdout, opts)
@@ -74,8 +73,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	log.Printf("restored %s: %d bytes in %d chunks, %d containers touched (cache %d hit / %d miss), %d bytes fetched (%.2fx restored), all chunks verified",
-		*name, st.Bytes, st.Chunks, st.ContainersTouched, st.CacheHits, st.CacheMisses,
+	log.Printf("restored %s: %d bytes in %d chunks, %d pages, %d containers read by the cloud, %d bytes fetched (%.2fx restored), all chunks verified",
+		*name, st.Bytes, st.Chunks, st.Pages, st.ContainersTouched,
 		st.FetchedBytes, float64(st.FetchedBytes)/float64(max(st.Bytes, 1)))
 	return nil
 }

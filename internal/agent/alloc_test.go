@@ -58,16 +58,16 @@ func TestPipelineAllocsPerChunk(t *testing.T) {
 		bound float64
 		f     func()
 	}{
-		// Measured on linux/amd64, go1.24: 5.90-5.93 (warm) and
-		// 11.63-11.76 (fresh) allocations per chunk over 50 runs. The
+		// Measured on linux/amd64, go1.24: 4.93-4.96 (warm) and
+		// 9.69-9.84 (fresh) allocations per chunk over 50 runs. The
 		// bounds leave about 0.45 of headroom, under the one allocation a
 		// planted per-chunk fmt.Sprintf adds.
-		{"warm", 6.4, func() {
+		{"warm", 5.4, func() {
 			if _, err := a.ProcessBytes(ctx, "warm", warm); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"fresh", 12.2, func() {
+		{"fresh", 10.3, func() {
 			data := fresh[next]
 			next++
 			if _, err := a.ProcessBytes(ctx, fmt.Sprintf("fresh-%d", next), data); err != nil {

@@ -180,7 +180,7 @@ func TestSyncFailurePublishesNothing(t *testing.T) {
 	if _, err := cs.put([]chunk.Chunk{later}, "", nil); err == nil {
 		t.Fatal("writer accepted an upload after its log failed")
 	}
-	if got, err := cs.readChunk(kept.ID); err != nil || string(got) != "kept" {
+	if got, err := readChunk(cs, kept.ID); err != nil || string(got) != "kept" {
 		t.Fatalf("acknowledged chunk after the failure = %q, %v", got, err)
 	}
 }

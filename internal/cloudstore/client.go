@@ -17,7 +17,7 @@ import (
 // without a registry lookup.
 var clientMethods = []string{
 	methodBatchUpload, methodBatchHas, methodUploadRaw,
-	methodGetRecipe, methodGetContainer, methodCommit, methodStats,
+	methodGetRecipe, methodGetContainer, methodRead, methodCommit, methodStats,
 }
 
 // Client talks to a cloud store over one multiplexed connection. Transport

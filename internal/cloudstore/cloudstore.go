@@ -20,9 +20,11 @@
 // Fresh chunks are packed in upload order into locality-preserving
 // containers (container.go), the only place a payload is kept; each
 // manifest is a record in the same container log, written behind its
-// stream's tail and made durable by the same sync. A restore reads the
-// records it needs out of each container — sealed or still open — with
-// one RPC, through a read-ahead cache, instead of one RPC per chunk.
+// stream's tail and made durable by the same sync. A restore asks for
+// its stream a page at a time (restore.go): the server reads the records
+// a page needs out of each container, sealed or still open, and the
+// client verifies every payload against its chunk ID, so a stream of up
+// to 256 chunks costs one round trip.
 package cloudstore
 
 import (
@@ -43,6 +45,7 @@ const (
 	methodUploadRaw    = "cloud.uploadraw"
 	methodGetRecipe    = "cloud.getrecipe"
 	methodGetContainer = "cloud.getcontainer"
+	methodRead         = "cloud.read"
 	methodCommit       = "cloud.commit"
 	methodStats        = "cloud.stats"
 )
@@ -144,6 +147,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s.handle(methodUploadRaw, s.handleUploadRaw)
 	s.handle(methodGetRecipe, s.handleGetRecipe)
 	s.handle(methodGetContainer, s.handleGetContainer)
+	s.handle(methodRead, s.handleRead)
 	s.handle(methodCommit, s.handleCommit)
 	s.handle(methodStats, s.handleStats)
 	reg := metrics.Default()
@@ -276,26 +280,23 @@ func (s *Server) repackSparse(ids []chunk.ID) {
 		return
 	}
 	sparse := s.containers.sparseContainers(ids)
-	if len(sparse) == 0 {
-		return
+	var entries []RecipeEntry
+	for _, e := range s.containers.locateAll(ids) {
+		if sparse[e.Loc.Container] {
+			entries = append(entries, e)
+		}
 	}
-	repacked := make(map[chunk.ID]bool)
-	for _, id := range ids {
-		if repacked[id] {
-			continue
+	found, _, err := s.containers.readPayloads(entries)
+	if err != nil {
+		return // unreadable copies are a restore-time problem, not a packing one
+	}
+	for _, e := range entries {
+		if data, ok := found[e.ID]; ok {
+			if !s.containers.repack(e.ID, data) {
+				return // duplication budget exhausted
+			}
+			delete(found, e.ID)
 		}
-		loc, ok := s.containers.locate(id)
-		if !ok || !sparse[loc.Container] {
-			continue
-		}
-		data, err := s.containers.readChunk(id)
-		if err != nil {
-			continue // unreadable copies are a restore-time problem, not a packing one
-		}
-		if !s.containers.repack(id, data) {
-			return // duplication budget exhausted
-		}
-		repacked[id] = true
 	}
 }
 
@@ -358,16 +359,29 @@ func (s *Server) handleGetRecipe(body []byte) ([]byte, error) {
 	return s.containers.recipe(string(body))
 }
 
-// getcontainer body: u64 container ID | (u32 offset | u32 length)*;
-// response: those byte ranges of the sealed or open container,
-// concatenated in request order — the records one restore needs from it,
-// in one RPC — or the container's raw CRC-framed bytes for no ranges.
+// getcontainer body: u64 container ID; response: the sealed or open
+// container's raw CRC-framed bytes.
 func (s *Server) handleGetContainer(body []byte) ([]byte, error) {
-	id, extents, err := decodeContainerRequest(body)
+	id, err := decodeContainerRequest(body)
 	if err != nil {
 		return nil, err
 	}
-	return s.containers.read(id, extents)
+	return s.containers.read(id, nil)
+}
+
+// read body: u16 name length | name | u32 first chunk; response: the
+// page of the named manifest starting there (see encodePage), built from
+// the containers it touches, each read once.
+func (s *Server) handleRead(body []byte) ([]byte, error) {
+	name, first, err := decodeReadRequest(body)
+	if err != nil {
+		return nil, err
+	}
+	p, err := s.containers.readPage(name, int(first))
+	if err != nil {
+		return nil, err
+	}
+	return encodePage(p), nil
 }
 
 // commit body: u16 name length | name | u32 count | (32-byte ID | u32 len |

@@ -255,10 +255,11 @@ func TestGetMissing(t *testing.T) {
 		missing := func(when string, ids ...uint64) {
 			t.Helper()
 			for _, id := range ids {
-				for _, extents := range [][]Extent{nil, {{Off: 8, Len: 1}}} {
-					if _, err := cl.GetContainer(ctx, id, extents...); !errors.Is(err, ErrNotFound) {
-						t.Fatalf("%s: GetContainer(%d, %v) = %v, want ErrNotFound", when, id, extents, err)
-					}
+				if _, err := cl.GetContainer(ctx, id); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("%s: GetContainer(%d) = %v, want ErrNotFound", when, id, err)
+				}
+				if _, err := srv.containers.read(id, []Extent{{Off: 8, Len: 1}}); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("%s: read(%d, extent) = %v, want ErrNotFound", when, id, err)
 				}
 			}
 		}

@@ -188,29 +188,69 @@ func decodeRecipe(body []byte) ([]RecipeEntry, error) {
 	return out, r.End()
 }
 
-// encodeContainerRequest builds a getcontainer request:
-// u64 container | (u32 off | u32 len)*. No extents asks for the whole
-// container.
-func encodeContainerRequest(id uint64, extents []Extent) []byte {
-	body := make([]byte, 0, 8+8*len(extents))
-	body = codec.U64(body, id)
-	for _, e := range extents {
-		body = codec.U32(body, e.Off)
-		body = codec.U32(body, e.Len)
-	}
-	return body
-}
+// encodeContainerRequest builds a getcontainer request: u64 container.
+func encodeContainerRequest(id uint64) []byte { return codec.U64(make([]byte, 0, 8), id) }
 
-// decodeContainerRequest parses a getcontainer request. It checks the
-// framing only; the store checks the extents against the container.
-func decodeContainerRequest(body []byte) (uint64, []Extent, error) {
+// decodeContainerRequest parses a getcontainer request.
+func decodeContainerRequest(body []byte) (uint64, error) {
 	r := codec.NewReader(body, ErrProto)
 	id := r.U64()
-	extents := make([]Extent, 0, r.Len()/8)
-	for r.Len() > 0 {
-		extents = append(extents, Extent{Off: r.U32(), Len: r.U32()})
+	return id, r.End()
+}
+
+// encodeReadRequest builds a read request: u16 name length | name |
+// u32 first chunk.
+func encodeReadRequest(name string, first uint32) ([]byte, error) {
+	if len(name) > 65535 {
+		return nil, fmt.Errorf("%w: name too long", ErrProto)
 	}
-	return id, extents, r.Err()
+	return codec.U32(codec.Bytes16(make([]byte, 0, 6+len(name)), name), first), nil
+}
+
+// decodeReadRequest parses a read request.
+func decodeReadRequest(body []byte) (name string, first uint32, err error) {
+	r := codec.NewReader(body, ErrProto)
+	n := r.Bytes16()
+	first = r.U32()
+	return string(n), first, r.End()
+}
+
+// encodePage builds a read reply: u32 manifest chunks | u64 manifest
+// container | u32 manifest offset | u32 containers read |
+// u32 count | (32-byte ID)* | u32 count | (u32 len | payload)*.
+func encodePage(p pageReply) []byte {
+	n := 4 + 8 + 4 + 4 + 4 + len(p.ids)*chunk.IDSize + 4
+	for _, data := range p.payloads {
+		n += 4 + len(data)
+	}
+	out := codec.U32(make([]byte, 0, n), p.total)
+	out = codec.U64(out, p.manifest.Container)
+	out = codec.U32(out, p.manifest.Offset)
+	out = codec.U32(out, p.containers)
+	out = codec.U32(out, uint32(len(p.ids)))
+	for _, id := range p.ids {
+		out = codec.ID(out, id)
+	}
+	out = codec.U32(out, uint32(len(p.payloads)))
+	for _, data := range p.payloads {
+		out = codec.Bytes32(out, data)
+	}
+	return out
+}
+
+// decodePage parses a read reply. Payloads alias the body.
+func decodePage(body []byte) (pageReply, error) {
+	r := codec.NewReader(body, ErrProto)
+	p := pageReply{total: r.U32(), manifest: Locator{Container: r.U64(), Offset: r.U32()}, containers: r.U32()}
+	p.ids = make([]chunk.ID, r.Count(chunk.IDSize))
+	for i := range p.ids {
+		p.ids[i] = r.ID()
+	}
+	p.payloads = make([][]byte, r.Count(4))
+	for i := range p.payloads {
+		p.payloads[i] = r.Bytes32()
+	}
+	return p, r.End()
 }
 
 // encodeCount builds the reply of the storing RPCs (batchupload,

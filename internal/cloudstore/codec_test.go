@@ -205,27 +205,15 @@ func TestRecipeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestContainerRequestRoundTrip pins the getcontainer request: extents
-// are optional, and without them the body is the 8-byte container ID old
-// clients send.
+// TestContainerRequestRoundTrip pins the getcontainer request: the
+// 8-byte container ID, and nothing else.
 func TestContainerRequestRoundTrip(t *testing.T) {
-	for _, extents := range [][]Extent{nil, {{Off: 8, Len: 40}}, {{Off: 8, Len: 40}, {Off: 1 << 31, Len: 1<<32 - 1}}} {
-		body := encodeContainerRequest(7, extents)
-		id, got, err := decodeContainerRequest(body)
-		if err != nil || id != 7 || len(got) != len(extents) {
-			t.Fatalf("round trip of %v = %d, %v, %v", extents, id, got, err)
-		}
-		for i := range extents {
-			if got[i] != extents[i] {
-				t.Fatalf("extent %d = %+v, want %+v", i, got[i], extents[i])
-			}
-		}
+	body := encodeContainerRequest(7)
+	if id, err := decodeContainerRequest(body); err != nil || id != 7 || !bytes.Equal(body, binary.BigEndian.AppendUint64(nil, 7)) {
+		t.Fatalf("round trip of container 7: %x = %d, %v", body, id, err)
 	}
-	if body := encodeContainerRequest(7, nil); !bytes.Equal(body, binary.BigEndian.AppendUint64(nil, 7)) {
-		t.Fatalf("a request without extents is not the 8-byte container ID: %x", body)
-	}
-	for _, n := range []int{0, 7, 9, 12, 20} {
-		if _, _, err := decodeContainerRequest(make([]byte, n)); !errors.Is(err, ErrProto) {
+	for _, n := range []int{0, 7, 9, 12, 16, 20} {
+		if _, err := decodeContainerRequest(make([]byte, n)); !errors.Is(err, ErrProto) {
 			t.Fatalf("%d-byte request: err = %v, want ErrProto", n, err)
 		}
 	}

@@ -5,13 +5,11 @@ package cloudstore
 // A chunk payload lives in exactly one kind of place: a record of a
 // container. Fresh chunks are appended — in upload order, which is
 // stream order — to the one open container; when it reaches its target
-// size it seals and a new one starts. A restore reads, from each
-// container its stream touches, sealed or open, the byte extents of the
-// records it needs (one RPC and one file open per container), so the
-// number of containers a stream touches is the fragmentation measure, as
-// in the container-store designs of the fragmentation literature
-// (partial repetition / container capping) — counted in round trips, not
-// in bytes.
+// size it seals and a new one starts. A restore page reads, from each
+// container it touches, sealed or open, the records it needs (one read
+// per container), so the containers a stream touches are the
+// fragmentation measure of the container-store literature (partial
+// repetition / container capping), counted in reads, not in bytes.
 //
 // Container format (file "<root>/containers/<%016x>.cont" once sealed,
 // "<root>/containers/open.cont" while open, or byte slices for Dir-less
@@ -58,8 +56,9 @@ package cloudstore
 import (
 	"bytes"
 	"cmp"
-	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"efdedup/internal/chunk"
@@ -114,9 +113,10 @@ type Extent struct {
 	Len uint32
 }
 
-// errPastEnd is a log read that ends past its container: bad input if a
-// client chose the range, damage if the index did.
-var errPastEnd = errors.New("range ends past the container")
+// errPastEnd is a log read that ends past its container. The store
+// chose the range from its index, so the index and the container
+// disagree: damage.
+var errPastEnd = fmt.Errorf("%w: range ends past the container", ErrCorrupt)
 
 // extentBytes returns how many bytes the extents name in a container of
 // the given size.
@@ -398,9 +398,9 @@ func (cs *containerStore) put(chunks []chunk.Chunk, name string, ids []chunk.ID)
 	}
 	var ref Locator // the manifest's part records: one run in one container
 	if name != "" && missing == nil {
-		per := (reclog.MaxRecord - chunk.IDSize - 3 - len(name)) / chunk.IDSize // IDs one part holds
+		per, head := partLayout(name)
 		// Room for every part first, so that no seal splits them.
-		cs.makeRoom(max(1, (len(ids)+per-1)/per)*(containerRecordHeader+3+len(name)) + len(ids)*chunk.IDSize)
+		cs.makeRoom(max(1, (len(ids)+per-1)/per)*head + len(ids)*chunk.IDSize)
 		for rest := ids; ; {
 			n := min(len(rest), per)
 			part := encodeManifestPart(name, n < len(rest), rest[:n])
@@ -544,24 +544,32 @@ func (cs *containerStore) has(ids []chunk.ID) []byte {
 	return out
 }
 
-// locate returns the locator of the chunk's newest copy.
-func (cs *containerStore) locate(id chunk.ID) (Locator, bool) {
-	cs.mu.RLock()
-	defer cs.mu.RUnlock()
-	l, ok := cs.loc[id]
-	return l, ok
+// partLayout returns how many IDs one part record of the named manifest
+// holds, and the bytes of a part record in front of its IDs.
+func partLayout(name string) (per, head int) {
+	head = containerRecordHeader + 3 + len(name)
+	return (reclog.MaxRecord - (head - reclog.HeaderSize)) / chunk.IDSize, head
 }
 
-// recipe reads the named manifest's part records, checking their CRCs
-// (they parsed when the catalog took them in), and returns the getrecipe
-// response locating its chunks. Damage is ErrCorrupt naming the container.
-func (cs *containerStore) recipe(name string) ([]byte, error) {
+// manifestRef returns where the named manifest's newest version is and
+// how many IDs its part records hold, from their size: every part but
+// the last is full.
+func (cs *containerStore) manifestRef(name string) (Locator, int, error) {
 	cs.mu.RLock()
 	ref, ok := cs.catalog[name]
 	cs.mu.RUnlock()
 	if !ok {
-		return nil, ErrNotFound
+		return Locator{}, 0, ErrNotFound
 	}
+	per, head := partLayout(name)
+	parts := (int(ref.Length) + head + per*chunk.IDSize - 1) / (head + per*chunk.IDSize)
+	return ref, (int(ref.Length) - parts*head) / chunk.IDSize, nil
+}
+
+// manifest reads the n IDs of the manifest at ref, checking its records'
+// CRCs (they parsed when the catalog took them in). Damage is ErrCorrupt
+// naming the container.
+func (cs *containerStore) manifest(name string, ref Locator, n int) ([]chunk.ID, error) {
 	raw, err := cs.read(ref.Container, []Extent{{Off: ref.Offset, Len: ref.Length}})
 	var ids []chunk.ID
 	var bad error
@@ -571,8 +579,47 @@ func (cs *containerStore) recipe(name string) ([]byte, error) {
 			ids, bad = append(ids, part...), cmp.Or(bad, perr)
 		})
 	}
+	if err == nil && bad == nil && len(ids) != n {
+		bad = fmt.Errorf("%w: %d IDs in parts sized for %d", ErrCorrupt, len(ids), n)
+	}
 	if err = cmp.Or(err, bad); err != nil {
 		return nil, fmt.Errorf("%w: manifest %q in container %d: %v", ErrCorrupt, name, ref.Container, err)
+	}
+	return ids, nil
+}
+
+// manifestIDs returns the IDs [first, end) of the manifest at ref,
+// reading only their bytes out of its part records, whose CRCs it
+// therefore cannot check; a restore's first page has (readPage).
+func (cs *containerStore) manifestIDs(name string, ref Locator, first, end int) ([]chunk.ID, error) {
+	per, head := partLayout(name)
+	var extents []Extent
+	for j := first; j < end; {
+		n := min(end, (j/per+1)*per) - j
+		off := j/per*(head+per*chunk.IDSize) + head + j%per*chunk.IDSize
+		extents = append(extents, Extent{Off: ref.Offset + uint32(off), Len: uint32(n * chunk.IDSize)})
+		j += n
+	}
+	if len(extents) == 0 {
+		return nil, nil
+	}
+	raw, err := cs.read(ref.Container, extents)
+	if err != nil {
+		return nil, fmt.Errorf("%w: manifest %q in container %d: %v", ErrCorrupt, name, ref.Container, err)
+	}
+	return decodeManifestIDs(raw)
+}
+
+// recipe returns the getrecipe response locating the named manifest's
+// chunks.
+func (cs *containerStore) recipe(name string) ([]byte, error) {
+	ref, n, err := cs.manifestRef(name)
+	if err != nil {
+		return nil, err
+	}
+	ids, err := cs.manifest(name, ref, n)
+	if err != nil {
+		return nil, err
 	}
 	return encodeRecipe(cs.locateAll(ids)), nil
 }
@@ -592,19 +639,19 @@ func (cs *containerStore) locateAll(ids []chunk.ID) []RecipeEntry {
 }
 
 // read returns the named extents of a container, concatenated, or all of
-// it for no extents. The extents must be non-empty, strictly ascending
-// and non-overlapping and end inside the container, so a reply is never
-// larger than the container and nothing is allocated for a request that
-// is not. The open container — the log's container 0 — is read under the
-// lock, which keeps appends and its seal out; a sealed container never
-// changes, so the lock is held only to see that it is sealed and its read
-// must not make uploads wait. An open container with no records is not
-// found, as an unknown one is.
+// it for no extents. The store plans the extents from its index and
+// catalog; ones that are not non-empty, strictly ascending and
+// non-overlapping, or end past the container, are ErrCorrupt, so a reply
+// is never larger than the container. The open container — the log's
+// container 0 — is read under the lock, which keeps appends and its seal
+// out; a sealed container never changes, so the lock is held only to see
+// that it is sealed and its read must not make uploads wait. An open
+// container with no records is not found, as an unknown one is.
 func (cs *containerStore) read(id uint64, extents []Extent) ([]byte, error) {
 	var end uint64
 	for i, e := range extents {
 		if e.Len == 0 || (i > 0 && uint64(e.Off) < end) {
-			return nil, fmt.Errorf("%w: container %d: extent %d is empty, overlapping or out of order", ErrProto, id, i)
+			return nil, fmt.Errorf("%w: extent %d is empty, overlapping or out of order", ErrCorrupt, i)
 		}
 		end = uint64(e.Off) + uint64(e.Len)
 	}
@@ -621,30 +668,74 @@ func (cs *containerStore) read(id uint64, extents []Extent) ([]byte, error) {
 	if !open && !sealed {
 		return nil, fmt.Errorf("%w: container %d", ErrNotFound, id)
 	}
-	data, err := cs.log.read(from, extents)
-	if errors.Is(err, errPastEnd) {
-		return nil, fmt.Errorf("%w: container %d: extent %v", ErrProto, id, err)
-	}
-	return data, err
+	return cs.log.read(from, extents)
 }
 
-// readChunk serves one chunk payload from its container, verifying the
-// content address. It reads the whole record, which is never empty, so
-// that an empty chunk is not an empty extent.
-func (cs *containerStore) readChunk(id chunk.ID) ([]byte, error) {
-	loc, ok := cs.locate(id)
-	if !ok {
-		return nil, ErrNotFound
+// planExtents returns, per container of a recipe, what to read of it:
+// the records the entries need — each whole, header included, so the
+// read is checked as a container is — sorted, with duplicates and
+// neighbours merged into one extent. A locator that cannot address a
+// record, container 0 included, fails here.
+func planExtents(recipe []RecipeEntry) (map[uint64][]Extent, error) {
+	first := uint32(len(containerMagic) + containerRecordHeader) // a container's first payload
+	plan := make(map[uint64][]Extent)
+	for _, e := range recipe {
+		l := e.Loc
+		if l.Container == 0 || l.Offset < first || uint64(l.Offset)+uint64(l.Length) > math.MaxUint32 {
+			return nil, fmt.Errorf("%w: chunk %s: locator %d+%d is not a record of container %d", ErrCorrupt, e.ID, l.Offset, l.Length, l.Container)
+		}
+		plan[l.Container] = append(plan[l.Container], Extent{Off: l.Offset - containerRecordHeader, Len: l.Length + containerRecordHeader})
 	}
-	record, err := cs.read(loc.Container, []Extent{{Off: loc.Offset - containerRecordHeader, Len: containerRecordHeader + loc.Length}})
+	for id, extents := range plan {
+		slices.SortFunc(extents, func(a, b Extent) int { return cmp.Compare(a.Off, b.Off) })
+		merged := extents[:1]
+		for _, e := range extents[1:] {
+			last := &merged[len(merged)-1]
+			if end := last.Off + last.Len; e.Off > end {
+				merged = append(merged, e)
+			} else if e.Off+e.Len > end {
+				last.Len = e.Off + e.Len - last.Off
+			}
+		}
+		plan[id] = merged
+	}
+	return plan, nil
+}
+
+// readPayloads reads the payloads of entries out of their containers,
+// each container once, checking the record CRCs and that each chunk's
+// record is the one its locator names. It returns every distinct payload
+// by ID, and how many containers it read. Damage is ErrCorrupt naming the
+// container.
+func (cs *containerStore) readPayloads(entries []RecipeEntry) (map[chunk.ID][]byte, int, error) {
+	plan, err := planExtents(entries)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	payload := record[containerRecordHeader:]
-	if chunk.Sum(payload) != id {
-		return nil, fmt.Errorf("%w: chunk %s corrupt in container %d", ErrCorrupt, id, loc.Container)
+	need := make(map[chunk.ID]Locator, len(entries))
+	for _, e := range entries {
+		need[e.ID] = e.Loc
 	}
-	return payload, nil
+	found := make(map[chunk.ID][]byte, len(need))
+	for c, extents := range plan {
+		raw, err := cs.read(c, extents)
+		if err == nil {
+			err = parseRecords(raw, func(id chunk.ID, data []byte) {
+				if need[id].Container == c {
+					found[id] = data
+				}
+			})
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("container %d: %w", c, err)
+		}
+	}
+	for id, l := range need {
+		if data, ok := found[id]; !ok || len(data) != int(l.Length) {
+			return nil, 0, fmt.Errorf("%w: chunk %s is not the %d-byte record its locator names in container %d", ErrCorrupt, id, l.Length, l.Container)
+		}
+	}
+	return found, len(plan), nil
 }
 
 // sparseContainers returns, for a manifest's chunk sequence, the set of

@@ -88,6 +88,24 @@ func TestParseContainerDetectsDamage(t *testing.T) {
 	}
 }
 
+// locate returns the locator of a chunk's newest copy.
+func locate(cs *containerStore, id chunk.ID) (Locator, bool) {
+	cs.mu.RLock()
+	defer cs.mu.RUnlock()
+	l, ok := cs.loc[id]
+	return l, ok
+}
+
+// readChunk reads one stored chunk's payload out of its container.
+func readChunk(cs *containerStore, id chunk.ID) ([]byte, error) {
+	loc, ok := locate(cs, id)
+	if !ok {
+		return nil, ErrNotFound
+	}
+	found, _, err := cs.readPayloads([]RecipeEntry{{ID: id, Loc: loc}})
+	return found[id], err
+}
+
 func flipByte(b []byte, i int) []byte {
 	out := append([]byte(nil), b...)
 	out[i] ^= 0xFF
@@ -134,7 +152,7 @@ func TestOpenContainerIsTheOnlyCopy(t *testing.T) {
 	storeChunks(t, srv, ids, payloads)
 
 	// 8 chunks at 3 per container: two sealed, two chunks still open.
-	if loc, _ := srv.containers.locate(ids[7]); loc.Container != 3 {
+	if loc, _ := locate(srv.containers, ids[7]); loc.Container != 3 {
 		t.Fatalf("chunk in the open container has locator %+v, want container 3", loc)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "containers", "open.cont")); err != nil {
@@ -143,7 +161,7 @@ func TestOpenContainerIsTheOnlyCopy(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		for i, id := range ids {
-			got, err := srv.containers.readChunk(id)
+			got, err := readChunk(srv.containers, id)
 			if err != nil {
 				t.Fatalf("chunk %d unreadable %s: %v", i, when, err)
 			}
@@ -157,7 +175,7 @@ func TestOpenContainerIsTheOnlyCopy(t *testing.T) {
 	check("after the flush")
 
 	for i, id := range ids {
-		if loc, _ := srv.containers.locate(id); loc.Container != uint64(i/3+1) {
+		if loc, _ := locate(srv.containers, id); loc.Container != uint64(i/3+1) {
 			t.Fatalf("chunk %d has locator %+v after the flush, want container %d", i, loc, i/3+1)
 		}
 	}
@@ -207,7 +225,7 @@ func TestLoadContainersRecovery(t *testing.T) {
 	}
 	defer srv2.Close()
 	for i, id := range ids {
-		got, err := srv2.containers.readChunk(id)
+		got, err := readChunk(srv2.containers, id)
 		if err != nil {
 			t.Fatalf("chunk %d unreadable after restart: %v", i, err)
 		}
@@ -222,7 +240,7 @@ func TestLoadContainersRecovery(t *testing.T) {
 	id, data := mkPayload(999, 1500)
 	storeChunks(t, srv2, []chunk.ID{id}, [][]byte{data})
 	srv2.FlushContainers()
-	loc, ok := srv2.containers.locate(id)
+	loc, ok := locate(srv2.containers, id)
 	if !ok {
 		t.Fatal("post-restart chunk has no locator")
 	}
@@ -279,7 +297,7 @@ func TestRepackSparseDuplicatesHotChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.FlushContainers()
-	oldLoc, ok := srv.containers.locate(aIDs[0])
+	oldLoc, ok := locate(srv.containers, aIDs[0])
 	if !ok {
 		t.Fatal("stream A chunk has no locator after seal")
 	}
@@ -301,7 +319,7 @@ func TestRepackSparseDuplicatesHotChunks(t *testing.T) {
 	}
 	srv.FlushContainers()
 
-	newLoc, ok := srv.containers.locate(aIDs[0])
+	newLoc, ok := locate(srv.containers, aIDs[0])
 	if !ok {
 		t.Fatal("shared chunk lost its locator")
 	}
@@ -422,7 +440,7 @@ func TestOpenContainerPayloadsStayValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, c := range first {
-		p, err := srv.containers.readChunk(c.ID)
+		p, err := readChunk(srv.containers, c.ID)
 		if err != nil {
 			t.Fatal(err)
 		}

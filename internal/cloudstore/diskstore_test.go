@@ -168,8 +168,8 @@ func TestCrashWithoutCloseKeepsAcknowledgedChunks(t *testing.T) {
 		if !bytes.Equal(buf.Bytes(), data) {
 			t.Fatalf("restore %s differs", when)
 		}
-		if st.ContainersTouched != int(open) || st.CacheMisses != int64(open) {
-			t.Fatalf("restore %s touched %d containers with %d fetches, want %d and %d", when, st.ContainersTouched, st.CacheMisses, open, open)
+		if st.ContainersTouched != int(open) || st.Pages != 1 {
+			t.Fatalf("restore %s touched %d containers in %d pages, want %d and 1", when, st.ContainersTouched, st.Pages, open)
 		}
 	}
 	restore("after the crash")

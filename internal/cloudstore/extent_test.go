@@ -8,7 +8,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -152,18 +154,16 @@ func TestExtentPlanProperties(t *testing.T) {
 			}
 
 			for _, ra := range []int{1, 4} {
-				for _, cap := range []int{1, 8} {
-					var buf bytes.Buffer
-					st, err := cl.RestoreTo(ctx, name, &buf, RestoreOptions{ReadAhead: ra, CacheContainers: cap})
-					if err != nil {
-						t.Fatalf("trial %d ReadAhead=%d cap=%d: %v", trial, ra, cap, err)
-					}
-					if !bytes.Equal(buf.Bytes(), want) {
-						t.Fatalf("trial %d ReadAhead=%d cap=%d: output differs", trial, ra, cap)
-					}
-					if cap == 8 && st.FetchedBytes != int64(planned) {
-						t.Fatalf("trial %d: fetched %d bytes, planned %d", trial, st.FetchedBytes, planned)
-					}
+				var buf bytes.Buffer
+				st, err := cl.RestoreTo(ctx, name, &buf, RestoreOptions{ReadAhead: ra})
+				if err != nil {
+					t.Fatalf("trial %d ReadAhead=%d: %v", trial, ra, err)
+				}
+				if !bytes.Equal(buf.Bytes(), want) {
+					t.Fatalf("trial %d ReadAhead=%d: output differs", trial, ra)
+				}
+				if st.Pages != 1 || st.ContainersTouched != len(plan) {
+					t.Fatalf("trial %d: %d pages read %d containers, the plan names %d", trial, st.Pages, st.ContainersTouched, len(plan))
 				}
 			}
 		}
@@ -171,8 +171,8 @@ func TestExtentPlanProperties(t *testing.T) {
 }
 
 // TestRestoreFetchesOnlyNeededRecords restores a small stream whose
-// chunks sit in many containers: each container costs one RPC, and the
-// bytes moved are the stream's records, not the containers'.
+// chunks sit in many containers: it costs one RPC, and the bytes moved
+// are the stream's payloads, not the containers'.
 func TestRestoreFetchesOnlyNeededRecords(t *testing.T) {
 	cl, srv := startCloud(t, Config{ContainerBytes: 32 << 10})
 	ctx := context.Background()
@@ -198,24 +198,26 @@ func TestRestoreFetchesOnlyNeededRecords(t *testing.T) {
 	if st.ContainersTouched < 8 {
 		t.Fatalf("ContainersTouched = %d, want a stream spread over >= 8", st.ContainersTouched)
 	}
-	if st.CacheMisses != int64(st.ContainersTouched) {
-		t.Fatalf("CacheMisses = %d, want %d (one RPC per container)", st.CacheMisses, st.ContainersTouched)
+	if st.Pages != 1 {
+		t.Fatalf("Pages = %d, want 1", st.Pages)
 	}
 	if float64(st.FetchedBytes) > 1.25*float64(st.Bytes) || st.FetchedBytes < st.Bytes {
 		t.Fatalf("fetched %d bytes to restore %d", st.FetchedBytes, st.Bytes)
 	}
 }
 
-// TestGetContainerRejectsHostileExtents drives the handler directly,
-// against a sealed container and the open one: an extent list the
-// container cannot serve in less than its own size is a protocol error,
-// and no reply is larger than the container.
+// TestGetContainerRejectsHostileExtents drives the store's container
+// read, which every restore page and getcontainer go through, against a
+// sealed container and the open one: an extent list the container cannot
+// serve in less than its own size — which only a damaged index can
+// plan — is ErrCorrupt, and no reply is larger than the container. A
+// getcontainer body that is not one container ID is a protocol error.
 func TestGetContainerRejectsHostileExtents(t *testing.T) {
 	onBothLogs(t, Config{}, func(t *testing.T, cl *Client, srv *Server, dir string) {
 		rng := rand.New(rand.NewSource(47))
 		packContainers(t, cl, srv, rng, 8, 1000, 1001)
 		for _, id := range []uint64{0, 2, 1 << 40} { // no container, open without records, unknown
-			_, err := srv.handleGetContainer(encodeContainerRequest(id, []Extent{{Off: 8, Len: 1}}))
+			_, err := srv.containers.read(id, []Extent{{Off: 8, Len: 1}})
 			if !errors.Is(err, ErrNotFound) {
 				t.Errorf("container %d: err = %v, want ErrNotFound", id, err)
 			}
@@ -227,7 +229,7 @@ func TestGetContainerRejectsHostileExtents(t *testing.T) {
 		}
 
 		for _, id := range []uint64{1, 2} { // sealed, open
-			whole, err := srv.handleGetContainer(encodeContainerRequest(id, nil))
+			whole, err := srv.handleGetContainer(encodeContainerRequest(id))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,14 +251,14 @@ func TestGetContainerRejectsHostileExtents(t *testing.T) {
 				"flood":          flood,
 			}
 			for name, extents := range hostile {
-				resp, err := srv.handleGetContainer(encodeContainerRequest(id, extents))
-				if !errors.Is(err, ErrProto) || resp != nil {
-					t.Errorf("container %d, %s: %d bytes, err = %v; want ErrProto", id, name, len(resp), err)
+				resp, err := srv.containers.read(id, extents)
+				if !errors.Is(err, ErrCorrupt) || resp != nil {
+					t.Errorf("container %d, %s: %d bytes, err = %v; want ErrCorrupt", id, name, len(resp), err)
 				}
 			}
 
 			served := []Extent{{Off: 0, Len: 8}, {Off: 8, Len: 40}, {Off: size - 5, Len: 5}}
-			resp, err := srv.handleGetContainer(encodeContainerRequest(id, served))
+			resp, err := srv.containers.read(id, served)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +266,7 @@ func TestGetContainerRejectsHostileExtents(t *testing.T) {
 			if !bytes.Equal(resp, want) {
 				t.Fatalf("container %d: extents are not the container's bytes in request order", id)
 			}
-			resp, err = srv.handleGetContainer(encodeContainerRequest(id, []Extent{{Off: 0, Len: size}}))
+			resp, err = srv.containers.read(id, []Extent{{Off: 0, Len: size}})
 			if err != nil || !bytes.Equal(resp, whole) {
 				t.Fatalf("container %d: whole-container extent: %d bytes, %v", id, len(resp), err)
 			}
@@ -281,7 +283,7 @@ func TestGetContainerRejectsHostileExtents(t *testing.T) {
 // container, in the file or in the in-memory log.
 func damageRecord(t *testing.T, srv *Server, dir string, id chunk.ID) Locator {
 	t.Helper()
-	loc, ok := srv.containers.locate(id)
+	loc, ok := locate(srv.containers, id)
 	if !ok || loc.Container > uint64(srv.Stats().ContainersSealed) {
 		t.Fatalf("chunk %s is not in a sealed container", id)
 	}
@@ -330,11 +332,13 @@ func TestRestoreChecksNeededRecords(t *testing.T) {
 	})
 }
 
-// TestRestoreRejectsLyingRecipe makes the server's index lie about where
-// a chunk's record is: every such recipe ends in ErrCorrupt naming the
-// container — never a panic, never bytes from the wrong place. A zero
-// locator, which a manifest naming a chunk the store lacks gets, names
-// no container: the restore fails naming the chunk before it writes.
+// TestRestoreRejectsLyingRecipe makes the server lie. Its index may lie
+// about where a chunk's record is: every such page ends in ErrCorrupt
+// naming the container — never a panic, never bytes from the wrong
+// place. A zero locator, which a manifest naming a chunk the store lacks
+// gets, names no container: the restore fails naming the chunk. Or its
+// reply may lie about a payload: the client's hash check fails naming the
+// chunk. Either way nothing is written.
 func TestRestoreRejectsLyingRecipe(t *testing.T) {
 	lies := map[string]func(l *Locator){
 		"zero locator":                func(l *Locator) { *l = Locator{} },
@@ -349,22 +353,44 @@ func TestRestoreRejectsLyingRecipe(t *testing.T) {
 		"length zero":                 func(l *Locator) { l.Length = 0 },
 		"length overflows the offset": func(l *Locator) { l.Length = 1<<32 - 1 },
 	}
+	replyLies := map[string]func(p *pageReply, which int){
+		"payload flipped":   func(p *pageReply, which int) { p.payloads[which][0] ^= 1 },
+		"payload dropped":   func(p *pageReply, which int) { p.payloads = slices.Delete(p.payloads, which, which+1) },
+		"payload truncated": func(p *pageReply, which int) { p.payloads[which] = p.payloads[which][:len(p.payloads[which])-1] },
+	}
 	for _, which := range []int{0, 3, 7} { // first, middle and last record of the container
+		setup := func(t *testing.T) (*Client, *Server, []chunk.ID) {
+			cl, srv := startCloud(t, Config{})
+			ctx := context.Background()
+			chunks := packContainers(t, cl, srv, rand.New(rand.NewSource(59)), 8, 512, 513)
+			ids := make([]chunk.ID, len(chunks))
+			for i, c := range chunks {
+				ids[i] = c.ID
+			}
+			if err := cl.PutManifest(ctx, "all", ids); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.PutManifest(ctx, "one", ids[which:which+1]); err != nil {
+				t.Fatal(err)
+			}
+			return cl, srv, ids
+		}
+		check := func(t *testing.T, cl *Client, names string) {
+			t.Helper()
+			for _, manifest := range []string{"all", "one"} {
+				var buf bytes.Buffer
+				_, err := cl.RestoreTo(context.Background(), manifest, &buf, RestoreOptions{})
+				if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), names) {
+					t.Fatalf("%s: err = %v, want ErrCorrupt naming %s", manifest, err, names)
+				}
+				if buf.Len() != 0 {
+					t.Fatalf("%s: %d bytes written before the lie failed the restore", manifest, buf.Len())
+				}
+			}
+		}
 		for name, lie := range lies {
 			t.Run(fmt.Sprintf("record %d/%s", which, name), func(t *testing.T) {
-				cl, srv := startCloud(t, Config{})
-				ctx := context.Background()
-				chunks := packContainers(t, cl, srv, rand.New(rand.NewSource(59)), 8, 512, 513)
-				ids := make([]chunk.ID, len(chunks))
-				for i, c := range chunks {
-					ids[i] = c.ID
-				}
-				if err := cl.PutManifest(ctx, "all", ids); err != nil {
-					t.Fatal(err)
-				}
-				if err := cl.PutManifest(ctx, "one", ids[which:which+1]); err != nil {
-					t.Fatal(err)
-				}
+				cl, srv, ids := setup(t)
 				srv.containers.mu.Lock()
 				l := srv.containers.loc[ids[which]]
 				lie(&l)
@@ -375,16 +401,26 @@ func TestRestoreRejectsLyingRecipe(t *testing.T) {
 				if l == (Locator{}) {
 					names = ids[which].String()
 				}
-				for _, manifest := range []string{"all", "one"} {
-					var buf bytes.Buffer
-					_, err := cl.RestoreTo(ctx, manifest, &buf, RestoreOptions{})
-					if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), names) {
-						t.Fatalf("%s: err = %v, want ErrCorrupt naming %s", manifest, err, names)
+				check(t, cl, names)
+			})
+		}
+		for name, lie := range replyLies {
+			t.Run(fmt.Sprintf("record %d/reply %s", which, name), func(t *testing.T) {
+				cl, srv, ids := setup(t)
+				srv.rpc.Handle(methodRead, func(body []byte) ([]byte, error) {
+					resp, err := srv.handleRead(body)
+					if err != nil {
+						return nil, err
 					}
-					if l == (Locator{}) && buf.Len() != 0 {
-						t.Fatalf("%s: %d bytes written before the zero locator failed the restore", manifest, buf.Len())
+					p, err := decodePage(resp)
+					if err != nil {
+						return nil, err
 					}
-				}
+					at := slices.Index(p.ids, ids[which]) // the page's payloads are in ID order
+					lie(&p, at)
+					return encodePage(p), nil
+				})
+				check(t, cl, ids[which].String())
 			})
 		}
 	}
@@ -395,24 +431,24 @@ func TestRestoreRejectsLyingRecipe(t *testing.T) {
 // fetched.
 func TestFailedRestoreKeepsItsAccounting(t *testing.T) {
 	cl, srv := startCloud(t, Config{ContainerBytes: 16 << 10})
-	uploadStream(t, cl, "doomed", 61, 200_000)
+	uploadChunked(t, cl, "doomed", 61, 400_000, 512)
 	srv.FlushContainers()
 
 	reg := metrics.Default()
-	misses := reg.Counter("cloud_restore_cache_misses_total")
+	pages := reg.Counter("cloud_restore_pages_total")
 	fetched := reg.Counter("cloud_restore_fetched_bytes_total")
 	restored := reg.Counter("cloud_restore_bytes_total")
-	misses0, fetched0, restored0 := misses.Value(), fetched.Value(), restored.Value()
+	pages0, fetched0, restored0 := pages.Value(), fetched.Value(), restored.Value()
 
 	st, err := cl.RestoreTo(context.Background(), "doomed", &failAfterWriter{n: 50_000}, RestoreOptions{ReadAhead: 2})
 	if err == nil {
 		t.Fatal("restore into a failing writer succeeded")
 	}
-	if st.CacheMisses == 0 || st.FetchedBytes < st.Bytes || st.Bytes == 0 || st.Bytes > 50_000 {
+	if st.Pages == 0 || st.ContainersTouched == 0 || st.FetchedBytes < st.Bytes || st.Bytes == 0 || st.Bytes > 50_000 {
 		t.Fatalf("stats of the failed restore: %+v", st)
 	}
-	if got := misses.Value() - misses0; got != st.CacheMisses {
-		t.Fatalf("cloud_restore_cache_misses_total moved by %d, stats say %d", got, st.CacheMisses)
+	if got := pages.Value() - pages0; got != int64(st.Pages) {
+		t.Fatalf("cloud_restore_pages_total moved by %d, stats say %d", got, st.Pages)
 	}
 	if got := fetched.Value() - fetched0; got != st.FetchedBytes {
 		t.Fatalf("cloud_restore_fetched_bytes_total moved by %d, stats say %d", got, st.FetchedBytes)
@@ -556,7 +592,7 @@ func TestGetRecipeIsOneIndexView(t *testing.T) {
 		t.Fatalf("%d entries for %d ids", len(entries), len(ids))
 	}
 	for i, e := range entries {
-		want, _ := srv.containers.locate(ids[i])
+		want, _ := locate(srv.containers, ids[i])
 		if e.ID != ids[i] || e.Loc != want {
 			t.Fatalf("entry %d = %+v, locate says %+v", i, e, want)
 		}
@@ -572,9 +608,9 @@ func TestGetRecipeIsOneIndexView(t *testing.T) {
 // uploads a same-shaped stream whose records land at the same offsets of
 // the next one: the planned extents still read the first stream's bytes,
 // because a locator names the container by the ID it seals as. Then the
-// race runs for real, straight into the handler (run under -race):
-// readers fetch the open container while a writer appends to it and
-// seals it, and every reply is whole, intact records.
+// race runs for real, straight into the read handler (run under -race):
+// readers page streams in the open container while a writer appends to
+// it and seals it, and every page is its intact chunks.
 func TestRestoreSurvivesSealMidRestore(t *testing.T) {
 	onBothLogs(t, Config{}, func(t *testing.T, cl *Client, srv *Server, dir string) {
 		ctx := context.Background()
@@ -595,7 +631,7 @@ func TestRestoreSurvivesSealMidRestore(t *testing.T) {
 		uploadStream(t, cl, "second", 82, 40_000)
 		read := func(id uint64) []byte {
 			t.Helper()
-			raw, err := cl.GetContainer(ctx, id, plan[1]...)
+			raw, err := srv.containers.read(id, plan[1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -621,6 +657,10 @@ func TestRestoreSurvivesSealMidRestore(t *testing.T) {
 			t.Fatalf("restore after the seal: identical=%v, %d containers touched", bytes.Equal(buf.Bytes(), data), st.ContainersTouched)
 		}
 
+		// Each put stores one chunk and its one-chunk manifest s<i> in the
+		// open container; readers page the newest manifest meanwhile.
+		var newest atomic.Int64
+		newest.Store(-1)
 		stop := make(chan struct{})
 		readers := make(chan error, 2)
 		for r := 0; r < cap(readers); r++ {
@@ -632,21 +672,24 @@ func TestRestoreSurvivesSealMidRestore(t *testing.T) {
 						return
 					default:
 					}
-					id := uint64(srv.Stats().ContainersSealed) + 1
-					raw, err := srv.handleGetContainer(encodeContainerRequest(id, nil))
-					if errors.Is(err, ErrNotFound) {
-						continue // empty, or sealed past since
+					i := newest.Load()
+					if i < 0 {
+						continue
 					}
+					body, err := encodeReadRequest(fmt.Sprintf("s%d", i), 0)
+					var resp []byte
 					if err == nil {
-						err = walkContainer(raw, func(cid chunk.ID, _ uint32, payload []byte) error {
-							if chunk.Sum(payload) != cid {
-								return fmt.Errorf("chunk %s corrupt", cid)
-							}
-							return nil
-						})
+						resp, err = srv.handleRead(body)
+					}
+					var p pageReply
+					if err == nil {
+						p, err = decodePage(resp)
+					}
+					if err == nil && (len(p.ids) != 1 || len(p.payloads) != 1 || chunk.Sum(p.payloads[0]) != p.ids[0]) {
+						err = errors.New("page is not its one intact chunk")
 					}
 					if err != nil {
-						readers <- fmt.Errorf("container %d: %w", id, err)
+						readers <- fmt.Errorf("manifest s%d: %w", i, err)
 						return
 					}
 				}
@@ -656,9 +699,11 @@ func TestRestoreSurvivesSealMidRestore(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			data := make([]byte, 200)
 			rng.Read(data)
-			if _, err := srv.containers.put([]chunk.Chunk{{ID: chunk.Sum(data), Data: data}}, "", nil); err != nil {
+			id := chunk.Sum(data)
+			if _, err := srv.containers.put([]chunk.Chunk{{ID: id, Data: data}}, fmt.Sprintf("s%d", i), []chunk.ID{id}); err != nil {
 				t.Fatal(err)
 			}
+			newest.Store(int64(i))
 			if i%20 == 19 {
 				srv.FlushContainers()
 			}

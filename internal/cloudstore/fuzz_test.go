@@ -3,6 +3,7 @@ package cloudstore
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"efdedup/internal/chunk"
@@ -10,10 +11,11 @@ import (
 
 // FuzzHandlers throws arbitrary request bodies at every cloud-store RPC
 // handler: none may panic, regardless of input. The server holds one
-// sealed container and one open container with one record, so that
-// extent requests get past "not found" to the range checks: whatever
-// they ask of either, the reply is a protocol error or no larger than
-// the container. A commit the server acks names only chunks it stores,
+// sealed container and one open container holding a chunk and manifest
+// "m" over both chunks: a container request gets a protocol error, not
+// found, or the container. Whatever a read asks, its reply is an error or
+// decodes to at most readPageChunks IDs, and every payload in it hashes
+// to one of them. A commit the server acks names only chunks it stores,
 // and its name's recipe lists exactly the committed IDs.
 func FuzzHandlers(f *testing.F) {
 	f.Add([]byte{})
@@ -23,14 +25,21 @@ func FuzzHandlers(f *testing.F) {
 	openID, openData := mkPayload(2, 48)
 	valid := append(append([]byte{}, id[:]...), data...)
 	f.Add(valid)
-	size := map[uint64]int{ // container ID → its bytes; 1 is sealed, 2 open
+	size := map[uint64]int{ // container ID → its bytes; 1 is sealed, 2 open and ends in manifest m
 		1: len(containerMagic) + containerRecordHeader + len(data),
-		2: len(containerMagic) + containerRecordHeader + len(openData),
+		2: len(containerMagic) + containerRecordHeader + len(openData) + containerRecordHeader + 3 + len("m") + 2*chunk.IDSize,
 	}
-	for _, c := range []uint64{1, 2} {
-		f.Add(encodeContainerRequest(c, nil))
-		f.Add(encodeContainerRequest(c, []Extent{{Off: 8, Len: uint32(size[c] - 8)}}))
-		f.Add(encodeContainerRequest(c, []Extent{{Off: 8, Len: 40}, {Off: 40, Len: 1 << 31}}))
+	for _, c := range []uint64{0, 1, 2, 3} {
+		f.Add(encodeContainerRequest(c))
+	}
+	for _, req := range []struct {
+		name  string
+		first uint32
+	}{{"m", 0}, {"m", 1}, {"m", 2}, {"m", 3}, {"unknown", 0}, {"m", 1 << 31}} {
+		if body, err := encodeReadRequest(req.name, req.first); err == nil {
+			f.Add(body)
+			f.Add(body[:len(body)-1]) // truncated
+		}
 	}
 	tail := mkChunk("tail")
 	for _, ids := range [][]chunk.ID{{id}, {id, tail.ID}, {tail.ID, chunk.Sum(nil)}} {
@@ -48,13 +57,26 @@ func FuzzHandlers(f *testing.F) {
 			t.Fatal(err)
 		}
 		srv.FlushContainers()
-		if _, err := srv.containers.put([]chunk.Chunk{{ID: openID, Data: openData}}, "", nil); err != nil {
+		if _, err := srv.containers.put([]chunk.Chunk{{ID: openID, Data: openData}}, "m", []chunk.ID{id, openID}); err != nil {
 			t.Fatal(err)
 		}
-		container, _, _ := decodeContainerRequest(body)
+		container, _ := decodeContainerRequest(body)
 		resp, err := srv.handleGetContainer(body)
 		if len(resp) > size[container] || (err != nil && !errors.Is(err, ErrProto) && !errors.Is(err, ErrNotFound)) {
 			t.Fatalf("getcontainer(%x) = %d bytes of a %d-byte container, %v", body, len(resp), size[container], err)
+		}
+		if resp, err := srv.handleRead(body); err == nil {
+			p, derr := decodePage(resp)
+			if derr != nil || len(p.ids) > readPageChunks {
+				t.Fatalf("read(%x): %d IDs, %v", body, len(p.ids), derr)
+			}
+			for _, data := range p.payloads {
+				if !slices.Contains(p.ids, chunk.Sum(data)) {
+					t.Fatalf("read(%x): a payload hashes to none of the page's IDs", body)
+				}
+			}
+		} else if !errors.Is(err, ErrProto) && !errors.Is(err, ErrNotFound) {
+			t.Fatalf("read(%x): %v", body, err)
 		}
 		handlers := []func([]byte) ([]byte, error){
 			srv.handleBatchUpload,
@@ -62,6 +84,7 @@ func FuzzHandlers(f *testing.F) {
 			srv.handleUploadRaw,
 			srv.handleGetRecipe,
 			srv.handleGetContainer,
+			srv.handleRead,
 			srv.handleStats,
 		}
 		for _, h := range handlers {
@@ -106,7 +129,12 @@ func FuzzCloudCodecs(f *testing.F) {
 	}
 	f.Add(encodeRecipe([]RecipeEntry{{ID: ck.ID, Loc: Locator{Container: 1, Offset: 2, Length: 3}}}))
 	f.Add(encodeRecipe([]RecipeEntry{{ID: ck.ID}})) // a chunk the store lacks
-	f.Add(encodeContainerRequest(1, []Extent{{Off: 8, Len: 40}, {Off: 48, Len: 1<<32 - 1}}))
+	f.Add(encodeContainerRequest(1))
+	if body, err := encodeReadRequest("name", 256); err == nil {
+		f.Add(body)
+	}
+	f.Add(encodePage(pageReply{total: 2, manifest: Locator{Container: 1, Offset: 8}, containers: 1, ids: []chunk.ID{ck.ID, ck.ID}, payloads: [][]byte{ck.Data}}))
+	f.Add(encodePage(pageReply{})) // an empty manifest's page
 	f.Add(encodeStats(Stats{UniqueChunks: 1}))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})                  // hostile count prefix
 	f.Add(encodeManifestPart("name", false, []chunk.ID{ck.ID, ck.ID})) // a one-part manifest
@@ -144,9 +172,21 @@ func FuzzCloudCodecs(f *testing.F) {
 		check("decodeRecipe", err)
 		_, err = decodeStats(data)
 		check("decodeStats", err)
-		id, extents, err := decodeContainerRequest(data)
+		name, first, err := decodeReadRequest(data)
+		check("decodeReadRequest", err)
+		if err == nil {
+			if re, err := encodeReadRequest(name, first); err != nil || !bytes.Equal(re, data) {
+				t.Fatalf("read request %x does not re-encode to itself: %v", data, err)
+			}
+		}
+		p, err := decodePage(data)
+		check("decodePage", err)
+		if err == nil && !bytes.Equal(encodePage(p), data) {
+			t.Fatalf("page %x does not re-encode to itself", data)
+		}
+		id, err := decodeContainerRequest(data)
 		check("decodeContainerRequest", err)
-		if err == nil && !bytes.Equal(encodeContainerRequest(id, extents), data) {
+		if err == nil && !bytes.Equal(encodeContainerRequest(id), data) {
 			t.Fatalf("container request %x does not re-encode to itself", data)
 		}
 	})

@@ -1,39 +1,23 @@
 package cloudstore
 
-// Client-side container restore pipeline.
+// Restore: the cloud assembles each page, the edge verifies it.
 //
-// Fetching a file one chunk per RPC and buffering it whole would cost a
-// 1 GiB VM image ~128k serial round trips and 1 GiB of memory. The
-// container path instead:
-//
-//  1. fetches the manifest's *recipe* (chunk IDs + container locators),
-//  2. groups consecutive recipe entries into runs — chunks that live in
-//     the same container, sealed or still open,
-//  3. plans, per container, the byte extents of the records the
-//     stream needs from it — whole records, sorted, coalesced — so that
-//     what a fetch moves scales with the bytes the stream needs, not
-//     with the size of the containers dedup scattered them over,
-//  4. fans the runs out to ReadAhead parallel fetchers that pull each
-//     container's extents, in one RPC, through a shared LRU cache
-//     (in-flight entries are pinned and deduplicated, so two runs
-//     touching one container cost one RPC),
-//  5. reassembles strictly in stream order into the caller's io.Writer,
-//     using the PR 5 FIFO + done-token ordered fan-out pattern.
-//
-// Memory is bounded by what (cache capacity + in-flight runs) containers
-// hold of this stream, never by file size. Every fetched record is
-// CRC-checked and every payload verified against its chunk ID before a
-// byte is written.
+// A restore over the WAN pays round trips, not bytes, so one paged RPC,
+// cloud.read(name, firstChunk), carries everything a page of the stream
+// needs (DESIGN.md §11.2). The server reads each container the page
+// touches once and checks its record CRCs, so damage is an ErrCorrupt
+// naming the container. The reply holds the page's chunk IDs in stream
+// order and each distinct payload once; the client hashes every payload
+// and writes the IDs in order, and an ID no payload hashes to is
+// ErrCorrupt. Pages are aligned to readPageChunks, so a stream of at most
+// that many chunks is one round trip; the first page goes alone, since
+// its reply gives the chunk count, and later pages go ReadAhead deep.
 
 import (
 	"bytes"
-	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -41,33 +25,26 @@ import (
 	"efdedup/internal/metrics"
 )
 
-// Restore pipeline defaults.
+// DefaultRestoreReadAhead is how many pages a restore keeps in flight
+// ahead of the one it writes.
+const DefaultRestoreReadAhead = 4
+
+// Page geometry of cloud.read.
 const (
-	// DefaultRestoreReadAhead is how many container fetches run in
-	// parallel ahead of the reassembly cursor.
-	DefaultRestoreReadAhead = 4
-	// DefaultRestoreCacheContainers is the read-ahead cache capacity in
-	// containers (soft: pinned in-flight entries never evict).
-	DefaultRestoreCacheContainers = 8
+	// readPageChunks is the chunk count of a page; pages start at its
+	// multiples.
+	readPageChunks = 256
+	// readPageBytes caps the distinct payload bytes of one reply: what
+	// readPageChunks chunks at the gear chunker's 64 KiB maximum hold.
+	// A reply always carries at least one chunk.
+	readPageBytes = readPageChunks * 64 << 10
 )
 
 // RestoreOptions tunes the streaming restore pipeline. The zero value
 // picks the defaults above.
 type RestoreOptions struct {
-	// ReadAhead is the number of parallel container fetches.
+	// ReadAhead is the number of pages in flight.
 	ReadAhead int
-	// CacheContainers is the container cache capacity.
-	CacheContainers int
-}
-
-func (o RestoreOptions) withDefaults() RestoreOptions {
-	if o.ReadAhead <= 0 {
-		o.ReadAhead = DefaultRestoreReadAhead
-	}
-	if o.CacheContainers <= 0 {
-		o.CacheContainers = DefaultRestoreCacheContainers
-	}
-	return o
 }
 
 // RestoreStats reports what one streaming restore did.
@@ -75,19 +52,22 @@ type RestoreStats struct {
 	// Bytes and Chunks are the reassembled stream totals.
 	Bytes  int64
 	Chunks int
-	// ContainersTouched is the number of distinct containers the
-	// stream's recipe references — the fragmentation measure (a freshly
+	// Pages counts the cloud.read replies: one per page, unless the
+	// page's payloads outgrew one reply.
+	Pages int
+	// ContainersTouched sums, over the replies, the containers the
+	// server read to build them — the fragmentation measure (a freshly
 	// packed stream touches few; a heavily deduplicated one, many).
 	ContainersTouched int
-	// CacheHits and CacheMisses count container-cache lookups; a miss is
-	// one cloud.getcontainer RPC.
+	// Deprecated: CacheHits and CacheMisses are always 0. The server
+	// reads each container a page needs once; the client caches nothing.
 	CacheHits   int64
 	CacheMisses int64
 	// Deprecated: FallbackChunks is always 0. Every chunk is read from
 	// its container, open or sealed.
 	FallbackChunks int
-	// FetchedBytes counts the response bytes of the container reads;
-	// over Bytes it is the restore's fetch amplification.
+	// FetchedBytes counts the reply bytes of the pages; over Bytes it is
+	// the restore's fetch amplification.
 	FetchedBytes int64
 }
 
@@ -111,360 +91,230 @@ func (c *Client) GetRecipe(ctx context.Context, name string) ([]RecipeEntry, err
 	return out, nil
 }
 
-// GetContainer fetches the given extents of a sealed or open container,
-// concatenated — they must be ascending and must not overlap — or, for
-// none, the container's raw CRC-framed bytes.
-func (c *Client) GetContainer(ctx context.Context, id uint64, extents ...Extent) ([]byte, error) {
-	resp, err := c.call(ctx, methodGetContainer, encodeContainerRequest(id, extents))
+// GetContainer fetches a sealed or open container's raw CRC-framed
+// bytes.
+func (c *Client) GetContainer(ctx context.Context, id uint64) ([]byte, error) {
+	resp, err := c.call(ctx, methodGetContainer, encodeContainerRequest(id))
 	if err != nil {
 		return nil, classifyRemote(err)
 	}
 	return resp, nil
 }
 
-// --- read-ahead container cache ---------------------------------------
+// --- server: page assembly ---------------------------------------------
 
-// cacheEntry is one container in the cache. ready is closed once chunks
-// and err are set; refs pins the entry against eviction while fetchers
-// and extractors hold it.
-type cacheEntry struct {
-	id     uint64
-	ready  chan struct{}
-	chunks map[chunk.ID][]byte
-	err    error
-	refs   int
+// pageReply is a cloud.read reply.
+type pageReply struct {
+	total      uint32  // chunks in the manifest
+	manifest   Locator // where the manifest's records are: its version
+	containers uint32  // containers read for this reply
+	ids        []chunk.ID
+	payloads   [][]byte // each distinct payload of ids once
 }
 
-// containerCache is a per-restore LRU of parsed containers with
-// single-flight fetches: concurrent runs needing the same container
-// share one cloud.getcontainer RPC, and in-flight or pinned entries are
-// never evicted, so the memory bound is cap + in-flight containers. An
-// entry holds the records its stream needs from the container — every
-// one of them, so a container is fetched again only after eviction —
-// and nothing else the container packs.
-type containerCache struct {
-	client  *Client
-	cap     int
-	extents map[uint64][]Extent // what a miss fetches, per container
-
-	mu      sync.Mutex
-	entries map[uint64]*cacheEntry
-	lru     []uint64 // least recently used first
-
-	hits, misses atomic.Int64
-	fetched      atomic.Int64 // response bytes
-}
-
-func newContainerCache(client *Client, capacity int, extents map[uint64][]Extent) *containerCache {
-	return &containerCache{
-		client:  client,
-		cap:     capacity,
-		extents: extents,
-		entries: make(map[uint64]*cacheEntry),
+// readPage builds the reply to cloud.read(name, first): the chunks from
+// first up to the next multiple of readPageChunks, cut short where their
+// distinct payloads would pass readPageBytes, each container read once.
+// A page may start at the manifest's end, and holds nothing there. The
+// first page checks the whole manifest; later ones read their IDs only.
+func (cs *containerStore) readPage(name string, first int) (pageReply, error) {
+	ref, total, err := cs.manifestRef(name)
+	if err == nil && first > total {
+		err = fmt.Errorf("%w: manifest %q has %d chunks, no page starts at %d", ErrProto, name, total, first)
 	}
-}
-
-// touch moves id to the most-recently-used end of the LRU list.
-func (cc *containerCache) touch(id uint64) {
-	for i, v := range cc.lru {
-		if v == id {
-			cc.lru = append(append(cc.lru[:i:i], cc.lru[i+1:]...), id)
-			return
-		}
+	if err != nil {
+		return pageReply{}, err
 	}
-	cc.lru = append(cc.lru, id)
-}
-
-// evictLocked drops ready, unpinned entries (LRU first) until the cache
-// is within capacity. Pinned entries make the cap soft by design.
-func (cc *containerCache) evictLocked() {
-	for len(cc.entries) > cc.cap {
-		victim := uint64(0)
-		idx := -1
-		for i, id := range cc.lru {
-			e := cc.entries[id]
-			if e == nil {
-				continue
-			}
-			select {
-			case <-e.ready:
-			default:
-				continue // still fetching
-			}
-			if e.refs == 0 {
-				victim, idx = id, i
+	end := min(total, (first/readPageChunks+1)*readPageChunks)
+	var ids []chunk.ID
+	if first == 0 {
+		ids, err = cs.manifest(name, ref, total)
+		ids = ids[:min(len(ids), end)]
+	} else {
+		ids, err = cs.manifestIDs(name, ref, first, end)
+	}
+	if err != nil {
+		return pageReply{}, err
+	}
+	entries := cs.locateAll(ids)
+	seen := make(map[chunk.ID]bool, len(entries))
+	for i, size := 0, 0; i < len(entries); i++ {
+		if e := entries[i]; !seen[e.ID] {
+			if size += int(e.Loc.Length); size > readPageBytes && i > 0 {
+				entries = entries[:i]
 				break
 			}
+			seen[e.ID] = true
 		}
-		if idx < 0 {
-			return // everything pinned or in flight
-		}
-		delete(cc.entries, victim)
-		cc.lru = append(cc.lru[:idx], cc.lru[idx+1:]...)
 	}
+	found, containers, err := cs.readPayloads(entries)
+	if err != nil {
+		return pageReply{}, err
+	}
+	p := pageReply{total: uint32(total), manifest: Locator{Container: ref.Container, Offset: ref.Offset}, containers: uint32(containers), ids: make([]chunk.ID, len(entries))}
+	for i, e := range entries {
+		p.ids[i] = e.ID
+		if data, ok := found[e.ID]; ok {
+			p.payloads = append(p.payloads, data)
+			delete(found, e.ID)
+		}
+	}
+	return p, nil
 }
 
-// get returns the parsed chunk map of a container, fetching it (once)
-// on a miss. The returned entry is pinned; callers must release it.
-func (cc *containerCache) get(ctx context.Context, id uint64) (*cacheEntry, error) {
-	cc.mu.Lock()
-	if e, ok := cc.entries[id]; ok {
-		e.refs++
-		cc.touch(id)
-		cc.mu.Unlock()
-		cc.hits.Add(1)
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			cc.release(e)
-			return nil, ctx.Err()
-		}
-		if e.err != nil {
-			cc.release(e)
-			return nil, e.err
-		}
-		return e, nil
-	}
-	e := &cacheEntry{id: id, ready: make(chan struct{}), refs: 1}
-	cc.entries[id] = e
-	cc.touch(id)
-	cc.evictLocked()
-	cc.mu.Unlock()
-	cc.misses.Add(1)
+// --- client: verify, then write -----------------------------------------
 
-	data, err := cc.client.GetContainer(ctx, id, cc.extents[id]...)
-	cc.fetched.Add(int64(len(data)))
-	if err == nil {
-		// The extents are whole records, so the reply parses as the
-		// container itself does, frame CRCs included.
-		e.chunks = make(map[chunk.ID][]byte)
-		err = parseRecords(data, func(cid chunk.ID, payload []byte) {
-			e.chunks[cid] = payload
-		})
+// page is one aligned page of a restore: its chunk IDs in stream order
+// and their verified payloads. done closes once ids, payloads and err
+// are set.
+type page struct {
+	first    int
+	ids      []chunk.ID
+	payloads map[chunk.ID][]byte
+	err      error
+	done     chan struct{}
+}
+
+// restoreAcct is what the replies of one restore moved, counted as they
+// arrive, so a failed restore still reports its fetches.
+type restoreAcct struct {
+	pages, containers, fetched atomic.Int64
+}
+
+// fetchPage fills p with the chunks [p.first, end) of the named stream,
+// end being the page's bound under head's chunk count, and verifies
+// them: every payload is indexed by its SHA-256, and every ID must have
+// one. head is the first reply's, or zero for the first page, whose
+// reply fetchPage returns. Each later reply must come from the same
+// manifest version.
+func (c *Client) fetchPage(ctx context.Context, name string, p *page, head pageReply, acct *restoreAcct) (pageReply, error) {
+	p.payloads = make(map[chunk.ID][]byte)
+	for at, end := p.first, p.first+1; at < end; {
+		body, err := encodeReadRequest(name, uint32(at))
 		if err != nil {
-			err = fmt.Errorf("container %d: %w", id, err)
+			return head, err
 		}
-	} else if errors.Is(err, ErrProto) {
-		// The request was built from the recipe: it names bytes the
-		// container does not hold.
-		err = fmt.Errorf("%w: recipe locators of container %d: %v", ErrCorrupt, id, err)
+		resp, err := c.call(ctx, methodRead, body)
+		if err != nil {
+			return head, classifyRemote(err)
+		}
+		acct.pages.Add(1)
+		acct.fetched.Add(int64(len(resp)))
+		r, err := decodePage(resp)
+		if err != nil {
+			return head, fmt.Errorf("page at chunk %d: %w", at, err)
+		}
+		acct.containers.Add(int64(r.containers))
+		if at == 0 {
+			head = r
+		}
+		if r.total != head.total || r.manifest != head.manifest {
+			return head, fmt.Errorf("%w: manifest %q was replaced during the restore", ErrNotFound, name)
+		}
+		end = min(int(head.total), (p.first/readPageChunks+1)*readPageChunks)
+		if len(r.ids) == 0 && at < end || at+len(r.ids) > end {
+			return head, fmt.Errorf("%w: page at chunk %d holds %d of the %d chunks left", ErrProto, at, len(r.ids), end-at)
+		}
+		for _, data := range r.payloads {
+			p.payloads[chunk.Sum(data)] = data
+		}
+		p.ids = append(p.ids, r.ids...)
+		at += len(r.ids)
 	}
-	e.err = err
-	close(e.ready)
-	if err != nil {
-		// Failed fetches are not cached: a later retry (or a different
-		// stream) refetches instead of replaying the error.
-		cc.mu.Lock()
-		if cc.entries[id] == e {
-			delete(cc.entries, id)
-			for i, v := range cc.lru {
-				if v == id {
-					cc.lru = append(cc.lru[:i], cc.lru[i+1:]...)
-					break
-				}
-			}
+	for _, id := range p.ids {
+		if _, ok := p.payloads[id]; !ok {
+			return head, fmt.Errorf("%w: chunk %s: no payload of the page hashes to it", ErrCorrupt, id)
 		}
-		cc.mu.Unlock()
-		return nil, err
 	}
-	return e, nil
-}
-
-// release unpins an entry obtained from get.
-func (cc *containerCache) release(e *cacheEntry) {
-	cc.mu.Lock()
-	e.refs--
-	cc.evictLocked()
-	cc.mu.Unlock()
-}
-
-// --- ordered restore pipeline -----------------------------------------
-
-// restoreRun is one unit of restore work: a maximal run of consecutive
-// recipe entries served by a single container. done is the ordering
-// token: buffered so a fetcher can finish without a rendezvous,
-// closed-over by the assembler which consumes runs in FIFO recipe order.
-type restoreRun struct {
-	entries   []RecipeEntry
-	container uint64
-	payloads  [][]byte
-	err       error
-	done      chan struct{}
-}
-
-// planRuns groups a recipe into restore runs.
-func planRuns(recipe []RecipeEntry) (runs []*restoreRun) {
-	for i := 0; i < len(recipe); {
-		j := i + 1
-		cid := recipe[i].Loc.Container
-		for j < len(recipe) && recipe[j].Loc.Container == cid {
-			j++
-		}
-		runs = append(runs, &restoreRun{
-			entries:   recipe[i:j],
-			container: cid,
-			done:      make(chan struct{}),
-		})
-		i = j
-	}
-	return runs
-}
-
-// planExtents returns, per container of a recipe, what to ask it for:
-// the records the stream needs — each whole, header included, so the
-// reply is checked as a container is — sorted, with duplicates and
-// neighbours merged into one extent. A locator that cannot address a
-// record, container 0 included, fails here.
-func planExtents(recipe []RecipeEntry) (map[uint64][]Extent, error) {
-	first := uint32(len(containerMagic) + containerRecordHeader) // a container's first payload
-	plan := make(map[uint64][]Extent)
-	for _, e := range recipe {
-		l := e.Loc
-		if l.Container == 0 || l.Offset < first || uint64(l.Offset)+uint64(l.Length) > math.MaxUint32 {
-			return nil, fmt.Errorf("%w: chunk %s: recipe locator %d+%d is not a record of container %d", ErrCorrupt, e.ID, l.Offset, l.Length, l.Container)
-		}
-		plan[l.Container] = append(plan[l.Container], Extent{Off: l.Offset - containerRecordHeader, Len: l.Length + containerRecordHeader})
-	}
-	for id, extents := range plan {
-		slices.SortFunc(extents, func(a, b Extent) int { return cmp.Compare(a.Off, b.Off) })
-		merged := extents[:1]
-		for _, e := range extents[1:] {
-			last := &merged[len(merged)-1]
-			if end := last.Off + last.Len; e.Off > end {
-				merged = append(merged, e)
-			} else if e.Off+e.Len > end {
-				last.Len = e.Off + e.Len - last.Off
-			}
-		}
-		plan[id] = merged
-	}
-	return plan, nil
-}
-
-// fetchRun materializes one run's payloads, verifying every chunk's
-// content address before it can reach the assembler.
-func (c *Client) fetchRun(ctx context.Context, cache *containerCache, run *restoreRun) error {
-	entry, err := cache.get(ctx, run.container)
-	if err != nil {
-		return err
-	}
-	defer cache.release(entry)
-	payloads := make([][]byte, len(run.entries))
-	for i, e := range run.entries {
-		p, ok := entry.chunks[e.ID]
-		if !ok {
-			return fmt.Errorf("%w: chunk %s missing from container %d", ErrCorrupt, e.ID, run.container)
-		}
-		if len(p) != int(e.Loc.Length) {
-			return fmt.Errorf("%w: chunk %s is %d bytes in container %d, its recipe locator says %d", ErrCorrupt, e.ID, len(p), run.container, e.Loc.Length)
-		}
-		if chunk.Sum(p) != e.ID {
-			return fmt.Errorf("%w: chunk %s corrupt in container %d", ErrCorrupt, e.ID, run.container)
-		}
-		payloads[i] = p
-	}
-	run.payloads = payloads
-	return nil
+	return head, nil
 }
 
 // RestoreTo streams a named file into w, verifying every chunk, and
-// returns what it moved — on failure, what it had moved by then.
-// Container fetches run ReadAhead-deep in parallel through the LRU cache
-// while reassembly stays strictly in stream order; memory is bounded by
-// the cache, not the file.
+// returns what it moved — on failure, what it had moved by then. The
+// first page is fetched alone; later pages are fetched ReadAhead ahead of
+// the one being written, which stays strictly in stream order, so memory
+// is bounded by the pages in flight, not the file.
 func (c *Client) RestoreTo(ctx context.Context, name string, w io.Writer, opts RestoreOptions) (stats RestoreStats, err error) {
-	opts = opts.withDefaults()
+	if opts.ReadAhead <= 0 {
+		opts.ReadAhead = DefaultRestoreReadAhead
+	}
 	reg := metrics.Default()
 	sp := metrics.StartTimer(reg.DurationHistogram("cloud_restore_stream_seconds"))
 	defer sp.End()
 
-	recipe, err := c.GetRecipe(ctx, name)
-	if err != nil {
-		return stats, fmt.Errorf("cloudstore: restore %s: %w", name, err)
-	}
-	extents, err := planExtents(recipe)
-	if err != nil {
-		return stats, fmt.Errorf("cloudstore: restore %s: %w", name, err)
-	}
-	stats.ContainersTouched = len(extents)
-	reg.Histogram("cloud_restore_containers_per_stream").Observe(int64(len(extents)))
-	runs := planRuns(recipe)
-	cache := newContainerCache(c, opts.CacheContainers, extents)
+	var acct restoreAcct
 	// Registered before the pipeline's teardown so that it runs after it,
 	// on every return: a failed restore is the one whose numbers are asked for.
 	defer func() {
-		stats.CacheHits = cache.hits.Load()
-		stats.CacheMisses = cache.misses.Load()
-		stats.FetchedBytes = cache.fetched.Load()
+		stats.Pages = int(acct.pages.Load())
+		stats.ContainersTouched = int(acct.containers.Load())
+		stats.FetchedBytes = acct.fetched.Load()
 		reg.Counter("cloud_restore_bytes_total").Add(stats.Bytes)
 		reg.Counter("cloud_restore_chunks_total").Add(int64(stats.Chunks))
-		reg.Counter("cloud_restore_cache_hits_total").Add(stats.CacheHits)
-		reg.Counter("cloud_restore_cache_misses_total").Add(stats.CacheMisses)
+		reg.Counter("cloud_restore_pages_total").Add(int64(stats.Pages))
 		reg.Counter("cloud_restore_fetched_bytes_total").Add(stats.FetchedBytes)
+		if err != nil {
+			err = fmt.Errorf("cloudstore: restore %s: %w", name, err)
+		} else {
+			reg.Histogram("cloud_restore_containers_per_stream").Observe(int64(stats.ContainersTouched))
+		}
 	}()
-	if len(runs) == 0 {
-		return stats, nil
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	order := make(chan *restoreRun, opts.ReadAhead*2)
-	work := make(chan *restoreRun, opts.ReadAhead)
 
 	var wg sync.WaitGroup
+	defer wg.Wait()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel() // before wg.Wait: a failed restore stops the producer and fetchers
+	first := &page{done: make(chan struct{})}
+	head, err := c.fetchPage(ctx, name, first, pageReply{}, &acct)
+	if err != nil {
+		return stats, err
+	}
+	close(first.done)
+	// A slot is a page fetched or being fetched and not yet written: the
+	// one being written and ReadAhead behind it.
+	slots := make(chan struct{}, opts.ReadAhead+1)
+	order := make(chan *page, opts.ReadAhead+1) // never more unread pages than slots
+	slots <- struct{}{}
+	order <- first
 	wg.Add(1)
-	go func() { // producer: FIFO order first, then the work queue
+	go func() { // producer: later pages, in order, a slot each
 		defer wg.Done()
 		defer close(order)
-		defer close(work)
-		for _, run := range runs {
+		for at := readPageChunks; at < int(head.total); at += readPageChunks {
 			select {
-			case order <- run:
+			case slots <- struct{}{}:
 			case <-ctx.Done():
 				return
 			}
-			select {
-			case work <- run:
-			case <-ctx.Done():
-				return
-			}
+			p := &page{first: at, done: make(chan struct{})}
+			order <- p
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, p.err = c.fetchPage(ctx, name, p, head, &acct)
+				close(p.done)
+			}()
 		}
 	}()
-	for i := 0; i < opts.ReadAhead; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for run := range work {
-				run.err = c.fetchRun(ctx, cache, run)
-				close(run.done)
-			}
-		}()
-	}
 
-	// Assembler: strictly in recipe order. On any failure, cancel and
-	// fall through — the deferred wg.Wait tears the pipeline down
-	// (producer and fetchers all select on ctx).
-	defer wg.Wait()
-	for run := range order {
+	for p := range order {
 		select {
-		case <-run.done:
+		case <-p.done:
 		case <-ctx.Done():
-			return stats, fmt.Errorf("cloudstore: restore %s: %w", name, ctx.Err())
+			return stats, ctx.Err()
 		}
-		if run.err != nil {
-			cancel()
-			return stats, fmt.Errorf("cloudstore: restore %s: %w", name, run.err)
+		if p.err != nil {
+			return stats, p.err
 		}
-		for _, p := range run.payloads {
-			n, werr := w.Write(p)
-			if werr != nil {
-				cancel()
-				return stats, fmt.Errorf("cloudstore: restore %s: write: %w", name, werr)
-			}
+		for _, id := range p.ids {
+			n, err := w.Write(p.payloads[id])
 			stats.Bytes += int64(n)
+			if err != nil {
+				return stats, fmt.Errorf("write: %w", err)
+			}
 			stats.Chunks++
 		}
-		run.payloads = nil // let the container page age out of memory
+		<-slots
 	}
 	return stats, nil
 }

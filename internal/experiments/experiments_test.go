@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -82,29 +83,38 @@ func TestFig3Quick(t *testing.T) {
 	}
 }
 
+// TestFig5aQuick checks the paper's headline at quick scale: SMART's
+// throughput is above cloud-assisted's and near cloud-only's. Each mode
+// counts with the better of two repetitions, because a single run's
+// throughput moves with the host's load: over 20 single runs the
+// smart/cloud-assisted ratio ranged 1.03-1.35 with the test alone and
+// 0.98-1.36 beside a `go test ./...`, where one run in 20 inverted it.
 func TestFig5aQuick(t *testing.T) {
-	fig, err := Fig5a(quickCfg())
-	if err != nil {
-		t.Fatal(err)
+	var smart, assisted, only float64
+	for rep := 0; rep < 2; rep++ {
+		fig, err := Fig5a(quickCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fig.Series) != 6 { // 3 modes x 2 datasets
+			t.Fatalf("fig5a has %d series, want 6", len(fig.Series))
+		}
+		s, a, o := fig.Get("smart/accel"), fig.Get("cloud-assisted/accel"), fig.Get("cloud-only/accel")
+		if s == nil || a == nil || o == nil {
+			t.Fatal("missing series")
+		}
+		last := len(s.Y) - 1
+		smart, assisted, only = math.Max(smart, s.Y[last]), math.Max(assisted, a.Y[last]), math.Max(only, o.Y[last])
 	}
-	if len(fig.Series) != 6 { // 3 modes x 2 datasets
-		t.Fatalf("fig5a has %d series, want 6", len(fig.Series))
-	}
-	smart := fig.Get("smart/accel")
-	assisted := fig.Get("cloud-assisted/accel")
-	only := fig.Get("cloud-only/accel")
-	if smart == nil || assisted == nil || only == nil {
-		t.Fatal("missing series")
-	}
-	last := len(smart.Y) - 1
-	if smart.Y[last] <= assisted.Y[last] {
-		t.Errorf("smart %.1f MB/s not above cloud-assisted %.1f MB/s", smart.Y[last], assisted.Y[last])
+	t.Logf("smart %.2f, cloud-assisted %.2f, cloud-only %.2f MB/s: smart/assisted %.3f", smart, assisted, only, smart/assisted)
+	if smart <= assisted {
+		t.Errorf("smart %.1f MB/s not above cloud-assisted %.1f MB/s", smart, assisted)
 	}
 	// At quick scale (tiny files) per-RPC latency blunts smart's edge over
 	// cloud-only; the full-size run shows the paper's clear win. Require
 	// rough parity here.
-	if smart.Y[last] < only.Y[last]*0.7 {
-		t.Errorf("smart %.1f MB/s far below cloud-only %.1f MB/s", smart.Y[last], only.Y[last])
+	if smart < only*0.7 {
+		t.Errorf("smart %.1f MB/s far below cloud-only %.1f MB/s", smart, only)
 	}
 }
 

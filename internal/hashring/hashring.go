@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -108,27 +109,36 @@ func (r *Ring) Nodes() []string {
 // It returns fewer nodes when the ring has fewer than n members and nil
 // when the ring is empty.
 func (r *Ring) Lookup(key []byte, n int) []string {
+	if n <= 0 {
+		return nil
+	}
+	if out := r.LookupAppend(make([]string, 0, n), key, n); len(out) > 0 {
+		return out
+	}
+	return nil
+}
+
+// LookupAppend is Lookup appending the nodes to dst, which lets a caller
+// reuse one slice across keys. It allocates nothing of its own: n is a
+// replication factor, so a linear scan of what it appended finds a
+// node already taken.
+func (r *Ring) LookupAppend(dst []string, key []byte, n int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.points) == 0 || n <= 0 {
-		return nil
+		return dst
 	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
+	n = min(n, len(r.nodes))
 	h := hash64(key)
 	idx := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
+	start := len(dst)
+	for i := 0; i < len(r.points) && len(dst)-start < n; i++ {
 		p := r.points[(idx+i)%len(r.points)]
-		if seen[p.node] {
-			continue
+		if !slices.Contains(dst[start:], p.node) {
+			dst = append(dst, p.node)
 		}
-		seen[p.node] = true
-		out = append(out, p.node)
 	}
-	return out
+	return dst
 }
 
 // Owner returns the primary node for key, or "" on an empty ring.

@@ -269,17 +269,16 @@ func (c *Cluster) BreakerStates() map[string]retrypolicy.BreakerState {
 	return c.peers.BreakerStates()
 }
 
-// replicas returns the replica set for key in preference order: the local
-// member first when it is in the set.
-func (c *Cluster) replicas(key []byte, local string) []string {
-	reps := c.ring.Lookup(key, c.cfg.ReplicationFactor)
-	for i, r := range reps {
-		if r == local && i != 0 {
-			reps[0], reps[i] = reps[i], reps[0]
-			break
-		}
+// replicas appends the replica set for key to dst in preference order:
+// the local member first when it is in the set.
+func (c *Cluster) replicas(dst []string, key []byte, local string) []string {
+	start := len(dst)
+	dst = c.ring.LookupAppend(dst, key, c.cfg.ReplicationFactor)
+	reps := dst[start:]
+	if i := slices.Index(reps, local); i > 0 {
+		reps[0], reps[i] = reps[i], reps[0]
 	}
-	return reps
+	return dst
 }
 
 // skip reports whether lookups should route around addr: its circuit
@@ -303,9 +302,12 @@ func (c *Cluster) BatchHas(ctx context.Context, keys [][]byte) ([]bool, error) {
 	// Group key indices by target replica, with per-key fallback lists.
 	groups := make(map[string][]int)
 	fallbacks := make([][]string, len(keys))
-	skipped := make(map[string]bool) // liveness, read once per replica per call
+	all := make([]string, 0, len(keys)*c.cfg.ReplicationFactor) // every key's replicas, back to back
+	skipped := make(map[string]bool)                            // liveness, read once per replica per call
 	for i, key := range keys {
-		reps := c.replicas(key, localAddr)
+		start := len(all)
+		all = c.replicas(all, key, localAddr)
+		reps := all[start:len(all):len(all)]
 		if len(reps) == 0 {
 			return nil, fmt.Errorf("%w: empty ring", ErrNoQuorum)
 		}
@@ -482,8 +484,9 @@ func (c *Cluster) BatchPut(ctx context.Context, keys, values [][]byte) error {
 func (c *Cluster) putEntries(ctx context.Context, ents []keyedEntry) error {
 	groups := make(map[string][]int) // replica -> indices into ents
 	short := make([]int, len(ents))  // acks each entry still lacks
+	var reps []string
 	for i, kv := range ents {
-		reps := c.ring.Lookup(kv.key, c.cfg.ReplicationFactor)
+		reps = c.ring.LookupAppend(reps[:0], kv.key, c.cfg.ReplicationFactor)
 		short[i] = c.cfg.WriteConsistency.required(len(reps))
 		for _, addr := range reps {
 			groups[addr] = append(groups[addr], i)

@@ -99,7 +99,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err := put(ctx, c, key, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	reps := c.replicas(key, "")
+	reps := c.replicas(nil, key, "")
 	if len(reps) != 2 {
 		t.Fatalf("replica set %v, want 2 nodes", reps)
 	}

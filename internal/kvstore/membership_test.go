@@ -133,8 +133,8 @@ func TestAddMemberAndRebalance(t *testing.T) {
 		t.Fatalf("BatchHas during membership change: %v", err)
 	}
 	for i, ok := range found {
-		if !ok && c.replicas(keys[i], "")[0] != "kv-new" {
-			t.Fatalf("key %q missed although its primary %s held it before the join", keys[i], c.replicas(keys[i], "")[0])
+		if !ok && c.replicas(nil, keys[i], "")[0] != "kv-new" {
+			t.Fatalf("key %q missed although its primary %s held it before the join", keys[i], c.replicas(nil, keys[i], "")[0])
 		}
 	}
 	if err := c.Rebalance(ctx); err != nil {

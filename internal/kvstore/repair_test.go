@@ -53,7 +53,7 @@ func wipe(n *Node) {
 func assertPlacement(t *testing.T, c *Cluster, nodes map[string]*Node, keys [][]byte) {
 	t.Helper()
 	for _, key := range keys {
-		for _, addr := range c.replicas(key, "") {
+		for _, addr := range c.replicas(nil, key, "") {
 			if _, ok := nodes[addr].Get(key); !ok {
 				t.Fatalf("replica %s missing key %q after repair", addr, key)
 			}

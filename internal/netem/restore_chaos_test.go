@@ -1,56 +1,70 @@
-// Chaos end-to-end test for the container restore path: a client
-// streams a multi-container restore while scripted faults kill the
-// cloud connection mid-flight — twice. The retry layer must redial and
-// resume transparently, and the output must stay byte-identical.
+// Chaos end-to-end tests for the paged restore path: a client streams a
+// multi-page restore while the cloud link fails under it — partitioned
+// twice at the moments a page is asked for, or stalling at random. The
+// retry layer must redial and resume transparently, and the output must
+// stay byte-identical.
 package netem_test
 
 import (
 	"bytes"
 	"context"
-	"io"
 	"testing"
 	"time"
 
+	"efdedup/internal/chunk"
 	"efdedup/internal/cloudstore"
 	"efdedup/internal/netem"
 	"efdedup/internal/retrypolicy"
 	"efdedup/internal/transport"
 )
 
-// slowWriter throttles the restore sink so scripted faults land while
-// container fetches are still in flight.
-type slowWriter struct {
-	w     io.Writer
-	delay time.Duration
+// pagedCloud serves a cloud that cuts streams into 256-byte chunks, so
+// that a 256 KiB stream is four pages of 256 chunks.
+func pagedCloud(t *testing.T, fab *netem.Topology, mem *transport.MemNetwork) *cloudstore.Server {
+	t.Helper()
+	chunker, err := chunk.NewFixedChunker(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := cloudstore.NewServer(cloudstore.Config{Chunker: chunker, ContainerBytes: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := fab.NetworkFor("cloud", mem).Listen("cloud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Serve(l)
+	t.Cleanup(func() { srv.Close() })
+	return srv
 }
 
-func (s *slowWriter) Write(p []byte) (int, error) {
-	time.Sleep(s.delay)
-	return s.w.Write(p)
+// outageWriter cuts the edge off the cloud once it has written at bytes,
+// and heals the link after a while.
+type outageWriter struct {
+	buf bytes.Buffer
+	fab *netem.Topology
+	at  int
+}
+
+func (w *outageWriter) Write(p []byte) (int, error) {
+	if w.buf.Len() < w.at && w.buf.Len()+len(p) >= w.at {
+		w.fab.PartitionBoth("edge", "cloud")
+		w.fab.Schedule(150*time.Millisecond, func(f *netem.Topology) { f.HealAll() })
+	}
+	return w.buf.Write(p)
 }
 
 func TestRestoreSurvivesCloudOutagesMidStream(t *testing.T) {
 	mem := transport.NewMemNetwork()
 	fab := netem.NewTopology(netem.Link{})
 	defer fab.Close()
-	cloudNW := fab.NetworkFor("cloud", mem)
-	edgeNW := fab.NetworkFor("edge", mem)
+	srv := pagedCloud(t, fab, mem)
 
-	srv, err := cloudstore.NewServer(cloudstore.Config{ContainerBytes: 16 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := cloudNW.Listen("cloud")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Serve(l)
-	defer srv.Close()
-
-	// A retry policy generous enough to ride out the scripted outages;
-	// the breaker threshold is high so fail-fast never masks the retry
-	// path under test.
-	cl, err := cloudstore.DialWithPolicy(context.Background(), edgeNW, "cloud",
+	// A retry policy generous enough to ride out the outages; the
+	// breaker threshold is high so fail-fast never masks the retry path
+	// under test.
+	cl, err := cloudstore.DialWithPolicy(context.Background(), fab.NetworkFor("edge", mem), "cloud",
 		retrypolicy.Policy{MaxAttempts: 15, BaseDelay: 25 * time.Millisecond, MaxDelay: 150 * time.Millisecond, Seed: 7},
 		retrypolicy.BreakerConfig{FailureThreshold: 1000, OpenFor: 10 * time.Millisecond})
 	if err != nil {
@@ -65,33 +79,36 @@ func TestRestoreSurvivesCloudOutagesMidStream(t *testing.T) {
 	}
 	srv.FlushContainers()
 
-	// Two scripted outages: the first kills in-flight container fetches
-	// early in the restore, the second after the client has redialed.
-	fab.Schedule(40*time.Millisecond, func(f *netem.Topology) { f.PartitionBoth("edge", "cloud") })
-	fab.Schedule(240*time.Millisecond, func(f *netem.Topology) { f.HealAll() })
-	fab.Schedule(500*time.Millisecond, func(f *netem.Topology) { f.PartitionBoth("edge", "cloud") })
-	fab.Schedule(700*time.Millisecond, func(f *netem.Topology) { f.HealAll() })
-
-	var buf bytes.Buffer
-	st, err := cl.RestoreTo(ctx, "vm-image", &slowWriter{w: &buf, delay: 8 * time.Millisecond},
-		cloudstore.RestoreOptions{ReadAhead: 3, CacheContainers: 4})
+	// Two outages, each in the way of a page: the first page is asked
+	// for into a partition, and with one page in flight the third is
+	// asked for once the second is written — half the stream, when the
+	// writer cuts the link again.
+	start := time.Now()
+	fab.PartitionBoth("edge", "cloud")
+	fab.Schedule(150*time.Millisecond, func(f *netem.Topology) { f.HealAll() })
+	w := &outageWriter{fab: fab, at: len(data) / 2}
+	st, err := cl.RestoreTo(ctx, "vm-image", w, cloudstore.RestoreOptions{ReadAhead: 1})
 	if err != nil {
 		t.Fatalf("restore aborted under scripted outages: %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), data) {
+	if !bytes.Equal(w.buf.Bytes(), data) {
 		t.Fatal("restore under faults differs from original")
 	}
-	if st.Bytes != int64(len(data)) {
-		t.Fatalf("stats.Bytes = %d, want %d", st.Bytes, len(data))
+	if st.Bytes != int64(len(data)) || st.Pages != 4 {
+		t.Fatalf("stats.Bytes = %d in %d pages, want %d in 4", st.Bytes, st.Pages, len(data))
 	}
 	if st.ContainersTouched < 10 {
 		t.Fatalf("ContainersTouched = %d, want a genuinely multi-container stream", st.ContainersTouched)
 	}
+	// A page asked for into an outage completes after its heal.
+	if took := time.Since(start); took < 300*time.Millisecond {
+		t.Fatalf("restore took %v: a page did not wait out one of the two 150 ms outages", took)
+	}
 }
 
-// TestRestoreSurvivesStochasticStalls runs a restore through a topology
-// injecting seeded random connection stalls (slow, not dead) and checks
-// the pipeline neither aborts nor corrupts output.
+// TestRestoreSurvivesStochasticStalls runs a multi-page restore through
+// a topology injecting seeded random connection stalls (slow, not dead)
+// and checks the pipeline neither aborts nor corrupts output.
 func TestRestoreSurvivesStochasticStalls(t *testing.T) {
 	mem := transport.NewMemNetwork()
 	fab := netem.NewTopology(netem.Link{})
@@ -101,21 +118,9 @@ func TestRestoreSurvivesStochasticStalls(t *testing.T) {
 		StallFor:  30 * time.Millisecond,
 	})
 	defer fab.Close()
-	cloudNW := fab.NetworkFor("cloud", mem)
-	edgeNW := fab.NetworkFor("edge", mem)
+	srv := pagedCloud(t, fab, mem)
 
-	srv, err := cloudstore.NewServer(cloudstore.Config{ContainerBytes: 16 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := cloudNW.Listen("cloud")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Serve(l)
-	defer srv.Close()
-
-	cl, err := cloudstore.DialWithPolicy(context.Background(), edgeNW, "cloud",
+	cl, err := cloudstore.DialWithPolicy(context.Background(), fab.NetworkFor("edge", mem), "cloud",
 		retrypolicy.Policy{MaxAttempts: 10, BaseDelay: 20 * time.Millisecond, MaxDelay: 100 * time.Millisecond, Seed: 11},
 		retrypolicy.BreakerConfig{FailureThreshold: 1000, OpenFor: 10 * time.Millisecond})
 	if err != nil {
@@ -131,10 +136,11 @@ func TestRestoreSurvivesStochasticStalls(t *testing.T) {
 	srv.FlushContainers()
 
 	var buf bytes.Buffer
-	if _, err := cl.RestoreTo(ctx, "stalled-image", &buf, cloudstore.RestoreOptions{ReadAhead: 4}); err != nil {
+	st, err := cl.RestoreTo(ctx, "stalled-image", &buf, cloudstore.RestoreOptions{ReadAhead: 4})
+	if err != nil {
 		t.Fatalf("restore aborted under stalls: %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), data) {
-		t.Fatal("restore under stalls differs from original")
+	if !bytes.Equal(buf.Bytes(), data) || st.Pages != 3 {
+		t.Fatalf("restore under stalls: identical=%v in %d pages, want 3", bytes.Equal(buf.Bytes(), data), st.Pages)
 	}
 }
