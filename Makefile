@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race race-core bench bench-smoke bench-check figures figures-quick vet cover lint wire-lock wire-lock-check fuzz-short chaos ci clean
+.PHONY: all build test race race-core bench bench-smoke bench-check figures figures-quick vet cover lint wire-lock wire-lock-check fuzz-short chaos examples ci clean
 
 all: build test
 
 # What CI runs (.github/workflows/ci.yml).
-ci: build vet lint wire-lock-check test race fuzz-short chaos bench-smoke
+ci: build vet lint wire-lock-check test race fuzz-short chaos examples bench-smoke
 
 # Race-detect the resilience-critical packages only (quick local loop;
 # CI races the whole module). The agent's tests include TestBudgetProperty,
@@ -91,6 +91,14 @@ chaos:
 	$(GO) test -race -count=2 -run 'TestDurableRingSurvivesKillRestartRejoin|TestAgentSurvives|TestRestoreSurvives|TestShaped|TestPartition|TestIsolate|TestComposesWithNetem' ./internal/netem
 	$(GO) test -race -count=2 -run 'TestWAL|TestSnapshot|TestRepair|TestProbe' ./internal/kvstore
 	$(GO) test -race -count=2 -run 'TestConcurrentUploadsAndReads|TestRestoresRunBesideUploadsAndSeals|TestRestoreSurvivesSealMidRestore' ./internal/cloudstore
+
+# Build every example program and run it end to end: each drives the
+# public facade over an in-process deployment and exits non-zero on any
+# failure (about 2 s in all).
+examples:
+	rm -rf bin/examples
+	$(GO) build -o bin/examples/ ./examples/...
+	@for e in bin/examples/*; do echo "== $$e"; $$e || exit 1; done
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -157,14 +157,6 @@ func BenchmarkExtChunking(b *testing.B) {
 	b.ReportMetric(gear.Y[last]/fixed.Y[last], "cdc-advantage")
 }
 
-// BenchmarkExtErasure regenerates the erasure extension figure and reports
-// RS(4,2)'s storage saving vs replication at equal failure tolerance.
-func BenchmarkExtErasure(b *testing.B) {
-	fig := runFig(b, "ext-erasure")
-	rs := fig.Get("reed-solomon")
-	b.ReportMetric(rs.Y[len(rs.Y)-1], "rs-overhead-x")
-}
-
 // BenchmarkPublicPartitionSMART measures the production solver on a
 // mid-size instance through the public API.
 func BenchmarkPublicPartitionSMART(b *testing.B) {

@@ -10,19 +10,9 @@ import (
 // datasets stand in for the paper's IoT workloads.
 type Dataset = workload.Dataset
 
-// Built-in dataset constructors.
-var (
-	// NewAccelDataset mirrors the paper's first dataset: walking
-	// accelerometer traces from correlated participants.
-	NewAccelDataset = workload.DefaultAccelDataset
-	// NewVideoDataset mirrors the paper's second dataset: stationary
-	// traffic-camera frame sequences.
-	NewVideoDataset = workload.DefaultVideoDataset
-	// NewVMImageDataset synthesizes the VM/system-backup workload the
-	// paper's introduction motivates: layered images with OS-family and
-	// application-pool sharing plus backup-chain mutations.
-	NewVMImageDataset = workload.DefaultVMImageDataset
-)
+// NewAccelDataset mirrors the paper's first dataset: walking
+// accelerometer traces from correlated participants.
+var NewAccelDataset = workload.DefaultAccelDataset
 
 // NewPoolDataset emits streams straight from a chunk-pool System, so
 // measured dedup matches Theorem 1 predictions.
@@ -49,25 +39,6 @@ func BuildSimSystem(cfg SimScenario) (*System, error) { return sim.Build(cfg) }
 // CompareOnSystem evaluates several partitioners on one system.
 func CompareOnSystem(sys *System, algos []Partitioner, rings int) ([]SimAlgoCost, error) {
 	return sim.Compare(sys, algos, rings)
-}
-
-// Experiment types: the drivers that regenerate every figure of the
-// paper's evaluation.
-type (
-	// ExperimentConfig scales and seeds the drivers.
-	ExperimentConfig = experiments.Config
-	// Figure is one reproduced evaluation artifact.
-	Figure = experiments.Figure
-)
-
-// RunExperiment regenerates one figure by ID ("fig2".."fig7b").
-func RunExperiment(id string, cfg ExperimentConfig) (*Figure, error) {
-	return experiments.Run(id, cfg)
-}
-
-// RunAllExperiments regenerates every figure in paper order.
-func RunAllExperiments(cfg ExperimentConfig) ([]*Figure, error) {
-	return experiments.All(cfg)
 }
 
 // ExperimentIDs lists the available figure IDs in paper order.

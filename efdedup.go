@@ -110,9 +110,3 @@ func MeasureSamples(samples map[int][][]byte, chunker Chunker) (*GroundTruth, er
 func FitModel(gt *GroundTruth, cfg FitConfig) (*Estimate, error) {
 	return estimate.Fit(gt, cfg)
 }
-
-// FitModelAuto additionally searches the model order K (1..maxK) —
-// Algorithm 1's full output includes the number of chunk pools.
-func FitModelAuto(gt *GroundTruth, maxK int, cfg FitConfig) (*Estimate, error) {
-	return estimate.FitAuto(gt, maxK, cfg)
-}

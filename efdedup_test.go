@@ -128,10 +128,10 @@ func TestPublicChunkers(t *testing.T) {
 // TestExperimentIDs checks the experiment registry is exposed.
 func TestExperimentIDs(t *testing.T) {
 	ids := efdedup.ExperimentIDs()
-	if len(ids) != 12 {
-		t.Fatalf("got %d experiment IDs, want 12", len(ids))
+	if len(ids) != 11 {
+		t.Fatalf("got %d experiment IDs, want 11", len(ids))
 	}
-	if ids[0] != "fig2" || ids[len(ids)-1] != "ext-erasure" {
+	if ids[0] != "fig2" || ids[len(ids)-1] != "ext-cdc" {
 		t.Fatalf("unexpected IDs: %v", ids)
 	}
 }

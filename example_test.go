@@ -88,28 +88,3 @@ func ExampleMeasureSamples() {
 	// Output:
 	// pair ratio: 1.333
 }
-
-// ExampleNewErasureCodec protects a chunk with RS(3,2) and reconstructs it
-// after losing two shards.
-func ExampleNewErasureCodec() {
-	codec, err := efdedup.NewErasureCodec(3, 2)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	data := []byte("a chunk worth protecting")
-	shards, err := codec.Split(data)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	shards[1], shards[3] = nil, nil // lose any two
-	back, err := codec.Join(shards, len(data))
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Println(string(back))
-	// Output:
-	// a chunk worth protecting
-}

@@ -2,36 +2,12 @@ package efdedup
 
 import (
 	"efdedup/internal/chunk"
-	"efdedup/internal/cloudstore"
-	"efdedup/internal/erasure"
 	"efdedup/internal/estimate"
 )
 
-// This file exposes the library's implementations of the paper's
-// future-work directions (Sec. VII): erasure-coded chunk storage and
-// MinHash/LSH similarity estimation. (Variable-size chunking, the third
-// direction, is NewContentDefinedChunker in runtime.go.)
-
-// Erasure coding (paper: "apply erasure code to store data replicas").
-type (
-	// ErasureCodec Reed-Solomon-encodes chunks into k data + m parity
-	// shards; any k shards reconstruct.
-	ErasureCodec = erasure.Codec
-	// ShardedChunkStore spreads erasure-coded chunks over virtual disks
-	// with failure injection and repair.
-	ShardedChunkStore = cloudstore.ShardedStore
-)
-
-// NewErasureCodec builds an RS(k, m) codec.
-func NewErasureCodec(dataShards, parityShards int) (*ErasureCodec, error) {
-	return erasure.New(dataShards, parityShards)
-}
-
-// NewShardedChunkStore builds an erasure-coded chunk store over
-// dataShards+parityShards virtual disks.
-func NewShardedChunkStore(dataShards, parityShards int) (*ShardedChunkStore, error) {
-	return cloudstore.NewShardedStore(dataShards, parityShards)
-}
+// This file exposes MinHash/LSH similarity estimation, one of the paper's
+// future-work directions (Sec. VII). (Variable-size chunking, another, is
+// NewContentDefinedChunker in runtime.go.)
 
 // MinHash similarity (paper: "improve ... estimation through techniques
 // like locality sensitive hashing").

@@ -62,12 +62,9 @@ var ErrProto = errors.New("cloudstore: protocol error")
 // not as a transient fault to retry.
 var ErrCorrupt = errors.New("cloudstore: corrupt data")
 
-// ErrConfig marks invalid store construction or disk addressing.
+// ErrConfig marks invalid store construction or an unusable data
+// directory.
 var ErrConfig = errors.New("cloudstore: invalid configuration")
-
-// ErrDegraded marks operations refused because too few erasure-set
-// disks are up to guarantee durability.
-var ErrDegraded = errors.New("cloudstore: too few disks up")
 
 // Stats summarizes what the cloud has seen and stored.
 type Stats struct {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +15,13 @@ import (
 	"efdedup/internal/chunk"
 	"efdedup/internal/reclog"
 )
+
+func mkPayload(seed int64, n int) (chunk.ID, []byte) {
+	rng := rand.New(rand.NewSource(seed))
+	data := make([]byte, n)
+	rng.Read(data)
+	return chunk.Sum(data), data
+}
 
 // walkContainer walks a whole container — magic, then records — and
 // hands fn every chunk with its data's offset in raw, skipping manifest

@@ -25,7 +25,6 @@ func Registry() []struct {
 		{"fig7a", Fig7a},
 		{"fig7b", Fig7b},
 		{"ext-cdc", ExtChunking},
-		{"ext-erasure", ExtErasure},
 	}
 }
 

@@ -39,7 +39,7 @@ func TestRunUnknownFigure(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"fig2", "fig3", "fig5a", "fig5b", "fig5c", "fig6a", "fig6b", "fig6c", "fig7a", "fig7b", "ext-cdc", "ext-erasure"}
+	want := []string{"fig2", "fig3", "fig5a", "fig5b", "fig5c", "fig6a", "fig6b", "fig6c", "fig7a", "fig7b", "ext-cdc"}
 	reg := Registry()
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(reg), len(want))
@@ -118,19 +118,31 @@ func TestFig5aQuick(t *testing.T) {
 	}
 }
 
+// TestFig5bQuick checks the shape of the paper's Fig. 5(b): SMART's lead
+// over cloud-assisted widens with the WAN RTT. Each mode counts with the
+// better of two repetitions at each RTT point, for the reason given at
+// TestFig5aQuick: a single run's throughput moves with the host's load.
 func TestFig5bQuick(t *testing.T) {
-	fig, err := Fig5b(quickCfg())
-	if err != nil {
-		t.Fatal(err)
+	var smart, assisted []float64
+	for rep := 0; rep < 2; rep++ {
+		fig, err := Fig5b(quickCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, a := fig.Get("smart"), fig.Get("cloud-assisted")
+		if s == nil || a == nil {
+			t.Fatal("missing series")
+		}
+		if rep == 0 {
+			smart, assisted = make([]float64, len(s.Y)), make([]float64, len(a.Y))
+		}
+		for i := range smart {
+			smart[i], assisted[i] = math.Max(smart[i], s.Y[i]), math.Max(assisted[i], a.Y[i])
+		}
 	}
-	smart := fig.Get("smart")
-	assisted := fig.Get("cloud-assisted")
-	if smart == nil || assisted == nil {
-		t.Fatal("missing series")
-	}
-	// The shape: smart's lead over cloud-assisted widens with RTT.
-	leadLow := smart.Y[0] / assisted.Y[0]
-	leadHigh := smart.Y[len(smart.Y)-1] / assisted.Y[len(assisted.Y)-1]
+	leadLow := smart[0] / assisted[0]
+	leadHigh := smart[len(smart)-1] / assisted[len(assisted)-1]
+	t.Logf("smart/cloud-assisted lead %.3f -> %.3f", leadLow, leadHigh)
 	if leadHigh <= leadLow {
 		t.Errorf("smart lead did not widen with RTT: %.2f -> %.2f", leadLow, leadHigh)
 	}
@@ -283,23 +295,5 @@ func TestExtChunkingQuick(t *testing.T) {
 	}
 	if gear.Y[last] < 1.7 {
 		t.Errorf("shifted gear ratio %.2f, want ≈2 (boundaries content-defined)", gear.Y[last])
-	}
-}
-
-func TestExtErasureQuick(t *testing.T) {
-	fig, err := ExtErasure(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := fig.Get("reed-solomon")
-	repl := fig.Get("replication")
-	if rs == nil || repl == nil {
-		t.Fatal("missing series")
-	}
-	// RS must beat replication's expansion at the same failure tolerance.
-	for i, f := range rs.X {
-		if v, ok := repl.at(f); ok && rs.Y[i] >= v {
-			t.Errorf("RS at f=%v costs %.2fx, replication %.2fx", f, rs.Y[i], v)
-		}
 	}
 }

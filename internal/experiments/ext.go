@@ -4,12 +4,11 @@ import (
 	"fmt"
 
 	"efdedup/internal/chunk"
-	"efdedup/internal/cloudstore"
 )
 
-// The paper's Sec. VII names variable-size chunking and erasure-coded
-// replicas as future work; this file quantifies both as extension
-// experiments so the trade-offs the authors conjectured are measurable.
+// The paper's Sec. VII names variable-size chunking as future work; this
+// file quantifies it as an extension experiment so the trade-off the
+// authors conjectured is measurable.
 
 // ExtChunking compares fixed-size and content-defined chunking on data
 // whose copies drift by a few bytes (appended headers, trimmed prefixes —
@@ -98,79 +97,5 @@ func ExtChunking(cfg Config) (*Figure, error) {
 	fig.Notes = append(fig.Notes, fmt.Sprintf(
 		"at a %d-byte shift: fixed ratio %.2f (alignment destroyed) vs CDC %.2f",
 		shifts[last], fixedSeries.Y[last], gearSeries.Y[last]))
-	return fig, nil
-}
-
-// ExtErasure quantifies erasure coding against replication for index/chunk
-// durability: the storage expansion needed to tolerate a given number of
-// node/disk losses, with each RS geometry verified by actually destroying
-// that many disks in a ShardedStore and reading everything back.
-func ExtErasure(cfg Config) (*Figure, error) {
-	type geometry struct {
-		name   string
-		data   int
-		parity int
-	}
-	geoms := []geometry{
-		{"rs(2,1)", 2, 1},
-		{"rs(4,2)", 4, 2},
-		{"rs(8,3)", 8, 3},
-	}
-	if cfg.Quick {
-		geoms = geoms[:2]
-	}
-
-	d := cfg.accelDataset()
-	payloadSrc := d.File(0, 0)
-	chunkSize := d.SegmentBytes
-
-	fig := &Figure{
-		ID:     "ext-erasure",
-		Title:  "Durability cost: replication vs Reed-Solomon (paper future work)",
-		XLabel: "tolerated failures",
-		YLabel: "storage expansion factor",
-	}
-	repl := Series{Name: "replication"}
-	rs := Series{Name: "reed-solomon"}
-	// Replication tolerating f failures stores f+1 copies.
-	for f := 0; f <= 3; f++ {
-		repl.X = append(repl.X, float64(f))
-		repl.Y = append(repl.Y, float64(f+1))
-	}
-	for _, g := range geoms {
-		store, err := cloudstore.NewShardedStore(g.data, g.parity)
-		if err != nil {
-			return nil, err
-		}
-		// Store a slice of the workload as chunks.
-		var ids []chunk.ID
-		for off := 0; off+chunkSize <= len(payloadSrc) && len(ids) < 64; off += chunkSize {
-			piece := payloadSrc[off : off+chunkSize]
-			id := chunk.Sum(piece)
-			if err := store.Put(id, piece); err != nil {
-				return nil, err
-			}
-			ids = append(ids, id)
-		}
-		// Destroy exactly `parity` disks and verify every chunk reads.
-		for f := 0; f < g.parity; f++ {
-			if err := store.FailDisk(f); err != nil {
-				return nil, err
-			}
-		}
-		for _, id := range ids {
-			if _, err := store.Get(id); err != nil {
-				return nil, fmt.Errorf("ext-erasure %s: chunk unreadable after %d failures: %w",
-					g.name, g.parity, err)
-			}
-		}
-		cfg.logf("ext-erasure %s: tolerated %d failures at %.2fx storage (verified on %d chunks)",
-			g.name, g.parity, store.Overhead(), len(ids))
-		rs.X = append(rs.X, float64(g.parity))
-		rs.Y = append(rs.Y, store.Overhead())
-	}
-	fig.Series = []Series{repl, rs}
-	fig.Notes = append(fig.Notes,
-		"tolerating 2 failures: replication costs 3.00x, RS(4,2) costs 1.50x (verified by failure injection)")
 	return fig, nil
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"efdedup/internal/reclog"
 	"efdedup/internal/transport"
 )
 
@@ -55,7 +56,7 @@ func TestWALSyncAlwaysDurableBeforeAck(t *testing.T) {
 		}
 	}
 	w.kill() // simulated SIGKILL: no flush, no fsync
-	stats, err := ReplayWAL(path, nil)
+	stats, err := reclog.Scan(path, nil, replayInto(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestWALSyncOffLosesBufferedOnKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.kill()
-	stats, err := ReplayWAL(path, nil)
+	stats, err := reclog.Scan(path, nil, replayInto(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestWALIntervalGroupCommit(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		stats, err := ReplayWAL(path, nil)
+		stats, err := reclog.Scan(path, nil, replayInto(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func TestWALIntervalGroupCommit(t *testing.T) {
 // post-crash appends extend the valid prefix and replay on the next start.
 func TestWALOpenTruncatesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "node.wal")
-	w, err := OpenWAL(path)
+	w, err := OpenWALOptions(WALOptions{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestWALOpenTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reopen (truncates) and append a post-crash record.
-	w2, err := OpenWAL(path)
+	w2, err := OpenWALOptions(WALOptions{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestWALOpenTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var keys []string
-	stats, err := ReplayWAL(path, func(key []byte, e Entry) { keys = append(keys, string(key)) })
+	stats, err := reclog.Scan(path, nil, replayInto(func(key []byte, e Entry) { keys = append(keys, string(key)) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestWALOpenTruncatesTornTail(t *testing.T) {
 // counts as corruption, not a torn tail, and stops replay there.
 func TestWALReplayClassifiesCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "node.wal")
-	w, err := OpenWAL(path)
+	w, err := OpenWALOptions(WALOptions{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestWALReplayClassifiesCorruption(t *testing.T) {
 	if err := writeFile(path, data); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := ReplayWAL(path, nil)
+	stats, err := reclog.Scan(path, nil, replayInto(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestWALReplayClassifiesCorruption(t *testing.T) {
 
 func TestWALClosedOperations(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "node.wal")
-	w, err := OpenWAL(path)
+	w, err := OpenWALOptions(WALOptions{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +521,7 @@ func TestBatchPutIsDurableAsAUnit(t *testing.T) {
 // the prefix.
 func TestRecoveryScansTheLogOnce(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "node.wal")
-	w, err := OpenWAL(walPath)
+	w, err := OpenWALOptions(WALOptions{Path: walPath})
 	if err != nil {
 		t.Fatal(err)
 	}

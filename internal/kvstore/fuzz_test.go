@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"efdedup/internal/reclog"
 )
 
 // FuzzDecodeEntry: garbage must never panic; valid decodes must round
@@ -57,7 +59,7 @@ func FuzzDecodeKeyList(f *testing.F) {
 }
 
 // FuzzWALReplay checks the log's crash-recovery invariants through the
-// WAL's own surface (OpenWALOptions, Append, ReplayWAL). The replay loop
+// WAL's own surface (OpenWALOptions, Append, replayInto). The replay loop
 // is reclog's and is fuzzed there (FuzzLogOpen, which `make fuzz-short`
 // runs); this target and FuzzWALReplayRawBytes stay as seed-corpus
 // regression tests that the kv adapter — decode every payload as exactly
@@ -115,13 +117,13 @@ func FuzzWALReplay(f *testing.F) {
 
 		// Invariant: replay is an in-order prefix of what was appended.
 		replayed := 0
-		stats, err := ReplayWAL(path, func(key []byte, e Entry) {
+		stats, err := reclog.Scan(path, nil, replayInto(func(key []byte, e Entry) {
 			wantKey := fmt.Sprintf("key-%d", replayed)
 			if string(key) != wantKey || e.Version != uint64(replayed+1) {
 				t.Fatalf("record %d replayed as %q@%d, want %q@%d", replayed, key, e.Version, wantKey, replayed+1)
 			}
 			replayed++
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,10 +148,10 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		count := 0
 		last := ""
-		stats2, err := ReplayWAL(path, func(key []byte, e Entry) {
+		stats2, err := reclog.Scan(path, nil, replayInto(func(key []byte, e Entry) {
 			count++
 			last = string(key)
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +183,7 @@ func FuzzWALReplayRawBytes(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		stats, err := ReplayWAL(path, func([]byte, Entry) {})
+		stats, err := reclog.Scan(path, nil, replayInto(func([]byte, Entry) {}))
 		if err != nil {
 			t.Fatal(err)
 		}

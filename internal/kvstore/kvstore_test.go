@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"efdedup/internal/metrics"
+	"efdedup/internal/reclog"
 	"efdedup/internal/retrypolicy"
 	"efdedup/internal/transport"
 )
@@ -418,7 +419,7 @@ func TestWALPersistence(t *testing.T) {
 func TestWALStopsAtCorruption(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "node.wal")
-	w, err := OpenWAL(walPath)
+	w, err := OpenWALOptions(WALOptions{Path: walPath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +446,7 @@ func TestWALStopsAtCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	stats, err := ReplayWAL(walPath, func([]byte, Entry) { count++ })
+	stats, err := reclog.Scan(walPath, nil, replayInto(func([]byte, Entry) { count++ }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,9 +462,9 @@ func TestWALStopsAtCorruption(t *testing.T) {
 }
 
 func TestReplayMissingWAL(t *testing.T) {
-	stats, err := ReplayWAL(filepath.Join(t.TempDir(), "nope.wal"), func([]byte, Entry) {
+	stats, err := reclog.Scan(filepath.Join(t.TempDir(), "nope.wal"), nil, replayInto(func([]byte, Entry) {
 		t.Fatal("callback invoked for missing file")
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

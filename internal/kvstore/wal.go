@@ -87,12 +87,6 @@ type WALOptions struct {
 	SyncEvery time.Duration
 }
 
-// OpenWAL opens the log at path for appending with the default interval
-// group-commit policy.
-func OpenWAL(path string) (*WAL, error) {
-	return OpenWALOptions(WALOptions{Path: path})
-}
-
 // OpenWALOptions opens the log, truncating any torn or corrupt tail so
 // new appends extend a replayable prefix. Under SyncInterval a flusher
 // goroutine is started; it stops on Close.
@@ -236,15 +230,8 @@ func (w *WAL) shutdown(graceful bool) {
 // decode as exactly one entry.
 type ReplayStats = reclog.Stats
 
-// ReplayWAL streams every intact record of the log at path into apply
-// (when non-nil), classifies the stop condition and measures the valid
-// prefix. A missing file is not an error (fresh node). Replay is
-// read-only; opening the log performs the tail truncation.
-func ReplayWAL(path string, apply func(key []byte, e Entry)) (ReplayStats, error) {
-	return reclog.Scan(path, nil, replayInto(apply))
-}
-
-// replayInto adapts apply to a log scan.
+// replayInto adapts apply (when non-nil) to a log scan: reclog.Scan(path,
+// nil, replayInto(apply)) replays a WAL read-only.
 func replayInto(apply func(key []byte, e Entry)) func(payload []byte) bool {
 	return func(payload []byte) bool {
 		key, e, ok := recordEntry(payload)

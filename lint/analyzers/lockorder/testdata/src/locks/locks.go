@@ -128,3 +128,55 @@ func locals() {
 	a.Unlock()
 	b.Unlock()
 }
+
+// An unlock on an early-return path does not end the held region for
+// the statements after it: put calls apply with gate.mu still held, so
+// snapshot's opposite order is a cycle.
+type Gate struct{ mu sync.RWMutex }
+
+type Table struct {
+	mu   sync.RWMutex
+	rows map[string]int
+}
+
+var (
+	gate Gate
+	tbl  Table
+)
+
+func put(fail bool) bool {
+	gate.mu.RLock()
+	if fail {
+		gate.mu.RUnlock()
+		return false
+	}
+	apply() // want `potential deadlock: lock-order cycle \(locks\.Gate\)\.mu → \(locks\.Table\)\.mu → \(locks\.Gate\)\.mu; \(locks\.Gate\)\.mu held when \(locks\.Table\)\.mu acquired in locks\.put via call to apply`
+	gate.mu.RUnlock()
+	return true
+}
+
+func apply() {
+	tbl.mu.Lock()
+	tbl.rows = nil
+	tbl.mu.Unlock()
+}
+
+func snapshot() {
+	tbl.mu.RLock()
+	gate.mu.Lock()
+	gate.mu.Unlock()
+	tbl.mu.RUnlock()
+}
+
+// A lock taken and released inside an early-exit block ends there: the
+// second acquisition is not a re-acquisition.
+func tally(fail bool) {
+	var mu sync.Mutex
+	if fail {
+		mu.Lock()
+		mu.Unlock()
+		return
+	}
+	mu.Lock()
+	mu.Unlock()
+}

@@ -7,7 +7,11 @@
 // A summary is deliberately positional — the one lock-region sweep the
 // lockedio and lockorder analyzers share: Lock()/RLock() opens a held
 // region, Unlock()/RUnlock() closes it, a deferred unlock keeps it open
-// to the end of the body. Branch-sensitive lock flows (lock in one arm,
+// to the end of the body. An unlock inside a nested block that leaves
+// the flow (ends in return, panic, break, continue or goto) closes a
+// region opened before that block only to the end of the block: the
+// early-exit path releases the lock, the statements after the block
+// still hold it. Other branch-sensitive lock flows (lock in one arm,
 // unlock in another) are outside its precision.
 package summary
 
@@ -208,18 +212,35 @@ func sweepBody(fs *FuncSummary, node *callgraph.Node, block *ast.BlockStmt, asyn
 	}
 	walk(block, false)
 	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
+	exits := exitBlocks(block)
 
+	// A held lock whose until lies ahead was released on an early-exit
+	// path and is held again once the sweep passes that path's end.
 	type heldLock struct {
 		key, expr string
 		pos       token.Pos
+		until     token.Pos
 	}
 	var held []heldLock
+	// oldest returns the first lock held at pos (deterministic: the
+	// oldest acquisition).
+	oldest := func(pos token.Pos) (heldLock, bool) {
+		for _, h := range held {
+			if h.until <= pos {
+				return h, true
+			}
+		}
+		return heldLock{}, false
+	}
 	sticky := make(map[string]bool) // expr -> deferred unlock
 	for _, ev := range events {
 		switch ev.kind {
 		case evLock:
 			fs.Locks = append(fs.Locks, LockSite{Key: ev.key, Expr: ev.expr, Pos: ev.pos})
 			for _, h := range held {
+				if h.until > ev.pos {
+					continue
+				}
 				if h.key != "" && ev.key != "" {
 					fs.LockEdges = append(fs.LockEdges, LockEdge{Outer: h.key, Inner: ev.key, Pos: ev.pos})
 				}
@@ -239,8 +260,13 @@ func sweepBody(fs *FuncSummary, node *callgraph.Node, block *ast.BlockStmt, asyn
 				break
 			}
 			for i := len(held) - 1; i >= 0; i-- {
-				if held[i].expr == ev.expr {
-					held = append(held[:i], held[i+1:]...)
+				if held[i].expr == ev.expr && held[i].until <= ev.pos {
+					// A lock taken inside the exit block is simply released.
+					if start, end := exits.innermost(ev.pos); end.IsValid() && held[i].pos < start {
+						held[i].until = end
+					} else {
+						held = append(held[:i], held[i+1:]...)
+					}
 					break
 				}
 			}
@@ -251,20 +277,87 @@ func sweepBody(fs *FuncSummary, node *callgraph.Node, block *ast.BlockStmt, asyn
 			if !async {
 				fs.IO = append(fs.IO, site)
 			}
-			if len(held) > 0 {
-				fs.IOUnderLock = append(fs.IOUnderLock, IOUnderLock{IOSite: site, LockExpr: held[0].expr, LockPos: held[0].pos})
+			if h, ok := oldest(ev.pos); ok {
+				fs.IOUnderLock = append(fs.IOUnderLock, IOUnderLock{IOSite: site, LockExpr: h.expr, LockPos: h.pos})
 			}
 		case evCall:
-			if async || len(held) == 0 {
+			if async {
 				break
 			}
-			h := held[0] // deterministic: oldest held lock
+			h, ok := oldest(ev.pos)
+			if !ok {
+				break
+			}
 			fs.CallsUnderLock = append(fs.CallsUnderLock, CallUnderLock{
 				LockKey: h.key, LockExpr: h.expr, LockPos: h.pos,
 				CalleeID: ev.key, CalleeName: ev.expr, Pos: ev.pos,
 			})
 		}
 	}
+}
+
+// span is the source extent of an early-exit block.
+type span struct{ pos, end token.Pos }
+
+// spans are a body's early-exit blocks.
+type spans []span
+
+// exitBlocks lists the blocks and case clauses nested in body (not body
+// itself, nor function literals, which are swept on their own) whose
+// last statement leaves the flow: a return, a branch or a panic.
+func exitBlocks(body *ast.BlockStmt) spans {
+	var out spans
+	ast.Inspect(body, func(n ast.Node) bool {
+		var list []ast.Stmt
+		switch b := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.BlockStmt:
+			if b == body {
+				return true
+			}
+			list = b.List
+		case *ast.CaseClause:
+			list = b.Body
+		case *ast.CommClause:
+			list = b.Body
+		default:
+			return true
+		}
+		if len(list) > 0 && exits(list[len(list)-1]) {
+			out = append(out, span{n.Pos(), n.End()})
+		}
+		return true
+	})
+	return out
+}
+
+// exits reports whether a statement leaves the enclosing flow.
+func exits(s ast.Stmt) bool {
+	switch s := s.(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	case *ast.ExprStmt:
+		call, ok := s.X.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+		return ok && id.Name == "panic"
+	}
+	return false
+}
+
+// innermost returns the extent of the smallest span containing pos, or
+// token.NoPos twice when no span does. Spans nest, so the smallest one
+// that contains pos is the one that starts last.
+func (sp spans) innermost(pos token.Pos) (start, end token.Pos) {
+	for _, s := range sp {
+		if s.pos <= pos && pos < s.end && s.pos >= start {
+			start, end = s.pos, s.end
+		}
+	}
+	return start, end
 }
 
 // classify turns a call into a sweep event.
