@@ -86,11 +86,12 @@ fuzz-short:
 # e2e (torn WAL tail, anti-entropy convergence, membership growth), the
 # link-emulating conn's delivery goroutine racing cuts and Close, the
 # WAL/snapshot durability and repair unit tests, and container reads
-# racing the appends and seals of the open container.
+# racing the appends and seals of the open container (and outliving the
+# reuse of its buffer).
 chaos:
 	$(GO) test -race -count=2 -run 'TestDurableRingSurvivesKillRestartRejoin|TestAgentSurvives|TestRestoreSurvives|TestShaped|TestPartition|TestIsolate|TestComposesWithNetem' ./internal/netem
 	$(GO) test -race -count=2 -run 'TestWAL|TestSnapshot|TestRepair|TestProbe' ./internal/kvstore
-	$(GO) test -race -count=2 -run 'TestConcurrentUploadsAndReads|TestRestoresRunBesideUploadsAndSeals|TestRestoreSurvivesSealMidRestore' ./internal/cloudstore
+	$(GO) test -race -count=2 -run 'TestConcurrentUploadsAndReads|TestRestoresRunBesideUploadsAndSeals|TestRestoreSurvivesSealMidRestore|TestOpenReadsSurviveBufferReuse' ./internal/cloudstore
 
 # Build every example program and run it end to end: each drives the
 # public facade over an in-process deployment and exits non-zero on any

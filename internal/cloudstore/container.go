@@ -38,10 +38,11 @@ package cloudstore
 // size; see makeRoom for its bound.
 //
 // One index maps every chunk to its newest durable copy, by the ID its
-// container has or will seal as. The open container is read under the
-// store's lock, since appends and a seal change it, and a sealed one
-// without; a client holding an open container's locators reads the same
-// bytes after it seals, at the same offsets, under the same ID.
+// container has or will seal as. The open container is read (copied)
+// under the store's lock, since appends and a seal change it, and a
+// sealed one without; a client holding an open container's locators
+// reads the same bytes after it seals, at the same offsets, under the
+// same ID.
 //
 // Bounded selective duplication: when a manifest's chunks are spread
 // thinly over old containers (a later backup referencing a handful of
@@ -183,17 +184,27 @@ type containerLog interface {
 	sync() error
 	// read returns the named byte ranges of a container, concatenated in
 	// the order given, or the whole container for no ranges; a range the
-	// container does not hold is errPastEnd. Slices returned for synced
-	// records stay valid across later appends and seals.
+	// container does not hold is errPastEnd. A read of the open container
+	// is a copy, made under the caller's lock; a read of a sealed one may
+	// alias it. Either way the slice stays valid across later appends
+	// and seals.
 	read(container uint64, extents []Extent) ([]byte, error)
 	// seal durably installs the open container as sealed container id;
 	// the next append starts a new open container.
 	seal(id uint64) error
 }
 
-// memLog keeps containers as byte slices. The open container is only
-// ever appended to — never rewritten in place, and left to its readers
-// once sealed — so payload sub-slices handed out stay valid.
+// openBufs recycles open-container buffers of memLogs: a seal keeps an
+// exact-size copy of the open container and hands its buffer, grown to a
+// container's size, to the next one, so appends stop regrowing (and
+// recopying) it. A pool, not a field, so an idle store holds no spare
+// buffer once the garbage collector has emptied the pool.
+var openBufs sync.Pool // of *[]byte
+
+// memLog keeps containers as byte slices. The open container is built in
+// a buffer reused from container to container, so reads of it are
+// copies; a sealed container is never written again, so reads of it
+// alias it.
 type memLog struct {
 	open []byte
 
@@ -205,7 +216,10 @@ func newMemLog() *memLog { return &memLog{sealed: make(map[uint64][]byte)} }
 
 func (m *memLog) append(id chunk.ID, data []byte) (uint32, error) {
 	if len(m.open) == 0 {
-		m.open = append(m.open, containerMagic...)
+		if buf, ok := openBufs.Get().(*[]byte); ok {
+			m.open = *buf
+		}
+		m.open = append(m.open[:0], containerMagic...)
 	}
 	off := uint32(len(m.open)) + containerRecordHeader
 	m.open = appendContainerRecord(m.open, id, data)
@@ -224,14 +238,13 @@ func (m *memLog) read(container uint64, extents []Extent) ([]byte, error) {
 		m.mu.Unlock()
 	}
 	if len(extents) == 0 {
-		return data, nil
+		extents = []Extent{{Len: uint32(len(data))}} // maxContainerBytes fits a u32
 	}
 	n, err := extentBytes(extents, int64(len(data)))
 	if err != nil {
 		return nil, err
 	}
-	if len(extents) == 1 {
-		e := extents[0]
+	if e := extents[0]; len(extents) == 1 && container != 0 {
 		return data[e.Off : e.Off+e.Len], nil
 	}
 	out := make([]byte, 0, n)
@@ -241,12 +254,15 @@ func (m *memLog) read(container uint64, extents []Extent) ([]byte, error) {
 	return out, nil
 }
 
-// seal keeps an exact-size copy of the open container, which append grew.
+// seal keeps an exact-size copy of the open container and returns its
+// buffer to openBufs for the next one.
 func (m *memLog) seal(id uint64) error {
 	sealed := bytes.Clone(m.open)
 	m.mu.Lock()
 	m.sealed[id] = sealed
 	m.mu.Unlock()
+	buf := m.open[:0]
+	openBufs.Put(&buf)
 	m.open = nil
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -430,9 +431,10 @@ func TestRestoreDetectsCorruptOpenContainer(t *testing.T) {
 }
 
 // TestOpenContainerPayloadsStayValid holds payload slices served from
-// the in-memory open container while further uploads grow its buffer
-// and seal it: the slices alias the container and must not change, and
-// the stream restores the same before and after the seal.
+// the in-memory open container while further uploads grow its buffer,
+// seal it and build the next container in it: the slices are copies and
+// must not change, and the stream restores the same before and after the
+// seal.
 func TestOpenContainerPayloadsStayValid(t *testing.T) {
 	cl, srv := startCloud(t, Config{ContainerBytes: 64 << 10})
 	ctx := context.Background()
@@ -477,6 +479,97 @@ func TestOpenContainerPayloadsStayValid(t *testing.T) {
 		}
 	}
 	restore("after the seal")
+}
+
+// TestOpenReadsSurviveBufferReuse reads a record of the open container,
+// whole and as an extent, seals the container, and writes a full next
+// container over the buffer the seal gave back: the bytes read earlier
+// must be unchanged. A read that aliased the open buffer would see the
+// next container's bytes. One P, so that the pool hands the buffer back
+// (a pool keeps an item per P), and several rounds, so that a round in
+// which it does not (the race detector drops pool items at random)
+// cannot hide it.
+func TestOpenReadsSurviveBufferReuse(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m := newMemLog()
+	for round := uint64(1); round <= 8; round++ {
+		id, data := mkPayload(int64(round), 1000)
+		off, err := m.append(id, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		extent, err := m.read(0, []Extent{{Off: off, Len: uint32(len(data))}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := m.read(0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bytes.Clone(whole)
+		if err := m.seal(2*round - 1); err != nil {
+			t.Fatal(err)
+		}
+		next, filler := mkPayload(-int64(round), 4000) // covers the record read above
+		if _, err := m.append(next, filler); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.seal(2 * round); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(extent, data) || !bytes.Equal(whole, want) {
+			t.Fatalf("round %d: a read of the open container changed when the next container reused its buffer", round)
+		}
+	}
+}
+
+// TestStoreCopiesEachByteOnce stores chunks worth several containers
+// into an in-memory store and counts the bytes it allocates per byte
+// stored: in steady state a chunk's bytes are copied once, into the
+// sealed container, and the open container's buffer is reused rather
+// than regrown (growing it by append copied each byte about four times
+// more).
+func TestStoreCopiesEachByteOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random, so allocation counts vary")
+	}
+	// One P: a pool keeps an item per P, and a goroutine moved to
+	// another P between a seal and the next append would miss the buffer.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const containerBytes, chunkBytes, batch = 1 << 20, 8 << 10, 32
+	cs := newContainerStore(newMemLog(), containerBytes, 0, DefaultSparseRefLimit)
+	chunks := make([]chunk.Chunk, 6*containerBytes/chunkBytes)
+	for i := range chunks {
+		id, data := mkPayload(int64(9000+i), chunkBytes)
+		chunks[i] = chunk.Chunk{ID: id, Data: data}
+	}
+	put := func(chunks []chunk.Chunk) {
+		t.Helper()
+		for len(chunks) > 0 {
+			n := min(batch, len(chunks))
+			if stored, err := cs.put(chunks[:n], "", nil); stored != n || err != nil {
+				t.Fatalf("put stored %d of %d chunks, err %v", stored, n, err)
+			}
+			chunks = chunks[n:]
+		}
+	}
+	// Two collections empty openBufs of the smaller buffers earlier
+	// tests left in it; then the first container grows the buffer that
+	// every later one reuses.
+	runtime.GC()
+	runtime.GC()
+	warm := 2 * containerBytes / chunkBytes
+	put(chunks[:warm])
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	put(chunks[warm:])
+	runtime.ReadMemStats(&m1)
+	stored := len(chunks[warm:]) * chunkBytes
+	perByte := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(stored)
+	t.Logf("%.3f bytes allocated per byte stored", perByte)
+	if perByte > 1.1 {
+		t.Errorf("storing %d bytes allocated %.2f bytes per byte, want at most 1.1", stored, perByte)
+	}
 }
 
 // TestConcurrentUploadsAndReads has several clients upload overlapping

@@ -1,0 +1,5 @@
+//go:build !race
+
+package cloudstore
+
+const raceEnabled = false

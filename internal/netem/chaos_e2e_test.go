@@ -29,9 +29,14 @@ type slowReader struct {
 	r     io.Reader
 	chunk int
 	delay time.Duration
+	first func() // if set, runs on the first Read, before it reads
 }
 
 func (s *slowReader) Read(p []byte) (int, error) {
+	if s.first != nil {
+		s.first()
+		s.first = nil
+	}
 	if len(p) > s.chunk {
 		p = p[:s.chunk]
 	}
@@ -136,16 +141,16 @@ func TestAgentSurvivesScriptedPartition(t *testing.T) {
 		t.Fatalf("healthy baseline stream failed: %v", err)
 	}
 
-	// Script the outage: cut the agent off from the whole ring shortly
-	// after the chaos stream starts, heal while later streams run. The
-	// stream is throttled so the cut lands mid-flight and resets the
-	// agent's established index connections.
-	cb.fab.Schedule(20*time.Millisecond, func(f *netem.Topology) { f.PartitionBoth("edge", "ring") })
-	cb.fab.Schedule(600*time.Millisecond, func(f *netem.Topology) { f.HealAll() })
-
+	// Script the outage: cut the agent off from the whole ring when the
+	// chaos stream starts reading, which resets the agent's established
+	// index connections, and heal once the stream is done. Both are
+	// events of the stream, not of the clock, so every lookup of the
+	// stream meets the cut however slowly it runs.
 	mid := chaosData(2, 256*1024)
 	rep, err := cb.agent.ProcessStream(ctx, "mid-chaos",
-		&slowReader{r: bytes.NewReader(mid), chunk: 16 * 1024, delay: 15 * time.Millisecond})
+		&slowReader{r: bytes.NewReader(mid), chunk: 16 * 1024, delay: 15 * time.Millisecond,
+			first: func() { cb.fab.PartitionBoth("edge", "ring") }})
+	cb.fab.HealAll()
 	if err != nil {
 		t.Fatalf("stream aborted under partition: %v", err)
 	}
@@ -156,7 +161,7 @@ func TestAgentSurvivesScriptedPartition(t *testing.T) {
 		t.Fatal("agent not in degraded mode right after the partition stream")
 	}
 
-	// After the scripted heal and the breakers' cool-down the agent must
+	// After the heal and the breakers' cool-down the agent must
 	// recover to ring lookups on its own.
 	deadline := time.Now().Add(10 * time.Second)
 	recovered := false

@@ -6,10 +6,11 @@ import (
 )
 
 // FuzzDecodeRequest: arbitrary bytes must never panic the request decoder,
-// and anything that decodes must re-encode to an equivalent request.
+// and anything that decodes must re-encode, through writeFrame, to an
+// equivalent request.
 func FuzzDecodeRequest(f *testing.F) {
-	seed, _ := encodeRequest(42, "kv.get", []byte("payload"))
-	f.Add(seed)
+	seed, _ := encodeRequest(nil, 42, "kv.get")
+	f.Add(append(seed, "payload"...))
 	f.Add([]byte{})
 	f.Add([]byte{frameRequest})
 	f.Add([]byte{frameRequest, 0, 0, 0, 0, 0, 0, 0, 1, 200}) // absurd method length
@@ -21,11 +22,11 @@ func FuzzDecodeRequest(f *testing.F) {
 		if len(method) > 255 {
 			t.Fatalf("decoded method longer than encodable: %d", len(method))
 		}
-		re, err := encodeRequest(id, method, body)
+		hdr, err := encodeRequest(nil, id, method)
 		if err != nil {
 			t.Fatalf("re-encode of decoded request failed: %v", err)
 		}
-		id2, m2, b2, err := decodeRequest(re)
+		id2, m2, b2, err := decodeRequest(framed(t, hdr, body))
 		if err != nil || id2 != id || m2 != method || !bytes.Equal(b2, body) {
 			t.Fatalf("decode/encode not idempotent")
 		}
@@ -35,16 +36,15 @@ func FuzzDecodeRequest(f *testing.F) {
 // FuzzDecodeResponse: the response decoder must be panic-free and
 // idempotent through a re-encode.
 func FuzzDecodeResponse(f *testing.F) {
-	f.Add(encodeResponse(7, []byte("ok"), ""))
-	f.Add(encodeResponse(8, nil, "remote failure"))
+	f.Add(append(encodeResponse(nil, 7, ""), "ok"...))
+	f.Add(encodeResponse(nil, 8, "remote failure"))
 	f.Add([]byte{frameResponse, 0, 0, 0, 0, 0, 0, 0, 1, statusError, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		id, body, remoteErr, err := decodeResponse(data)
 		if err != nil {
 			return
 		}
-		re := encodeResponse(id, body, remoteErr)
-		id2, b2, e2, err := decodeResponse(re)
+		id2, b2, e2, err := decodeResponse(framed(t, encodeResponse(nil, id, remoteErr), body))
 		if err != nil || id2 != id || e2 != remoteErr {
 			t.Fatalf("decode/encode not idempotent")
 		}

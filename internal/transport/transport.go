@@ -17,6 +17,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -91,21 +92,54 @@ func IsRemoteError(err error) bool {
 // resets, timeouts, lost connections) is worth retrying.
 func Retryable(err error) bool { return !IsRemoteError(err) }
 
-// writeFrame writes one length-prefixed frame. Callers must serialize.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProto, len(payload))
+// frameWriter writes the frames of one connection. A frame's payload is
+// a header, which the caller encodes into the writer's scratch, and a
+// body, which it passes by reference: the length prefix and the header go
+// out as one write and the body as a second — one writev on TCP — so the
+// body is never copied into a frame. The scratch is reused from frame to
+// frame, so callers serialize (the connection's writeMu).
+type frameWriter struct {
+	hdr  []byte      // length prefix and header of the frame being written
+	vec  [2][]byte   // header and body, behind bufs
+	bufs net.Buffers // kept here so that WriteTo's receiver does not escape per frame
+}
+
+// header returns the scratch for the next frame's header: room for the
+// length prefix, which writeFrame fills in, to append the header to.
+func (fw *frameWriter) header() []byte {
+	return append(fw.hdr[:0], 0, 0, 0, 0)
+}
+
+// writeFrame writes one frame, hdr (from header, with the frame header
+// appended) followed by body, to w.
+func (fw *frameWriter) writeFrame(w io.Writer, hdr, body []byte) error {
+	n := len(hdr) - 4 + len(body)
+	if n > MaxFrameSize {
+		return fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProto, n)
 	}
-	var hdr [4]byte
-	codec.U32(hdr[:0], uint32(len(payload))) // fills hdr in place
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	codec.U32(hdr[:0], uint32(n)) // fills the prefix in place
+	fw.hdr = hdr
+	fw.vec = [2][]byte{hdr, body}
+	fw.bufs = fw.vec[:1]
+	if len(body) > 0 {
+		fw.bufs = fw.vec[:2]
 	}
-	_, err := w.Write(payload)
+	_, err := fw.bufs.WriteTo(w)
+	fw.vec[1] = nil // the body is the caller's
 	return err
 }
 
-// readFrame reads one length-prefixed frame.
+// readBufSize is a connection's read buffer: room for the length prefix
+// and header of any request or OK response (at most 269 bytes), so that
+// the first read of a frame takes in the whole first write of it. An
+// unbuffered conn (MemNetwork's pipes) completes a write only once the
+// reader has taken all of it, so reading the 4-byte prefix alone would
+// cost every frame a third hand-over. Bodies this large or larger are
+// read straight into the frame.
+const readBufSize = 512
+
+// readFrame reads one length-prefixed frame; r is the connection's
+// bufio.Reader of readBufSize.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -139,16 +173,16 @@ func readFrame(r io.Reader) ([]byte, error) {
 //	u32 error length (when status != OK)
 //	... error bytes
 //	... body
-func encodeRequest(id uint64, method string, body []byte) ([]byte, error) {
+//
+// encodeRequest and encodeResponse append the header, everything but
+// the body, to dst; writeFrame sends the body after it.
+func encodeRequest(dst []byte, id uint64, method string) ([]byte, error) {
 	if len(method) > 255 {
 		return nil, fmt.Errorf("%w: method name %q too long", ErrProto, method)
 	}
-	buf := make([]byte, 0, 10+len(method)+len(body))
-	buf = codec.U8(buf, frameRequest)
-	buf = codec.U64(buf, id)
-	buf = codec.Bytes8(buf, method)
-	buf = append(buf, body...)
-	return buf, nil
+	dst = codec.U8(dst, frameRequest)
+	dst = codec.U64(dst, id)
+	return codec.Bytes8(dst, method), nil
 }
 
 func decodeRequest(p []byte) (id uint64, method string, body []byte, err error) {
@@ -160,16 +194,14 @@ func decodeRequest(p []byte) (id uint64, method string, body []byte, err error) 
 	return id, string(m), body, r.Err()
 }
 
-func encodeResponse(id uint64, body []byte, remoteErr string) []byte {
-	buf := make([]byte, 0, 14+len(remoteErr)+len(body))
-	buf = codec.U8(buf, frameResponse)
-	buf = codec.U64(buf, id)
+func encodeResponse(dst []byte, id uint64, remoteErr string) []byte {
+	dst = codec.U8(dst, frameResponse)
+	dst = codec.U64(dst, id)
 	if remoteErr != "" {
-		buf = codec.U8(buf, statusError)
-		return codec.Bytes32(buf, remoteErr)
+		dst = codec.U8(dst, statusError)
+		return codec.Bytes32(dst, remoteErr)
 	}
-	buf = codec.U8(buf, statusOK)
-	return append(buf, body...)
+	return codec.U8(dst, statusOK)
 }
 
 func decodeResponse(p []byte) (id uint64, body []byte, remoteErr string, err error) {
@@ -260,10 +292,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	var writeMu sync.Mutex
+	var fw frameWriter // guarded by writeMu
 	var pending sync.WaitGroup
 	defer pending.Wait()
+	br := bufio.NewReaderSize(conn, readBufSize)
 	for {
-		payload, err := readFrame(conn)
+		payload, err := readFrame(br)
 		if err != nil {
 			return
 		}
@@ -291,7 +325,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// A write failure means the peer is gone; the read loop
 			// will terminate on its own.
 			//lint:ignore lockedio writeMu exists to serialize response frames on this conn; a failed response write means the peer is gone and the read loop exits on its own
-			_ = writeFrame(conn, encodeResponse(id, respBody, errMsg))
+			_ = fw.writeFrame(conn, encodeResponse(fw.header(), id, errMsg), respBody)
 		}()
 	}
 }
@@ -340,6 +374,7 @@ func (s *Server) Close() error {
 type Client struct {
 	conn    net.Conn
 	writeMu sync.Mutex
+	fw      frameWriter // guarded by writeMu
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -367,9 +402,10 @@ func NewClient(conn net.Conn) *Client {
 
 func (c *Client) readLoop() {
 	var err error
+	br := bufio.NewReaderSize(c.conn, readBufSize)
 	for {
 		var payload []byte
-		payload, err = readFrame(c.conn)
+		payload, err = readFrame(br)
 		if err != nil {
 			break
 		}
@@ -414,12 +450,13 @@ func (c *Client) Call(ctx context.Context, method string, body []byte) ([]byte, 
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	req, err := encodeRequest(id, method, body)
+	c.writeMu.Lock()
+	hdr, err := encodeRequest(c.fw.header(), id, method)
 	if err != nil {
+		c.writeMu.Unlock()
 		c.abandon(id)
 		return nil, err
 	}
-	c.writeMu.Lock()
 	// The send itself must honor ctx: a peer that stopped reading (full
 	// TCP send buffer, or an in-memory conn still in the accept
 	// backlog) blocks Write indefinitely, and the select below only
@@ -431,7 +468,7 @@ func (c *Client) Call(ctx context.Context, method string, body []byte) ([]byte, 
 		c.conn.SetWriteDeadline(aLongTimeAgo)
 	})
 	//lint:ignore lockedio writeMu exists to serialize request frames on this conn; it guards the write itself
-	err = writeFrame(c.conn, req)
+	err = c.fw.writeFrame(c.conn, hdr, body)
 	stop()
 	cause := err
 	if err != nil {

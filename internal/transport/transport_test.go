@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -237,11 +238,11 @@ func TestFrameCodecProperty(t *testing.T) {
 		if len(method) > 255 || len(method) == 0 {
 			return true // skip inputs the encoder rejects by design
 		}
-		req, err := encodeRequest(id, method, body)
+		hdr, err := encodeRequest(nil, id, method)
 		if err != nil {
 			return false
 		}
-		gid, gm, gb, err := decodeRequest(req)
+		gid, gm, gb, err := decodeRequest(framed(t, hdr, body))
 		if err != nil {
 			return false
 		}
@@ -254,21 +255,103 @@ func TestFrameCodecProperty(t *testing.T) {
 
 func TestResponseCodecProperty(t *testing.T) {
 	f := func(id uint64, body []byte, errMsg string) bool {
-		enc := encodeResponse(id, body, errMsg)
-		gid, gb, gerr, err := decodeResponse(enc)
+		if errMsg != "" {
+			body = nil // an error response carries no body
+		}
+		gid, gb, gerr, err := decodeResponse(framed(t, encodeResponse(nil, id, errMsg), body))
 		if err != nil {
 			return false
 		}
 		if gid != id || gerr != errMsg {
 			return false
 		}
-		if errMsg == "" && !bytes.Equal(gb, body) {
-			return false
-		}
-		return true
+		return bytes.Equal(gb, body)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// framed writes hdr (a header encoded with no room for the length
+// prefix) and body as one frame and returns the frame's payload, as the
+// peer's readFrame reads it.
+func framed(t testing.TB, hdr, body []byte) []byte {
+	t.Helper()
+	var fw frameWriter
+	var wire bytes.Buffer
+	if err := fw.writeFrame(&wire, append(fw.header(), hdr...), body); err != nil {
+		t.Fatalf("writeFrame: %v", err)
+	}
+	p, err := readFrame(&wire)
+	if err != nil || wire.Len() != 0 {
+		t.Fatalf("readFrame: %v, %d bytes left over", err, wire.Len())
+	}
+	return p
+}
+
+// writeLog records each Write it gets as one entry.
+type writeLog [][]byte
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	*w = append(*w, bytes.Clone(p))
+	return len(p), nil
+}
+
+// TestFrameGoldenBytes pins the frames writeFrame puts on the wire to the
+// bytes of the encoding that built each frame in one buffer: the length
+// prefix and the header are one write, a non-empty body a second.
+func TestFrameGoldenBytes(t *testing.T) {
+	const id = 0x0102030405060708
+	var fw frameWriter
+	req, err := encodeRequest(fw.header(), id, "kv.get")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		hdr, body []byte
+		want      string // hex of the frame, length prefix included
+	}{
+		{"request", req, []byte("payload"), "00000017" + "01" + "0102030405060708" + "06" + "6b762e676574" + "7061796c6f6164"},
+		{"response ok", encodeResponse(fw.header(), id, ""), []byte("ok"), "0000000c" + "02" + "0102030405060708" + "00" + "6f6b"},
+		{"response error", encodeResponse(fw.header(), id, "boom"), nil, "00000012" + "02" + "0102030405060708" + "01" + "00000004" + "626f6f6d"},
+		{"response empty", encodeResponse(fw.header(), 9, ""), nil, "0000000a" + "02" + "0000000000000009" + "00"},
+	} {
+		var w writeLog
+		if err := fw.writeFrame(&w, bytes.Clone(tc.hdr), tc.body); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		frame := bytes.Join(w, nil)
+		if got := fmt.Sprintf("%x", frame); got != tc.want {
+			t.Errorf("%s: wire bytes %s, want %s", tc.name, got, tc.want)
+		}
+		writes := [][]byte{frame[:len(frame)-len(tc.body)]}
+		if len(tc.body) > 0 {
+			writes = append(writes, tc.body)
+		}
+		if !slices.EqualFunc(w, writes, bytes.Equal) {
+			t.Errorf("%s: writes %x, want the header, then the body if there is one", tc.name, w)
+		}
+	}
+}
+
+// TestCallAllocs pins the allocations of one small echo call, both ends
+// of the connection, at the count of the encoding that copied each body
+// into a frame: writing the body by reference must not add any.
+func TestCallAllocs(t *testing.T) {
+	nw := NewMemNetwork()
+	addr, _ := startEcho(t, nw)
+	c := dial(t, nw, addr)
+	body := make([]byte, 64)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, err := c.Call(ctx, "echo", body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%v allocations per call", allocs)
+	if allocs > 15 {
+		t.Errorf("a 64-byte echo call allocates %v times, want at most 15", allocs)
 	}
 }
 
@@ -280,7 +363,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		t.Error("garbage response decoded")
 	}
 	// Truncated method.
-	req, _ := encodeRequest(1, "abcdef", nil)
+	req, _ := encodeRequest(nil, 1, "abcdef")
 	if _, _, _, err := decodeRequest(req[:11]); err == nil {
 		t.Error("truncated request decoded")
 	}

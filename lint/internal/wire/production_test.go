@@ -29,7 +29,7 @@ func TestProductionLayouts(t *testing.T) {
 		LayoutKey(Decode, "efdedup/internal/kvstore.readBlobs"):       "list32<bytes32> ; rest",
 		LayoutKey(Decode, "efdedup/internal/kvstore.readDigestReq"):   "u32 | u32 | list32<bytes32> | list32<bytes32> ; rest",
 		LayoutKey(Encode, "efdedup/internal/kvstore.appendRecord"):    "? | bytes32 | u64 | bytes32",
-		LayoutKey(Encode, "efdedup/internal/transport.encodeRequest"): "u8 | u64 | bytes8 | tail",
+		LayoutKey(Encode, "efdedup/internal/transport.encodeRequest"): "u8 | u64 | bytes8",
 		LayoutKey(Decode, "efdedup/internal/transport.decodeRequest"): "u8 | u64 | bytes8 ; rest",
 		LayoutKey(Encode, "efdedup/internal/cloudstore.encodeCommit"): "bytes16 | list32<array32 | bytes32> | repeat<array32>",
 		LayoutKey(Decode, "efdedup/internal/cloudstore.decodeCommit"): "bytes16 | list32<array32 | bytes32> | repeat<array32>",
